@@ -21,8 +21,8 @@ previous = None
 print(f"{'N=M':>6} {'max error at T':>15} {'order':>6}")
 for n in (16, 32, 64, 128):
     grid = GridSpec(0.0, 1.0, n)
-    trajectory = cn_solve(problem, grid, n, "order2")
-    error = np.max(np.abs(trajectory[-1] - problem.exact(grid.points(), 1.0)))
+    final = cn_solve(problem, grid, n, "order2")
+    error = np.max(np.abs(final - problem.exact(grid.points(), 1.0)))
     order = f"{np.log2(previous / error):6.2f}" if previous else "     -"
     print(f"{n:>6} {error:15.4e} {order}")
     previous = error
@@ -33,8 +33,8 @@ print(f"{'N':>6} {'M':>6} {'max error at T':>15} {'order':>6}")
 for n in (16, 32, 64, 128):
     m = math.ceil(n**1.5)
     grid = GridSpec(0.0, 1.0, n)
-    trajectory = cn_solve(problem, grid, m, "order3")
-    error = np.max(np.abs(trajectory[-1] - problem.exact(grid.points(), 1.0)))
+    final = cn_solve(problem, grid, m, "order3")
+    error = np.max(np.abs(final - problem.exact(grid.points(), 1.0)))
     order = f"{np.log2(previous / error):6.2f}" if previous else "     -"
     print(f"{n:>6} {m:>6} {error:15.4e} {order}")
     previous = error

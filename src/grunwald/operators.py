@@ -25,6 +25,7 @@ __all__ = [
     "apply_grunwald",
     "assemble_frac_matrix",
     "assemble_preconditioner",
+    "precondition_rows",
     "reduce_system",
     "checked_lu",
     "solve_factored",
@@ -174,6 +175,18 @@ def assemble_preconditioner(a2: float, grid: GridSpec) -> Preconditioner:
     dense[idx + 1, idx] = a2
     dense.setflags(write=False)
     return Preconditioner(a2=a2, grid=grid, dense=dense)
+
+
+def precondition_rows(values: np.ndarray, a2: float) -> np.ndarray:
+    """Interior rows of the preconditioner stencil applied along the first
+    axis of a grid vector (or of grid vectors stacked as columns).
+
+    Zero-pad the input by one entry at each end to get all rows of the
+    zero-extended matrix.
+    """
+    if a2 == 0.0:
+        return values[1:-1]
+    return a2 * (values[:-2] + values[2:]) + (1.0 - 2.0 * a2) * values[1:-1]
 
 
 def reduce_system(matrix: np.ndarray, rhs: np.ndarray, phi0: float,

@@ -19,8 +19,8 @@ from .operators import (
     GridSpec,
     SolverFailure,
     assemble_frac_matrix,
-    assemble_preconditioner,
     checked_lu,
+    precondition_rows,
     reduce_system,
     solve_factored,
 )
@@ -96,8 +96,8 @@ def solve_steady(problem: SteadyProblem, grid: GridSpec,
     x = grid.points()
     rhs = np.asarray(problem.source(x), dtype=float)
     if scheme == "order3":
-        precond = assemble_preconditioner(a2_coefficient(1, alpha), grid)
-        rhs = precond.dense @ rhs
+        rhs = precondition_rows(np.pad(rhs, 1),
+                                float(a2_coefficient(1, alpha)))
     interior = _solve_reduced(
         operator.dense, rhs, problem.phi0, problem.phi1,
         context=f"steady {scheme} solve at alpha={alpha}, n={grid.n}",

@@ -16,6 +16,8 @@ from grunwald import (
     polynomial_diffusion_problem,
     stability_estimate_check,
 )
+from grunwald.diffusion import STEP_BLOCK, _cn_system
+from grunwald.operators import solve_factored
 
 
 def zero_x(x):
@@ -24,9 +26,46 @@ def zero_x(x):
 
 def final_error(problem, n, m, scheme):
     grid = GridSpec(problem.a, problem.b, n)
-    trajectory = cn_solve(problem, grid, m, scheme)
+    final = cn_solve(problem, grid, m, scheme)
     exact = problem.exact(grid.points(), problem.t_final)
-    return float(np.max(np.abs(trajectory[-1] - exact)))
+    return float(np.max(np.abs(final - exact)))
+
+
+def per_step_march(problem, grid, m_steps, scheme):
+    """Reference CN march: one right-hand side and one LU solve per step."""
+    system = _cn_system(problem, grid, m_steps, scheme)
+    tau, a2 = system.tau, system.a2
+    x = grid.points()
+    current = np.asarray(problem.init(x), dtype=float)
+    for m in range(m_steps):
+        left_next = float(problem.bc_left((m + 1) * tau))
+        right_next = float(problem.bc_right((m + 1) * tau))
+        f = np.asarray(problem.source(x, (m + 0.5) * tau), dtype=float)
+        rhs = system.rhs_matrix @ current[1:-1]
+        rhs += tau * (a2 * (f[:-2] + f[2:]) + (1.0 - 2.0 * a2) * f[1:-1])
+        rhs += system.b_col_left * (left_next + current[0])
+        rhs += system.b_col_right * (right_next + current[-1])
+        rhs[0] -= a2 * (left_next - current[0])
+        rhs[-1] -= a2 * (right_next - current[-1])
+        interior = solve_factored(system.factors, rhs)
+        current = np.concatenate(([left_next], interior, [right_next]))
+    return current
+
+
+def moving_right_boundary_problem(alpha=1.5):
+    """Left-only equation with exact solution 10 x^8 exp(-t), so the
+    right boundary value moves in time."""
+    c8 = 10.0 * gamma(9) / gamma(9 - alpha)
+    return DiffusionProblem(
+        a=0.0, b=1.0, t_final=1.0, alpha=alpha, k_left=1.0, k_right=0.0,
+        source=lambda x, t: -np.exp(-t) * (
+            10.0 * np.asarray(x) ** 8 + c8 * np.asarray(x) ** (8 - alpha)
+        ),
+        init=lambda x: 10.0 * np.asarray(x) ** 8,
+        bc_left=lambda t: 0.0,
+        bc_right=lambda t: 10.0 * np.exp(-t),
+        exact=lambda x, t: 10.0 * np.asarray(x) ** 8 * np.exp(-t),
+    )
 
 
 class TestProblemValidation:
@@ -71,14 +110,9 @@ class TestCNSolve:
             source=lambda x, t: zero_x(x), init=zero_x,
             bc_left=lambda t: 0.0, bc_right=lambda t: 0.0,
         )
-        trajectory = cn_solve(problem, GridSpec(0.0, 1.0, 16), 8)
-        assert np.max(np.abs(trajectory)) == 0.0
-
-    def test_initial_row_is_sampled_data(self):
-        problem = polynomial_diffusion_problem(1.5)
-        grid = GridSpec(0.0, 1.0, 16)
-        trajectory = cn_solve(problem, grid, 4)
-        assert np.array_equal(trajectory[0], problem.init(grid.points()))
+        final = cn_solve(problem, GridSpec(0.0, 1.0, 16), 8)
+        assert final.shape == (17,)
+        assert np.max(np.abs(final)) == 0.0
 
     def test_order2_benchmark_cell(self):
         problem = polynomial_diffusion_problem(1.5)
@@ -101,20 +135,7 @@ class TestCNSolve:
     def test_nonzero_time_varying_boundary(self):
         # left-only equation so the right boundary may move; exercises
         # the boundary columns of both B and the preconditioner
-        alpha = 1.5
-        c8 = 10.0 * gamma(9) / gamma(9 - alpha)
-
-        problem = DiffusionProblem(
-            a=0.0, b=1.0, t_final=1.0, alpha=alpha, k_left=1.0, k_right=0.0,
-            source=lambda x, t: -np.exp(-t) * (
-                10.0 * np.asarray(x) ** 8
-                + c8 * np.asarray(x) ** (8 - alpha)
-            ),
-            init=lambda x: 10.0 * np.asarray(x) ** 8,
-            bc_left=lambda t: 0.0,
-            bc_right=lambda t: 10.0 * np.exp(-t),
-            exact=lambda x, t: 10.0 * np.asarray(x) ** 8 * np.exp(-t),
-        )
+        problem = moving_right_boundary_problem()
         errors2 = [final_error(problem, n, n, "order2") for n in (32, 64, 128)]
         for coarse, fine in zip(errors2, errors2[1:]):
             assert np.log2(coarse / fine) == pytest.approx(2.0, abs=0.15)
@@ -133,6 +154,68 @@ class TestCNSolve:
         problem = polynomial_diffusion_problem(1.5)
         with pytest.raises(ValueError, match="time step"):
             cn_solve(problem, GridSpec(0.0, 1.0, 16), 0)
+
+    @pytest.mark.parametrize("bad_after", [0.0, 0.9])
+    def test_non_finite_source_rejected(self, bad_after):
+        # the NaN first shows in the first block, or only in a later one
+        problem = DiffusionProblem(
+            a=0.0, b=1.0, t_final=1.0, alpha=1.5, k_left=1.0, k_right=1.0,
+            source=lambda x, t: zero_x(x) + (np.nan if t > bad_after else 0),
+            init=zero_x, bc_left=lambda t: 0.0, bc_right=lambda t: 0.0,
+        )
+        assert 0.9 * 300 > STEP_BLOCK
+        with pytest.raises(ValueError):
+            cn_solve(problem, GridSpec(0.0, 1.0, 16), 300)
+
+
+class TestStepMatrixOracle:
+    """cn_solve's step-matrix recurrence against the per-step LU march."""
+
+    @staticmethod
+    def assert_agrees(problem, n, m_steps, scheme):
+        grid = GridSpec(problem.a, problem.b, n)
+        final = cn_solve(problem, grid, m_steps, scheme)
+        reference = per_step_march(problem, grid, m_steps, scheme)
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(final - reference)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("m_steps", [300, 513])
+    @pytest.mark.parametrize("alpha", [1.1, 1.9])
+    @pytest.mark.parametrize("scheme", ["order2", "order3"])
+    def test_benchmark_problem(self, scheme, alpha, m_steps):
+        assert m_steps % STEP_BLOCK != 0
+        self.assert_agrees(polynomial_diffusion_problem(alpha), 64,
+                           m_steps, scheme)
+
+    @pytest.mark.parametrize("scheme", ["order2", "order3"])
+    def test_moving_boundary_folded_into_forcing(self, scheme):
+        self.assert_agrees(moving_right_boundary_problem(), 48, 300, scheme)
+
+
+class TestPolynomialDiffusionSource:
+    @staticmethod
+    def formula(x, t, alpha):
+        """The source recomputed in full on every call."""
+        acc = x**5 * (1.0 - x) ** 5
+        for j, c in enumerate((1.0, -5.0, 10.0, -10.0, 5.0, -1.0)):
+            acc = acc + c * fractional_poly_source(x, 5 + j, alpha)
+        return -np.exp(-t) * acc
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    def test_cached_profile_matches_formula(self, alpha):
+        source = polynomial_diffusion_problem(alpha).source
+        grid_a = np.linspace(0.0, 1.0, 33)
+        grid_b = grid_a**2
+        for t in (0.0, 0.25, 1.0):
+            for x in (grid_a, grid_b, grid_a):
+                assert np.array_equal(source(x, t), self.formula(x, t, alpha))
+
+    def test_caller_mutating_its_grid_gets_fresh_values(self):
+        source = polynomial_diffusion_problem(1.5).source
+        x = np.linspace(0.0, 1.0, 17)
+        source(x, 0.5)
+        x[3] = 0.5
+        assert np.array_equal(source(x, 0.5), self.formula(x, 0.5, 1.5))
 
 
 class TestFractionalPolySource:
