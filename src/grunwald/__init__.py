@@ -26,11 +26,9 @@ from .generators import (
 from .operators import (
     FracOperatorMatrix,
     GridSpec,
-    Preconditioner,
     SolverFailure,
     apply_grunwald,
     assemble_frac_matrix,
-    assemble_preconditioner,
     reduce_system,
 )
 from .steady import (
@@ -88,11 +86,9 @@ __all__ = [
     "weight_sign_report",
     "GridSpec",
     "FracOperatorMatrix",
-    "Preconditioner",
     "SolverFailure",
     "apply_grunwald",
     "assemble_frac_matrix",
-    "assemble_preconditioner",
     "reduce_system",
     "SteadyProblem",
     "solve_steady",

@@ -5,8 +5,9 @@ reproduce-table, properties. Options may come from a key=value config
 file (--config); explicit flags win. Exit codes: 0 when every check
 passes, 1 when a check fails, 2 on usage errors.
 
-Scalars accept fractions ("11/10"), which keeps the series arithmetic
-exact; plain decimals are treated as floats. Output files land in
+Generator scalars (--alpha, --shift, --beta) are read exactly: integers,
+fractions ("11/10") and decimals ("1.1" is 11/10) all become rationals,
+so the series arithmetic stays exact. Output files land in
 --outdir (or $GRUNWALD_OUTDIR, default the working directory) unless an
 absolute --output is given.
 """
@@ -30,13 +31,15 @@ from .generators import (
 )
 from .harness import (
     DEFAULT_SEED,
+    M_RULES,
     RunConfig,
     _atomic_write,
     reproduce_table,
     run_convergence,
     run_property_suite,
 )
-from .operators import GridSpec
+from .operators import SCHEMES, GridSpec
+from .reference_tables import REFERENCE_TABLES
 from .steady import stability_scan
 
 OUTDIR_ENV = "GRUNWALD_OUTDIR"
@@ -49,25 +52,12 @@ class UsageError(Exception):
 
 
 def _parse_scalar(text):
-    """int, fraction 'a/b' (kept exact) or float."""
-    text = str(text).strip()
-    if "/" in text:
-        return Fraction(text)
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
+    """Exact rational from an integer, a fraction 'a/b' or a decimal."""
+    return Fraction(str(text).strip())
 
 
-def _parse_float_list(text):
-    values = [float(part) for part in str(text).split(",") if part.strip()]
-    if not values:
-        raise UsageError(f"empty list: {text!r}")
-    return tuple(values)
-
-
-def _parse_int_list(text):
-    values = [int(part) for part in str(text).split(",") if part.strip()]
+def _parse_list(text, kind):
+    values = [kind(part) for part in str(text).split(",") if part.strip()]
     if not values:
         raise UsageError(f"empty list: {text!r}")
     return tuple(values)
@@ -194,12 +184,12 @@ def _cmd_weights(args) -> int:
 
 def _convergence_command(args, problem, default_name) -> int:
     scheme = args.scheme or "order2"
-    alphas = _parse_float_list(args.alphas or "1.1,1.5,1.9")
+    alphas = _parse_list(args.alphas or "1.1,1.5,1.9", float)
     if problem == "steady-poly":
         n_default = "16,32,64,128,256,512,1024"
     else:
         n_default = "16,32,64,128,256,512"
-    n_values = _parse_int_list(args.n or n_default)
+    n_values = _parse_list(args.n or n_default, int)
     config = RunConfig(
         problem=problem,
         scheme=scheme,
@@ -209,7 +199,6 @@ def _convergence_command(args, problem, default_name) -> int:
         m_fixed=getattr(args, "m", None),
         output=_resolve_output(args, default_name),
         json_mirror=bool(args.json),
-        seed=args.seed if args.seed is not None else DEFAULT_SEED,
     )
     reports = run_convergence(config)
     failures = 0
@@ -305,12 +294,21 @@ def _cmd_properties(args) -> int:
 
 def _add_common(parser):
     parser.add_argument("--config", help="key=value config file")
+
+
+def _add_output_options(parser):
     parser.add_argument("--output", help="output file name or path")
     parser.add_argument("--outdir",
                         help=f"output directory (default ${OUTDIR_ENV} or .)")
+
+
+def _add_convergence_options(parser):
+    _add_output_options(parser)
     parser.add_argument("--json", action="store_const", const=True,
                         help="also write a JSON mirror of CSV output")
-    parser.add_argument("--seed", type=int, help="seed for randomized checks")
+    parser.add_argument("--scheme", choices=SCHEMES)
+    parser.add_argument("--alphas", help="comma-separated fractional orders")
+    parser.add_argument("--n", help="comma-separated grid sizes")
 
 
 def _add_generator_options(parser):
@@ -340,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weights", help="emit Grunwald weights")
     _add_common(p)
+    _add_output_options(p)
     _add_generator_options(p)
     p.add_argument("--count", type=int, help="highest weight index (default 16)")
     p.set_defaults(handler=_cmd_weights)
@@ -347,24 +346,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("steady",
                        help="steady benchmark convergence study")
     _add_common(p)
-    p.add_argument("--scheme", choices=("order2", "order3"))
-    p.add_argument("--alphas", help="comma-separated fractional orders")
-    p.add_argument("--n", help="comma-separated grid sizes")
+    _add_convergence_options(p)
     p.set_defaults(handler=_cmd_steady)
 
     p = sub.add_parser("diffusion",
                        help="diffusion benchmark convergence study")
     _add_common(p)
-    p.add_argument("--scheme", choices=("order2", "order3"))
-    p.add_argument("--alphas", help="comma-separated fractional orders")
-    p.add_argument("--n", help="comma-separated grid sizes")
-    p.add_argument("--m-rule", dest="m_rule",
-                   choices=("equal-to-n", "ceil-n-3-2", "fixed"))
+    _add_convergence_options(p)
+    p.add_argument("--m-rule", dest="m_rule", choices=M_RULES)
     p.add_argument("--m", type=int, help="step count for the fixed rule")
     p.set_defaults(handler=_cmd_diffusion)
 
     p = sub.add_parser("scan", help="stability scan over fractional orders")
     _add_common(p)
+    _add_output_options(p)
     p.add_argument("--order", type=int)
     p.add_argument("--shift")
     p.add_argument("--alpha-min", dest="alpha_min", type=float)
@@ -376,11 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce-table",
                        help="re-run a benchmark table and diff every cell")
     _add_common(p)
-    p.add_argument("--table", type=int, choices=(3, 4, 5, 6))
+    _add_output_options(p)
+    p.add_argument("--table", type=int, choices=sorted(REFERENCE_TABLES))
     p.set_defaults(handler=_cmd_reproduce_table)
 
     p = sub.add_parser("properties", help="run the randomized property suite")
     _add_common(p)
+    p.add_argument("--seed", type=int, help="seed for randomized checks")
     p.set_defaults(handler=_cmd_properties)
 
     return parser

@@ -12,9 +12,9 @@ scaled symbol W(exp(-z)) exp(r z) / z^alpha = 1 + O(z^p).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Rational
 from typing import Optional
 
 import numpy as np
@@ -108,10 +108,6 @@ _BETA_POLYNOMIALS = {
 }
 
 
-def _is_exact(value) -> bool:
-    return isinstance(value, Rational)
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Polynomial-power generating function (sum_k beta_k z^k)^alpha.
@@ -129,43 +125,21 @@ class GeneratorSpec:
     beta: tuple
 
     def __post_init__(self):
-        betas, rational = _normalize_betas(self.beta)
+        beta = tuple(self.beta)
+        betas = tuple(map(series.scalar_kind(*beta), beta))
         object.__setattr__(self, "beta", betas)
         if len(betas) < 2:
             raise ValueError("a generator needs at least two coefficients")
-        total = sum(betas)
-        if rational:
-            if total != 0:
-                raise InconsistentGeneratorError(
-                    f"generator coefficients must sum to zero, got {total}"
-                )
-        else:
-            scale = max(1.0, max(abs(float(b)) for b in betas))
-            if abs(float(total)) > series.CONSISTENCY_TOL * scale:
-                raise InconsistentGeneratorError(
-                    "generator coefficients must sum to zero, got "
-                    f"{float(total):.3e}"
-                )
+        series.check_sum_zero(betas)
 
     @property
     def order(self) -> int:
         """Design order p (= polynomial degree)."""
         return len(self.beta) - 1
 
-    @property
-    def is_rational(self) -> bool:
-        return all(_is_exact(b) for b in self.beta)
-
     def with_shift(self, shift) -> "GeneratorSpec":
         """Same polynomial, different stencil offset (analysis helper)."""
         return GeneratorSpec(alpha=self.alpha, shift=shift, beta=self.beta)
-
-
-def _normalize_betas(beta):
-    values = tuple(beta)
-    if all(_is_exact(b) for b in values):
-        return tuple(Fraction(b) for b in values), True
-    return tuple(float(b) for b in values), False
 
 
 @dataclass(frozen=True)
@@ -215,10 +189,8 @@ def beta_table(order: int, shift, alpha) -> GeneratorSpec:
     _validate_order(order)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    if _is_exact(shift) and _is_exact(alpha):
-        rho = Fraction(shift) / Fraction(alpha)
-    else:
-        rho = float(shift) / float(alpha)
+    kind = series.scalar_kind(shift, alpha)
+    rho = kind(shift) / kind(alpha)
     betas = []
     for row in _BETA_POLYNOMIALS[order]:
         acc = row[-1]
@@ -262,21 +234,18 @@ def construct_beta(order: int, shift, alpha) -> GeneratorSpec:
     _validate_order(order)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    exact = _is_exact(shift) and _is_exact(alpha)
-    if exact:
-        rho = Fraction(shift) / Fraction(alpha)
-    else:
-        rho = float(shift) / float(alpha)
+    kind = series.scalar_kind(shift, alpha)
+    rho = kind(shift) / kind(alpha)
     columns = [
         series.exp_scaled(rho - k, order).coeffs for k in range(order + 1)
     ]
     matrix = [
         [columns[k][l] for k in range(order + 1)] for l in range(order + 1)
     ]
-    rhs = [Fraction(0) if exact else 0.0] * (order + 1)
-    rhs[1] = Fraction(1) if exact else 1.0
+    rhs = [kind(0)] * (order + 1)
+    rhs[1] = kind(1)
     try:
-        solution = _solve_linear(matrix, rhs, exact)
+        solution = _solve_linear(matrix, rhs, kind is Fraction)
     except ConstructionError:
         raise ConstructionError(
             f"beta construction failed for order={order}, shift={shift}, "
@@ -327,7 +296,8 @@ def _solve_linear(matrix, rhs, exact: bool):
 def grunwald_weights(generator: GeneratorSpec, count: int) -> WeightSequence:
     """First count+1 Taylor coefficients of the generator, as floats.
 
-    Power recurrence with w_0 = beta_0^alpha:
+    The float power recurrence (series.power_recurrence) with
+    w_0 = beta_0^alpha:
 
         w_m = (1 / (m beta_0)) sum_{k=1}^{min(m,p)}
               (k (alpha + 1) - m) beta_k w_{m-k}
@@ -337,23 +307,19 @@ def grunwald_weights(generator: GeneratorSpec, count: int) -> WeightSequence:
     """
     if count < 0:
         raise ValueError("weight count must be nonnegative")
-    betas = np.array([float(b) for b in generator.beta])
-    beta0 = betas[0]
-    if beta0 <= 0:
+    betas = tuple(float(b) for b in generator.beta[: count + 1])
+    if not betas[0] > 0:
         raise ValueError(
-            f"weight recurrence requires beta_0 > 0, got {beta0}"
+            f"weight recurrence requires beta_0 > 0, got {betas[0]}"
         )
+    padded = betas + (0.0,) * (count + 1 - len(betas))
     alpha = float(generator.alpha)
-    degree = len(betas) - 1
-    w = np.empty(count + 1)
-    w[0] = beta0**alpha
-    for m in range(1, count + 1):
-        acc = 0.0
-        for k in range(1, min(m, degree) + 1):
-            acc += (k * (alpha + 1) - m) * betas[k] * w[m - k]
-        w[m] = acc / (m * beta0)
+    # unboxed doubles: count may be large, and boxed floats keep their
+    # memory after they are freed
+    w = series.power_recurrence(padded, alpha, array("d", [betas[0] ** alpha]))
     return WeightSequence(
-        values=w, alpha=alpha, shift=generator.shift, source=generator
+        values=np.frombuffer(w), alpha=alpha, shift=generator.shift,
+        source=generator,
     )
 
 
@@ -424,21 +390,15 @@ def a2_coefficient(shift, alpha):
     -alpha/3 + shift - shift^2 / (2 alpha). Exact for rational inputs."""
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    if _is_exact(shift) and _is_exact(alpha):
-        r = Fraction(shift)
-        a = Fraction(alpha)
-        return -a / 3 + r - r * r / (2 * a)
-    r = float(shift)
-    a = float(alpha)
-    return -a / 3.0 + r - r * r / (2.0 * a)
+    kind = series.scalar_kind(shift, alpha)
+    r, a = kind(shift), kind(alpha)
+    return -a / 3 + r - r * r / (2 * a)
 
 
 def combination_leading_coefficient(shift_a, shift_b, alpha):
     """Leading z^2 coefficient of the two-shift convex combination."""
-    if _is_exact(shift_a) and _is_exact(shift_b) and _is_exact(alpha):
-        p, q, a = Fraction(shift_a), Fraction(shift_b), Fraction(alpha)
-        return -a * a / 8 + a * p / 4 + a * q / 4 + a / 24 - p * q / 2
-    p, q, a = float(shift_a), float(shift_b), float(alpha)
+    kind = series.scalar_kind(shift_a, shift_b, alpha)
+    p, q, a = kind(shift_a), kind(shift_b), kind(alpha)
     return -a * a / 8 + a * p / 4 + a * q / 4 + a / 24 - p * q / 2
 
 
@@ -455,17 +415,11 @@ def convex_combination_check(shift_a, shift_b, alpha) -> OrderReport:
         raise ValueError("combination shifts must differ")
     expected = 2
     window = expected + ORDER_MARGIN
-    exact = _is_exact(shift_a) and _is_exact(shift_b) and _is_exact(alpha)
-    if exact:
-        p, q, a = Fraction(shift_a), Fraction(shift_b), Fraction(alpha)
-        lam_a = (a - 2 * q) / (2 * (p - q))
-        lam_b = (2 * p - a) / (2 * (p - q))
-        base = (Fraction(1), Fraction(-1))
-    else:
-        p, q, a = float(shift_a), float(shift_b), float(alpha)
-        lam_a = (a - 2 * q) / (2 * (p - q))
-        lam_b = (2 * p - a) / (2 * (p - q))
-        base = (1.0, -1.0)
+    kind = series.scalar_kind(shift_a, shift_b, alpha)
+    p, q, a = kind(shift_a), kind(shift_b), kind(alpha)
+    lam_a = (a - 2 * q) / (2 * (p - q))
+    lam_b = (2 * p - a) / (2 * (p - q))
+    base = (kind(1), kind(-1))
     sym_a = series.normalized_symbol(base, p, a, window)
     sym_b = series.normalized_symbol(base, q, a, window)
     combined = series.add(series.scale(sym_a, lam_a), series.scale(sym_b, lam_b))

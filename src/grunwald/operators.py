@@ -1,8 +1,9 @@
 """Discrete fractional operators on uniform grids.
 
 Grid application of one-sided weighted differences, their Toeplitz matrix
-form, the tridiagonal quasi-compact preconditioner, and the interior
-reduction that moves known boundary values to the right-hand side.
+form, the tridiagonal quasi-compact preconditioner stencil, and the
+interior reduction that moves known boundary values to the right-hand
+side; also the scheme list and the set-up checks shared by the solvers.
 Functions outside the grid are zero-extended, so indices that fall off
 the grid simply contribute nothing.
 """
@@ -20,11 +21,12 @@ from .generators import WeightSequence
 __all__ = [
     "GridSpec",
     "FracOperatorMatrix",
-    "Preconditioner",
+    "SCHEMES",
     "SolverFailure",
     "apply_grunwald",
     "assemble_frac_matrix",
-    "assemble_preconditioner",
+    "check_domain",
+    "check_scheme",
     "precondition_rows",
     "reduce_system",
     "checked_lu",
@@ -32,6 +34,10 @@ __all__ = [
 ]
 
 RCOND_FLOOR = 1e-14
+
+# Spatial schemes of the solvers: the shifted order-2 operator alone, or
+# premultiplied by the quasi-compact preconditioner.
+SCHEMES = ("order2", "order3")
 
 
 class SolverFailure(RuntimeError):
@@ -131,9 +137,6 @@ class FracOperatorMatrix:
     def alpha(self) -> float:
         return self.weights.alpha
 
-    def apply(self, u) -> np.ndarray:
-        return self.dense @ np.asarray(u, dtype=float)
-
 
 def assemble_frac_matrix(weights: WeightSequence, grid: GridSpec,
                          side: str = "left") -> FracOperatorMatrix:
@@ -154,39 +157,34 @@ def assemble_frac_matrix(weights: WeightSequence, grid: GridSpec,
                               dense=dense)
 
 
-@dataclass(frozen=True)
-class Preconditioner:
-    """Tridiagonal operator I + a2 h^2 (second difference), realized as
-    the stencil (a2, 1 - 2 a2, a2); the h^2 factors cancel. Boundary rows
-    use zero extension, so the matrix stays symmetric."""
-
-    a2: float
-    grid: GridSpec
-    dense: np.ndarray
-
-
-def assemble_preconditioner(a2: float, grid: GridSpec) -> Preconditioner:
-    n = grid.n
-    a2 = float(a2)
-    dense = np.zeros((n + 1, n + 1))
-    np.fill_diagonal(dense, 1.0 - 2.0 * a2)
-    idx = np.arange(n)
-    dense[idx, idx + 1] = a2
-    dense[idx + 1, idx] = a2
-    dense.setflags(write=False)
-    return Preconditioner(a2=a2, grid=grid, dense=dense)
-
-
 def precondition_rows(values: np.ndarray, a2: float) -> np.ndarray:
-    """Interior rows of the preconditioner stencil applied along the first
-    axis of a grid vector (or of grid vectors stacked as columns).
+    """Interior rows of the quasi-compact preconditioner I + a2 h^2
+    (second difference), the stencil (a2, 1 - 2 a2, a2), applied along the
+    first axis of a grid vector (or of grid vectors stacked as columns).
 
     Zero-pad the input by one entry at each end to get all rows of the
-    zero-extended matrix.
+    zero-extended matrix; applied to the zero-padded identity
+    np.eye(k + 2, k, k=-1) it gives the symmetric k x k matrix.
     """
     if a2 == 0.0:
         return values[1:-1]
     return a2 * (values[:-2] + values[2:]) + (1.0 - 2.0 * a2) * values[1:-1]
+
+
+def check_scheme(scheme: str) -> None:
+    if scheme not in SCHEMES:
+        raise ValueError(
+            f"unknown scheme {scheme!r}; expected one of {SCHEMES}"
+        )
+
+
+def check_domain(problem, grid: GridSpec) -> None:
+    """The grid must span the problem's domain [problem.a, problem.b]."""
+    if grid.a != problem.a or grid.b != problem.b:
+        raise ValueError(
+            f"grid [{grid.a}, {grid.b}] does not match problem domain "
+            f"[{problem.a}, {problem.b}]"
+        )
 
 
 def reduce_system(matrix: np.ndarray, rhs: np.ndarray, phi0: float,

@@ -78,6 +78,13 @@ REFERENCE_TABLES = {
             1.5: (None, 3.00, 3.00, 3.00, 3.00, 3.00, 3.00),
             1.9: (None, 3.03, 3.01, 3.01, 3.00, 3.00, 2.96),
         },
+        note=(
+            "The alpha=1.1 order column is the column its own errors give "
+            "(3.20, 3.15, 3.13, 3.11, 3.11, 3.01) shifted one row; three "
+            "printed orders differ from their errors by more than 0.02: "
+            "alpha=1.1 N=32 (3.15 vs 3.20), alpha=1.1 N=512 (3.01 vs "
+            "3.11) and alpha=1.9 N=1024 (2.96 vs 3.00)."
+        ),
     ),
     5: ReferenceTable(
         table_id=5,

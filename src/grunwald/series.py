@@ -27,8 +27,32 @@ class InconsistentGeneratorError(ValueError):
     W(exp(-z)) exp(r z) / z^alpha has no power-series expansion."""
 
 
-def _is_exact(value) -> bool:
-    return isinstance(value, Rational)
+def scalar_kind(*values):
+    """Fraction when every value is rational (int or Fraction), else float.
+
+    The one rule for the scalar kind of a computation: call the result on
+    each input to bring them all to that kind.
+    """
+    return Fraction if all(isinstance(v, Rational) for v in values) else float
+
+
+def check_sum_zero(betas) -> None:
+    """Raise InconsistentGeneratorError unless the generator coefficients
+    sum to zero: exactly for rationals, within CONSISTENCY_TOL (relative
+    to the largest coefficient) for floats."""
+    total = sum(betas)
+    if isinstance(total, Fraction):
+        if total == 0:
+            return
+    else:
+        scale_b = max(1.0, max(abs(b) for b in betas))
+        if abs(total) <= CONSISTENCY_TOL * scale_b:
+            return
+        total = f"{total:.3e}"
+    raise InconsistentGeneratorError(
+        "generator coefficients must sum to zero for a consistent "
+        f"approximation; got sum {total}"
+    )
 
 
 def _normalize(coeffs):
@@ -36,9 +60,8 @@ def _normalize(coeffs):
     values = tuple(coeffs)
     if not values:
         raise ValueError("a series needs at least the constant coefficient")
-    if all(_is_exact(c) for c in values):
-        return tuple(Fraction(c) for c in values), True
-    return tuple(float(c) for c in values), False
+    kind = scalar_kind(*values)
+    return tuple(map(kind, values)), kind is Fraction
 
 
 @dataclass(frozen=True)
@@ -107,13 +130,10 @@ def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 def scale(a: TruncatedSeries, factor) -> TruncatedSeries:
     """Multiply every coefficient by a scalar."""
-    if a.rational and _is_exact(factor):
-        return TruncatedSeries(
-            tuple(Fraction(factor) * c for c in a.coeffs), True
-        )
-    factor = float(factor)
+    kind = scalar_kind(*a.coeffs, factor)
+    factor = kind(factor)
     return TruncatedSeries(
-        tuple(factor * float(c) for c in a.coeffs), False
+        tuple(factor * kind(c) for c in a.coeffs), kind is Fraction
     )
 
 
@@ -140,63 +160,65 @@ def exp_scaled(factor, truncation_order: int) -> TruncatedSeries:
     """Expansion of exp(factor * z): coefficients factor^l / l!."""
     if truncation_order < 0:
         raise ValueError("truncation order must be nonnegative")
-    if _is_exact(factor):
-        c = Fraction(factor)
-        coeffs = tuple(
-            c**l / math.factorial(l) for l in range(truncation_order + 1)
-        )
-        return TruncatedSeries(coeffs, True)
-    c = float(factor)
+    kind = scalar_kind(factor)
+    c = kind(factor)
     coeffs = tuple(
         c**l / math.factorial(l) for l in range(truncation_order + 1)
     )
-    return TruncatedSeries(coeffs, False)
+    return TruncatedSeries(coeffs, kind is Fraction)
+
+
+def power_recurrence(coeffs, alpha, out):
+    """Extend out = [b_0], with b_0 = a_0^alpha, to the coefficients
+    b_0..b_L of (a_0 + a_1 z + ... + a_L z^L)^alpha by the power
+    recurrence derived from b' a = alpha b a' (b = a^alpha):
+
+        m * b_m * a_0 = sum_{k=1}^{min(m, d)} (k*(alpha+1) - m) * a_k * b_{m-k}
+
+    where d is the index of the last nonzero a_k, so a polynomial of
+    degree d padded to L + 1 terms costs O(L d). The coefficients, alpha
+    and b_0 share one scalar kind; out is any appendable sequence (a
+    list, or an array('d') that stores floats unboxed). Returns out.
+    """
+    a0 = coeffs[0]
+    degree = max(k for k, c in enumerate(coeffs) if k == 0 or c != 0)
+    zero, alpha1 = type(out[0])(0), alpha + 1
+    for m in range(1, len(coeffs)):
+        acc = zero
+        for k in range(1, min(m, degree) + 1):
+            acc += (k * alpha1 - m) * coeffs[k] * out[m - k]
+        out.append(acc / (m * a0))
+    return out
 
 
 def pow_real(a: TruncatedSeries, alpha) -> TruncatedSeries:
-    """Raise a series with positive constant term to a real power.
+    """Raise a series with positive constant term to a real power by
+    power_recurrence.
 
-    Uses the power recurrence derived from b' a = alpha b a' (b = a^alpha):
-
-        m * b_m * a_0 = sum_{k=1}^{m} (k*(alpha+1) - m) * a_k * b_{m-k}
-
-    seeded with b_0 = a_0^alpha. The result stays rational when the
-    inputs are rational and a_0^alpha is itself rational (integer alpha,
-    or a_0 == 1); otherwise it falls back to floats.
+    The result stays rational when the inputs are rational and
+    a_0^alpha is itself rational (integer alpha, or a_0 == 1); otherwise
+    it falls back to floats.
     """
     a0 = a.coeffs[0]
     if not a0 > 0:
         raise ValueError(
             f"pow_real needs a positive constant term, got {a0}"
         )
-    exact_alpha = _is_exact(alpha)
-    use_exact = a.rational and exact_alpha
-    if use_exact:
-        frac_alpha = Fraction(alpha)
-        if frac_alpha.denominator == 1:
-            b0 = Fraction(a0) ** int(frac_alpha)
+    kind = scalar_kind(a0, alpha)  # a series has the kind of its coefficients
+    if kind is Fraction:
+        alpha = Fraction(alpha)
+        if alpha.denominator == 1:
+            b0 = a0 ** alpha.numerator
         elif a0 == 1:
             b0 = Fraction(1)
         else:
-            use_exact = False
-    if use_exact:
-        coeffs_a = a.coeffs
-        alpha_val = frac_alpha
-    else:
-        coeffs_a = tuple(float(c) for c in a.coeffs)
-        alpha_val = float(alpha)
-        b0 = float(coeffs_a[0]) ** alpha_val
-    out = [b0]
-    a0_val = coeffs_a[0]
-    for m in range(1, len(coeffs_a)):
-        acc = b0 - b0  # zero of the right scalar kind
-        for k in range(1, m + 1):
-            ak = coeffs_a[k]
-            if ak == 0:
-                continue
-            acc += (k * (alpha_val + 1) - m) * ak * out[m - k]
-        out.append(acc / (m * a0_val))
-    return TruncatedSeries(tuple(out), use_exact)
+            kind = float
+    coeffs = a.coeffs if kind is Fraction else a.to_float().coeffs
+    alpha = kind(alpha)
+    if kind is float:
+        b0 = coeffs[0] ** alpha
+    out = power_recurrence(coeffs, alpha, [b0])
+    return TruncatedSeries(tuple(out), kind is Fraction)
 
 
 def normalized_symbol(beta, shift, alpha, truncation_order: int) -> TruncatedSeries:
@@ -212,39 +234,19 @@ def normalized_symbol(beta, shift, alpha, truncation_order: int) -> TruncatedSer
     """
     if truncation_order < 1:
         raise ValueError("truncation order must be at least 1")
-    betas, rational = _normalize(beta)
-    exact = rational and _is_exact(shift) and _is_exact(alpha)
-    if not exact:
-        betas = tuple(float(b) for b in betas)
-    total = sum(betas)
-    if exact:
-        if total != 0:
-            raise InconsistentGeneratorError(
-                "generator coefficients must sum to zero for a consistent "
-                f"approximation; got sum {total}"
-            )
-    else:
-        scale_b = max(1.0, max(abs(float(b)) for b in betas))
-        if abs(float(total)) > CONSISTENCY_TOL * scale_b:
-            raise InconsistentGeneratorError(
-                "generator coefficients must sum to zero for a consistent "
-                f"approximation; got sum {float(total):.3e}"
-            )
+    beta = tuple(beta)
+    kind = scalar_kind(*beta, shift, alpha)
+    betas = tuple(map(kind, beta))
+    check_sum_zero(betas)
     # Coefficient l of P(exp(-z))/z, with the vanishing z^0 term dropped:
     # q_l = sum_k beta_k * (-k)^(l+1) / (l+1)!
-    L = truncation_order
     q = []
-    for l in range(L + 1):
+    for l in range(truncation_order + 1):
         fact = math.factorial(l + 1)
-        if exact:
-            acc = Fraction(0)
-            for k, b in enumerate(betas):
-                acc += b * Fraction((-k) ** (l + 1), fact)
-        else:
-            acc = 0.0
-            for k, b in enumerate(betas):
-                acc += b * ((-k) ** (l + 1) / fact)
+        acc = kind(0)
+        for k, b in enumerate(betas):
+            acc += b * (kind((-k) ** (l + 1)) / fact)
         q.append(acc)
-    inner = TruncatedSeries.from_coefficients(q)
-    powered = pow_real(inner, alpha if exact else float(alpha))
-    return mul(powered, exp_scaled(shift if exact else float(shift), L))
+    inner = TruncatedSeries(tuple(q), kind is Fraction)
+    powered = pow_real(inner, kind(alpha))
+    return mul(powered, exp_scaled(kind(shift), truncation_order))

@@ -19,6 +19,8 @@ from .operators import (
     GridSpec,
     SolverFailure,
     assemble_frac_matrix,
+    check_domain,
+    check_scheme,
     checked_lu,
     precondition_rows,
     reduce_system,
@@ -32,8 +34,6 @@ __all__ = [
     "solve_steady",
     "stability_scan",
 ]
-
-SCHEMES = ("order2", "order3")
 
 
 @dataclass(frozen=True)
@@ -57,25 +57,24 @@ class SteadyProblem:
             raise ValueError("domain endpoints must satisfy a < b")
 
 
-def _check_grid(problem, grid: GridSpec) -> None:
-    if grid.a != problem.a or grid.b != problem.b:
-        raise ValueError(
-            f"grid [{grid.a}, {grid.b}] does not match problem domain "
-            f"[{problem.a}, {problem.b}]"
-        )
+def _left_operator(order, shift, alpha: float, grid: GridSpec):
+    weights = grunwald_weights(beta_table(order, shift, alpha),
+                               grid.n + shift)
+    return assemble_frac_matrix(weights, grid, "left")
 
 
-def _check_scheme(scheme: str) -> None:
-    if scheme not in SCHEMES:
-        raise ValueError(
-            f"unknown scheme {scheme!r}; expected one of {SCHEMES}"
-        )
-
-
-def _solve_reduced(matrix, rhs_full, phi0, phi1, context):
-    reduced, adjusted = reduce_system(matrix, rhs_full, phi0, phi1)
+def _solve_dirichlet(matrix, rhs, problem, context: str) -> np.ndarray:
+    """Solve the full-grid system with its boundary rows replaced by the
+    Dirichlet data: reduce to the interior, factor with the singularity
+    check, and return all n+1 grid values."""
+    reduced, adjusted = reduce_system(matrix, rhs, problem.phi0,
+                                      problem.phi1)
     factors = checked_lu(reduced, context=context)
-    return solve_factored(factors, adjusted)
+    solution = np.empty(len(rhs))
+    solution[0] = problem.phi0
+    solution[-1] = problem.phi1
+    solution[1:-1] = solve_factored(factors, adjusted)
+    return solution
 
 
 def solve_steady(problem: SteadyProblem, grid: GridSpec,
@@ -87,26 +86,18 @@ def solve_steady(problem: SteadyProblem, grid: GridSpec,
     the quasi-compact preconditioner (full rows, so boundary source
     values participate) before the same reduced solve.
     """
-    _check_grid(problem, grid)
-    _check_scheme(scheme)
+    check_domain(problem, grid)
+    check_scheme(scheme)
     alpha = float(problem.alpha)
-    generator = beta_table(2, 1, alpha)
-    weights = grunwald_weights(generator, grid.n + 1)
-    operator = assemble_frac_matrix(weights, grid, "left")
-    x = grid.points()
-    rhs = np.asarray(problem.source(x), dtype=float)
+    operator = _left_operator(2, 1, alpha, grid)
+    rhs = np.asarray(problem.source(grid.points()), dtype=float)
     if scheme == "order3":
         rhs = precondition_rows(np.pad(rhs, 1),
                                 float(a2_coefficient(1, alpha)))
-    interior = _solve_reduced(
-        operator.dense, rhs, problem.phi0, problem.phi1,
+    return _solve_dirichlet(
+        operator.dense, rhs, problem,
         context=f"steady {scheme} solve at alpha={alpha}, n={grid.n}",
     )
-    solution = np.empty(grid.n + 1)
-    solution[0] = problem.phi0
-    solution[-1] = problem.phi1
-    solution[1:-1] = interior
-    return solution
 
 
 @dataclass(frozen=True)
@@ -148,28 +139,6 @@ class StabilityReport:
         return onset
 
 
-def _benchmark_problem(alpha: float):
-    # local import: problems depends on this module
-    from .problems import polynomial_steady_problem
-
-    return polynomial_steady_problem(alpha)
-
-
-def _benchmark_error(order, shift, alpha, grid: GridSpec) -> float:
-    problem = _benchmark_problem(alpha)
-    generator = beta_table(order, shift, alpha)
-    weights = grunwald_weights(generator, grid.n + shift)
-    operator = assemble_frac_matrix(weights, grid, "left")
-    x = grid.points()
-    rhs = np.asarray(problem.source(x), dtype=float)
-    interior = _solve_reduced(
-        operator.dense, rhs, problem.phi0, problem.phi1,
-        context=f"scan solve order={order} alpha={alpha} n={grid.n}",
-    )
-    solution = np.concatenate(([problem.phi0], interior, [problem.phi1]))
-    return float(np.max(np.abs(solution - problem.exact(x))))
-
-
 def stability_scan(order: int, shift: int, alphas: Sequence[float],
                    grid: GridSpec, *, n_samples: int = 500,
                    rayleigh_tol: float = 1e-8, blowup_factor: float = 10.0,
@@ -185,13 +154,23 @@ def stability_scan(order: int, shift: int, alphas: Sequence[float],
     rayleigh_tol, a solve fails, or the error exceeds blowup_factor times
     the baseline error. Failures are data, not exceptions.
     """
+    # local import: problems depends on this module
+    from .problems import polynomial_steady_problem
+
+    def benchmark_error(problem, operator):
+        x = operator.grid.points()
+        solution = _solve_dirichlet(
+            operator.dense, np.asarray(problem.source(x), dtype=float),
+            problem, context=f"scan solve order={order} "
+                             f"alpha={problem.alpha} n={operator.grid.n}",
+        )
+        return float(np.max(np.abs(solution - problem.exact(x))))
+
     rng = np.random.default_rng(seed)
     entries = []
     for alpha in alphas:
         alpha = float(alpha)
-        generator = beta_table(order, shift, alpha)
-        weights = grunwald_weights(generator, grid.n + shift)
-        operator = assemble_frac_matrix(weights, grid, "left")
+        operator = _left_operator(order, shift, alpha, grid)
         samples = rng.standard_normal((n_samples, grid.n + 1))
         quads = np.einsum("ij,ij->i", samples @ operator.dense, samples)
         norms = np.einsum("ij,ij->i", samples, samples)
@@ -205,12 +184,13 @@ def stability_scan(order: int, shift: int, alphas: Sequence[float],
                 f"positive Rayleigh quotient {max_rayleigh:.3e}"
             )
         if alpha > 1.0:
+            problem = polynomial_steady_problem(alpha)
             base_grid = GridSpec(grid.a, grid.b, baseline_n)
             try:
-                baseline_error = _benchmark_error(
-                    order, shift, alpha, base_grid
+                baseline_error = benchmark_error(
+                    problem, _left_operator(order, shift, alpha, base_grid)
                 )
-                solve_error = _benchmark_error(order, shift, alpha, grid)
+                solve_error = benchmark_error(problem, operator)
             except SolverFailure as exc:
                 solve_failed = True
                 reasons.append(f"solve failed: {exc}")

@@ -23,6 +23,14 @@ class TestExitCodes:
         assert "observed order 2" in out
         assert "PASS" in out
 
+    def test_decimal_alpha_is_exact(self, capsys):
+        # 0.2 is read as 1/5; as a float its order-6 symbol shows rounding
+        # noise at z^3
+        code = main(["verify-order", "--order", "6", "--shift", "3",
+                     "--alpha", "0.2"])
+        assert code == 0
+        assert "observed order 6" in capsys.readouterr().out
+
     def test_verify_order_fail_is_one(self, capsys):
         code = main(["verify-order", "--order", "4", "--family", "lubich",
                      "--shift", "1", "--alpha", "3/2", "--expect", "4"])
@@ -38,6 +46,11 @@ class TestExitCodes:
         code = main(["weights", "--order", "9", "--alpha", "1.5"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_seed_is_not_a_steady_option(self):
+        with pytest.raises(SystemExit) as info:
+            main(["steady", "--seed", "3"])
+        assert info.value.code == 2
 
     def test_missing_subcommand_is_two(self):
         with pytest.raises(SystemExit) as info:

@@ -2,6 +2,7 @@
 reproduction, and the property suite."""
 
 import json
+import math
 
 import pytest
 
@@ -170,6 +171,37 @@ class TestReproduceTable:
 
     def test_table6_note_mentions_literal_steps(self):
         assert "literal" in REFERENCE_TABLES[6].note
+
+    def test_printed_orders_against_printed_errors(self):
+        """Recompute every order cell as log2 of the ratio of its table's
+        own printed errors, both in whole hundredths, and pin each cell
+        where the printed order differs (table, alpha, N) -> hundredths."""
+        mismatch = {}
+        for table_id, table in REFERENCE_TABLES.items():
+            for alpha in table.alphas:
+                errors = table.errors[alpha]
+                for idx in range(1, len(errors)):
+                    derived = round(100 * math.log2(errors[idx - 1]
+                                                    / errors[idx]))
+                    printed = round(100 * table.orders[alpha][idx])
+                    if derived != printed:
+                        key = (table_id, alpha, table.n_values[idx])
+                        mismatch[key] = printed - derived
+        assert mismatch == {
+            (4, 1.1, 32): -5, (4, 1.1, 64): -2, (4, 1.1, 128): -2,
+            (4, 1.1, 512): -10, (4, 1.1, 1024): -1,
+            (4, 1.5, 32): 1,
+            (4, 1.9, 32): -2, (4, 1.9, 64): -2, (4, 1.9, 256): -1,
+            (4, 1.9, 1024): -4,
+        }
+
+    def test_table4_alpha_1_1_orders_are_shifted_one_row(self):
+        table = REFERENCE_TABLES[4]
+        errors = table.errors[1.1]
+        derived = [round(math.log2(errors[i - 1] / errors[i]), 2)
+                   for i in range(1, len(errors))]
+        assert list(table.orders[1.1][1:-1]) == derived[1:]
+        assert "shifted one row" in table.note
 
     def test_reproduction_is_deterministic(self):
         first = reproduce_table(3)

@@ -139,3 +139,14 @@ class TestStabilityScan:
         entry = report.entries[0]
         assert not entry.stable
         assert entry.max_rayleigh > 1e-8
+
+    def test_order2_scan_errors_are_the_steady_solver_errors(self):
+        # the scan's order-2, shift-1 family is the order2 steady scheme,
+        # so its scan-grid and baseline errors are solve_steady's, exactly
+        alphas = (1.2, 1.7)
+        report = stability_scan(2, 1, alphas, GridSpec(0.0, 1.0, 48),
+                                baseline_n=16)
+        for alpha, entry in zip(alphas, report.entries):
+            problem = polynomial_steady_problem(alpha)
+            assert entry.solve_error == max_error(problem, 48, "order2")
+            assert entry.baseline_error == max_error(problem, 16, "order2")
