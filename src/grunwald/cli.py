@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: verify-order, weights, steady, diffusion, scan,
-reproduce-table, properties. Options may come from a key=value config
-file (--config); explicit flags win. Exit codes: 0 when every check
-passes, 1 when a check fails, 2 on usage errors.
+reproduce-table, properties. Options may come from a key = value config
+file (--config): each key is a long option of the subcommand, and the
+file's lines are parsed as those flags ahead of the explicit ones, which
+win. Exit codes: 0 when every check passes, 1 when a check fails, 2 on
+usage errors.
 
 Generator scalars (--alpha, --shift, --beta) are read exactly: integers,
 fractions ("11/10") and decimals ("1.1" is 11/10) all become rationals,
@@ -51,81 +53,74 @@ class UsageError(Exception):
     pass
 
 
-def _parse_scalar(text):
-    """Exact rational from an integer, a fraction 'a/b' or a decimal."""
-    return Fraction(str(text).strip())
+def _list_of(kind):
+    """Argument type for a comma-separated list of `kind` values."""
+    def parse(text):
+        values = tuple(kind(part) for part in text.split(",") if part.strip())
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+        return values
+
+    parse.__name__ = f"{kind.__name__} list"
+    return parse
 
 
-def _parse_list(text, kind):
-    values = [kind(part) for part in str(text).split(",") if part.strip()]
-    if not values:
-        raise UsageError(f"empty list: {text!r}")
-    return tuple(values)
+def _config_flags(path, subparser) -> list:
+    """The flags of `subparser` that a key = value config file stands for.
 
-
-def _parse_bool(text):
-    lowered = str(text).strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise UsageError(f"not a boolean: {text!r}")
-
-
-# config-file value parsers per option destination
-_CONFIG_PARSERS = {
-    "order": int,
-    "shift": _parse_scalar,
-    "alpha": str,
-    "beta": str,
-    "family": str,
-    "expect": int,
-    "count": int,
-    "scheme": str,
-    "alphas": str,
-    "n": str,
-    "m_rule": str,
-    "m": int,
-    "table": int,
-    "seed": int,
-    "points": int,
-    "alpha_min": float,
-    "alpha_max": float,
-    "output": str,
-    "outdir": str,
-    "json": _parse_bool,
-}
-
-
-def _load_config(path):
-    values = {}
+    A key names a long option of the subcommand; a switch (`json`) takes
+    true or false. Values are left to the subcommand's own parse.
+    """
+    # argparse keeps no public map from option string to its action
+    options = subparser._option_string_actions
+    flags = []
     try:
         with open(path) as handle:
-            for lineno, raw in enumerate(handle, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(
-                        f"{path}:{lineno}: expected 'key = value'"
-                    )
-                key, _, value = line.partition("=")
-                key = key.strip().replace("-", "_")
-                if key not in _CONFIG_PARSERS:
-                    raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = _CONFIG_PARSERS[key](value.strip())
+            lines = list(handle)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
-    return values
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, equals, value = line.partition("=")
+        if not equals:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = key.strip(), value.strip()
+        flag = "--" + key.replace("_", "-")
+        action = options.get(flag)
+        if action is None or action.dest in ("help", "config"):
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        if action.nargs != 0:
+            flags.append(f"{flag}={value}")
+        elif value.lower() == "true":
+            flags.append(flag)
+        elif value.lower() != "false":
+            raise UsageError(
+                f"{path}:{lineno}: {key} takes true or false, not {value!r}"
+            )
+    return flags
 
 
-def _merge_config(args):
-    """Fill argparse 'None' slots from the config file, if any."""
-    if not getattr(args, "config", None):
-        return
-    for key, value in _load_config(args.config).items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
+def _with_config(parser, argv) -> list:
+    """argv with the chosen subcommand's --config file spliced in as flags
+    ahead of the explicit ones, so explicit flags win.
+
+    --config is looked up apart from the subcommand's parse, which would
+    demand options (--alpha, --table) that the file may supply.
+    """
+    subparser = parser.subcommands.get(argv[0]) if argv else None
+    if subparser is None:
+        return argv
+    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    finder.add_argument("--config")
+    try:
+        path = finder.parse_known_args(argv[1:])[0].config
+    except argparse.ArgumentError:
+        return argv  # the subcommand's parse reports the malformed flag
+    if path is None:
+        return argv
+    return argv[:1] + _config_flags(path, subparser) + argv[1:]
 
 
 def _resolve_output(args, default_name):
@@ -138,19 +133,13 @@ def _resolve_output(args, default_name):
 
 
 def _make_generator(args):
-    shift = _parse_scalar(args.shift if args.shift is not None else 0)
-    alpha = _parse_scalar(args.alpha)
     if args.beta is not None:
-        beta = tuple(_parse_scalar(b) for b in args.beta.split(","))
-        return GeneratorSpec(alpha=alpha, shift=shift, beta=beta)
-    order = args.order if args.order is not None else 2
-    family = args.family or "table"
-    if family == "table":
-        return beta_table(order, shift, alpha)
-    if family == "lubich":
-        generator = lubich_generator(order, alpha)
-        return generator.with_shift(shift) if shift != 0 else generator
-    raise UsageError(f"unknown family {family!r}")
+        return GeneratorSpec(alpha=args.alpha, shift=args.shift,
+                             beta=args.beta)
+    if args.family == "table":
+        return beta_table(args.order, args.shift, args.alpha)
+    generator = lubich_generator(args.order, args.alpha)
+    return generator.with_shift(args.shift) if args.shift != 0 else generator
 
 
 def _cmd_verify_order(args) -> int:
@@ -167,9 +156,7 @@ def _cmd_verify_order(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    generator = _make_generator(args)
-    count = args.count if args.count is not None else 16
-    weights = grunwald_weights(generator, count)
+    weights = grunwald_weights(_make_generator(args), args.count)
     lines = ["k,weight"]
     lines += [f"{k},{w:.16e}" for k, w in enumerate(weights.values)]
     text = "\n".join(lines) + "\n"
@@ -182,23 +169,15 @@ def _cmd_weights(args) -> int:
     return 0
 
 
-def _convergence_command(args, problem, default_name) -> int:
-    scheme = args.scheme or "order2"
-    alphas = _parse_list(args.alphas or "1.1,1.5,1.9", float)
-    if problem == "steady-poly":
-        n_default = "16,32,64,128,256,512,1024"
-    else:
-        n_default = "16,32,64,128,256,512"
-    n_values = _parse_list(args.n or n_default, int)
+def _convergence_command(args, problem, default_name, **steps) -> int:
     config = RunConfig(
         problem=problem,
-        scheme=scheme,
-        alphas=alphas,
-        n_values=n_values,
-        m_rule=getattr(args, "m_rule", None) or "equal-to-n",
-        m_fixed=getattr(args, "m", None),
+        scheme=args.scheme,
+        alphas=args.alphas,
+        n_values=args.n,
         output=_resolve_output(args, default_name),
-        json_mirror=bool(args.json),
+        json_mirror=args.json,
+        **steps,
     )
     reports = run_convergence(config)
     failures = 0
@@ -228,18 +207,14 @@ def _cmd_steady(args) -> int:
 
 
 def _cmd_diffusion(args) -> int:
-    return _convergence_command(args, "diffusion-poly", "diffusion.csv")
+    return _convergence_command(args, "diffusion-poly", "diffusion.csv",
+                                m_rule=args.m_rule, m_fixed=args.m)
 
 
 def _cmd_scan(args) -> int:
-    order = args.order if args.order is not None else 2
-    shift = int(args.shift) if args.shift is not None else 1
-    lo = args.alpha_min if args.alpha_min is not None else 1.0
-    hi = args.alpha_max if args.alpha_max is not None else 2.0
-    points = args.points if args.points is not None else 50
-    n = int(args.n) if args.n is not None else 64
-    grid = GridSpec(0.0, 1.0, n)
-    report = stability_scan(order, shift, np.linspace(lo, hi, points), grid)
+    order, shift, n = args.order, args.shift, args.n
+    alphas = np.linspace(args.alpha_min, args.alpha_max, args.points)
+    report = stability_scan(order, shift, alphas, GridSpec(0.0, 1.0, n))
     path = _resolve_output(args, f"scan_p{order}_r{shift}.csv")
     lines = [
         f"# scan order={order} shift={shift} n={n}",
@@ -265,8 +240,6 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_reproduce_table(args) -> int:
-    if args.table is None:
-        raise UsageError("--table is required")
     path = _resolve_output(args, f"table{args.table}_diff.csv")
     report = reproduce_table(args.table, out_path=path)
     for cell in report.failed_cells:
@@ -286,14 +259,9 @@ def _cmd_reproduce_table(args) -> int:
 
 
 def _cmd_properties(args) -> int:
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    report = run_property_suite(seed)
+    report = run_property_suite(args.seed)
     print(report.summary())
     return 0 if report.passed else 1
-
-
-def _add_common(parser):
-    parser.add_argument("--config", help="key=value config file")
 
 
 def _add_output_options(parser):
@@ -302,22 +270,30 @@ def _add_output_options(parser):
                         help=f"output directory (default ${OUTDIR_ENV} or .)")
 
 
-def _add_convergence_options(parser):
+def _add_convergence_options(parser, n_default):
     _add_output_options(parser)
-    parser.add_argument("--json", action="store_const", const=True,
+    parser.add_argument("--json", action="store_true",
                         help="also write a JSON mirror of CSV output")
-    parser.add_argument("--scheme", choices=SCHEMES)
-    parser.add_argument("--alphas", help="comma-separated fractional orders")
-    parser.add_argument("--n", help="comma-separated grid sizes")
+    parser.add_argument("--scheme", choices=SCHEMES, default="order2")
+    parser.add_argument("--alphas", type=_list_of(float),
+                        default="1.1,1.5,1.9",
+                        help="comma-separated fractional orders")
+    parser.add_argument("--n", type=_list_of(int), default=n_default,
+                        help="comma-separated grid sizes")
 
 
 def _add_generator_options(parser):
-    parser.add_argument("--order", type=int, help="design order p (1..6)")
-    parser.add_argument("--shift", help="stencil shift r (default 0)")
-    parser.add_argument("--alpha", help="fractional order (e.g. 1.5 or 3/2)")
+    parser.add_argument("--order", type=int, default=2,
+                        help="design order p (1..6)")
+    parser.add_argument("--shift", type=Fraction, default=Fraction(0),
+                        help="stencil shift r (default %(default)s)")
+    parser.add_argument("--alpha", type=Fraction, required=True,
+                        help="fractional order (e.g. 1.5 or 3/2)")
     parser.add_argument("--family", choices=("table", "lubich"),
-                        help="coefficient family (default table)")
-    parser.add_argument("--beta", help="custom comma-separated coefficients")
+                        default="table",
+                        help="coefficient family (default %(default)s)")
+    parser.add_argument("--beta", type=_list_of(Fraction),
+                        help="custom comma-separated coefficients")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,71 +304,67 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices
 
-    p = sub.add_parser("verify-order",
-                       help="expand a generator's symbol and report its order")
-    _add_common(p)
+    def subcommand(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="key=value config file")
+        p.set_defaults(handler=handler)
+        return p
+
+    p = subcommand("verify-order", _cmd_verify_order,
+                   "expand a generator's symbol and report its order")
     _add_generator_options(p)
     p.add_argument("--expect", type=int, help="minimum acceptable order")
-    p.set_defaults(handler=_cmd_verify_order)
 
-    p = sub.add_parser("weights", help="emit Grunwald weights")
-    _add_common(p)
+    p = subcommand("weights", _cmd_weights, "emit Grunwald weights")
     _add_output_options(p)
     _add_generator_options(p)
-    p.add_argument("--count", type=int, help="highest weight index (default 16)")
-    p.set_defaults(handler=_cmd_weights)
+    p.add_argument("--count", type=int, default=16,
+                   help="highest weight index (default %(default)s)")
 
-    p = sub.add_parser("steady",
-                       help="steady benchmark convergence study")
-    _add_common(p)
-    _add_convergence_options(p)
-    p.set_defaults(handler=_cmd_steady)
+    p = subcommand("steady", _cmd_steady,
+                   "steady benchmark convergence study")
+    _add_convergence_options(p, "16,32,64,128,256,512,1024")
 
-    p = sub.add_parser("diffusion",
-                       help="diffusion benchmark convergence study")
-    _add_common(p)
-    _add_convergence_options(p)
-    p.add_argument("--m-rule", dest="m_rule", choices=M_RULES)
+    p = subcommand("diffusion", _cmd_diffusion,
+                   "diffusion benchmark convergence study")
+    _add_convergence_options(p, "16,32,64,128,256,512")
+    p.add_argument("--m-rule", dest="m_rule", choices=M_RULES,
+                   default="equal-to-n")
     p.add_argument("--m", type=int, help="step count for the fixed rule")
-    p.set_defaults(handler=_cmd_diffusion)
 
-    p = sub.add_parser("scan", help="stability scan over fractional orders")
-    _add_common(p)
+    p = subcommand("scan", _cmd_scan, "stability scan over fractional orders")
     _add_output_options(p)
-    p.add_argument("--order", type=int)
-    p.add_argument("--shift")
-    p.add_argument("--alpha-min", dest="alpha_min", type=float)
-    p.add_argument("--alpha-max", dest="alpha_max", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--n", help="scan grid size (default 64)")
-    p.set_defaults(handler=_cmd_scan)
+    p.add_argument("--order", type=int, default=2)
+    p.add_argument("--shift", type=int, default=1)
+    p.add_argument("--alpha-min", dest="alpha_min", type=float, default=1.0)
+    p.add_argument("--alpha-max", dest="alpha_max", type=float, default=2.0)
+    p.add_argument("--points", type=int, default=50)
+    p.add_argument("--n", type=int, default=64,
+                   help="scan grid size (default %(default)s)")
 
-    p = sub.add_parser("reproduce-table",
-                       help="re-run a benchmark table and diff every cell")
-    _add_common(p)
+    p = subcommand("reproduce-table", _cmd_reproduce_table,
+                   "re-run a benchmark table and diff every cell")
     _add_output_options(p)
-    p.add_argument("--table", type=int, choices=sorted(REFERENCE_TABLES))
-    p.set_defaults(handler=_cmd_reproduce_table)
+    p.add_argument("--table", type=int, choices=sorted(REFERENCE_TABLES),
+                   required=True)
 
-    p = sub.add_parser("properties", help="run the randomized property suite")
-    _add_common(p)
-    p.add_argument("--seed", type=int, help="seed for randomized checks")
-    p.set_defaults(handler=_cmd_properties)
+    p = subcommand("properties", _cmd_properties,
+                   "run the randomized property suite")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="seed for randomized checks")
 
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        _merge_config(args)
+        args = parser.parse_args(_with_config(parser, argv))
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, KeyError) as exc:
+    except (UsageError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -47,6 +47,9 @@ STEP_BLOCK = 256
 # discrete L2 norm is controlled by sqrt(5) times the P-norm.
 NORM_EQUIV = np.sqrt(5.0)
 
+# Round-off allowance of the energy bound in stability_estimate_check.
+BOUND_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class DiffusionProblem:
@@ -242,8 +245,8 @@ def stability_estimate_check(problem: DiffusionProblem, grid: GridSpec,
                              m_steps: int, scheme: str = "order3", *,
                              seed: int = 0,
                              source_amplitude: float = 1.0,
-                             init_amplitude: float = 1.0,
-                             slack: float = 1e-12) -> StabilityBoundReport:
+                             init_amplitude: float = 1.0
+                             ) -> StabilityBoundReport:
     """Run the CN iteration (P - B) v^{m+1} = (P + B) v^m + tau S^m of the
     model problem P dv/dt = K1 D_left^alpha v + K2 D_right^alpha v + S,
     with B the fractional operator of the CN system, random interior
@@ -287,12 +290,12 @@ def stability_estimate_check(problem: DiffusionProblem, grid: GridSpec,
     bounds = np.array(bounds)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(bounds > 0, norms / bounds, np.where(
-            norms <= slack, 0.0, np.inf))
+            norms <= BOUND_SLACK, 0.0, np.inf))
     max_ratio = float(np.max(ratios))
     return StabilityBoundReport(
         scheme=scheme,
         norms=norms,
         bounds=bounds,
         max_ratio=max_ratio,
-        ok=bool(max_ratio <= 1.0 + slack),
+        ok=bool(max_ratio <= 1.0 + BOUND_SLACK),
     )

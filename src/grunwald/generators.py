@@ -46,6 +46,9 @@ MAX_ORDER = 6
 # the leading error coefficient and one successor are visible.
 ORDER_MARGIN = 3
 
+# Round-off allowance of each inequality in weight_sign_report.
+SIGN_TOL = 1e-14
+
 
 class ConstructionError(RuntimeError):
     """The linear system defining the beta coefficients is singular."""
@@ -340,15 +343,22 @@ class OrderReport:
     truncation_order: int
 
 
-def _first_nonzero(symbol: TruncatedSeries) -> tuple[int, object]:
+def _first_nonzero(symbol: TruncatedSeries, betas) -> tuple[int, object]:
+    """Index and value of the first nonzero coefficient past the constant
+    term: exactly for rationals; for floats, above FLOAT_ZERO_TOL times
+    the size of the generator terms that cancel in each coefficient."""
+    tol = 0
+    if not symbol.rational:
+        tol = series.FLOAT_ZERO_TOL * max(1.0, *(abs(float(b)) for b in betas))
     for l in range(1, symbol.truncation_order + 1):
-        if not symbol.coefficient_is_zero(l):
+        if not abs(symbol.coeffs[l]) <= tol:  # NaN counts as nonzero
             return l, symbol.coeffs[l]
     zero = Fraction(0) if symbol.rational else 0.0
     return symbol.truncation_order + 1, zero
 
 
-def _report_from_symbol(symbol: TruncatedSeries, expected_order: int) -> OrderReport:
+def _report_from_symbol(symbol: TruncatedSeries, betas,
+                        expected_order: int) -> OrderReport:
     a0 = symbol.coeffs[0]
     if symbol.rational:
         consistent = a0 == 1
@@ -359,7 +369,7 @@ def _report_from_symbol(symbol: TruncatedSeries, expected_order: int) -> OrderRe
             f"scaled symbol starts at {a0}, not 1; the generator is not a "
             "consistent approximation"
         )
-    observed, leading = _first_nonzero(symbol)
+    observed, leading = _first_nonzero(symbol, betas)
     return OrderReport(
         observed_order=observed,
         leading_coeff=leading,
@@ -382,7 +392,7 @@ def verify_order(generator: GeneratorSpec, expected_order: int) -> OrderReport:
     symbol = series.normalized_symbol(
         generator.beta, generator.shift, generator.alpha, window
     )
-    return _report_from_symbol(symbol, expected_order)
+    return _report_from_symbol(symbol, generator.beta, expected_order)
 
 
 def a2_coefficient(shift, alpha):
@@ -423,7 +433,7 @@ def convex_combination_check(shift_a, shift_b, alpha) -> OrderReport:
     sym_a = series.normalized_symbol(base, p, a, window)
     sym_b = series.normalized_symbol(base, q, a, window)
     combined = series.add(series.scale(sym_a, lam_a), series.scale(sym_b, lam_b))
-    return _report_from_symbol(combined, expected)
+    return _report_from_symbol(combined, base, expected)
 
 
 @dataclass(frozen=True)
@@ -446,30 +456,30 @@ class SignReport:
         return not self.violations
 
 
-def weight_sign_report(weights, tol: float = 1e-14) -> SignReport:
+def weight_sign_report(weights) -> SignReport:
     """Evaluate the order-2 shifted sign pattern on a weight array."""
     w = np.asarray(weights, dtype=float)
     if len(w) < 3:
         raise ValueError("need at least w_0..w_2 to check the pattern")
     violations = []
-    w0_ok = w[0] >= -tol
+    w0_ok = w[0] >= -SIGN_TOL
     if not w0_ok:
         violations.append(f"w_0 = {w[0]:.3e} < 0")
-    w1_ok = w[1] <= tol
+    w1_ok = w[1] <= SIGN_TOL
     if not w1_ok:
         violations.append(f"w_1 = {w[1]:.3e} > 0")
-    w02_ok = w[0] + w[2] >= -tol
+    w02_ok = w[0] + w[2] >= -SIGN_TOL
     if not w02_ok:
         violations.append(f"w_0 + w_2 = {w[0] + w[2]:.3e} < 0")
     tail = w[3:]
-    tail_ok = bool(np.all(tail >= -tol)) if len(tail) else True
+    tail_ok = bool(np.all(tail >= -SIGN_TOL)) if len(tail) else True
     if not tail_ok:
-        first_bad = int(np.argmax(tail < -tol)) + 3
+        first_bad = int(np.argmax(tail < -SIGN_TOL)) + 3
         violations.append(f"w_{first_bad} = {w[first_bad]:.3e} < 0")
     sums = np.cumsum(w)
-    sums_ok = bool(np.all(sums[2:] <= tol)) if len(sums) > 2 else True
+    sums_ok = bool(np.all(sums[2:] <= SIGN_TOL)) if len(sums) > 2 else True
     if not sums_ok:
-        first_bad = int(np.argmax(sums[2:] > tol)) + 2
+        first_bad = int(np.argmax(sums[2:] > SIGN_TOL)) + 2
         violations.append(
             f"partial sum through {first_bad} = {sums[first_bad]:.3e} > 0"
         )

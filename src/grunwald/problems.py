@@ -20,23 +20,26 @@ __all__ = [
 ]
 
 
-def polynomial_steady_problem(alpha: float, exponent: int = 8,
-                              amplitude: float = 10.0) -> SteadyProblem:
-    """Steady problem on [0, 1] with exact solution amplitude * x^exponent.
+STEADY_EXPONENT = 8
+STEADY_AMPLITUDE = 10.0
+
+
+def polynomial_steady_problem(alpha: float) -> SteadyProblem:
+    """Steady problem on [0, 1] with exact solution A x^e, where
+    A = STEADY_AMPLITUDE and e = STEADY_EXPONENT.
 
     The source is the closed-form left fractional derivative of the
-    solution, amplitude * Gamma(exponent+1)/Gamma(exponent+1-alpha)
-    * x^(exponent-alpha); boundary values are 0 and amplitude.
+    solution, A * Gamma(e+1)/Gamma(e+1-alpha) * x^(e-alpha); boundary
+    values are 0 and A.
     """
-    if exponent <= alpha:
-        raise ValueError("exponent must exceed alpha for a bounded source")
-    coeff = amplitude * gamma(exponent + 1) / gamma(exponent + 1 - alpha)
+    coeff = (STEADY_AMPLITUDE * gamma(STEADY_EXPONENT + 1)
+             / gamma(STEADY_EXPONENT + 1 - alpha))
 
     def source(x):
-        return coeff * np.asarray(x, dtype=float) ** (exponent - alpha)
+        return coeff * np.asarray(x, dtype=float) ** (STEADY_EXPONENT - alpha)
 
     def exact(x):
-        return amplitude * np.asarray(x, dtype=float) ** exponent
+        return STEADY_AMPLITUDE * np.asarray(x, dtype=float) ** STEADY_EXPONENT
 
     return SteadyProblem(
         a=0.0,
@@ -44,7 +47,7 @@ def polynomial_steady_problem(alpha: float, exponent: int = 8,
         alpha=alpha,
         source=source,
         phi0=0.0,
-        phi1=amplitude,
+        phi1=STEADY_AMPLITUDE,
         exact=exact,
     )
 

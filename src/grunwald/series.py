@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-# Threshold under which a float coefficient counts as an exact zero,
-# relative to max(1, |c0|).
+# Float zero threshold of the order check: a symbol coefficient past the
+# constant term counts as zero below FLOAT_ZERO_TOL * max(1, max_k
+# |beta_k|), the size of the generator terms that cancel in it, and the
+# constant term must be 1 within FLOAT_ZERO_TOL.
 FLOAT_ZERO_TOL = 1e-10
 
 # Slack for the zero-sum consistency check on float generator coefficients.
@@ -90,14 +92,6 @@ class TruncatedSeries:
         if not self.rational:
             return self
         return TruncatedSeries(tuple(float(c) for c in self.coeffs), False)
-
-    def coefficient_is_zero(self, index: int) -> bool:
-        """Zero test honouring the scalar kind (exact vs thresholded)."""
-        value = self.coeffs[index]
-        if self.rational:
-            return value == 0
-        scale = max(1.0, abs(float(self.coeffs[0])))
-        return abs(value) < FLOAT_ZERO_TOL * scale
 
     def __add__(self, other):
         return add(self, other)

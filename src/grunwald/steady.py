@@ -35,6 +35,13 @@ __all__ = [
     "stability_scan",
 ]
 
+# stability_scan verdicts: a Rayleigh quotient above RAYLEIGH_TOL, or a
+# scan-grid error above BLOWUP_FACTOR times the error on the
+# BASELINE_N-interval grid, marks an alpha unstable
+RAYLEIGH_TOL = 1e-8
+BLOWUP_FACTOR = 10.0
+BASELINE_N = 16
+
 
 @dataclass(frozen=True)
 class SteadyProblem:
@@ -141,8 +148,6 @@ class StabilityReport:
 
 def stability_scan(order: int, shift: int, alphas: Sequence[float],
                    grid: GridSpec, *, n_samples: int = 500,
-                   rayleigh_tol: float = 1e-8, blowup_factor: float = 10.0,
-                   baseline_n: int = 16,
                    seed: int = 1822) -> StabilityReport:
     """Probe a generator family across fractional orders.
 
@@ -151,7 +156,7 @@ def stability_scan(order: int, shift: int, alphas: Sequence[float],
     loss of negative definiteness) and (ii) for alpha > 1 solves the
     monomial benchmark problem on the scan grid and on a coarse baseline
     grid. An alpha is flagged unstable when any quotient exceeds
-    rayleigh_tol, a solve fails, or the error exceeds blowup_factor times
+    RAYLEIGH_TOL, a solve fails, or the error exceeds BLOWUP_FACTOR times
     the baseline error. Failures are data, not exceptions.
     """
     # local import: problems depends on this module
@@ -179,13 +184,13 @@ def stability_scan(order: int, shift: int, alphas: Sequence[float],
         baseline_error = None
         solve_failed = False
         reasons = []
-        if max_rayleigh > rayleigh_tol:
+        if max_rayleigh > RAYLEIGH_TOL:
             reasons.append(
                 f"positive Rayleigh quotient {max_rayleigh:.3e}"
             )
         if alpha > 1.0:
             problem = polynomial_steady_problem(alpha)
-            base_grid = GridSpec(grid.a, grid.b, baseline_n)
+            base_grid = GridSpec(grid.a, grid.b, BASELINE_N)
             try:
                 baseline_error = benchmark_error(
                     problem, _left_operator(order, shift, alpha, base_grid)
@@ -195,10 +200,10 @@ def stability_scan(order: int, shift: int, alphas: Sequence[float],
                 solve_failed = True
                 reasons.append(f"solve failed: {exc}")
             else:
-                if solve_error > blowup_factor * baseline_error:
+                if solve_error > BLOWUP_FACTOR * baseline_error:
                     reasons.append(
                         f"error {solve_error:.3e} exceeds "
-                        f"{blowup_factor:g}x baseline {baseline_error:.3e}"
+                        f"{BLOWUP_FACTOR:g}x baseline {baseline_error:.3e}"
                     )
         entries.append(
             ScanEntry(

@@ -159,6 +159,45 @@ class TestConfigFile:
         code = main(["steady", "--config", "/nonexistent.cfg"])
         assert code == 2
 
+    def test_key_of_another_subcommand_is_usage_error(self, tmp_path,
+                                                      capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("alphas = 1.5\nn = 16\nseed = 3\n")
+        code = main(["steady", "--config", str(config)])
+        assert code == 2
+        assert f"{config}:3: unknown key 'seed'" in capsys.readouterr().err
+
+    def test_config_values_meet_the_flag_types(self, tmp_path):
+        config = tmp_path / "scan.cfg"
+        config.write_text("shift = 3/2\npoints = 2\nn = 16\n")
+        with pytest.raises(SystemExit) as info:
+            main(["scan", "--config", str(config)])
+        assert info.value.code == 2
+
+    def test_config_supplies_a_required_option(self, tmp_path, capsys):
+        config = tmp_path / "gen.cfg"
+        config.write_text("order = 2\nshift = 1\nalpha = 3/2\n")
+        code = main(["verify-order", "--config", str(config)])
+        assert code == 0
+        assert "observed order 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value, mirrored", [("false", False),
+                                                 ("true", True)])
+    def test_json_switch(self, outdir, tmp_path, value, mirrored):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"alphas = 1.5\nn = 16\njson = {value}\n")
+        code = main(["diffusion", "--config", str(config)])
+        assert code == 0
+        assert (outdir / "diffusion.csv").exists()
+        assert (outdir / "diffusion.json").exists() == mirrored
+
+    def test_json_takes_true_or_false(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("json = maybe\n")
+        code = main(["steady", "--config", str(config)])
+        assert code == 2
+        assert "true or false" in capsys.readouterr().err
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

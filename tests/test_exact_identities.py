@@ -2,7 +2,8 @@
 
 Rational fractional orders alpha in (0, 2], shifts 0..3 and design orders
 1..6 are drawn at random; every identity below must hold exactly, with no
-tolerance, because rational inputs keep the arithmetic in Fractions.
+tolerance, because rational inputs keep the arithmetic in Fractions. The
+float order check must reach the same verdict as the exact one.
 """
 
 from fractions import Fraction
@@ -41,6 +42,19 @@ def test_exact_order_meets_design_order(order, shift, alpha):
     report = verify_order(beta_table(order, shift, alpha), order)
     assert report.observed_order >= order
     assert report.passed
+
+
+# Below alpha = 1/10 the float symbol of p=6, r>=2 starts further than
+# FLOAT_ZERO_TOL from 1, and float verify_order rejects the generator as
+# inconsistent before any order is compared.
+@SETTINGS
+@given(order=orders, shift=shifts,
+       alpha=alphas.filter(lambda a: a >= Fraction(1, 10)))
+def test_float_order_verdict_matches_exact(order, shift, alpha):
+    exact = verify_order(beta_table(order, shift, alpha), order)
+    floating = verify_order(beta_table(order, shift, float(alpha)), order)
+    assert floating.observed_order == exact.observed_order
+    assert floating.passed == exact.passed
 
 
 @SETTINGS

@@ -10,6 +10,7 @@ from grunwald import (
     solve_steady,
     stability_scan,
 )
+from grunwald.steady import BASELINE_N
 
 
 def max_error(problem, n, scheme):
@@ -144,9 +145,9 @@ class TestStabilityScan:
         # the scan's order-2, shift-1 family is the order2 steady scheme,
         # so its scan-grid and baseline errors are solve_steady's, exactly
         alphas = (1.2, 1.7)
-        report = stability_scan(2, 1, alphas, GridSpec(0.0, 1.0, 48),
-                                baseline_n=16)
+        report = stability_scan(2, 1, alphas, GridSpec(0.0, 1.0, 48))
         for alpha, entry in zip(alphas, report.entries):
             problem = polynomial_steady_problem(alpha)
             assert entry.solve_error == max_error(problem, 48, "order2")
-            assert entry.baseline_error == max_error(problem, 16, "order2")
+            assert entry.baseline_error == max_error(problem, BASELINE_N,
+                                                     "order2")
