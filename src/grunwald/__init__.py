@@ -29,7 +29,6 @@ from .operators import (
     SolverFailure,
     apply_grunwald,
     assemble_frac_matrix,
-    reduce_system,
 )
 from .steady import (
     ScanEntry,
@@ -89,7 +88,6 @@ __all__ = [
     "SolverFailure",
     "apply_grunwald",
     "assemble_frac_matrix",
-    "reduce_system",
     "SteadyProblem",
     "solve_steady",
     "stability_scan",

@@ -12,6 +12,7 @@ scaled symbol W(exp(-z)) exp(r z) / z^alpha = 1 + O(z^p).
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -343,15 +344,31 @@ class OrderReport:
     truncation_order: int
 
 
-def _first_nonzero(symbol: TruncatedSeries, betas) -> tuple[int, object]:
-    """Index and value of the first nonzero coefficient past the constant
-    term: exactly for rationals; for floats, above FLOAT_ZERO_TOL times
-    the size of the generator terms that cancel in each coefficient."""
-    tol = 0
-    if not symbol.rational:
-        tol = series.FLOAT_ZERO_TOL * max(1.0, *(abs(float(b)) for b in betas))
+def _zero_tolerances(symbol: TruncatedSeries, betas) -> list:
+    """Zero threshold of each symbol coefficient: exactly zero for
+    rationals; for floats, FLOAT_ZERO_TOL times the size of the generator
+    terms that cancel in it. Coefficient l of P(exp(-z))/z sums
+    beta_k (-k)^(l+1) / (l+1)!, and coefficient l of the symbol is built
+    from those of index <= l, so its size is the largest of
+    1, sum_k |beta_k| k^(j+1) / (j+1)! for j <= l."""
+    count = symbol.truncation_order + 1
+    if symbol.rational:
+        return [0] * count
+    sizes = [abs(float(b)) for b in betas]
+    size, tols = 1.0, []
+    for l in range(count):
+        fact = math.factorial(l + 1)
+        size = max(size, sum(s * k ** (l + 1) / fact
+                             for k, s in enumerate(sizes)))
+        tols.append(series.FLOAT_ZERO_TOL * size)
+    return tols
+
+
+def _first_nonzero(symbol: TruncatedSeries, tols) -> tuple[int, object]:
+    """Index and value of the first coefficient past the constant term
+    whose size exceeds its tolerance."""
     for l in range(1, symbol.truncation_order + 1):
-        if not abs(symbol.coeffs[l]) <= tol:  # NaN counts as nonzero
+        if not abs(symbol.coeffs[l]) <= tols[l]:  # NaN counts as nonzero
             return l, symbol.coeffs[l]
     zero = Fraction(0) if symbol.rational else 0.0
     return symbol.truncation_order + 1, zero
@@ -359,17 +376,14 @@ def _first_nonzero(symbol: TruncatedSeries, betas) -> tuple[int, object]:
 
 def _report_from_symbol(symbol: TruncatedSeries, betas,
                         expected_order: int) -> OrderReport:
+    tols = _zero_tolerances(symbol, betas)
     a0 = symbol.coeffs[0]
-    if symbol.rational:
-        consistent = a0 == 1
-    else:
-        consistent = abs(float(a0) - 1.0) <= series.FLOAT_ZERO_TOL
-    if not consistent:
+    if not abs(a0 - 1) <= tols[0]:
         raise InconsistentGeneratorError(
             f"scaled symbol starts at {a0}, not 1; the generator is not a "
             "consistent approximation"
         )
-    observed, leading = _first_nonzero(symbol, betas)
+    observed, leading = _first_nonzero(symbol, tols)
     return OrderReport(
         observed_order=observed,
         leading_coeff=leading,

@@ -1,9 +1,11 @@
 """Discrete fractional operators on uniform grids.
 
 Grid application of one-sided weighted differences, their Toeplitz matrix
-form, the tridiagonal quasi-compact preconditioner stencil, and the
-interior reduction that moves known boundary values to the right-hand
-side; also the scheme list and the set-up checks shared by the solvers.
+form and its first column and row, the tridiagonal quasi-compact
+preconditioner stencil, the fold that moves known boundary values to the
+right-hand side, and the two checked solves: a Levinson Toeplitz solve
+with a condition estimate and a dense LU; also the scheme list and the
+set-up checks shared by the solvers.
 Functions outside the grid are zero-extended, so indices that fall off
 the grid simply contribute nothing.
 """
@@ -13,7 +15,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, toeplitz
+from scipy.linalg import (LinAlgError, lu_factor, lu_solve, solve_toeplitz,
+                          toeplitz)
 from scipy.linalg.lapack import dgecon
 
 from .generators import WeightSequence
@@ -28,7 +31,10 @@ __all__ = [
     "check_domain",
     "check_scheme",
     "precondition_rows",
-    "reduce_system",
+    "toeplitz_generators",
+    "dirichlet_fold",
+    "toeplitz_rcond",
+    "checked_toeplitz_solve",
     "checked_lu",
     "solve_factored",
 ]
@@ -120,8 +126,10 @@ class FracOperatorMatrix:
 
     Toeplitz: entry (i, j) holds w_{i-j+shift} / h^alpha when the weight
     index is in range, zero otherwise; the right-side operator is the
-    transpose. The defining weight sequence is kept so structured solvers
-    can be substituted without changing the interface.
+    transpose. It is built from toeplitz_generators, which is all the
+    structured solvers need: the steady solve works from the column and
+    row alone, and the dense form serves the Crank-Nicolson step matrix,
+    the stability scan's Rayleigh sampling and the property suite.
     """
 
     weights: WeightSequence
@@ -138,18 +146,26 @@ class FracOperatorMatrix:
         return self.weights.alpha
 
 
+def toeplitz_generators(weights: WeightSequence, grid: GridSpec):
+    """First column and first row of the left operator matrix: entry
+    (i, j) is w_{i-j+shift} / h^alpha, so the column holds
+    w_shift ... w_{shift+n} and the row w_shift ... w_0 followed by zeros."""
+    shift = _integer_shift(weights)
+    _check_lengths(np.empty(grid.n + 1), weights, grid, shift)
+    w = weights.values
+    scale = grid.h ** weights.alpha
+    col = w[shift: shift + grid.n + 1] / scale
+    row = np.zeros(grid.n + 1)
+    row[: shift + 1] = w[shift::-1] / scale
+    return col, row
+
+
 def assemble_frac_matrix(weights: WeightSequence, grid: GridSpec,
                          side: str = "left") -> FracOperatorMatrix:
     """Build the (n+1) x (n+1) operator matrix for one side."""
-    shift = _integer_shift(weights)
-    _check_lengths(np.empty(grid.n + 1), weights, grid, shift)
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    w = weights.values
-    col = w[shift: shift + grid.n + 1].copy()
-    row = np.zeros(grid.n + 1)
-    row[: shift + 1] = w[shift::-1]
-    dense = toeplitz(col, row) / grid.h ** weights.alpha
+    dense = toeplitz(*toeplitz_generators(weights, grid))
     if side == "right":
         dense = dense.T.copy()
     dense.setflags(write=False)
@@ -187,26 +203,95 @@ def check_domain(problem, grid: GridSpec) -> None:
         )
 
 
-def reduce_system(matrix: np.ndarray, rhs: np.ndarray, phi0: float,
-                  phi1: float):
-    """Drop the boundary rows/columns and fold the known boundary values
-    into the right-hand side.
+def dirichlet_fold(col: np.ndarray, row: np.ndarray, rhs: np.ndarray,
+                   phi0: float, phi1: float):
+    """Drop the boundary rows and columns of toeplitz(col, row) and fold
+    the known boundary values into the right-hand side.
 
-    Returns the (n-1) x (n-1) interior matrix and the adjusted interior
-    right-hand side rhs_i - M[i,0]*phi0 - M[i,n]*phi1.
+    Returns the first column and first row of the (n-1) x (n-1) interior
+    matrix, itself Toeplitz, and the adjusted interior right-hand side
+    rhs_i - A[i,0]*phi0 - A[i,n]*phi1, where A[i,0] = col[i] and
+    A[i,n] = row[n-i].
     """
-    matrix = np.asarray(matrix, dtype=float)
+    col = np.asarray(col, dtype=float)
+    row = np.asarray(row, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    size = matrix.shape[0]
-    if matrix.shape != (size, size):
-        raise ValueError("matrix must be square")
-    if len(rhs) != size:
-        raise ValueError("right-hand side length must match the matrix")
+    size = len(col)
+    if len(row) != size or len(rhs) != size:
+        raise ValueError("column, row and right-hand side lengths differ")
     if size < 3:
         raise ValueError("no interior points to solve for")
-    reduced = matrix[1:-1, 1:-1]
-    adjusted = rhs[1:-1] - matrix[1:-1, 0] * phi0 - matrix[1:-1, -1] * phi1
-    return reduced, adjusted
+    adjusted = rhs[1:-1] - col[1:-1] * phi0 - row[-2:0:-1] * phi1
+    return col[:-2], row[:-2], adjusted
+
+
+def _inverse_norm1_estimate(solve, solve_transposed, size: int) -> float:
+    """Estimate ||A^-1||_1 from solves with A and A^T: the Hager/Higham
+    iteration in the form of LAPACK's dlacn2 (deterministic, at most five
+    steps, then the alternating-sign check vector)."""
+    y = solve(np.full(size, 1.0 / size))
+    estimate = np.abs(y).sum()
+    signs = np.where(y >= 0, 1.0, -1.0)
+    j = int(np.argmax(np.abs(solve_transposed(signs))))
+    for _ in range(4):
+        y = solve(np.eye(1, size, j)[0])
+        previous, estimate = estimate, np.abs(y).sum()
+        new_signs = np.where(y >= 0, 1.0, -1.0)
+        if np.array_equal(new_signs, signs) or estimate <= previous:
+            break
+        signs = new_signs
+        z = solve_transposed(signs)
+        j_last, j = j, int(np.argmax(np.abs(z)))
+        if z[j_last] == abs(z[j]):
+            break
+    i = np.arange(size)
+    alternating = np.where(i % 2 == 0, 1.0, -1.0) * (1 + i / max(size - 1, 1))
+    return max(estimate,
+               2.0 * np.abs(solve(alternating)).sum() / (3.0 * size))
+
+
+def toeplitz_rcond(col: np.ndarray, row: np.ndarray) -> float:
+    """Reciprocal 1-norm condition estimate of toeplitz(col, row):
+    1 / (||A||_1 est||A^-1||_1). ||A||_1 is exact, in O(n) from cumulative
+    sums of |col| and |row|; the inverse norm is estimated by Levinson
+    solves, with A^T given by swapping column and row. Raises
+    numpy.linalg.LinAlgError when Levinson recursion meets a singular
+    leading minor."""
+    # column j holds row[j..1] above the diagonal and col[0..n-1-j] from it
+    column_sums = (np.cumsum(np.abs(row)) - abs(row[0])
+                   + np.cumsum(np.abs(col))[::-1])
+    anorm = float(column_sums.max())
+    ainv = _inverse_norm1_estimate(
+        lambda b: solve_toeplitz((col, row), b),
+        lambda b: solve_toeplitz((row, col), b), len(col))
+    with np.errstate(over="ignore"):
+        product = anorm * ainv
+    return 1.0 / product if product > 0 else 0.0
+
+
+def checked_toeplitz_solve(col: np.ndarray, row: np.ndarray,
+                           rhs: np.ndarray,
+                           context: str = "linear system") -> np.ndarray:
+    """Solve toeplitz(col, row) x = rhs by Levinson recursion, in O(n^2)
+    time and O(n) memory, with the singularity check of checked_lu.
+
+    Raises SolverFailure when the reciprocal condition estimate falls
+    below RCOND_FLOOR or the recursion meets a singular leading minor.
+    """
+    try:
+        rcond = toeplitz_rcond(col, row)
+        solution = solve_toeplitz((col, row), rhs)
+    except LinAlgError as exc:
+        raise SolverFailure(
+            f"{context}: Levinson recursion met a singular leading minor "
+            f"({exc})"
+        ) from exc
+    if rcond < RCOND_FLOOR:
+        raise SolverFailure(
+            f"{context}: matrix is numerically singular "
+            f"(rcond={rcond:.2e})"
+        )
+    return solution
 
 
 def checked_lu(matrix: np.ndarray, context: str = "linear system"):

@@ -15,9 +15,9 @@ from fractions import Fraction
 from numbers import Rational
 
 # Float zero threshold of the order check: a symbol coefficient past the
-# constant term counts as zero below FLOAT_ZERO_TOL * max(1, max_k
-# |beta_k|), the size of the generator terms that cancel in it, and the
-# constant term must be 1 within FLOAT_ZERO_TOL.
+# constant term counts as zero, and the constant term as 1, within
+# FLOAT_ZERO_TOL times the size of the generator terms that cancel in it
+# (generators._zero_tolerances).
 FLOAT_ZERO_TOL = 1e-10
 
 # Slack for the zero-sum consistency check on float generator coefficients.

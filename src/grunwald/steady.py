@@ -2,9 +2,13 @@
 
 Solves  D^alpha u = f  on [a, b] with Dirichlet data using the shifted
 order-2 generator, either directly (order2) or premultiplied by the
-quasi-compact tridiagonal preconditioner (order3). The scanner probes
-generators of any supported order for the sign-definiteness and solve
-quality that make implicit schemes trustworthy.
+quasi-compact tridiagonal preconditioner (order3). The interior system is
+Toeplitz, so it is solved from the operator's first column and row by
+Levinson recursion (O(N^2) time, O(N) memory) with a reciprocal-condition
+estimate; no dense matrix is formed. The scanner probes generators of any
+supported order for the sign-definiteness and solve quality that make
+implicit schemes trustworthy; it assembles the dense operator for its
+Rayleigh sampling only.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ from .operators import (
     assemble_frac_matrix,
     check_domain,
     check_scheme,
-    checked_lu,
+    checked_toeplitz_solve,
+    dirichlet_fold,
     precondition_rows,
-    reduce_system,
-    solve_factored,
+    toeplitz_generators,
 )
 
 __all__ = [
@@ -64,23 +68,23 @@ class SteadyProblem:
             raise ValueError("domain endpoints must satisfy a < b")
 
 
-def _left_operator(order, shift, alpha: float, grid: GridSpec):
-    weights = grunwald_weights(beta_table(order, shift, alpha),
-                               grid.n + shift)
-    return assemble_frac_matrix(weights, grid, "left")
+def _left_weights(order, shift, alpha: float, grid: GridSpec):
+    return grunwald_weights(beta_table(order, shift, alpha), grid.n + shift)
 
 
-def _solve_dirichlet(matrix, rhs, problem, context: str) -> np.ndarray:
-    """Solve the full-grid system with its boundary rows replaced by the
-    Dirichlet data: reduce to the interior, factor with the singularity
-    check, and return all n+1 grid values."""
-    reduced, adjusted = reduce_system(matrix, rhs, problem.phi0,
-                                      problem.phi1)
-    factors = checked_lu(reduced, context=context)
+def _solve_dirichlet(weights, grid: GridSpec, rhs, problem,
+                     context: str) -> np.ndarray:
+    """Solve the full-grid system of the left operator with its boundary
+    rows replaced by the Dirichlet data: fold the boundary values into the
+    interior right-hand side, solve the Toeplitz interior with the
+    singularity check, and return all n+1 grid values."""
+    col, row, adjusted = dirichlet_fold(
+        *toeplitz_generators(weights, grid), rhs, problem.phi0, problem.phi1)
     solution = np.empty(len(rhs))
     solution[0] = problem.phi0
     solution[-1] = problem.phi1
-    solution[1:-1] = solve_factored(factors, adjusted)
+    solution[1:-1] = checked_toeplitz_solve(col, row, adjusted,
+                                            context=context)
     return solution
 
 
@@ -96,13 +100,12 @@ def solve_steady(problem: SteadyProblem, grid: GridSpec,
     check_domain(problem, grid)
     check_scheme(scheme)
     alpha = float(problem.alpha)
-    operator = _left_operator(2, 1, alpha, grid)
     rhs = np.asarray(problem.source(grid.points()), dtype=float)
     if scheme == "order3":
         rhs = precondition_rows(np.pad(rhs, 1),
                                 float(a2_coefficient(1, alpha)))
     return _solve_dirichlet(
-        operator.dense, rhs, problem,
+        _left_weights(2, 1, alpha, grid), grid, rhs, problem,
         context=f"steady {scheme} solve at alpha={alpha}, n={grid.n}",
     )
 
@@ -162,12 +165,12 @@ def stability_scan(order: int, shift: int, alphas: Sequence[float],
     # local import: problems depends on this module
     from .problems import polynomial_steady_problem
 
-    def benchmark_error(problem, operator):
-        x = operator.grid.points()
+    def benchmark_error(problem, weights, grid):
+        x = grid.points()
         solution = _solve_dirichlet(
-            operator.dense, np.asarray(problem.source(x), dtype=float),
+            weights, grid, np.asarray(problem.source(x), dtype=float),
             problem, context=f"scan solve order={order} "
-                             f"alpha={problem.alpha} n={operator.grid.n}",
+                             f"alpha={problem.alpha} n={grid.n}",
         )
         return float(np.max(np.abs(solution - problem.exact(x))))
 
@@ -175,7 +178,8 @@ def stability_scan(order: int, shift: int, alphas: Sequence[float],
     entries = []
     for alpha in alphas:
         alpha = float(alpha)
-        operator = _left_operator(order, shift, alpha, grid)
+        weights = _left_weights(order, shift, alpha, grid)
+        operator = assemble_frac_matrix(weights, grid, "left")
         samples = rng.standard_normal((n_samples, grid.n + 1))
         quads = np.einsum("ij,ij->i", samples @ operator.dense, samples)
         norms = np.einsum("ij,ij->i", samples, samples)
@@ -193,9 +197,10 @@ def stability_scan(order: int, shift: int, alphas: Sequence[float],
             base_grid = GridSpec(grid.a, grid.b, BASELINE_N)
             try:
                 baseline_error = benchmark_error(
-                    problem, _left_operator(order, shift, alpha, base_grid)
+                    problem, _left_weights(order, shift, alpha, base_grid),
+                    base_grid,
                 )
-                solve_error = benchmark_error(problem, operator)
+                solve_error = benchmark_error(problem, weights, grid)
             except SolverFailure as exc:
                 solve_failed = True
                 reasons.append(f"solve failed: {exc}")

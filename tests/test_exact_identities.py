@@ -44,12 +44,8 @@ def test_exact_order_meets_design_order(order, shift, alpha):
     assert report.passed
 
 
-# Below alpha = 1/10 the float symbol of p=6, r>=2 starts further than
-# FLOAT_ZERO_TOL from 1, and float verify_order rejects the generator as
-# inconsistent before any order is compared.
 @SETTINGS
-@given(order=orders, shift=shifts,
-       alpha=alphas.filter(lambda a: a >= Fraction(1, 10)))
+@given(order=orders, shift=shifts, alpha=alphas)
 def test_float_order_verdict_matches_exact(order, shift, alpha):
     exact = verify_order(beta_table(order, shift, alpha), order)
     floating = verify_order(beta_table(order, shift, float(alpha)), order)

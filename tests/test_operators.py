@@ -1,5 +1,6 @@
 """Grid operators: Toeplitz assembly, convolution application, the
-tridiagonal preconditioner and boundary reduction."""
+tridiagonal preconditioner, the Dirichlet boundary fold and the checked
+Levinson solve."""
 
 import numpy as np
 import pytest
@@ -13,9 +14,15 @@ from grunwald import (
     beta_table,
     grunwald_weights,
     polynomial_steady_problem,
-    reduce_system,
 )
-from grunwald.operators import checked_lu, precondition_rows
+from grunwald.operators import (
+    checked_lu,
+    checked_toeplitz_solve,
+    dirichlet_fold,
+    precondition_rows,
+    toeplitz_generators,
+)
+from scipy.linalg import toeplitz
 
 
 class TestGridSpec:
@@ -199,29 +206,44 @@ class TestPreconditioner:
 
 
 class TestReduceSystem:
+    """dirichlet_fold: the boundary reduction of a Toeplitz system."""
+
     def test_homogeneous_boundary_truncates(self):
         rng = np.random.default_rng(3)
-        matrix = rng.standard_normal((6, 6))
+        col, row = rng.standard_normal((2, 6))
+        row[0] = col[0]
         rhs = rng.standard_normal(6)
-        reduced, adjusted = reduce_system(matrix, rhs, 0.0, 0.0)
-        assert np.array_equal(reduced, matrix[1:-1, 1:-1])
+        inner_col, inner_row, adjusted = dirichlet_fold(col, row, rhs,
+                                                        0.0, 0.0)
+        assert np.array_equal(toeplitz(inner_col, inner_row),
+                              toeplitz(col, row)[1:-1, 1:-1])
         assert np.array_equal(adjusted, rhs[1:-1])
 
     def test_identity_moves_first_column(self):
-        matrix = np.eye(4)
+        col = np.array([1.0, 0.0, 0.0, 0.0])
         rhs = np.array([1.0, 2.0, 3.0, 4.0])
-        reduced, adjusted = reduce_system(matrix, rhs, 1.0, 0.0)
-        assert np.array_equal(reduced, np.eye(2))
+        inner_col, inner_row, adjusted = dirichlet_fold(col, col, rhs,
+                                                        1.0, 0.0)
+        assert np.array_equal(toeplitz(inner_col, inner_row), np.eye(2))
         # identity has zero off-diagonal boundary columns, rhs unchanged
         assert adjusted == pytest.approx([2.0, 3.0])
-        dense = np.eye(4)
-        dense[1, 0] = 2.0
-        _, adjusted = reduce_system(dense, rhs, 1.0, 0.0)
+        col[1] = 2.0
+        _, _, adjusted = dirichlet_fold(col, np.eye(1, 4)[0], rhs, 1.0, 0.0)
         assert adjusted == pytest.approx([0.0, 3.0])
 
     def test_no_interior(self):
         with pytest.raises(ValueError, match="interior"):
-            reduce_system(np.eye(2), np.zeros(2), 0.0, 0.0)
+            dirichlet_fold(np.ones(2), np.ones(2), np.zeros(2), 0.0, 0.0)
+
+    def test_fold_matches_dense_boundary_columns(self):
+        grid = GridSpec(0.0, 1.0, 9)
+        weights = grunwald_weights(beta_table(2, 1, 1.5), 10)
+        col, row = toeplitz_generators(weights, grid)
+        dense = assemble_frac_matrix(weights, grid, "left").dense
+        rhs = np.arange(10.0)
+        _, _, adjusted = dirichlet_fold(col, row, rhs, 2.0, -3.0)
+        expected = rhs[1:-1] - dense[1:-1, 0] * 2.0 - dense[1:-1, -1] * -3.0
+        assert np.array_equal(adjusted, expected)
 
 
 class TestCheckedLU:
@@ -236,3 +258,27 @@ class TestCheckedLU:
         factors = checked_lu(matrix)
         x = solve_factored(factors, np.array([3.0, 4.0]))
         assert matrix @ x == pytest.approx([3.0, 4.0])
+
+
+class TestCheckedToeplitzSolve:
+    def test_regular_system_solves(self):
+        col = np.array([4.0, 1.0, 0.5, 0.25])
+        row = np.array([4.0, -1.0, 0.0, 2.0])
+        rhs = np.array([1.0, 2.0, 3.0, 4.0])
+        x = checked_toeplitz_solve(col, row, rhs)
+        assert toeplitz(col, row) @ x == pytest.approx(rhs, rel=1e-14)
+
+    def test_singular_system_raises(self):
+        # leading minors sqrt(2) and 1 are regular; the whole matrix has
+        # determinant a(a^2 - 2) = 0, so Levinson runs to the end and the
+        # condition estimate rejects it
+        a = np.sqrt(2.0)
+        col = np.array([a, 1.0, 0.0])
+        with pytest.raises(SolverFailure, match=r"singular \(rcond="):
+            checked_toeplitz_solve(col, col, np.ones(3), context="test")
+
+    def test_levinson_breakdown_raises(self):
+        # a regular permutation matrix whose first leading minor is zero
+        col = np.array([0.0, 1.0])
+        with pytest.raises(SolverFailure, match="leading minor"):
+            checked_toeplitz_solve(col, col, np.ones(2), context="test")

@@ -1,22 +1,63 @@
 """Steady solver accuracy and the stability scanner."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor
+from scipy.linalg.lapack import dgecon
 
 from grunwald import (
     GridSpec,
     SteadyProblem,
+    a2_coefficient,
+    assemble_frac_matrix,
+    beta_table,
+    grunwald_weights,
     polynomial_steady_problem,
     solve_steady,
     stability_scan,
 )
+from grunwald.operators import (
+    checked_lu,
+    dirichlet_fold,
+    precondition_rows,
+    solve_factored,
+    toeplitz_generators,
+    toeplitz_rcond,
+)
 from grunwald.steady import BASELINE_N
+
+LADDER = tuple(2**k for k in range(4, 12))  # N = 16 ... 2048
 
 
 def max_error(problem, n, scheme):
     grid = GridSpec(problem.a, problem.b, n)
     solution = solve_steady(problem, grid, scheme)
     return float(np.max(np.abs(solution - problem.exact(grid.points()))))
+
+
+def _order2_weights(alpha, grid):
+    return grunwald_weights(beta_table(2, 1, alpha), grid.n + 1)
+
+
+def dense_dirichlet_solve(problem, grid, scheme):
+    """The dense oracle: assemble the (N+1)^2 operator, move the boundary
+    columns to the right-hand side, factor the interior with a dense LU
+    and solve."""
+    alpha = float(problem.alpha)
+    dense = assemble_frac_matrix(_order2_weights(alpha, grid), grid,
+                                 "left").dense
+    rhs = np.asarray(problem.source(grid.points()), dtype=float)
+    if scheme == "order3":
+        rhs = precondition_rows(np.pad(rhs, 1),
+                                float(a2_coefficient(1, alpha)))
+    adjusted = (rhs[1:-1] - dense[1:-1, 0] * problem.phi0
+                - dense[1:-1, -1] * problem.phi1)
+    solution = np.empty(grid.n + 1)
+    solution[0], solution[-1] = problem.phi0, problem.phi1
+    solution[1:-1] = solve_factored(checked_lu(dense[1:-1, 1:-1]), adjusted)
+    return solution
 
 
 class TestSolveSteady:
@@ -100,6 +141,51 @@ class TestSolveSteady:
         problem = polynomial_steady_problem(1.5)
         with pytest.raises(ValueError, match="domain"):
             solve_steady(problem, GridSpec(0.0, 2.0, 16))
+
+
+class TestLevinsonSolve:
+    """The Levinson solve against the dense LU oracle."""
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    @pytest.mark.parametrize("scheme", ["order2", "order3"])
+    def test_matches_dense_oracle(self, scheme, alpha):
+        problem = polynomial_steady_problem(alpha)
+        for n in LADDER:
+            grid = GridSpec(0.0, 1.0, n)
+            fast = solve_steady(problem, grid, scheme)
+            dense = dense_dirichlet_solve(problem, grid, scheme)
+            gap = np.max(np.abs(fast - dense)) / np.max(np.abs(dense))
+            assert gap <= 5e-12, f"N={n}: relative gap {gap:.2e}"
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    def test_rcond_estimate_tracks_dgecon(self, alpha):
+        for n in LADDER:
+            grid = GridSpec(0.0, 1.0, n)
+            weights = _order2_weights(alpha, grid)
+            col, row, _ = dirichlet_fold(*toeplitz_generators(weights, grid),
+                                         np.zeros(n + 1), 0.0, 0.0)
+            matrix = assemble_frac_matrix(weights, grid,
+                                          "left").dense[1:-1, 1:-1]
+            rcond, info = dgecon(lu_factor(matrix)[0],
+                                 np.linalg.norm(matrix, 1))
+            assert info == 0
+            ratio = toeplitz_rcond(col, row) / rcond
+            assert 1 / 3 <= ratio <= 3, f"N={n}: ratio {ratio:.3f}"
+
+    def test_large_grid_in_linear_memory(self):
+        # the dense N=8192 operator alone would take 537 MB
+        problem = polynomial_steady_problem(1.5)
+        coarse = max_error(problem, 4096, "order2")
+        grid = GridSpec(0.0, 1.0, 8192)
+        tracemalloc.start()
+        try:
+            solution = solve_steady(problem, grid, "order2")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        fine = float(np.max(np.abs(solution - problem.exact(grid.points()))))
+        assert np.log2(coarse / fine) >= 1.9
 
 
 class TestStabilityScan:
