@@ -24,11 +24,9 @@ from .generators import (
     weight_sign_report,
 )
 from .operators import (
-    FracOperatorMatrix,
     GridSpec,
     SolverFailure,
     apply_grunwald,
-    assemble_frac_matrix,
 )
 from .steady import (
     ScanEntry,
@@ -84,10 +82,8 @@ __all__ = [
     "combination_leading_coefficient",
     "weight_sign_report",
     "GridSpec",
-    "FracOperatorMatrix",
     "SolverFailure",
     "apply_grunwald",
-    "assemble_frac_matrix",
     "SteadyProblem",
     "solve_steady",
     "stability_scan",

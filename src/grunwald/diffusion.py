@@ -3,11 +3,13 @@ equation u_t = K1 * D_left^alpha u + K2 * D_right^alpha u + f.
 
 The spatial operator uses the shifted order-2 generator on both sides;
 the order-3 variant premultiplies the equation by the quasi-compact
-tridiagonal preconditioner. The CN matrices are constant in time, so the
-march is the linear recurrence u_next = S u + c_m: the step matrix
-S = (P - B)^-1 (P + B) is built once per run, and the forcing c_m, which
-depends only on the source and the boundary values, is solved for a
-block of STEP_BLOCK steps at a time.
+tridiagonal preconditioner. The two-sided operator B = (tau/2)(K1 A +
+K2 A^T) is Toeplitz, so its interior matrix and boundary columns are
+taken from the first column and row of A, with no full-grid matrix. The
+CN matrices are constant in time, so the march is the linear recurrence
+u_next = S u + c_m: the step matrix S = (P - B)^-1 (P + B) is built once
+per run, and the forcing c_m, which depends only on the source and the
+boundary values, is solved for a block of STEP_BLOCK steps at a time.
 """
 
 from __future__ import annotations
@@ -16,17 +18,19 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import toeplitz
 from scipy.special import gamma
 
 from .generators import a2_coefficient, beta_table, grunwald_weights
 from .operators import (
     GridSpec,
-    assemble_frac_matrix,
     check_domain,
     check_scheme,
     checked_lu,
     precondition_rows,
     solve_factored,
+    split_boundary,
+    toeplitz_generators,
 )
 
 __all__ = [
@@ -136,12 +140,15 @@ def _cn_system(problem: DiffusionProblem, grid: GridSpec,
     alpha = float(problem.alpha)
     tau = problem.t_final / m_steps
     generator = beta_table(2, 1, alpha)
-    weights = grunwald_weights(generator, grid.n + 1)
-    left = assemble_frac_matrix(weights, grid, "left").dense
-    b_full = 0.5 * tau * (problem.k_left * left + problem.k_right * left.T)
+    col, row = toeplitz_generators(grunwald_weights(generator, grid.n + 1),
+                                   grid)
+    # B = (tau/2)(K1 A + K2 A^T) is Toeplitz with these column and row
+    half, k1, k2 = 0.5 * tau, problem.k_left, problem.k_right
+    b_col, b_row, b_left, b_right = split_boundary(
+        half * (k1 * col + k2 * row), half * (k1 * row + k2 * col))
     a2 = float(a2_coefficient(1, alpha)) if scheme == "order3" else 0.0
     p_hat = precondition_rows(np.eye(grid.n + 1, grid.n - 1, k=-1), a2)
-    b_hat = b_full[1:-1, 1:-1].copy()
+    b_hat = toeplitz(b_col, b_row)
     factors = checked_lu(
         p_hat - b_hat,
         context=f"CN step matrix ({scheme}, alpha={alpha}, n={grid.n})",
@@ -153,8 +160,8 @@ def _cn_system(problem: DiffusionProblem, grid: GridSpec,
         b_reduced=b_hat,
         factors=factors,
         rhs_matrix=p_hat + b_hat,
-        b_col_left=b_full[1:-1, 0].copy(),
-        b_col_right=b_full[1:-1, -1].copy(),
+        b_col_left=b_left,
+        b_col_right=b_right,
     )
 
 

@@ -1,11 +1,14 @@
 """Discrete fractional operators on uniform grids.
 
-Grid application of one-sided weighted differences, their Toeplitz matrix
-form and its first column and row, the tridiagonal quasi-compact
-preconditioner stencil, the fold that moves known boundary values to the
-right-hand side, and the two checked solves: a Levinson Toeplitz solve
-with a condition estimate and a dense LU; also the scheme list and the
-set-up checks shared by the solvers.
+Grid application of one-sided weighted differences; the first column and
+row of their Toeplitz matrix, which are the one construction of the
+operator (callers that need the dense matrix build it with
+scipy.linalg.toeplitz, and the right-side operator is toeplitz(row, col));
+the split of that matrix into its Toeplitz interior and boundary columns,
+and the fold that moves known boundary values to the right-hand side; the
+tridiagonal quasi-compact preconditioner stencil; and the two checked
+solves: a Levinson Toeplitz solve with a condition estimate and a dense
+LU. Also the scheme list and the set-up checks shared by the solvers.
 Functions outside the grid are zero-extended, so indices that fall off
 the grid simply contribute nothing.
 """
@@ -15,23 +18,21 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 import numpy as np
-from scipy.linalg import (LinAlgError, lu_factor, lu_solve, solve_toeplitz,
-                          toeplitz)
+from scipy.linalg import LinAlgError, lu_factor, lu_solve, solve_toeplitz
 from scipy.linalg.lapack import dgecon
 
 from .generators import WeightSequence
 
 __all__ = [
     "GridSpec",
-    "FracOperatorMatrix",
     "SCHEMES",
     "SolverFailure",
     "apply_grunwald",
-    "assemble_frac_matrix",
     "check_domain",
     "check_scheme",
     "precondition_rows",
     "toeplitz_generators",
+    "split_boundary",
     "dirichlet_fold",
     "toeplitz_rcond",
     "checked_toeplitz_solve",
@@ -120,32 +121,6 @@ def apply_grunwald(u, weights: WeightSequence, grid: GridSpec,
     return v / grid.h ** weights.alpha
 
 
-@dataclass(frozen=True)
-class FracOperatorMatrix:
-    """Dense realization of the shifted difference operator.
-
-    Toeplitz: entry (i, j) holds w_{i-j+shift} / h^alpha when the weight
-    index is in range, zero otherwise; the right-side operator is the
-    transpose. It is built from toeplitz_generators, which is all the
-    structured solvers need: the steady solve works from the column and
-    row alone, and the dense form serves the Crank-Nicolson step matrix,
-    the stability scan's Rayleigh sampling and the property suite.
-    """
-
-    weights: WeightSequence
-    grid: GridSpec
-    side: str
-    dense: np.ndarray
-
-    @property
-    def shift(self) -> int:
-        return int(round(float(self.weights.shift)))
-
-    @property
-    def alpha(self) -> float:
-        return self.weights.alpha
-
-
 def toeplitz_generators(weights: WeightSequence, grid: GridSpec):
     """First column and first row of the left operator matrix: entry
     (i, j) is w_{i-j+shift} / h^alpha, so the column holds
@@ -158,19 +133,6 @@ def toeplitz_generators(weights: WeightSequence, grid: GridSpec):
     row = np.zeros(grid.n + 1)
     row[: shift + 1] = w[shift::-1] / scale
     return col, row
-
-
-def assemble_frac_matrix(weights: WeightSequence, grid: GridSpec,
-                         side: str = "left") -> FracOperatorMatrix:
-    """Build the (n+1) x (n+1) operator matrix for one side."""
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    dense = toeplitz(*toeplitz_generators(weights, grid))
-    if side == "right":
-        dense = dense.T.copy()
-    dense.setflags(write=False)
-    return FracOperatorMatrix(weights=weights, grid=grid, side=side,
-                              dense=dense)
 
 
 def precondition_rows(values: np.ndarray, a2: float) -> np.ndarray:
@@ -203,15 +165,25 @@ def check_domain(problem, grid: GridSpec) -> None:
         )
 
 
+def split_boundary(col: np.ndarray, row: np.ndarray):
+    """Split toeplitz(col, row), of size n+1, at its boundary rows and
+    columns.
+
+    Returns the first column and first row of the (n-1) x (n-1) interior
+    matrix, itself Toeplitz, and the interior rows of the first and last
+    columns: A[i,0] = col[i] and A[i,n] = row[n-i] for i = 1 .. n-1.
+    """
+    return col[:-2], row[:-2], col[1:-1], row[-2:0:-1]
+
+
 def dirichlet_fold(col: np.ndarray, row: np.ndarray, rhs: np.ndarray,
                    phi0: float, phi1: float):
     """Drop the boundary rows and columns of toeplitz(col, row) and fold
     the known boundary values into the right-hand side.
 
-    Returns the first column and first row of the (n-1) x (n-1) interior
-    matrix, itself Toeplitz, and the adjusted interior right-hand side
-    rhs_i - A[i,0]*phi0 - A[i,n]*phi1, where A[i,0] = col[i] and
-    A[i,n] = row[n-i].
+    Returns the first column and first row of the interior matrix (see
+    split_boundary) and the adjusted interior right-hand side
+    rhs_i - A[i,0]*phi0 - A[i,n]*phi1.
     """
     col = np.asarray(col, dtype=float)
     row = np.asarray(row, dtype=float)
@@ -221,8 +193,8 @@ def dirichlet_fold(col: np.ndarray, row: np.ndarray, rhs: np.ndarray,
         raise ValueError("column, row and right-hand side lengths differ")
     if size < 3:
         raise ValueError("no interior points to solve for")
-    adjusted = rhs[1:-1] - col[1:-1] * phi0 - row[-2:0:-1] * phi1
-    return col[:-2], row[:-2], adjusted
+    inner_col, inner_row, first, last = split_boundary(col, row)
+    return inner_col, inner_row, rhs[1:-1] - first * phi0 - last * phi1
 
 
 def _inverse_norm1_estimate(solve, solve_transposed, size: int) -> float:

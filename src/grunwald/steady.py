@@ -7,8 +7,8 @@ Toeplitz, so it is solved from the operator's first column and row by
 Levinson recursion (O(N^2) time, O(N) memory) with a reciprocal-condition
 estimate; no dense matrix is formed. The scanner probes generators of any
 supported order for the sign-definiteness and solve quality that make
-implicit schemes trustworthy; it assembles the dense operator for its
-Rayleigh sampling only.
+implicit schemes trustworthy; it builds the dense matrix from the same
+column and row for its Rayleigh sampling only.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .generators import a2_coefficient, beta_table, grunwald_weights
 from .operators import (
     GridSpec,
     SolverFailure,
-    assemble_frac_matrix,
     check_domain,
     check_scheme,
     checked_toeplitz_solve,
@@ -68,8 +68,8 @@ class SteadyProblem:
             raise ValueError("domain endpoints must satisfy a < b")
 
 
-def _left_weights(order, shift, alpha: float, grid: GridSpec):
-    return grunwald_weights(beta_table(order, shift, alpha), grid.n + shift)
+def _left_weights(generator, grid: GridSpec):
+    return grunwald_weights(generator, grid.n + generator.shift)
 
 
 def _solve_dirichlet(weights, grid: GridSpec, rhs, problem,
@@ -105,7 +105,7 @@ def solve_steady(problem: SteadyProblem, grid: GridSpec,
         rhs = precondition_rows(np.pad(rhs, 1),
                                 float(a2_coefficient(1, alpha)))
     return _solve_dirichlet(
-        _left_weights(2, 1, alpha, grid), grid, rhs, problem,
+        _left_weights(beta_table(2, 1, alpha), grid), grid, rhs, problem,
         context=f"steady {scheme} solve at alpha={alpha}, n={grid.n}",
     )
 
@@ -158,8 +158,9 @@ def stability_scan(order: int, shift: int, alphas: Sequence[float],
     the operator matrix with random vectors (positive values betray a
     loss of negative definiteness) and (ii) for alpha > 1 solves the
     monomial benchmark problem on the scan grid and on a coarse baseline
-    grid. An alpha is flagged unstable when any quotient exceeds
-    RAYLEIGH_TOL, a solve fails, or the error exceeds BLOWUP_FACTOR times
+    grid. An alpha is flagged unstable when its generator has beta_0 <= 0
+    (no weights exist), the largest quotient exceeds RAYLEIGH_TOL or is
+    not finite, a solve fails, or the error exceeds BLOWUP_FACTOR times
     the baseline error. Failures are data, not exceptions.
     """
     # local import: problems depends on this module
@@ -178,17 +179,31 @@ def stability_scan(order: int, shift: int, alphas: Sequence[float],
     entries = []
     for alpha in alphas:
         alpha = float(alpha)
-        weights = _left_weights(order, shift, alpha, grid)
-        operator = assemble_frac_matrix(weights, grid, "left")
         samples = rng.standard_normal((n_samples, grid.n + 1))
-        quads = np.einsum("ij,ij->i", samples @ operator.dense, samples)
+        generator = beta_table(order, shift, alpha)
+        beta0 = float(generator.beta[0])
+        if not beta0 > 0:
+            entries.append(ScanEntry(
+                alpha=alpha, max_rayleigh=float("nan"), solve_error=None,
+                baseline_error=None, solve_failed=False, stable=False,
+                reason=f"beta_0 = {beta0:.3e} is not positive: the weight "
+                       "recurrence is undefined",
+            ))
+            continue
+        weights = _left_weights(generator, grid)
+        # overflowing weights give a non-finite quotient, recorded below
+        with np.errstate(over="ignore", invalid="ignore"):
+            operator = toeplitz(*toeplitz_generators(weights, grid))
+            quads = np.einsum("ij,ij->i", samples @ operator, samples)
         norms = np.einsum("ij,ij->i", samples, samples)
         max_rayleigh = float(np.max(quads / norms))
         solve_error = None
         baseline_error = None
         solve_failed = False
         reasons = []
-        if max_rayleigh > RAYLEIGH_TOL:
+        if not np.isfinite(max_rayleigh):
+            reasons.append(f"Rayleigh quotient is not finite ({max_rayleigh})")
+        elif max_rayleigh > RAYLEIGH_TOL:
             reasons.append(
                 f"positive Rayleigh quotient {max_rayleigh:.3e}"
             )
@@ -197,8 +212,7 @@ def stability_scan(order: int, shift: int, alphas: Sequence[float],
             base_grid = GridSpec(grid.a, grid.b, BASELINE_N)
             try:
                 baseline_error = benchmark_error(
-                    problem, _left_weights(order, shift, alpha, base_grid),
-                    base_grid,
+                    problem, _left_weights(generator, base_grid), base_grid,
                 )
                 solve_error = benchmark_error(problem, weights, grid)
             except SolverFailure as exc:

@@ -1,13 +1,17 @@
 """Crank-Nicolson diffusion stepping, the benchmark source, and the
 energy-stability estimate."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor
 from scipy.special import gamma
 
 from grunwald import (
     DiffusionProblem,
     GridSpec,
+    a2_coefficient,
     apply_grunwald,
     beta_table,
     cn_solve,
@@ -17,7 +21,7 @@ from grunwald import (
     stability_estimate_check,
 )
 from grunwald.diffusion import STEP_BLOCK, _cn_system
-from grunwald.operators import solve_factored
+from grunwald.operators import precondition_rows, solve_factored
 
 
 def zero_x(x):
@@ -190,6 +194,48 @@ class TestStepMatrixOracle:
     @pytest.mark.parametrize("scheme", ["order2", "order3"])
     def test_moving_boundary_folded_into_forcing(self, scheme):
         self.assert_agrees(moving_right_boundary_problem(), 48, 300, scheme)
+
+
+def dense_cn_system(problem, grid, m_steps, scheme):
+    """The full-grid oracle of _cn_system: write out the (N+1)^2 operator
+    A[i, j] = w_{i-j+1} / h^alpha entry by entry, form
+    B = (tau/2)(K1 A + K2 A^T), and slice its interior and boundary
+    columns."""
+    alpha = float(problem.alpha)
+    tau = problem.t_final / m_steps
+    w = grunwald_weights(beta_table(2, 1, alpha), grid.n + 1).values
+    i, j = np.indices((grid.n + 1, grid.n + 1))
+    k = i - j + 1
+    left = np.where(k >= 0, w[np.maximum(k, 0)], 0.0) / grid.h ** alpha
+    b_full = 0.5 * tau * (problem.k_left * left + problem.k_right * left.T)
+    a2 = float(a2_coefficient(1, alpha)) if scheme == "order3" else 0.0
+    p_hat = precondition_rows(np.eye(grid.n + 1, grid.n - 1, k=-1), a2)
+    b_hat = b_full[1:-1, 1:-1]
+    return dict(b_reduced=b_hat, b_col_left=b_full[1:-1, 0],
+                b_col_right=b_full[1:-1, -1], rhs_matrix=p_hat + b_hat,
+                factors=lu_factor(p_hat - b_hat))
+
+
+class TestCNSystemOracle:
+    """_cn_system builds B from the operator's column and row; every
+    matrix and factor it hands the march is bit-equal to the full-grid
+    construction."""
+
+    @pytest.mark.parametrize("n", [16, 64, 512])
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    @pytest.mark.parametrize("scheme", ["order2", "order3"])
+    @pytest.mark.parametrize("k_left, k_right", [(1.0, 1.0), (0.7, 1.3)])
+    def test_bit_equal_to_dense(self, k_left, k_right, scheme, alpha, n):
+        problem = replace(polynomial_diffusion_problem(alpha),
+                          k_left=k_left, k_right=k_right)
+        grid = GridSpec(0.0, 1.0, n)
+        system = _cn_system(problem, grid, 64, scheme)
+        dense = dense_cn_system(problem, grid, 64, scheme)
+        for name in ("b_reduced", "b_col_left", "b_col_right",
+                     "rhs_matrix"):
+            assert np.array_equal(getattr(system, name), dense[name]), name
+        assert np.array_equal(system.factors[0], dense["factors"][0])
+        assert np.array_equal(system.factors[1], dense["factors"][1])
 
 
 class TestPolynomialDiffusionSource:

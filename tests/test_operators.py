@@ -1,6 +1,6 @@
-"""Grid operators: Toeplitz assembly, convolution application, the
-tridiagonal preconditioner, the Dirichlet boundary fold and the checked
-Levinson solve."""
+"""Grid operators: the Toeplitz column and row, convolution application,
+the tridiagonal preconditioner, the Dirichlet boundary fold and the
+checked Levinson solve."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from grunwald import (
     GridSpec,
     SolverFailure,
     apply_grunwald,
-    assemble_frac_matrix,
     beta_table,
     grunwald_weights,
     polynomial_steady_problem,
@@ -20,6 +19,7 @@ from grunwald.operators import (
     checked_toeplitz_solve,
     dirichlet_fold,
     precondition_rows,
+    split_boundary,
     toeplitz_generators,
 )
 from scipy.linalg import toeplitz
@@ -40,12 +40,21 @@ class TestGridSpec:
             GridSpec(1.0, 0.0, 4)
 
 
+def dense_operator(weights, grid, side="left"):
+    """The operator matrix built from its first column and row; the
+    right-side operator is the transpose, toeplitz(row, col)."""
+    col, row = toeplitz_generators(weights, grid)
+    return toeplitz(col, row) if side == "left" else toeplitz(row, col)
+
+
 class TestAssemble:
+    """The dense matrix that toeplitz_generators determines."""
+
     def test_first_order_unshifted_is_backward_difference(self):
         grid = GridSpec(0.0, 2.0, 2)  # h = 1
         spec = GeneratorSpec(alpha=1, shift=0, beta=(1, -1))
         weights = grunwald_weights(spec, 2)
-        dense = assemble_frac_matrix(weights, grid, "left").dense
+        dense = dense_operator(weights, grid)
         expected = np.array(
             [[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]]
         )
@@ -54,7 +63,7 @@ class TestAssemble:
     def test_shifted_first_row_by_hand(self):
         grid = GridSpec(0.0, 1.0, 3)
         weights = grunwald_weights(beta_table(2, 1, 1.5), 4)
-        dense = assemble_frac_matrix(weights, grid, "left").dense
+        dense = dense_operator(weights, grid)
         w = weights.values
         scale = grid.h**1.5
         assert dense[0] == pytest.approx(
@@ -68,30 +77,40 @@ class TestAssemble:
     def test_right_side_is_transpose(self):
         grid = GridSpec(0.0, 1.0, 6)
         weights = grunwald_weights(beta_table(2, 1, 1.5), 7)
-        left = assemble_frac_matrix(weights, grid, "left").dense
-        right = assemble_frac_matrix(weights, grid, "right").dense
+        left = dense_operator(weights, grid, "left")
+        right = dense_operator(weights, grid, "right")
         assert np.array_equal(right, left.T)
+        u = np.arange(7.0)
+        assert right @ u == pytest.approx(
+            apply_grunwald(u, weights, grid, "right"), rel=1e-13)
 
     def test_real_shift_rejected(self):
         grid = GridSpec(0.0, 1.0, 4)
         spec = GeneratorSpec(alpha=1.5, shift=0.75, beta=(1, -1))
         weights = grunwald_weights(spec, 6)
         with pytest.raises(ValueError, match="integer shift"):
-            assemble_frac_matrix(weights, grid, "left")
+            toeplitz_generators(weights, grid)
 
     def test_insufficient_weights_rejected(self):
         grid = GridSpec(0.0, 1.0, 8)
         weights = grunwald_weights(beta_table(2, 1, 1.5), 4)
         with pytest.raises(ValueError, match="weights"):
-            assemble_frac_matrix(weights, grid, "left")
+            toeplitz_generators(weights, grid)
 
     def test_matrix_apply_method(self):
+        # the generators carry the weights' shift (1: the diagonal holds
+        # w_1) and order (1.5: the scale h^1.5), and the matrix they
+        # determine applies the operator
         grid = GridSpec(0.0, 1.0, 8)
         weights = grunwald_weights(beta_table(2, 1, 1.5), 9)
-        matrix = assemble_frac_matrix(weights, grid, "left")
+        col, row = toeplitz_generators(weights, grid)
+        w = weights.values
+        assert col[0] == row[0] == w[1] / grid.h**1.5
+        assert row[1] == w[0] / grid.h**1.5
+        assert not np.any(row[2:])
         u = np.arange(9.0)
-        assert matrix.shift == 1
-        assert matrix.alpha == 1.5
+        assert toeplitz(col, row) @ u == pytest.approx(
+            apply_grunwald(u, weights, grid, "left"), rel=1e-13)
 
 
 class TestApply:
@@ -117,9 +136,8 @@ class TestApply:
         rng = np.random.default_rng(42 + n)
         grid = GridSpec(0.0, 1.0, n)
         weights = grunwald_weights(beta_table(2, 1, 1.5), n + 1)
-        matrix = assemble_frac_matrix(weights, grid, side)
         u = rng.standard_normal(n + 1)
-        direct = matrix.dense @ u
+        direct = dense_operator(weights, grid, side) @ u
         conv = apply_grunwald(u, weights, grid, side)
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(direct - conv)) <= 1e-13 * scale
@@ -231,6 +249,17 @@ class TestReduceSystem:
         _, _, adjusted = dirichlet_fold(col, np.eye(1, 4)[0], rhs, 1.0, 0.0)
         assert adjusted == pytest.approx([0.0, 3.0])
 
+    def test_split_matches_dense_slices(self):
+        rng = np.random.default_rng(5)
+        col, row = rng.standard_normal((2, 7))
+        row[0] = col[0]
+        dense = toeplitz(col, row)
+        inner_col, inner_row, first, last = split_boundary(col, row)
+        assert np.array_equal(toeplitz(inner_col, inner_row),
+                              dense[1:-1, 1:-1])
+        assert np.array_equal(first, dense[1:-1, 0])
+        assert np.array_equal(last, dense[1:-1, -1])
+
     def test_no_interior(self):
         with pytest.raises(ValueError, match="interior"):
             dirichlet_fold(np.ones(2), np.ones(2), np.zeros(2), 0.0, 0.0)
@@ -239,7 +268,7 @@ class TestReduceSystem:
         grid = GridSpec(0.0, 1.0, 9)
         weights = grunwald_weights(beta_table(2, 1, 1.5), 10)
         col, row = toeplitz_generators(weights, grid)
-        dense = assemble_frac_matrix(weights, grid, "left").dense
+        dense = toeplitz(col, row)
         rhs = np.arange(10.0)
         _, _, adjusted = dirichlet_fold(col, row, rhs, 2.0, -3.0)
         expected = rhs[1:-1] - dense[1:-1, 0] * 2.0 - dense[1:-1, -1] * -3.0

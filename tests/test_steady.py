@@ -4,14 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor
+from scipy.linalg import lu_factor, toeplitz
 from scipy.linalg.lapack import dgecon
 
 from grunwald import (
     GridSpec,
     SteadyProblem,
     a2_coefficient,
-    assemble_frac_matrix,
     beta_table,
     grunwald_weights,
     polynomial_steady_problem,
@@ -42,12 +41,12 @@ def _order2_weights(alpha, grid):
 
 
 def dense_dirichlet_solve(problem, grid, scheme):
-    """The dense oracle: assemble the (N+1)^2 operator, move the boundary
-    columns to the right-hand side, factor the interior with a dense LU
-    and solve."""
+    """The dense oracle: build the (N+1)^2 operator from its column and
+    row, move the boundary columns to the right-hand side, factor the
+    interior with a dense LU and solve."""
     alpha = float(problem.alpha)
-    dense = assemble_frac_matrix(_order2_weights(alpha, grid), grid,
-                                 "left").dense
+    dense = toeplitz(*toeplitz_generators(_order2_weights(alpha, grid),
+                                          grid))
     rhs = np.asarray(problem.source(grid.points()), dtype=float)
     if scheme == "order3":
         rhs = precondition_rows(np.pad(rhs, 1),
@@ -162,10 +161,9 @@ class TestLevinsonSolve:
         for n in LADDER:
             grid = GridSpec(0.0, 1.0, n)
             weights = _order2_weights(alpha, grid)
-            col, row, _ = dirichlet_fold(*toeplitz_generators(weights, grid),
-                                         np.zeros(n + 1), 0.0, 0.0)
-            matrix = assemble_frac_matrix(weights, grid,
-                                          "left").dense[1:-1, 1:-1]
+            full = toeplitz_generators(weights, grid)
+            col, row, _ = dirichlet_fold(*full, np.zeros(n + 1), 0.0, 0.0)
+            matrix = toeplitz(*full)[1:-1, 1:-1]
             rcond, info = dgecon(lu_factor(matrix)[0],
                                  np.linalg.norm(matrix, 1))
             assert info == 0
@@ -226,6 +224,27 @@ class TestStabilityScan:
         entry = report.entries[0]
         assert not entry.stable
         assert entry.max_rayleigh > 1e-8
+
+    def test_nonfinite_rayleigh_quotient_is_unstable(self):
+        # the order-6 weights at alpha = 1 overflow from k = 340, so the
+        # sampled quotients are NaN
+        report = stability_scan(6, 1, [1.0], GridSpec(0.0, 1.0, 512))
+        entry = report.entries[0]
+        assert np.isnan(entry.max_rayleigh)
+        assert not entry.stable
+        assert "not finite" in entry.reason
+
+    @pytest.mark.parametrize("order", range(2, 7))
+    def test_nonpositive_beta0_recorded_as_data(self, order):
+        # shift 2 near alpha = 1 has beta_0 < 0: no weights exist
+        alphas = np.linspace(1.0, 2.0, 23)
+        report = stability_scan(order, 2, alphas, GridSpec(0.0, 1.0, 48))
+        assert [e.alpha for e in report.entries] == list(alphas)
+        entry = report.entries[0]
+        assert float(beta_table(order, 2, 1.0).beta[0]) < 0
+        assert not entry.stable
+        assert "beta_0" in entry.reason
+        assert entry.solve_error is None
 
     def test_order2_scan_errors_are_the_steady_solver_errors(self):
         # the scan's order-2, shift-1 family is the order2 steady scheme,
