@@ -1,15 +1,16 @@
 """Crank-Nicolson stepping for the two-sided space-fractional diffusion
 equation u_t = K1 * D_left^alpha u + K2 * D_right^alpha u + f.
 
-The spatial operator uses the shifted order-2 generator on both sides;
-the order-3 variant premultiplies the equation by the quasi-compact
-tridiagonal preconditioner. The two-sided operator B = (tau/2)(K1 A +
-K2 A^T) is Toeplitz, so its interior matrix and boundary columns are
-taken from the first column and row of A, with no full-grid matrix. The
-CN matrices are constant in time, so the march is the linear recurrence
-u_next = S u + c_m: the step matrix S = (P - B)^-1 (P + B) is built once
-per run, and the forcing c_m, which depends only on the source and the
-boundary values, is solved for a block of STEP_BLOCK steps at a time.
+The scheme rule (operators.scheme_operator) gives the shifted order-2
+operator A on both sides and, for order3, the quasi-compact tridiagonal
+preconditioner P that premultiplies the equation (P = I for order2). The
+two-sided operator B = (tau/2)(K1 A + K2 A^T) is Toeplitz, so its
+interior matrix and boundary columns are taken from the first column and
+row of A, with no full-grid matrix. The CN matrices are constant in
+time, so every march here is the linear recurrence u_next = S u + c_m
+with the step matrix S = (P - B)^-1 (P + B), built once per CN system.
+The forcing c_m = (P - B)^-1 r_m depends only on the sources (and the
+boundary values), so it is solved for many steps in one multi-RHS solve.
 """
 
 from __future__ import annotations
@@ -21,16 +22,14 @@ import numpy as np
 from scipy.linalg import toeplitz
 from scipy.special import gamma
 
-from .generators import a2_coefficient, beta_table, grunwald_weights
 from .operators import (
     GridSpec,
     check_domain,
-    check_scheme,
     checked_lu,
     precondition_rows,
+    scheme_operator,
     solve_factored,
     split_boundary,
-    toeplitz_generators,
 )
 
 __all__ = [
@@ -90,36 +89,34 @@ class DiffusionProblem:
             raise ValueError("diffusion coefficients must be nonnegative")
         if self.k_left == 0 and self.k_right == 0:
             raise ValueError("diffusion coefficients must not both vanish")
-        sample_times = np.linspace(0.0, self.t_final, 5)
-        if self.k_left != 0 and any(
-            self.bc_left(t) != 0 for t in sample_times
-        ):
+        if self.k_left != 0 and not self._vanishes(self.bc_left):
             raise ValueError(
                 "left boundary values must vanish when k_left is nonzero"
             )
-        if self.k_right != 0 and any(
-            self.bc_right(t) != 0 for t in sample_times
-        ):
+        if self.k_right != 0 and not self._vanishes(self.bc_right):
             raise ValueError(
                 "right boundary values must vanish when k_right is nonzero"
             )
 
+    def _vanishes(self, boundary: Callable[[float], float]) -> bool:
+        """Whether the boundary is zero at five times in [0, t_final]."""
+        return all(boundary(t) == 0
+                   for t in np.linspace(0.0, self.t_final, 5))
+
     @property
     def homogeneous_boundary(self) -> bool:
-        times = np.linspace(0.0, self.t_final, 5)
-        return all(self.bc_left(t) == 0 for t in times) and all(
-            self.bc_right(t) == 0 for t in times
-        )
+        return self._vanishes(self.bc_left) and self._vanishes(self.bc_right)
 
 
 @dataclass(frozen=True)
 class CNSystem:
     """Assembled Crank-Nicolson step on the interior unknowns.
 
-    p_reduced is the preconditioner (identity for order 2), b_reduced is
-    (tau/2)(K1 A + K2 A^T); the step solves the factored p - b against
-    (p + b) u + sources, with the boundary columns kept for folding in
-    known boundary values.
+    p_reduced is the preconditioner P (identity for order 2), b_reduced
+    is B = (tau/2)(K1 A + K2 A^T), factors is the LU factorisation of
+    P - B, and step is the step matrix S = (P - B)^-1 (P + B), so one step
+    is u_next = S u + (P - B)^-1 r with r the step's sources. The boundary
+    columns of B are kept for folding in known boundary values.
     """
 
     tau: float
@@ -127,26 +124,22 @@ class CNSystem:
     p_reduced: np.ndarray
     b_reduced: np.ndarray
     factors: tuple
-    rhs_matrix: np.ndarray
+    step: np.ndarray
     b_col_left: np.ndarray
     b_col_right: np.ndarray
 
 
 def _cn_system(problem: DiffusionProblem, grid: GridSpec,
                m_steps: int, scheme: str) -> CNSystem:
-    check_scheme(scheme)
+    alpha = float(problem.alpha)
+    col, row, a2 = scheme_operator(scheme, alpha, grid)
     if m_steps < 1:
         raise ValueError("need at least one time step")
-    alpha = float(problem.alpha)
     tau = problem.t_final / m_steps
-    generator = beta_table(2, 1, alpha)
-    col, row = toeplitz_generators(grunwald_weights(generator, grid.n + 1),
-                                   grid)
     # B = (tau/2)(K1 A + K2 A^T) is Toeplitz with these column and row
     half, k1, k2 = 0.5 * tau, problem.k_left, problem.k_right
     b_col, b_row, b_left, b_right = split_boundary(
         half * (k1 * col + k2 * row), half * (k1 * row + k2 * col))
-    a2 = float(a2_coefficient(1, alpha)) if scheme == "order3" else 0.0
     p_hat = precondition_rows(np.eye(grid.n + 1, grid.n - 1, k=-1), a2)
     b_hat = toeplitz(b_col, b_row)
     factors = checked_lu(
@@ -159,7 +152,7 @@ def _cn_system(problem: DiffusionProblem, grid: GridSpec,
         p_reduced=p_hat,
         b_reduced=b_hat,
         factors=factors,
-        rhs_matrix=p_hat + b_hat,
+        step=solve_factored(factors, p_hat + b_hat),
         b_col_left=b_left,
         b_col_right=b_right,
     )
@@ -173,13 +166,13 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
     Each step solves (P - B) u_next = (P + B) u + tau * (P f)(midpoint)
     on the interior, with the known boundary values folded in through the
     boundary columns of B and P. The march applies the step matrix
-    S = (P - B)^-1 (P + B) and adds the forcing (P - B)^-1 r_m, whose
+    S of the CN system and adds the forcing (P - B)^-1 r_m, whose
     right-hand sides r_m are stacked and solved STEP_BLOCK at a time.
     Raises ValueError when the data or the state become non-finite.
     """
     check_domain(problem, grid)
     system = _cn_system(problem, grid, m_steps, scheme)
-    tau, a2 = system.tau, system.a2
+    tau, a2, step = system.tau, system.a2, system.step
     x = grid.points()
     initial = np.asarray(problem.init(x), dtype=float)
     # boundary values at t_0 .. t_M; t_0 takes the sampled initial data
@@ -188,7 +181,6 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
     right = np.array([problem.bc_right(m * tau)
                       for m in range(m_steps + 1)], dtype=float)
     left[0], right[0] = initial[0], initial[-1]
-    step = solve_factored(system.factors, system.rhs_matrix)
     u = initial[1:-1].copy()
     for start in range(0, m_steps, STEP_BLOCK):
         stop = min(start + STEP_BLOCK, m_steps)
@@ -263,6 +255,8 @@ def stability_estimate_check(problem: DiffusionProblem, grid: GridSpec,
         order3:  ||v^m|| <= sqrt(5) (||v^0|| + sqrt(5) tau sum ||S^l||)
         order2:  ||v^m|| <=          ||v^0|| +         tau sum ||S^l||
 
+    All sources are drawn as one block and solved in one call; the march
+    is v^{m+1} = step v^m + (P - B)^-1 tau S^m with CNSystem.step.
     Requires homogeneous boundary values. Amplitudes of 0 reproduce the
     unforced / zero-start special cases.
     """
@@ -274,8 +268,8 @@ def stability_estimate_check(problem: DiffusionProblem, grid: GridSpec,
     rng = np.random.default_rng(seed)
     interior = grid.n - 1
     v = init_amplitude * rng.standard_normal(interior)
-    if init_amplitude == 0.0:
-        v = np.zeros(interior)
+    sources = source_amplitude * rng.standard_normal((m_steps, interior))
+    forcing = solve_factored(system.factors, tau * sources.T)
 
     def norm(vec):
         return float(np.sqrt(h * np.dot(vec, vec)))
@@ -284,12 +278,8 @@ def stability_estimate_check(problem: DiffusionProblem, grid: GridSpec,
     norms = [norm(v)]
     bounds = [amp * norms[0]]
     source_total = 0.0
-    for _ in range(m_steps):
-        s = source_amplitude * rng.standard_normal(interior)
-        if source_amplitude == 0.0:
-            s = np.zeros(interior)
-        rhs = system.rhs_matrix @ v + tau * s
-        v = solve_factored(system.factors, rhs)
+    for s, f in zip(sources, forcing.T):
+        v = system.step @ v + f
         source_total += norm(s)
         norms.append(norm(v))
         bounds.append(amp * (norms[0] + amp * tau * source_total))

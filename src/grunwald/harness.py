@@ -151,6 +151,36 @@ def _solve_once(problem_id: str, scheme: str, alpha: float, n: int,
     return float(np.max(np.abs(solution - exact)))
 
 
+def _study(problem: str, scheme: str, alpha: float, n_values: Sequence[int],
+           m_values: Sequence[int]) -> tuple:
+    """Solve at each (N, M) in turn; a row's order is log2 of the previous
+    over this unrounded error, empty when either is missing or zero. Solver
+    failures are recorded in their row and do not abort the study."""
+    rows = []
+    previous = None
+    for n, m in zip(n_values, m_values):
+        error = None
+        failure = None
+        try:
+            error = _solve_once(problem, scheme, alpha, n, m)
+        except SolverFailure as exc:
+            failure = str(exc)
+        order = None
+        if previous and error:
+            order = _round_order(math.log2(previous / error))
+        rows.append(
+            ConvergenceRow(
+                n=n,
+                m=m,
+                max_error=_round_error(error),
+                observed_order=order,
+                failure=failure,
+            )
+        )
+        previous = error
+    return tuple(rows)
+
+
 def run_convergence(config: RunConfig) -> list:
     """Execute the configured solves and assemble one report per alpha.
 
@@ -158,39 +188,19 @@ def run_convergence(config: RunConfig) -> list:
     Writes CSV (and optionally a JSON mirror) when the config names an
     output path.
     """
-    reports = []
-    for alpha in config.alphas:
-        rows = []
-        previous = None
-        for n in config.n_values:
-            m = config.steps_for(n) if config.problem == "diffusion-poly" else 0
-            error = None
-            failure = None
-            try:
-                error = _solve_once(config.problem, config.scheme, alpha, n, m)
-            except SolverFailure as exc:
-                failure = str(exc)
-            order = None
-            if error is not None and previous is not None:
-                order = _round_order(math.log2(previous / error))
-            rows.append(
-                ConvergenceRow(
-                    n=n,
-                    m=m,
-                    max_error=_round_error(error),
-                    observed_order=order,
-                    failure=failure,
-                )
-            )
-            previous = error
-        reports.append(
-            ConvergenceReport(
-                problem=config.problem,
-                scheme=config.scheme,
-                alpha=alpha,
-                rows=tuple(rows),
-            )
+    diffusion = config.problem == "diffusion-poly"
+    m_values = [config.steps_for(n) if diffusion else 0
+                for n in config.n_values]
+    reports = [
+        ConvergenceReport(
+            problem=config.problem,
+            scheme=config.scheme,
+            alpha=alpha,
+            rows=_study(config.problem, config.scheme, alpha,
+                        config.n_values, m_values),
         )
+        for alpha in config.alphas
+    ]
     if config.output:
         write_report_csv(reports, config.output)
         if config.json_mirror:
@@ -394,52 +404,38 @@ def reproduce_table(table_id: int, *, out_path=None) -> TableDiffReport:
     m_values = ref.m_values or tuple(0 for _ in ref.n_values)
     cells = []
     for alpha in ref.alphas:
-        errors = []
-        for n, m in zip(ref.n_values, m_values):
-            try:
-                errors.append(
-                    _solve_once(ref.problem, ref.scheme, alpha, n, m)
-                )
-            except SolverFailure:
-                errors.append(None)
+        rows = _study(ref.problem, ref.scheme, alpha, ref.n_values, m_values)
         gate_errors = alpha not in ref.ungated_error_alphas
         tol = (LOOSE_ORDER_TOL_HUNDREDTHS if alpha in ref.loose_order_alphas
                else ORDER_TOL_HUNDREDTHS)
-        for idx, (n, m) in enumerate(zip(ref.n_values, m_values)):
-            expected_error = ref.errors[alpha][idx]
-            expected_order = ref.orders[alpha][idx]
-            actual = errors[idx]
+        for row, expected_error, expected_order in zip(
+                rows, ref.errors[alpha], ref.orders[alpha], strict=True):
             rel = None
             error_ok = None
-            if actual is None:
+            if row.max_error is None:
                 error_ok = False if gate_errors else None
             else:
-                rel = abs(actual - expected_error) / expected_error
+                rel = abs(row.max_error - expected_error) / expected_error
                 if gate_errors:
                     error_ok = rel <= ERROR_RTOL
-            actual_order = None
             order_ok = None
-            if idx > 0 and errors[idx - 1] and actual:
-                actual_order = _round_order(
-                    math.log2(errors[idx - 1] / actual)
-                )
             if expected_order is not None:
                 order_ok = (
-                    actual_order is not None
-                    and abs(round(actual_order * 100)
+                    row.observed_order is not None
+                    and abs(round(row.observed_order * 100)
                             - round(expected_order * 100)) <= tol
                 )
             cells.append(
                 CellDiff(
                     alpha=alpha,
-                    n=n,
-                    m=m,
+                    n=row.n,
+                    m=row.m,
                     expected_error=expected_error,
-                    actual_error=_round_error(actual),
+                    actual_error=row.max_error,
                     error_rel_diff=rel,
                     error_ok=error_ok,
                     expected_order=expected_order,
-                    actual_order=actual_order,
+                    actual_order=row.observed_order,
                     order_ok=order_ok,
                 )
             )
@@ -496,9 +492,14 @@ def _symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     return eigvalsh(0.5 * (matrix + matrix.T))
 
 
+# in definition order, which fixes each property's seed [seed, index]
+_PROPERTIES = []
+
+
 def _prop(name):
     def wrap(fn):
         fn.property_name = name
+        _PROPERTIES.append(fn)
         return fn
 
     return wrap
@@ -601,10 +602,9 @@ def _prop_negative_definite(rng):
     worst = -np.inf
     for alpha in (1.1, 1.5, 1.9):
         for n in (16, 64):
-            grid = GridSpec(0.0, 1.0, n)
-            weights = gen.grunwald_weights(gen.beta_table(2, 1, alpha), n + 1)
-            top = _symmetric_eigenvalues(
-                toeplitz(*ops.toeplitz_generators(weights, grid)))[-1]
+            col, row, _ = ops.scheme_operator("order2", alpha,
+                                              GridSpec(0.0, 1.0, n))
+            top = _symmetric_eigenvalues(toeplitz(col, row))[-1]
             worst = max(worst, top)
             if top > 1e-12:
                 return False, (
@@ -616,9 +616,10 @@ def _prop_negative_definite(rng):
 @_prop("preconditioner-norm-equivalence")
 def _prop_norm_equivalence(rng):
     lo, hi = np.inf, -np.inf
+    grid = GridSpec(0.0, 1.0, 64)
     for alpha in (1.0, 1.5, 2.0):
-        a2 = float(gen.a2_coefficient(1, alpha))
-        size = 63  # interior of a 64-interval grid
+        _, _, a2 = ops.scheme_operator("order3", alpha, grid)
+        size = grid.n - 1
         eigs = _symmetric_eigenvalues(
             ops.precondition_rows(np.eye(size + 2, size, k=-1), a2))
         lo, hi = min(lo, eigs[0]), max(hi, eigs[-1])
@@ -668,7 +669,7 @@ def _prop_cn_energy(rng):
         grid = GridSpec(0.0, 1.0, 32)
         system = _cn_system(problem, grid, 16, "order3")
         v0 = rng.standard_normal(grid.n - 1)
-        v1 = ops.solve_factored(system.factors, system.rhs_matrix @ v0)
+        v1 = system.step @ v0
         e0 = float(v0 @ (system.p_reduced @ v0))
         e1 = float(v1 @ (system.p_reduced @ v1))
         if e1 > e0 * (1.0 + 1e-12):
@@ -738,24 +739,6 @@ def _prop_cn_zero(rng):
     if np.max(np.abs(final)) != 0.0:
         return False, f"max |u| = {np.max(np.abs(final)):.2e}"
     return True, ""
-
-
-_PROPERTIES = (
-    _prop_table_vs_construction,
-    _prop_tail_decay,
-    _prop_sign_pattern,
-    _prop_binomial,
-    _prop_matrix_apply,
-    _prop_negative_definite,
-    _prop_norm_equivalence,
-    _prop_precond_symmetric,
-    _prop_cn_coercive,
-    _prop_cn_energy,
-    _prop_bound_order3,
-    _prop_bound_order2,
-    _prop_steady_linear,
-    _prop_cn_zero,
-)
 
 
 def run_property_suite(seed: int = DEFAULT_SEED) -> PropertySuiteReport:

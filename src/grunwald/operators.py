@@ -6,11 +6,13 @@ operator (callers that need the dense matrix build it with
 scipy.linalg.toeplitz, and the right-side operator is toeplitz(row, col));
 the split of that matrix into its Toeplitz interior and boundary columns,
 and the fold that moves known boundary values to the right-hand side; the
-tridiagonal quasi-compact preconditioner stencil; and the two checked
-solves: a Levinson Toeplitz solve with a condition estimate and a dense
-LU. Also the scheme list and the set-up checks shared by the solvers.
-Functions outside the grid are zero-extended, so indices that fall off
-the grid simply contribute nothing.
+tridiagonal quasi-compact preconditioner stencil; the scheme rule, which
+maps a scheme name to the shifted order-2 column and row and the
+preconditioner coefficient; and the two checked solves: a Levinson
+Toeplitz solve with a condition estimate (steady solves) and a dense LU
+(the Crank-Nicolson step). Also the scheme list and the set-up checks
+shared by the solvers. Functions outside the grid are zero-extended, so
+indices that fall off the grid simply contribute nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, lu_factor, lu_solve, solve_toeplitz
 from scipy.linalg.lapack import dgecon
 
-from .generators import WeightSequence
+from .generators import (WeightSequence, a2_coefficient, beta_table,
+                         grunwald_weights)
 
 __all__ = [
     "GridSpec",
@@ -30,6 +33,7 @@ __all__ = [
     "apply_grunwald",
     "check_domain",
     "check_scheme",
+    "scheme_operator",
     "precondition_rows",
     "toeplitz_generators",
     "split_boundary",
@@ -154,6 +158,20 @@ def check_scheme(scheme: str) -> None:
         raise ValueError(
             f"unknown scheme {scheme!r}; expected one of {SCHEMES}"
         )
+
+
+def scheme_operator(scheme: str, alpha: float, grid: GridSpec):
+    """The scheme rule: both schemes discretise with the shifted order-2
+    generator, and order3 also premultiplies by the quasi-compact
+    preconditioner. Returns the first column and row of the left operator
+    matrix (see toeplitz_generators) and the preconditioner coefficient
+    a2, which is 0 for order2 (precondition_rows is then the identity).
+    """
+    check_scheme(scheme)
+    weights = grunwald_weights(beta_table(2, 1, alpha), grid.n + 1)
+    col, row = toeplitz_generators(weights, grid)
+    a2 = float(a2_coefficient(1, alpha)) if scheme == "order3" else 0.0
+    return col, row, a2
 
 
 def check_domain(problem, grid: GridSpec) -> None:

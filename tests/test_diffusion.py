@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor
+from scipy.linalg import lu_factor, lu_solve
 from scipy.special import gamma
 
 from grunwald import (
@@ -39,13 +39,14 @@ def per_step_march(problem, grid, m_steps, scheme):
     """Reference CN march: one right-hand side and one LU solve per step."""
     system = _cn_system(problem, grid, m_steps, scheme)
     tau, a2 = system.tau, system.a2
+    rhs_matrix = system.p_reduced + system.b_reduced
     x = grid.points()
     current = np.asarray(problem.init(x), dtype=float)
     for m in range(m_steps):
         left_next = float(problem.bc_left((m + 1) * tau))
         right_next = float(problem.bc_right((m + 1) * tau))
         f = np.asarray(problem.source(x, (m + 0.5) * tau), dtype=float)
-        rhs = system.rhs_matrix @ current[1:-1]
+        rhs = rhs_matrix @ current[1:-1]
         rhs += tau * (a2 * (f[:-2] + f[2:]) + (1.0 - 2.0 * a2) * f[1:-1])
         rhs += system.b_col_left * (left_next + current[0])
         rhs += system.b_col_right * (right_next + current[-1])
@@ -211,9 +212,10 @@ def dense_cn_system(problem, grid, m_steps, scheme):
     a2 = float(a2_coefficient(1, alpha)) if scheme == "order3" else 0.0
     p_hat = precondition_rows(np.eye(grid.n + 1, grid.n - 1, k=-1), a2)
     b_hat = b_full[1:-1, 1:-1]
+    factors = lu_factor(p_hat - b_hat)
     return dict(b_reduced=b_hat, b_col_left=b_full[1:-1, 0],
-                b_col_right=b_full[1:-1, -1], rhs_matrix=p_hat + b_hat,
-                factors=lu_factor(p_hat - b_hat))
+                b_col_right=b_full[1:-1, -1],
+                step=lu_solve(factors, p_hat + b_hat), factors=factors)
 
 
 class TestCNSystemOracle:
@@ -231,8 +233,7 @@ class TestCNSystemOracle:
         grid = GridSpec(0.0, 1.0, n)
         system = _cn_system(problem, grid, 64, scheme)
         dense = dense_cn_system(problem, grid, 64, scheme)
-        for name in ("b_reduced", "b_col_left", "b_col_right",
-                     "rhs_matrix"):
+        for name in ("b_reduced", "b_col_left", "b_col_right", "step"):
             assert np.array_equal(getattr(system, name), dense[name]), name
         assert np.array_equal(system.factors[0], dense["factors"][0])
         assert np.array_equal(system.factors[1], dense["factors"][1])
@@ -303,7 +304,47 @@ class TestFractionalPolySource:
         assert ratio == pytest.approx(4.0, abs=0.7)
 
 
+def per_step_stability_check(problem, grid, m_steps, scheme, seed):
+    """Reference of stability_estimate_check: one source draw and one LU
+    solve of (P - B) v^{m+1} = (P + B) v^m + tau S^m per step. Returns the
+    norms, the bounds and the verdict."""
+    system = _cn_system(problem, grid, m_steps, scheme)
+    rhs_matrix = system.p_reduced + system.b_reduced
+    rng = np.random.default_rng(seed)
+    amp = np.sqrt(5.0) if scheme == "order3" else 1.0
+
+    def norm(vec):
+        return float(np.sqrt(grid.h * np.dot(vec, vec)))
+
+    v = rng.standard_normal(grid.n - 1)
+    norms, bounds, total = [norm(v)], [amp * norm(v)], 0.0
+    for _ in range(m_steps):
+        s = rng.standard_normal(grid.n - 1)
+        v = solve_factored(system.factors, rhs_matrix @ v + system.tau * s)
+        total += norm(s)
+        norms.append(norm(v))
+        bounds.append(amp * (norms[0] + amp * system.tau * total))
+    norms, bounds = np.array(norms), np.array(bounds)
+    return norms, bounds, bool(np.max(norms / bounds) <= 1.0 + 1e-12)
+
+
 class TestStabilityEstimate:
+    @pytest.mark.parametrize("m_steps", [30, 300])
+    @pytest.mark.parametrize("alpha", [1.1, 1.9])
+    @pytest.mark.parametrize("scheme", ["order2", "order3"])
+    def test_block_draw_matches_per_step_iteration(self, scheme, alpha,
+                                                   m_steps):
+        problem = polynomial_diffusion_problem(alpha)
+        grid = GridSpec(0.0, 1.0, 32)
+        for seed in range(5):
+            report = stability_estimate_check(problem, grid, m_steps, scheme,
+                                              seed=seed)
+            norms, bounds, ok = per_step_stability_check(
+                problem, grid, m_steps, scheme, seed)
+            assert report.norms == pytest.approx(norms, rel=1e-12, abs=0)
+            assert report.bounds == pytest.approx(bounds, rel=1e-12, abs=0)
+            assert report.ok == ok
+
     def test_order2_unforced_monotone(self):
         problem = polynomial_diffusion_problem(1.5)
         report = stability_estimate_check(

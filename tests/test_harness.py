@@ -17,6 +17,7 @@ from grunwald import (
     write_report_csv,
     write_report_json,
 )
+from grunwald import harness
 from grunwald.harness import _round_error, _round_order
 from grunwald.reference_tables import REFERENCE_TABLES
 
@@ -81,6 +82,15 @@ class TestRunConvergence:
         assert len(rows) == 1
         assert rows[0].observed_order is None
         assert rows[0].max_error is not None
+
+    def test_zero_error_has_no_order(self, monkeypatch):
+        errors = iter([0.5, 0.0, 0.125])
+        monkeypatch.setattr(harness, "_solve_once",
+                            lambda *args: next(errors))
+        config = RunConfig("steady-poly", "order2", (1.5,), (16, 32, 64))
+        rows = run_convergence(config)[0].rows
+        assert [row.max_error for row in rows] == [0.5, 0.0, 0.125]
+        assert [row.observed_order for row in rows] == [None, None, None]
 
     def test_diffusion_ceil_rule_orders(self):
         config = RunConfig(
@@ -203,6 +213,25 @@ class TestReproduceTable:
         assert list(table.orders[1.1][1:-1]) == derived[1:]
         assert "shifted one row" in table.note
 
+    def test_cells_are_the_study_rows(self):
+        """Each cell shows the printed (5-digit) error and order of the
+        convergence study, and its relative difference is taken from that
+        printed error."""
+        report = reproduce_table(3)
+        ref = REFERENCE_TABLES[3]
+        studies = {
+            alpha: run_convergence(RunConfig(ref.problem, ref.scheme,
+                                             (alpha,), ref.n_values))[0]
+            for alpha in ref.alphas
+        }
+        for cell in report.cells:
+            row = studies[cell.alpha].rows[ref.n_values.index(cell.n)]
+            assert cell.actual_error == row.max_error
+            assert cell.actual_order == row.observed_order
+            assert cell.error_rel_diff == (
+                abs(cell.actual_error - cell.expected_error)
+                / cell.expected_error)
+
     def test_reproduction_is_deterministic(self):
         first = reproduce_table(3)
         second = reproduce_table(3)
@@ -222,6 +251,26 @@ class TestPropertySuite:
             for seed in range(10)
         }
         assert len(verdicts) == 1
+
+    def test_properties_run_in_definition_order(self):
+        # each property's generator is seeded from its index, so this
+        # order fixes every random draw of the suite
+        assert [prop.property_name for prop in harness._PROPERTIES] == [
+            "generator-table-matches-construction",
+            "weight-tail-sums-decay",
+            "weight-sign-pattern",
+            "first-order-weights-match-binomial-recursion",
+            "matrix-matches-convolution-apply",
+            "operator-negative-definite",
+            "preconditioner-norm-equivalence",
+            "preconditioner-symmetric",
+            "cn-left-matrix-coercive",
+            "cn-single-step-energy-decay",
+            "cn-energy-bound-order3",
+            "cn-energy-bound-order2",
+            "steady-solver-linear",
+            "cn-zero-data-stays-zero",
+        ]
 
     def test_summary_mentions_every_property(self):
         report = run_property_suite()

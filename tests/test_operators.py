@@ -19,6 +19,7 @@ from grunwald.operators import (
     checked_toeplitz_solve,
     dirichlet_fold,
     precondition_rows,
+    scheme_operator,
     split_boundary,
     toeplitz_generators,
 )
@@ -221,6 +222,29 @@ class TestPreconditioner:
         ratios /= np.einsum("ij,ij->i", samples, samples)
         assert ratios.min() > 0.2
         assert ratios.max() <= 1.0 + 1e-12
+
+
+class TestSchemeOperator:
+    def test_unknown_scheme(self):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            scheme_operator("order4", 1.5, GridSpec(0.0, 1.0, 16))
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9, 2.0])
+    @pytest.mark.parametrize("scheme", ["order2", "order3"])
+    def test_shifted_order2_operator_and_a2(self, scheme, alpha, n):
+        from grunwald import a2_coefficient
+
+        grid = GridSpec(0.0, 1.0, n)
+        col, row, a2 = scheme_operator(scheme, alpha, grid)
+        weights = grunwald_weights(beta_table(2, 1, alpha), n + 1)
+        expected_col, expected_row = toeplitz_generators(weights, grid)
+        assert np.array_equal(col, expected_col)
+        assert np.array_equal(row, expected_row)
+        if scheme == "order2":
+            assert a2 == 0.0
+        else:
+            assert a2 == float(a2_coefficient(1, alpha))
 
 
 class TestReduceSystem:
