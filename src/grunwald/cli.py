@@ -249,11 +249,7 @@ def _cmd_reproduce_table(args) -> int:
             f"{cell.actual_error if cell.actual_error is not None else 'none'}",
             file=sys.stderr,
         )
-    gated = [c for c in report.cells if c.error_ok is not None or c.order_ok is not None]
-    print(
-        f"table {args.table}: {'PASS' if report.passed else 'FAIL'} "
-        f"({len(gated)} gated cells)"
-    )
+    print(report.summary())
     print(f"wrote {path}")
     return 0 if report.passed else 1
 

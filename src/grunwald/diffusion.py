@@ -7,15 +7,18 @@ preconditioner P that premultiplies the equation (P = I for order2). The
 two-sided operator B = (tau/2)(K1 A + K2 A^T) is Toeplitz, so its
 interior matrix and boundary columns are taken from the first column and
 row of A, with no full-grid matrix. The CN matrices are constant in
-time, so every march here is the linear recurrence u_next = S u + c_m
-with the step matrix S = (P - B)^-1 (P + B), built once per CN system.
-The forcing c_m = (P - B)^-1 r_m depends only on the sources (and the
-boundary values), so it is solved for many steps in one multi-RHS solve.
+time, so a step (P - B) u_next = (P + B) u + r_m is linear with constant
+coefficients. cn_solve marches it in the coordinates y = (P - B) u, in
+increment form y_next = y + E y + r_m with E = 2 B (P - B)^-1: the
+forcing r_m needs no solve, SUBSTEPS steps are grouped into one matvec,
+and one solve per run maps y back to u. The energy check marches
+u_next = S u + (P - B)^-1 r_m with the step matrix S = (P - B)^-1 (P + B).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,10 +44,15 @@ __all__ = [
     "stability_estimate_check",
 ]
 
-# Time steps whose forcing is assembled and solved together: large enough
-# that one multi-RHS triangular solve replaces many per-step solver calls,
-# small enough that a block is a few MB at the paper's N <= 512.
+# Time steps whose forcing is assembled together: large enough that the
+# grouped forcing is a few matrix products, small enough that a block is a
+# few MB at the paper's N <= 512. A multiple of SUBSTEPS.
 STEP_BLOCK = 256
+
+# cn_solve marches SUBSTEPS = 2^SUBSTEP_DOUBLINGS steps per matvec, so the
+# step operator is streamed once per group instead of once per step.
+SUBSTEP_DOUBLINGS = 4
+SUBSTEPS = 2 ** SUBSTEP_DOUBLINGS
 
 # Norm-equivalence constant of the preconditioned energy norm: the
 # discrete L2 norm is controlled by sqrt(5) times the P-norm.
@@ -113,10 +121,12 @@ class CNSystem:
     """Assembled Crank-Nicolson step on the interior unknowns.
 
     p_reduced is the preconditioner P (identity for order 2), b_reduced
-    is B = (tau/2)(K1 A + K2 A^T), factors is the LU factorisation of
-    P - B, and step is the step matrix S = (P - B)^-1 (P + B), so one step
-    is u_next = S u + (P - B)^-1 r with r the step's sources. The boundary
-    columns of B are kept for folding in known boundary values.
+    is B = (tau/2)(K1 A + K2 A^T) and factors is the LU factorisation of
+    P - B, so one step is (P - B) u_next = (P + B) u + r with r the step's
+    sources and boundary terms. The boundary columns of B are kept for
+    folding in known boundary values. The step matrix
+    S = (P - B)^-1 (P + B) is built on first use; cn_solve does not use
+    it.
     """
 
     tau: float
@@ -124,9 +134,12 @@ class CNSystem:
     p_reduced: np.ndarray
     b_reduced: np.ndarray
     factors: tuple
-    step: np.ndarray
     b_col_left: np.ndarray
     b_col_right: np.ndarray
+
+    @cached_property
+    def step(self) -> np.ndarray:
+        return solve_factored(self.factors, self.p_reduced + self.b_reduced)
 
 
 def _cn_system(problem: DiffusionProblem, grid: GridSpec,
@@ -152,7 +165,6 @@ def _cn_system(problem: DiffusionProblem, grid: GridSpec,
         p_reduced=p_hat,
         b_reduced=b_hat,
         factors=factors,
-        step=solve_factored(factors, p_hat + b_hat),
         b_col_left=b_left,
         b_col_right=b_right,
     )
@@ -163,16 +175,20 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
     """March the Crank-Nicolson scheme; returns the n + 1 grid values at
     the final time.
 
-    Each step solves (P - B) u_next = (P + B) u + tau * (P f)(midpoint)
-    on the interior, with the known boundary values folded in through the
-    boundary columns of B and P. The march applies the step matrix
-    S of the CN system and adds the forcing (P - B)^-1 r_m, whose
-    right-hand sides r_m are stacked and solved STEP_BLOCK at a time.
+    Each step solves (P - B) u_next = (P + B) u + r_m on the interior,
+    with r_m = tau * (P f)(midpoint) and the known boundary values folded
+    in through the boundary columns of B and P. The march runs on
+    y = (P - B) u in increment form, y_next = y + E y + r_m with
+    E = 2 B (P - B)^-1, and maps back with one solve at the end. Each
+    full group of SUBSTEPS steps is one matvec with E_k, where
+    I + E_k = (I + E)^SUBSTEPS; the forcing of every group in a block of
+    STEP_BLOCK steps comes from one Horner pass of matrix products.
     Raises ValueError when the data or the state become non-finite.
     """
     check_domain(problem, grid)
     system = _cn_system(problem, grid, m_steps, scheme)
-    tau, a2, step = system.tau, system.a2, system.step
+    tau, a2, factors = system.tau, system.a2, system.factors
+    b_col_left, b_col_right = system.b_col_left, system.b_col_right
     x = grid.points()
     initial = np.asarray(problem.init(x), dtype=float)
     # boundary values at t_0 .. t_M; t_0 takes the sampled initial data
@@ -181,7 +197,17 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
     right = np.array([problem.bc_right(m * tau)
                       for m in range(m_steps + 1)], dtype=float)
     left[0], right[0] = initial[0], initial[-1]
-    u = initial[1:-1].copy()
+    u = initial[1:-1]
+    y = system.p_reduced @ u - system.b_reduced @ u
+    # E^T solves (P - B)^T E^T = 2 B^T on the factors of P - B
+    e_one = solve_factored(factors, 2.0 * system.b_reduced.T, trans=1).T
+    del system  # P and B are not needed past this point
+    e_group = e_one
+    for _ in range(SUBSTEP_DOUBLINGS):
+        # (I + E_j)^2 = I + E_2j with E_2j = 2 E_j + E_j E_j
+        squared = e_group @ e_group
+        squared += 2.0 * e_group
+        e_group = squared
     for start in range(0, m_steps, STEP_BLOCK):
         stop = min(start + STEP_BLOCK, m_steps)
         f_mid = np.empty((stop - start, grid.n + 1))
@@ -190,17 +216,28 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
         rhs = tau * precondition_rows(f_mid.T, a2)
         left_now, left_next = left[start:stop], left[start + 1:stop + 1]
         right_now, right_next = right[start:stop], right[start + 1:stop + 1]
-        rhs += np.multiply.outer(system.b_col_left, left_next + left_now)
-        rhs += np.multiply.outer(system.b_col_right, right_next + right_now)
+        rhs += np.multiply.outer(b_col_left, left_next + left_now)
+        rhs += np.multiply.outer(b_col_right, right_next + right_now)
         if a2 != 0.0:
             rhs[0] -= a2 * (left_next - left_now)
             rhs[-1] -= a2 * (right_next - right_now)
-        forcing = solve_factored(system.factors, rhs)
-        for j in range(stop - start):
-            u = step @ u
-            u += forcing[:, j]
-        if not np.all(np.isfinite(u)):
+        groups = (stop - start) // SUBSTEPS
+        grouped = rhs[:, :groups * SUBSTEPS].reshape(len(rhs), groups,
+                                                     SUBSTEPS)
+        # Horner: z = sum_i (I + E)^(SUBSTEPS-1-i) r_i for every group
+        z = grouped[:, :, 0].copy()
+        for i in range(1, SUBSTEPS):
+            z += e_one @ z
+            z += grouped[:, :, i]
+        for g in range(groups):
+            y += e_group @ y
+            y += z[:, g]
+        for j in range(groups * SUBSTEPS, stop - start):
+            y += e_one @ y
+            y += rhs[:, j]
+        if not np.all(np.isfinite(y)):
             raise ValueError(f"state is not finite after step {stop}")
+    u = solve_factored(factors, y)
     return np.concatenate(([left[-1]], u, [right[-1]]))
 
 

@@ -350,6 +350,17 @@ class CellDiff:
     expected_order: Optional[float]
     actual_order: Optional[float]
     order_ok: Optional[bool]
+    # distance to the tolerance of a gated cell, negative when it fails:
+    # ERROR_RTOL - error_rel_diff, and the order tolerance minus the order
+    # difference in whole hundredths
+    error_margin: Optional[float] = None
+    order_margin: Optional[int] = None
+
+
+def _worst(cells, field: str):
+    """The cell with the smallest margin in `field`, or None."""
+    gated = [c for c in cells if getattr(c, field) is not None]
+    return min(gated, key=lambda c: getattr(c, field), default=None)
 
 
 @dataclass(frozen=True)
@@ -388,6 +399,21 @@ class TableDiffReport:
             if c.error_ok is False or c.order_ok is False
         )
 
+    def summary(self) -> str:
+        gated = [c for c in self.cells
+                 if c.error_ok is not None or c.order_ok is not None]
+        order = _worst(self.cells, "order_margin")
+        error = _worst(self.cells, "error_margin")
+        return (
+            f"table {self.table_id}: {'PASS' if self.passed else 'FAIL'} "
+            f"({len(gated)} gated cells)\nworst margin: order "
+            + (f"{order.order_margin} hundredths (alpha={order.alpha}, "
+               f"N={order.n})" if order else "none")
+            + "; error "
+            + (f"{error.error_margin:.4f} relative (alpha={error.alpha}, "
+               f"N={error.n})" if error else "none")
+        )
+
 
 def reproduce_table(table_id: int, *, out_path=None) -> TableDiffReport:
     """Re-run the exact configuration behind a benchmark table and diff
@@ -410,21 +436,20 @@ def reproduce_table(table_id: int, *, out_path=None) -> TableDiffReport:
                else ORDER_TOL_HUNDREDTHS)
         for row, expected_error, expected_order in zip(
                 rows, ref.errors[alpha], ref.orders[alpha], strict=True):
-            rel = None
-            error_ok = None
+            rel = error_ok = error_margin = None
             if row.max_error is None:
                 error_ok = False if gate_errors else None
             else:
                 rel = abs(row.max_error - expected_error) / expected_error
                 if gate_errors:
                     error_ok = rel <= ERROR_RTOL
-            order_ok = None
+                    error_margin = ERROR_RTOL - rel
+            order_ok = order_margin = None
             if expected_order is not None:
-                order_ok = (
-                    row.observed_order is not None
-                    and abs(round(row.observed_order * 100)
-                            - round(expected_order * 100)) <= tol
-                )
+                if row.observed_order is not None:
+                    order_margin = tol - abs(round(row.observed_order * 100)
+                                             - round(expected_order * 100))
+                order_ok = order_margin is not None and order_margin >= 0
             cells.append(
                 CellDiff(
                     alpha=alpha,
@@ -437,6 +462,8 @@ def reproduce_table(table_id: int, *, out_path=None) -> TableDiffReport:
                     expected_order=expected_order,
                     actual_order=row.observed_order,
                     order_ok=order_ok,
+                    error_margin=error_margin,
+                    order_margin=order_margin,
                 )
             )
     passed = all(

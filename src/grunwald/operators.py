@@ -304,5 +304,7 @@ def checked_lu(matrix: np.ndarray, context: str = "linear system"):
     return lu, piv
 
 
-def solve_factored(factors, rhs: np.ndarray) -> np.ndarray:
-    return lu_solve(factors, np.asarray(rhs, dtype=float))
+def solve_factored(factors, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+    """Solve with the factors of checked_lu: A x = rhs, or A^T x = rhs
+    when trans is 1."""
+    return lu_solve(factors, np.asarray(rhs, dtype=float), trans=trans)

@@ -117,6 +117,11 @@ class TestReproduceTable:
         assert (outdir / "table3_diff.csv").exists()
         assert "PASS" in capsys.readouterr().out
 
+    def test_table4_prints_worst_margin(self, outdir, capsys):
+        assert main(["reproduce-table", "--table", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "worst margin: order 0 hundredths (alpha=1.1, N=512)" in out
+
 
 class TestProperties:
     def test_properties_pass(self, capsys):

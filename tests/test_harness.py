@@ -232,6 +232,37 @@ class TestReproduceTable:
                 abs(cell.actual_error - cell.expected_error)
                 / cell.expected_error)
 
+    def test_margins_to_tolerance(self):
+        """Each gated cell carries its distance to the tolerance, and the
+        summary names the worst: table 4 passes alpha=1.1, N=512 at
+        exactly the 10-hundredth order tolerance."""
+        report = reproduce_table(4)
+        ref = REFERENCE_TABLES[4]
+        for cell in report.cells:
+            if cell.error_ok is None:
+                assert cell.error_margin is None
+            else:
+                assert cell.error_margin == (harness.ERROR_RTOL
+                                             - cell.error_rel_diff)
+                assert cell.error_ok == (cell.error_margin >= 0)
+            if cell.order_ok is None:
+                assert cell.order_margin is None
+            else:
+                tol = (harness.LOOSE_ORDER_TOL_HUNDREDTHS
+                       if cell.alpha in ref.loose_order_alphas
+                       else harness.ORDER_TOL_HUNDREDTHS)
+                off = abs(round(100 * cell.actual_order)
+                          - round(100 * cell.expected_order))
+                assert cell.order_margin == tol - off
+                assert cell.order_ok == (cell.order_margin >= 0)
+        worst = min((c for c in report.cells if c.order_margin is not None),
+                    key=lambda c: c.order_margin)
+        assert (worst.order_margin, worst.alpha, worst.n) == (0, 1.1, 512)
+        summary = report.summary().splitlines()
+        assert summary[0] == "table 4: PASS (21 gated cells)"
+        assert summary[1].startswith(
+            "worst margin: order 0 hundredths (alpha=1.1, N=512); error ")
+
     def test_reproduction_is_deterministic(self):
         first = reproduce_table(3)
         second = reproduce_table(3)
