@@ -8,17 +8,16 @@ two-sided operator B = (tau/2)(K1 A + K2 A^T) is Toeplitz, so its
 interior matrix and boundary columns are taken from the first column and
 row of A, with no full-grid matrix. The CN matrices are constant in
 time, so a step (P - B) u_next = (P + B) u + r_m is linear with constant
-coefficients. cn_solve marches it in the coordinates y = (P - B) u, in
-increment form y_next = y + E y + r_m with E = 2 B (P - B)^-1: the
-forcing r_m needs no solve, SUBSTEPS steps are grouped into one matvec,
-and one solve per run maps y back to u. The energy check marches
-u_next = S u + (P - B)^-1 r_m with the step matrix S = (P - B)^-1 (P + B).
+coefficients. It is marched in one form only: in the coordinates
+y = (P - B) u, as y_next = y + E y + r_m with the increment matrix
+E = 2 B (P - B)^-1, so the forcing r_m needs no solve and one solve maps
+the states back to u. cn_solve groups SUBSTEPS steps into one matvec; the
+energy check marches single steps and keeps every state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -123,10 +122,9 @@ class CNSystem:
     p_reduced is the preconditioner P (identity for order 2), b_reduced
     is B = (tau/2)(K1 A + K2 A^T) and factors is the LU factorisation of
     P - B, so one step is (P - B) u_next = (P + B) u + r with r the step's
-    sources and boundary terms. The boundary columns of B are kept for
-    folding in known boundary values. The step matrix
-    S = (P - B)^-1 (P + B) is built on first use; cn_solve does not use
-    it.
+    sources and boundary terms. increment is E = 2 B (P - B)^-1, the step
+    y_next = y + E y + r in the coordinates y = (P - B) u. The boundary
+    columns of B are kept for folding in known boundary values.
     """
 
     tau: float
@@ -136,10 +134,7 @@ class CNSystem:
     factors: tuple
     b_col_left: np.ndarray
     b_col_right: np.ndarray
-
-    @cached_property
-    def step(self) -> np.ndarray:
-        return solve_factored(self.factors, self.p_reduced + self.b_reduced)
+    increment: np.ndarray
 
 
 def _cn_system(problem: DiffusionProblem, grid: GridSpec,
@@ -159,6 +154,8 @@ def _cn_system(problem: DiffusionProblem, grid: GridSpec,
         p_hat - b_hat,
         context=f"CN step matrix ({scheme}, alpha={alpha}, n={grid.n})",
     )
+    # E^T solves (P - B)^T E^T = 2 B^T on the factors of P - B
+    increment = solve_factored(factors, 2.0 * b_hat.T, trans=1).T
     return CNSystem(
         tau=tau,
         a2=a2,
@@ -167,6 +164,7 @@ def _cn_system(problem: DiffusionProblem, grid: GridSpec,
         factors=factors,
         b_col_left=b_left,
         b_col_right=b_right,
+        increment=increment,
     )
 
 
@@ -199,8 +197,7 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
     left[0], right[0] = initial[0], initial[-1]
     u = initial[1:-1]
     y = system.p_reduced @ u - system.b_reduced @ u
-    # E^T solves (P - B)^T E^T = 2 B^T on the factors of P - B
-    e_one = solve_factored(factors, 2.0 * system.b_reduced.T, trans=1).T
+    e_one = system.increment
     del system  # P and B are not needed past this point
     e_group = e_one
     for _ in range(SUBSTEP_DOUBLINGS):
@@ -292,36 +289,32 @@ def stability_estimate_check(problem: DiffusionProblem, grid: GridSpec,
         order3:  ||v^m|| <= sqrt(5) (||v^0|| + sqrt(5) tau sum ||S^l||)
         order2:  ||v^m|| <=          ||v^0|| +         tau sum ||S^l||
 
-    All sources are drawn as one block and solved in one call; the march
-    is v^{m+1} = step v^m + (P - B)^-1 tau S^m with CNSystem.step.
-    Requires homogeneous boundary values. Amplitudes of 0 reproduce the
-    unforced / zero-start special cases.
+    The march is cn_solve's, y^{m+1} = y^m + E y^m + tau S^m with
+    y = (P - B) v and E = CNSystem.increment; every state is kept and all
+    are mapped back to v in one solve. Requires homogeneous boundary
+    values. Amplitudes of 0 reproduce the unforced / zero-start special
+    cases.
     """
     if not problem.homogeneous_boundary:
         raise ValueError("stability check requires homogeneous boundaries")
+    check_domain(problem, grid)
     system = _cn_system(problem, grid, m_steps, scheme)
     tau = system.tau
-    h = grid.h
     rng = np.random.default_rng(seed)
     interior = grid.n - 1
     v = init_amplitude * rng.standard_normal(interior)
     sources = source_amplitude * rng.standard_normal((m_steps, interior))
-    forcing = solve_factored(system.factors, tau * sources.T)
-
-    def norm(vec):
-        return float(np.sqrt(h * np.dot(vec, vec)))
-
+    states = np.empty((interior, m_steps + 1))
+    states[:, 0] = system.p_reduced @ v - system.b_reduced @ v
+    for m, s in enumerate(sources):
+        y = states[:, m]
+        states[:, m + 1] = y + system.increment @ y + tau * s
+    v = solve_factored(system.factors, states)
+    norms = np.sqrt(grid.h * np.einsum("ij,ij->j", v, v))
+    source_norms = np.sqrt(grid.h * np.einsum("ij,ij->i", sources, sources))
     amp = NORM_EQUIV if scheme == "order3" else 1.0
-    norms = [norm(v)]
-    bounds = [amp * norms[0]]
-    source_total = 0.0
-    for s, f in zip(sources, forcing.T):
-        v = system.step @ v + f
-        source_total += norm(s)
-        norms.append(norm(v))
-        bounds.append(amp * (norms[0] + amp * tau * source_total))
-    norms = np.array(norms)
-    bounds = np.array(bounds)
+    source_totals = np.concatenate(([0.0], np.cumsum(source_norms)))
+    bounds = amp * (norms[0] + amp * tau * source_totals)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(bounds > 0, norms / bounds, np.where(
             norms <= BOUND_SLACK, 0.0, np.inf))

@@ -63,15 +63,11 @@ LOOSE_ORDER_TOL_HUNDREDTHS = 30
 def _round_error(value: Optional[float]) -> Optional[float]:
     """5 significant digits, through the exact decimal representation so
     formatting and re-parsing is the identity."""
-    if value is None:
-        return None
-    return float(f"{value:.4e}")
+    return None if value is None else float(_format_error(value))
 
 
 def _round_order(value: Optional[float]) -> Optional[float]:
-    if value is None:
-        return None
-    return float(f"{value:.2f}")
+    return None if value is None else float(_format_order(value))
 
 
 @dataclass(frozen=True)
@@ -221,13 +217,17 @@ def _format_order(value: Optional[float]) -> str:
     return "" if value is None else f"{value:.2f}"
 
 
+def _one_problem(reports: Sequence[ConvergenceReport], kind: str) -> str:
+    problems = {r.problem for r in reports}
+    if len(problems) != 1:
+        raise ValueError(f"reports in one {kind} must share a problem")
+    return problems.pop()
+
+
 def write_report_csv(reports: Sequence[ConvergenceReport], path) -> None:
     """Emit reports as CSV: `# key=value` comment lines, the fixed header,
     then one row per resolution. The write is atomic (temp file + rename)."""
-    problems = {r.problem for r in reports}
-    if len(problems) != 1:
-        raise ValueError("reports in one CSV must share a problem")
-    lines = [f"# problem={problems.pop()}"]
+    lines = [f"# problem={_one_problem(reports, 'CSV')}"]
     for report in reports:
         for row in report.failed_rows:
             note = row.failure.replace("\n", " ")
@@ -308,11 +308,8 @@ def read_report_csv(path) -> list:
 
 
 def write_report_json(reports: Sequence[ConvergenceReport], path) -> None:
-    problems = {r.problem for r in reports}
-    if len(problems) != 1:
-        raise ValueError("reports in one JSON must share a problem")
     payload = {
-        "problem": problems.pop(),
+        "problem": _one_problem(reports, "JSON"),
         "reports": [
             {
                 "alpha": report.alpha,
@@ -696,7 +693,8 @@ def _prop_cn_energy(rng):
         grid = GridSpec(0.0, 1.0, 32)
         system = _cn_system(problem, grid, 16, "order3")
         v0 = rng.standard_normal(grid.n - 1)
-        v1 = system.step @ v0
+        v1 = ops.solve_factored(system.factors,
+                                (system.p_reduced + system.b_reduced) @ v0)
         e0 = float(v0 @ (system.p_reduced @ v0))
         e1 = float(v1 @ (system.p_reduced @ v1))
         if e1 > e0 * (1.0 + 1e-12):

@@ -89,12 +89,8 @@ def _integer_shift(weights: WeightSequence) -> int:
     return shift_int
 
 
-def _check_lengths(u: np.ndarray, weights: WeightSequence, grid: GridSpec,
-                   shift: int) -> None:
-    if len(u) != grid.n + 1:
-        raise ValueError(
-            f"expected {grid.n + 1} grid values, got {len(u)}"
-        )
+def _check_weight_count(weights: WeightSequence, grid: GridSpec,
+                        shift: int) -> None:
     needed = grid.n + shift + 1
     if len(weights) < needed:
         raise ValueError(
@@ -112,7 +108,11 @@ def apply_grunwald(u, weights: WeightSequence, grid: GridSpec,
     """
     u = np.asarray(u, dtype=float)
     shift = _integer_shift(weights)
-    _check_lengths(u, weights, grid, shift)
+    if len(u) != grid.n + 1:
+        raise ValueError(
+            f"expected {grid.n + 1} grid values, got {len(u)}"
+        )
+    _check_weight_count(weights, grid, shift)
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     w = weights.values[: grid.n + shift + 1]
@@ -130,7 +130,7 @@ def toeplitz_generators(weights: WeightSequence, grid: GridSpec):
     (i, j) is w_{i-j+shift} / h^alpha, so the column holds
     w_shift ... w_{shift+n} and the row w_shift ... w_0 followed by zeros."""
     shift = _integer_shift(weights)
-    _check_lengths(np.empty(grid.n + 1), weights, grid, shift)
+    _check_weight_count(weights, grid, shift)
     w = weights.values
     scale = grid.h ** weights.alpha
     col = w[shift: shift + grid.n + 1] / scale

@@ -75,8 +75,7 @@ def longdouble_march(problem, grid, m_steps, scheme):
     x = grid.points()
     current = np.asarray(problem.init(x), dtype=float)
     ld = np.longdouble
-    e = lu_solve(system.factors, 2.0 * system.b_reduced.T, trans=1).T
-    e = e.astype(ld)
+    e = system.increment.astype(ld)
     p_minus_b = system.p_reduced.astype(ld) - system.b_reduced.astype(ld)
     y = p_minus_b @ current[1:-1].astype(ld)
     left, right = current[0], current[-1]
@@ -290,7 +289,8 @@ def dense_cn_system(problem, grid, m_steps, scheme):
     factors = lu_factor(p_hat - b_hat)
     return dict(b_reduced=b_hat, b_col_left=b_full[1:-1, 0],
                 b_col_right=b_full[1:-1, -1],
-                step=lu_solve(factors, p_hat + b_hat), factors=factors)
+                increment=lu_solve(factors, 2.0 * b_hat.T, trans=1).T,
+                factors=factors)
 
 
 class TestCNSystemOracle:
@@ -308,7 +308,7 @@ class TestCNSystemOracle:
         grid = GridSpec(0.0, 1.0, n)
         system = _cn_system(problem, grid, 64, scheme)
         dense = dense_cn_system(problem, grid, 64, scheme)
-        for name in ("b_reduced", "b_col_left", "b_col_right", "step"):
+        for name in ("b_reduced", "b_col_left", "b_col_right", "increment"):
             assert np.array_equal(getattr(system, name), dense[name]), name
         assert np.array_equal(system.factors[0], dense["factors"][0])
         assert np.array_equal(system.factors[1], dense["factors"][1])
@@ -409,7 +409,9 @@ class TestStabilityEstimate:
     @pytest.mark.parametrize("scheme", ["order2", "order3"])
     def test_block_draw_matches_per_step_iteration(self, scheme, alpha,
                                                    m_steps):
-        problem = polynomial_diffusion_problem(alpha)
+        # K1 != K2 makes B, and so E, nonsymmetric
+        problem = replace(polynomial_diffusion_problem(alpha),
+                          k_left=0.7, k_right=1.3)
         grid = GridSpec(0.0, 1.0, 32)
         for seed in range(5):
             report = stability_estimate_check(problem, grid, m_steps, scheme,
@@ -465,3 +467,8 @@ class TestStabilityEstimate:
         )
         with pytest.raises(ValueError, match="homogeneous"):
             stability_estimate_check(problem, GridSpec(0.0, 1.0, 16), 4)
+
+    def test_grid_must_span_domain(self):
+        problem = polynomial_diffusion_problem(1.5)
+        with pytest.raises(ValueError, match="does not match problem domain"):
+            stability_estimate_check(problem, GridSpec(0.0, 2.0, 32), 16)
