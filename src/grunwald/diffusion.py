@@ -12,7 +12,8 @@ coefficients. It is marched in one form only: in the coordinates
 y = (P - B) u, as y_next = y + E y + r_m with the increment matrix
 E = 2 B (P - B)^-1, so the forcing r_m needs no solve and one solve maps
 the states back to u. cn_solve groups SUBSTEPS steps into one matvec; the
-energy check marches single steps and keeps every state.
+energy check marches single steps and keeps every state. Problem data
+is evaluated on arrays of times, once per run or block, never per step.
 """
 
 from __future__ import annotations
@@ -69,6 +70,11 @@ class DiffusionProblem:
     left and right derivatives (not both zero). Whenever a coefficient is
     nonzero the matching boundary value must be identically zero, because
     the one-sided derivative reaches across that boundary.
+
+    The data take arrays of times: source(x, t) gets a column t of shape
+    (k, 1) and returns values that broadcast to (k, len(x)), and
+    bc_left(t), bc_right(t) get a 1-D t and return values that broadcast
+    to t.shape, so lambda t: 0.0 is a valid boundary.
     """
 
     a: float
@@ -77,10 +83,10 @@ class DiffusionProblem:
     alpha: float
     k_left: float
     k_right: float
-    source: Callable[[np.ndarray, float], np.ndarray]
+    source: Callable[[np.ndarray, np.ndarray], np.ndarray]
     init: Callable[[np.ndarray], np.ndarray]
-    bc_left: Callable[[float], float]
-    bc_right: Callable[[float], float]
+    bc_left: Callable[[np.ndarray], np.ndarray]
+    bc_right: Callable[[np.ndarray], np.ndarray]
     exact: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
     def __post_init__(self):
@@ -96,23 +102,24 @@ class DiffusionProblem:
             raise ValueError("diffusion coefficients must be nonnegative")
         if self.k_left == 0 and self.k_right == 0:
             raise ValueError("diffusion coefficients must not both vanish")
-        if self.k_left != 0 and not self._vanishes(self.bc_left):
-            raise ValueError(
-                "left boundary values must vanish when k_left is nonzero"
-            )
-        if self.k_right != 0 and not self._vanishes(self.bc_right):
-            raise ValueError(
-                "right boundary values must vanish when k_right is nonzero"
-            )
+        samples = np.linspace(0.0, self.t_final, 5)
+        self._check_boundary_values(self.bc_left(samples),
+                                    self.bc_right(samples))
 
-    def _vanishes(self, boundary: Callable[[float], float]) -> bool:
-        """Whether the boundary is zero at five times in [0, t_final]."""
-        return all(boundary(t) == 0
-                   for t in np.linspace(0.0, self.t_final, 5))
+    def _check_boundary_values(self, left, right) -> None:
+        """Reject a nonzero value on a side with a nonzero coefficient."""
+        for side, k, values in (("left", self.k_left, left),
+                                ("right", self.k_right, right)):
+            if k != 0 and np.any(np.asarray(values) != 0):
+                raise ValueError(f"{side} boundary values must vanish when "
+                                 f"k_{side} is nonzero")
 
     @property
     def homogeneous_boundary(self) -> bool:
-        return self._vanishes(self.bc_left) and self._vanishes(self.bc_right)
+        """Whether both boundaries are zero at five times in [0, t_final]."""
+        samples = np.linspace(0.0, self.t_final, 5)
+        return bool(np.all(self.bc_left(samples) == 0)
+                    and np.all(self.bc_right(samples) == 0))
 
 
 @dataclass(frozen=True)
@@ -181,7 +188,10 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
     full group of SUBSTEPS steps is one matvec with E_k, where
     I + E_k = (I + E)^SUBSTEPS; the forcing of every group in a block of
     STEP_BLOCK steps comes from one Horner pass of matrix products.
-    Raises ValueError when the data or the state become non-finite.
+    Each boundary is evaluated once on t_0 .. t_M, the source once per
+    block on its midpoint times. Raises ValueError when a side with a
+    nonzero coefficient has a nonzero boundary value at a step time after
+    t_0, and when the data or the state become non-finite.
     """
     check_domain(problem, grid)
     system = _cn_system(problem, grid, m_steps, scheme)
@@ -190,10 +200,10 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
     x = grid.points()
     initial = np.asarray(problem.init(x), dtype=float)
     # boundary values at t_0 .. t_M; t_0 takes the sampled initial data
-    left = np.array([problem.bc_left(m * tau) for m in range(m_steps + 1)],
-                    dtype=float)
-    right = np.array([problem.bc_right(m * tau)
-                      for m in range(m_steps + 1)], dtype=float)
+    times = tau * np.arange(m_steps + 1)
+    left = np.broadcast_to(problem.bc_left(times), times.shape).astype(float)
+    right = np.broadcast_to(problem.bc_right(times), times.shape).astype(float)
+    problem._check_boundary_values(left[1:], right[1:])
     left[0], right[0] = initial[0], initial[-1]
     u = initial[1:-1]
     y = system.p_reduced @ u - system.b_reduced @ u
@@ -207,9 +217,9 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
         e_group = squared
     for start in range(0, m_steps, STEP_BLOCK):
         stop = min(start + STEP_BLOCK, m_steps)
-        f_mid = np.empty((stop - start, grid.n + 1))
-        for j, m in enumerate(range(start, stop)):
-            f_mid[j] = problem.source(x, (m + 0.5) * tau)
+        mid = tau * (np.arange(start, stop)[:, None] + 0.5)
+        f_mid = np.asarray(np.broadcast_to(problem.source(x, mid),
+                                           (len(mid), len(x))), dtype=float)
         rhs = tau * precondition_rows(f_mid.T, a2)
         left_now, left_next = left[start:stop], left[start + 1:stop + 1]
         right_now, right_next = right[start:stop], right[start + 1:stop + 1]

@@ -63,9 +63,8 @@ def polynomial_diffusion_problem(alpha: float) -> DiffusionProblem:
     The source is assembled from the closed-form fractional derivatives
     of the monomials in the pulse: expanding x^5 (1-x)^5 =
     sum_j C(5,j) (-1)^j x^(5+j) and using the symmetry of the pulse, each
-    term contributes a fractional_poly_source(x, 5+j, alpha) pair.
-    The source is that spatial profile times -exp(-t); the profile of the
-    most recent grid is cached, so a time march evaluates it once.
+    term contributes a fractional_poly_source(x, 5+j, alpha) pair. The
+    source is that profile times -exp(-t), one row per time in a column t.
     """
 
     def pulse(x):
@@ -78,18 +77,8 @@ def polynomial_diffusion_problem(alpha: float) -> DiffusionProblem:
             acc = acc + c * fractional_poly_source(x, 5 + j, alpha)
         return acc
 
-    # (grid points, profile), read and replaced as one tuple so a call
-    # never pairs one grid's points with another grid's profile
-    cached = (None, None)
-
     def source(x, t):
-        nonlocal cached
-        x = np.asarray(x, dtype=float)
-        points, values = cached
-        if points is None or not np.array_equal(points, x):
-            values = profile(x)
-            cached = (x.copy(), values)
-        return -np.exp(-t) * values
+        return -np.exp(-t) * profile(x)
 
     def exact(x, t):
         return pulse(x) * np.exp(-t)

@@ -101,6 +101,18 @@ def moving_right_boundary_problem(alpha=1.5):
     )
 
 
+class CountedCalls:
+    """Wraps a data function and records the argument shapes of each
+    call."""
+
+    def __init__(self, fn):
+        self.fn, self.shapes = fn, []
+
+    def __call__(self, *args):
+        self.shapes.append(tuple(np.shape(a) for a in args))
+        return self.fn(*args)
+
+
 class TestProblemValidation:
     def kwargs(self, **overrides):
         base = dict(
@@ -124,6 +136,17 @@ class TestProblemValidation:
             DiffusionProblem(**self.kwargs(bc_left=lambda t: 1.0))
         with pytest.raises(ValueError, match="right boundary"):
             DiffusionProblem(**self.kwargs(bc_right=lambda t: t))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_boundary_convention_enforced_at_every_step(self, side):
+        # nonzero only on (0.1, 0.2): the five sample times read zero, so
+        # the problem is built, but the value at step time 0.15 is not
+        pulse = {f"bc_{side}": lambda t: np.where((t > 0.1) & (t < 0.2),
+                                                  1.0, 0.0)}
+        problem = DiffusionProblem(**self.kwargs(**pulse))
+        assert problem.homogeneous_boundary
+        with pytest.raises(ValueError, match=f"{side} boundary values"):
+            cn_solve(problem, GridSpec(0.0, 1.0, 16), 20)
 
     def test_nonzero_boundary_allowed_when_coefficient_vanishes(self):
         problem = DiffusionProblem(
@@ -194,7 +217,8 @@ class TestCNSolve:
         # or only in that block's steps after its last full group
         problem = DiffusionProblem(
             a=0.0, b=1.0, t_final=1.0, alpha=1.5, k_left=1.0, k_right=1.0,
-            source=lambda x, t: zero_x(x) + (np.nan if t > bad_after else 0),
+            source=lambda x, t: (np.where(t > bad_after, np.nan, 0.0)
+                                 + zero_x(x)),
             init=zero_x, bc_left=lambda t: 0.0, bc_right=lambda t: 0.0,
         )
         # 300 steps: a full block, then full groups and single steps
@@ -202,6 +226,22 @@ class TestCNSolve:
         assert STEP_BLOCK < 0.9 * 300 and single_steps_from < 0.97 * 300
         with pytest.raises(ValueError, match="state is not finite"):
             cn_solve(problem, GridSpec(0.0, 1.0, 16), 300)
+
+    def test_data_evaluated_once_per_block(self):
+        # one source call per block of midpoint times (as a column), one
+        # call per boundary function on all step times, none per step
+        m_steps = 2 * STEP_BLOCK + 1
+        base = moving_right_boundary_problem()
+        counted = {name: CountedCalls(getattr(base, name))
+                   for name in ("source", "bc_left", "bc_right")}
+        problem = replace(base, **counted)
+        for counter in counted.values():
+            counter.shapes.clear()
+        cn_solve(problem, GridSpec(0.0, 1.0, 16), m_steps)
+        source_times = [shapes[-1] for shapes in counted["source"].shapes]
+        assert source_times == [(STEP_BLOCK, 1), (STEP_BLOCK, 1), (1, 1)]
+        for name in ("bc_left", "bc_right"):
+            assert counted[name].shapes == [((m_steps + 1,),)]
 
     def test_non_finite_initial_data_rejected(self):
         problem = DiffusionProblem(
@@ -317,27 +357,23 @@ class TestCNSystemOracle:
 class TestPolynomialDiffusionSource:
     @staticmethod
     def formula(x, t, alpha):
-        """The source recomputed in full on every call."""
+        """The source written out term by term."""
         acc = x**5 * (1.0 - x) ** 5
         for j, c in enumerate((1.0, -5.0, 10.0, -10.0, 5.0, -1.0)):
             acc = acc + c * fractional_poly_source(x, 5 + j, alpha)
         return -np.exp(-t) * acc
 
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
-    def test_cached_profile_matches_formula(self, alpha):
+    def test_time_column_rows_match_scalar_calls(self, alpha):
         source = polynomial_diffusion_problem(alpha).source
+        times = np.array([0.0, 0.25, 1.0])
         grid_a = np.linspace(0.0, 1.0, 33)
-        grid_b = grid_a**2
-        for t in (0.0, 0.25, 1.0):
-            for x in (grid_a, grid_b, grid_a):
-                assert np.array_equal(source(x, t), self.formula(x, t, alpha))
-
-    def test_caller_mutating_its_grid_gets_fresh_values(self):
-        source = polynomial_diffusion_problem(1.5).source
-        x = np.linspace(0.0, 1.0, 17)
-        source(x, 0.5)
-        x[3] = 0.5
-        assert np.array_equal(source(x, 0.5), self.formula(x, 0.5, 1.5))
+        for x in (grid_a, grid_a**2):
+            rows = source(x, times[:, None])
+            assert rows.shape == (len(times), len(x))
+            for row, t in zip(rows, times):
+                assert np.array_equal(row, source(x, t))
+                assert np.array_equal(row, self.formula(x, t, alpha))
 
 
 class TestFractionalPolySource:
