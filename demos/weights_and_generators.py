@@ -4,7 +4,7 @@
 # A generator (beta_0 + beta_1 z + ... + beta_p z^p)^alpha encodes a
 # difference approximation of the fractional derivative of order alpha:
 # its Taylor coefficients w_k are the convolution weights. This script
-# shows the closed-form table, the linear-system construction that
+# shows the closed-form table, the finite-difference construction that
 # cross-checks it, and the unshifted family it contains at shift 0.
 
 from fractions import Fraction
@@ -20,7 +20,7 @@ from grunwald import (
 
 alpha = Fraction(3, 2)  # fractions keep everything exact
 
-print("closed-form table vs linear-system construction (p=2, r=1):")
+print("closed-form table vs finite-difference construction (p=2, r=1):")
 table = beta_table(2, 1, alpha)
 built = construct_beta(2, 1, alpha)
 print("  table:      ", table.beta)

@@ -191,7 +191,8 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
     Each boundary is evaluated once on t_0 .. t_M, the source once per
     block on its midpoint times. Raises ValueError when a side with a
     nonzero coefficient has a nonzero boundary value at a step time after
-    t_0, and when the data or the state become non-finite.
+    t_0 or nonzero initial data at that end, and when the data or the
+    state become non-finite.
     """
     check_domain(problem, grid)
     system = _cn_system(problem, grid, m_steps, scheme)
@@ -199,12 +200,14 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
     b_col_left, b_col_right = system.b_col_left, system.b_col_right
     x = grid.points()
     initial = np.asarray(problem.init(x), dtype=float)
+    if not np.all(np.isfinite(initial)):
+        raise ValueError("initial state is not finite")
     # boundary values at t_0 .. t_M; t_0 takes the sampled initial data
     times = tau * np.arange(m_steps + 1)
     left = np.broadcast_to(problem.bc_left(times), times.shape).astype(float)
     right = np.broadcast_to(problem.bc_right(times), times.shape).astype(float)
-    problem._check_boundary_values(left[1:], right[1:])
     left[0], right[0] = initial[0], initial[-1]
+    problem._check_boundary_values(left, right)
     u = initial[1:-1]
     y = system.p_reduced @ u - system.b_reduced @ u
     e_one = system.increment

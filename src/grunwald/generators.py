@@ -5,7 +5,7 @@ beta_p z^p)^alpha whose Taylor coefficients are the convolution weights
 of a shifted difference approximation to the fractional derivative of
 order alpha. The design order and the shift are encoded in the beta
 coefficients; this module builds them three independent ways (closed-form
-table, linear-system construction, unshifted backward-difference family),
+table, finite-difference weights, unshifted backward-difference family),
 generates weight sequences, and verifies the achieved order from the
 scaled symbol W(exp(-z)) exp(r z) / z^alpha = 1 + O(z^p).
 """
@@ -52,7 +52,8 @@ SIGN_TOL = 1e-14
 
 
 class ConstructionError(RuntimeError):
-    """The linear system defining the beta coefficients is singular."""
+    """construct_beta gave a non-finite float coefficient, as when
+    shift/alpha overflows."""
 
 
 def _frac(num, den=1) -> Fraction:
@@ -210,91 +211,50 @@ def lubich_generator(order: int, alpha) -> GeneratorSpec:
     The polynomial under the power is expanded exactly; the shift is 0.
     """
     _validate_order(order)
-    poly = [Fraction(0)] * (order + 1)
-    binom_row = [Fraction(1)]  # coefficients of (1-z)^j, built incrementally
-    for j in range(1, order + 1):
-        nxt = [Fraction(0)] * (j + 1)
-        for i, c in enumerate(binom_row):
-            nxt[i] += c
-            nxt[i + 1] -= c
-        binom_row = nxt
-        inv_j = Fraction(1, j)
-        for i, c in enumerate(binom_row):
-            poly[i] += inv_j * c
+    # coefficient i of (1-z)^j is (-1)^i C(j, i)
+    poly = [(-1) ** i * sum(Fraction(math.comb(j, i), j)
+                            for j in range(1, order + 1))
+            for i in range(order + 1)]
     return GeneratorSpec(alpha=alpha, shift=0, beta=tuple(poly))
 
 
 def construct_beta(order: int, shift, alpha) -> GeneratorSpec:
-    """Solve for the beta coefficients from the order conditions.
+    """Beta coefficients from the order conditions alone, as
+    finite-difference weights (Fornberg, Math. Comp. 51, 1988).
 
-    Raising the target expansion to power 1/alpha turns the order
-    conditions into a linear system: with rho = shift/alpha, the series
-    sum_k beta_k exp((rho - k) z) / z must start at 1 with the next
-    order-1 coefficients vanishing, and the betas must sum to zero.
-    The columns of the system are read off exp((rho - k) z) expansions,
-    so this construction is independent of the closed-form table and
-    serves as its oracle.
+    With rho = shift/alpha, order p asks sum_k beta_k (rho - k)^l / l! =
+    delta_{l1} for l = 0..p, that is sum_k beta_k f(rho - k) = f'(0) for
+    every polynomial f of degree <= p. So beta_k = L_k'(0) for the
+    Lagrange basis on the nodes rho - k, and with rho = u/v
+
+        beta_k = (-1)^k / (k! (p-k)! v^(p-1))
+                 * sum_{i != k} prod_{j not in {i, k}} (j v - u).
+
+    The nodes differ by integers, so the weights always exist. Exact (in
+    integers) when shift and alpha are rational; floats use u = rho,
+    v = 1. Independent of the closed-form table, so it is its oracle.
     """
     _validate_order(order)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     kind = series.scalar_kind(shift, alpha)
     rho = kind(shift) / kind(alpha)
-    columns = [
-        series.exp_scaled(rho - k, order).coeffs for k in range(order + 1)
-    ]
-    matrix = [
-        [columns[k][l] for k in range(order + 1)] for l in range(order + 1)
-    ]
-    rhs = [kind(0)] * (order + 1)
-    rhs[1] = kind(1)
-    try:
-        solution = _solve_linear(matrix, rhs, kind is Fraction)
-    except ConstructionError:
+    u, v = (rho.numerator, rho.denominator) if kind is Fraction else (rho, 1)
+    factors = [j * v - u for j in range(order + 1)]
+    betas = []
+    for k in range(order + 1):
+        total = sum(math.prod(f for j, f in enumerate(factors)
+                              if j not in (i, k))
+                    for i in range(order + 1) if i != k)
+        betas.append(kind(total) / ((-1) ** k * math.factorial(k)
+                                    * math.factorial(order - k)
+                                    * v ** (order - 1)))
+    if kind is float and not all(map(math.isfinite, betas)):
         raise ConstructionError(
             f"beta construction failed for order={order}, shift={shift}, "
-            f"alpha={alpha}: singular order-condition system"
-        ) from None
-    return GeneratorSpec(alpha=alpha, shift=shift, beta=tuple(solution))
-
-
-def _solve_linear(matrix, rhs, exact: bool):
-    """Dense solve, exact Gaussian elimination for rationals."""
-    if not exact:
-        a = np.array(matrix, dtype=float)
-        b = np.array(rhs, dtype=float)
-        if not np.all(np.isfinite(a)):
-            raise ConstructionError("non-finite system")
-        if np.linalg.cond(a) > 1e14:
-            raise ConstructionError("ill-conditioned system")
-        return list(np.linalg.solve(a, b))
-    n = len(rhs)
-    a = [list(row) for row in matrix]
-    b = list(rhs)
-    for col in range(n):
-        pivot = next(
-            (r for r in range(col, n) if a[r][col] != 0), None
+            f"alpha={alpha}: non-finite coefficients"
         )
-        if pivot is None:
-            raise ConstructionError("singular system")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] * inv
-            if factor == 0:
-                continue
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-            b[r] -= factor * b[col]
-    out = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = b[r]
-        for c in range(r + 1, n):
-            acc -= a[r][c] * out[c]
-        out[r] = acc / a[r][r]
-    return out
+    return GeneratorSpec(alpha=alpha, shift=shift, beta=tuple(betas))
 
 
 def grunwald_weights(generator: GeneratorSpec, count: int) -> WeightSequence:

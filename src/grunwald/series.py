@@ -5,6 +5,9 @@ When every input scalar is rational (int or fractions.Fraction) the
 arithmetic stays exact, which makes "is this coefficient zero?" a
 decidable question; any float input demotes the computation to ordinary
 floating point, where a relative threshold decides zeroness instead.
+Exact real powers and the exact scaled symbol are computed in Python
+integers over one known denominator, with one Fraction per output
+coefficient rather than a gcd per operation.
 """
 
 from __future__ import annotations
@@ -57,15 +60,6 @@ def check_sum_zero(betas) -> None:
     )
 
 
-def _normalize(coeffs):
-    """Return (tuple, rational_flag) with a homogeneous scalar kind."""
-    values = tuple(coeffs)
-    if not values:
-        raise ValueError("a series needs at least the constant coefficient")
-    kind = scalar_kind(*values)
-    return tuple(map(kind, values)), kind is Fraction
-
-
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Coefficients c_0..c_L of a power series truncated at order L."""
@@ -75,8 +69,12 @@ class TruncatedSeries:
 
     @classmethod
     def from_coefficients(cls, coeffs) -> "TruncatedSeries":
-        values, rational = _normalize(coeffs)
-        return cls(values, rational)
+        """Bring the coefficients to one scalar kind (scalar_kind)."""
+        values = tuple(coeffs)
+        if not values:
+            raise ValueError("a series needs at least the constant coefficient")
+        kind = scalar_kind(*values)
+        return cls(tuple(map(kind, values)), kind is Fraction)
 
     @property
     def truncation_order(self) -> int:
@@ -92,12 +90,6 @@ class TruncatedSeries:
         if not self.rational:
             return self
         return TruncatedSeries(tuple(float(c) for c in self.coeffs), False)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
 
     def __repr__(self) -> str:
         kind = "rational" if self.rational else "float"
@@ -163,56 +155,86 @@ def exp_scaled(factor, truncation_order: int) -> TruncatedSeries:
 
 
 def power_recurrence(coeffs, alpha, out):
-    """Extend out = [b_0], with b_0 = a_0^alpha, to the coefficients
+    """Extend out = [b_0], with b_0 = a_0^alpha, to the float coefficients
     b_0..b_L of (a_0 + a_1 z + ... + a_L z^L)^alpha by the power
     recurrence derived from b' a = alpha b a' (b = a^alpha):
 
         m * b_m * a_0 = sum_{k=1}^{min(m, d)} (k*(alpha+1) - m) * a_k * b_{m-k}
 
     where d is the index of the last nonzero a_k, so a polynomial of
-    degree d padded to L + 1 terms costs O(L d). The coefficients, alpha
-    and b_0 share one scalar kind; out is any appendable sequence (a
-    list, or an array('d') that stores floats unboxed). Returns out.
+    degree d padded to L + 1 terms costs O(L d). out is any appendable
+    sequence of floats (a list, or an array('d') that stores them
+    unboxed). Returns out. The exact counterpart is _rational_power.
     """
     a0 = coeffs[0]
     degree = max(k for k, c in enumerate(coeffs) if k == 0 or c != 0)
-    zero, alpha1 = type(out[0])(0), alpha + 1
+    alpha1 = alpha + 1
     for m in range(1, len(coeffs)):
-        acc = zero
+        acc = 0.0
         for k in range(1, min(m, degree) + 1):
             acc += (k * alpha1 - m) * coeffs[k] * out[m - k]
         out.append(acc / (m * a0))
     return out
 
 
-def pow_real(a: TruncatedSeries, alpha) -> TruncatedSeries:
-    """Raise a series with positive constant term to a real power by
-    power_recurrence.
+def _over_lcm(values):
+    """Integers N_k and one denominator D > 0 with values[k] = N_k / D."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
-    The result stays rational when the inputs are rational and
-    a_0^alpha is itself rational (integer alpha, or a_0 == 1); otherwise
-    it falls back to floats.
+
+def _rational_power(A, C, alpha, shift):
+    """Coefficients of a(z)^alpha * exp(shift*z) through z^L, as one
+    Fraction each, for a_k = A_k / C; None unless a_0 > 0 and a_0^alpha
+    is rational (integer alpha, or a_0 == 1).
+
+    With alpha = n/d and shift = u/v the power recurrence becomes one in
+    integers: b_m = b_0 B_m / (m! (A_0 d)^m), where B_0 = 1 and
+
+        B_m = sum_{k=1}^{m} (k(n+d) - m d) A_k B_{m-k} (A_0 d)^(k-1)
+              (m-1)! / (m-k)!,
+
+    and the product with exp(shift*z) is
+
+        c_l = b_0 sum_j C(l,j) B_j v^j (A_0 d u)^(l-j) / (l! (A_0 d v)^l).
     """
+    n, d = alpha.numerator, alpha.denominator
+    if not (A[0] > 0 and (d == 1 or A[0] == C)):
+        return None  # the float path takes over, or rejects a_0 <= 0
+    b0, a0d = Fraction(A[0], C) ** n if d == 1 else Fraction(1), A[0] * d
+    terms = [0] + [A[k] * a0d ** (k - 1) for k in range(1, len(A))]
+    B = [1]
+    for m in range(1, len(A)):
+        acc, falling = 0, 1  # falling = (m-1)! / (m-k)!
+        for k in range(1, m + 1):
+            if terms[k]:
+                acc += (k * (n + d) - m * d) * terms[k] * B[m - k] * falling
+            falling *= m - k
+        B.append(acc)
+    g, v = a0d * shift.numerator, shift.denominator
+    return tuple(
+        Fraction(b0.numerator * sum(math.comb(l, j) * B[j] * v**j * g ** (l - j)
+                                    for j in range(l + 1)),
+                 b0.denominator * math.factorial(l) * (a0d * v) ** l)
+        for l in range(len(A))
+    )
+
+
+def pow_real(a: TruncatedSeries, alpha) -> TruncatedSeries:
+    """Raise a series with positive constant term to a real power: by
+    _rational_power when the inputs are rational and a_0^alpha is too,
+    else by power_recurrence in floats."""
     a0 = a.coeffs[0]
     if not a0 > 0:
-        raise ValueError(
-            f"pow_real needs a positive constant term, got {a0}"
-        )
-    kind = scalar_kind(a0, alpha)  # a series has the kind of its coefficients
-    if kind is Fraction:
-        alpha = Fraction(alpha)
-        if alpha.denominator == 1:
-            b0 = a0 ** alpha.numerator
-        elif a0 == 1:
-            b0 = Fraction(1)
-        else:
-            kind = float
-    coeffs = a.coeffs if kind is Fraction else a.to_float().coeffs
-    alpha = kind(alpha)
-    if kind is float:
-        b0 = coeffs[0] ** alpha
-    out = power_recurrence(coeffs, alpha, [b0])
-    return TruncatedSeries(tuple(out), kind is Fraction)
+        raise ValueError(f"pow_real needs a positive constant term, got {a0}")
+    if scalar_kind(a0, alpha) is Fraction:  # a series has one kind
+        coeffs = _rational_power(*_over_lcm(a.coeffs), Fraction(alpha),
+                                 Fraction(0))
+        if coeffs is not None:
+            return TruncatedSeries(coeffs, True)
+    coeffs, alpha = a.to_float().coeffs, float(alpha)
+    out = power_recurrence(coeffs, alpha, [coeffs[0] ** alpha])
+    return TruncatedSeries(tuple(out), False)
 
 
 def normalized_symbol(beta, shift, alpha, truncation_order: int) -> TruncatedSeries:
@@ -224,6 +246,9 @@ def normalized_symbol(beta, shift, alpha, truncation_order: int) -> TruncatedSer
     so no fractional power of z ever appears: the quotient by z^alpha is
     realized as [P(exp(-z))/z]^alpha.
 
+    Rational inputs go through _rational_power; past an irrational
+    a_0^alpha the float recurrence takes over from float(q_l).
+
     Coefficient l of the result is the error-expansion coefficient a_l(shift).
     """
     if truncation_order < 1:
@@ -233,14 +258,26 @@ def normalized_symbol(beta, shift, alpha, truncation_order: int) -> TruncatedSer
     betas = tuple(map(kind, beta))
     check_sum_zero(betas)
     # Coefficient l of P(exp(-z))/z, with the vanishing z^0 term dropped:
-    # q_l = sum_k beta_k * (-k)^(l+1) / (l+1)!
-    q = []
-    for l in range(truncation_order + 1):
-        fact = math.factorial(l + 1)
-        acc = kind(0)
-        for k, b in enumerate(betas):
-            acc += b * (kind((-k) ** (l + 1)) / fact)
-        q.append(acc)
-    inner = TruncatedSeries(tuple(q), kind is Fraction)
-    powered = pow_real(inner, kind(alpha))
+    # q_l = sum_k beta_k * (-k)^(l+1) / (l+1)!, or Q_l / (D (L+1)!) for
+    # rational beta_k = N_k / D
+    if kind is Fraction:
+        nums, den = _over_lcm(betas)
+        top = math.factorial(truncation_order + 1)
+        Q = [sum(n * (-k) ** (l + 1) for k, n in enumerate(nums))
+             * (top // math.factorial(l + 1))
+             for l in range(truncation_order + 1)]
+        coeffs = _rational_power(Q, den * top, Fraction(alpha),
+                                 Fraction(shift))
+        if coeffs is not None:
+            return TruncatedSeries(coeffs, True)
+        q = [n / (den * top) for n in Q]  # float(q_l), correctly rounded
+    else:
+        q = []
+        for l in range(truncation_order + 1):
+            fact = math.factorial(l + 1)
+            acc = 0.0
+            for k, b in enumerate(betas):
+                acc += b * (float((-k) ** (l + 1)) / fact)
+            q.append(acc)
+    powered = pow_real(TruncatedSeries(tuple(q), False), kind(alpha))
     return mul(powered, exp_scaled(kind(shift), truncation_order))

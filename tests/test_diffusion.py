@@ -148,6 +148,16 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=f"{side} boundary values"):
             cn_solve(problem, GridSpec(0.0, 1.0, 16), 20)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_boundary_convention_enforced_on_initial_data(self, side):
+        # init is 1 at one end only; the boundary functions are zero, so
+        # the problem is built, but the first step would fold that value in
+        end = 0.0 if side == "left" else 1.0
+        problem = DiffusionProblem(**self.kwargs(
+            init=lambda x: np.where(np.asarray(x) == end, 1.0, 0.0)))
+        with pytest.raises(ValueError, match=f"{side} boundary values"):
+            cn_solve(problem, GridSpec(0.0, 1.0, 16), 20)
+
     def test_nonzero_boundary_allowed_when_coefficient_vanishes(self):
         problem = DiffusionProblem(
             **self.kwargs(k_right=0.0, bc_right=lambda t: np.exp(-t))

@@ -4,11 +4,17 @@ Rational fractional orders alpha in (0, 2], shifts 0..3 and design orders
 1..6 are drawn at random; every identity below must hold exactly, with no
 tolerance, because rational inputs keep the arithmetic in Fractions. The
 float order check must reach the same verdict as the exact one.
+
+The exact symbol is computed in integers over one denominator; a plain
+Fraction version of the same expansion, one operation at a time, is
+written out below as its reference.
 """
 
+import math
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from grunwald import (
     a2_coefficient,
@@ -18,7 +24,7 @@ from grunwald import (
     convex_combination_check,
     verify_order,
 )
-from grunwald.series import TruncatedSeries, pow_real
+from grunwald.series import TruncatedSeries, normalized_symbol, pow_real
 
 SETTINGS = settings(max_examples=100, deadline=None, database=None)
 
@@ -83,3 +89,106 @@ def test_pow_real_cube_and_cube_root_round_trip(tail):
     back = pow_real(cubed, Fraction(1, 3))
     assert back.rational
     assert back.coeffs == series.coeffs
+
+
+# every reduced alpha = n/d in (0, 2] with d <= 20: 256 values
+SMALL_DENOMINATOR_ALPHAS = sorted({Fraction(n, d) for d in range(1, 21)
+                                   for n in range(1, 2 * d + 1)})
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_every_small_denominator_alpha(order):
+    assert len(SMALL_DENOMINATOR_ALPHAS) == 256
+    for shift in range(4):
+        for alpha in SMALL_DENOMINATOR_ALPHAS:
+            table = beta_table(order, shift, alpha)
+            case = (order, shift, alpha)
+            exact = verify_order(table, order)
+            assert exact.passed, case
+            floating = verify_order(beta_table(order, shift, float(alpha)),
+                                    order)
+            assert floating.observed_order == exact.observed_order, case
+            assert construct_beta(order, shift, alpha).beta == table.beta, case
+
+
+def reference_power(coeffs, alpha, b0):
+    """Coefficients of (sum_k a_k z^k)^alpha by the power recurrence
+    m b_m a_0 = sum_k (k (alpha + 1) - m) a_k b_{m-k}, one scalar
+    operation at a time in the kind of b0, up to the last nonzero a_k."""
+    degree = max(k for k, c in enumerate(coeffs) if k == 0 or c != 0)
+    out = [b0]
+    for m in range(1, len(coeffs)):
+        acc = type(b0)(0)
+        for k in range(1, min(m, degree) + 1):
+            acc += (k * (alpha + 1) - m) * coeffs[k] * out[m - k]
+        out.append(acc / (m * coeffs[0]))
+    return out
+
+
+def reference_pow(coeffs, alpha):
+    """Fractions when a_0^alpha is rational, else floats from float(a_k)."""
+    a0 = coeffs[0]
+    if alpha.denominator == 1:
+        return reference_power(coeffs, alpha, a0 ** alpha.numerator)
+    if a0 == 1:
+        return reference_power(coeffs, alpha, Fraction(1))
+    floats = [float(c) for c in coeffs]
+    return reference_power(floats, float(alpha), floats[0] ** float(alpha))
+
+
+def reference_symbol(beta, shift, alpha, window):
+    """W(exp(-z)) exp(shift z) / z^alpha through z^window: the power of
+    q_l = sum_k beta_k (-k)^(l+1) / (l+1)!, times the exp(shift z)
+    series, in Fractions or, past an irrational a_0^alpha, in floats."""
+    q = [sum(b * Fraction((-k) ** (l + 1), math.factorial(l + 1))
+             for k, b in enumerate(beta)) for l in range(window + 1)]
+    powered = reference_pow(q, alpha)
+    kind = type(powered[0])
+    exp = [kind(shift ** l / math.factorial(l)) for l in range(window + 1)]
+    out = [kind(0)] * (window + 1)
+    for i, b in enumerate(powered):
+        if b == 0:
+            continue
+        for j in range(window + 1 - i):
+            out[i + j] += b * exp[j]
+    return out
+
+
+def assert_same(got, want):
+    """Equal Fractions, or bit-identical floats."""
+    if isinstance(want[0], Fraction):
+        assert got.rational and got.coeffs == tuple(want)
+    else:
+        assert not got.rational
+        assert [c.hex() for c in got.coeffs] == [c.hex() for c in want]
+
+
+rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+positive = st.builds(Fraction, st.integers(1, 30), st.integers(1, 12))
+a0s = st.one_of(st.just(Fraction(1)), positive)
+any_alphas = st.one_of(
+    st.builds(Fraction, st.integers(-3, 4)),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(2, 20)),
+)
+
+
+@SETTINGS
+@given(tail=st.lists(rationals, min_size=1, max_size=6), a0=a0s,
+       shift=rationals, alpha=any_alphas, window=st.integers(1, 9))
+def test_symbol_matches_fraction_reference(tail, a0, shift, alpha, window):
+    # beta sums to zero, and is scaled so that q_0 = a0
+    beta = [-sum(tail)] + tail
+    q0 = -sum(k * b for k, b in enumerate(beta))
+    assume(q0 != 0)
+    beta = [b * a0 / q0 for b in beta]
+    assert_same(normalized_symbol(beta, shift, alpha, window),
+                reference_symbol(beta, shift, alpha, window))
+
+
+@SETTINGS
+@given(tail=st.lists(rationals, min_size=1, max_size=9), a0=a0s,
+       alpha=any_alphas)
+def test_pow_real_matches_fraction_reference(tail, a0, alpha):
+    coeffs = [a0] + tail
+    assert_same(pow_real(TruncatedSeries.from_coefficients(coeffs), alpha),
+                reference_pow(coeffs, alpha))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from grunwald import (
+    ConstructionError,
     GeneratorSpec,
     InconsistentGeneratorError,
     a2_coefficient,
@@ -129,6 +130,25 @@ class TestConstructBeta:
         built = construct_beta(4, 1, 1.7)
         table = beta_table(4, 1, 1.7)
         assert built.beta == pytest.approx(table.beta, rel=1e-10)
+
+    def test_float_construction_accuracy(self):
+        # p = 1..6, r = 0..3, alpha = k/100 for k = 20..200, against the
+        # exact table rounded once
+        worst = 0.0
+        for order in range(1, 7):
+            for shift in range(4):
+                for k in range(20, 201):
+                    alpha = Fraction(k, 100)
+                    exact = [float(b) for b in
+                             beta_table(order, shift, alpha).beta]
+                    built = construct_beta(order, shift, float(alpha)).beta
+                    error = max(abs(b - e) for b, e in zip(built, exact))
+                    worst = max(worst, error / max(map(abs, exact)))
+        assert worst <= 1e-13
+
+    def test_non_finite_float_result_rejected(self):
+        with pytest.raises(ConstructionError, match="non-finite"):
+            construct_beta(3, 1, 1e-320)
 
 
 class TestGrunwaldWeights:
