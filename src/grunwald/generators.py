@@ -112,6 +112,10 @@ _BETA_POLYNOMIALS = {
     ),
 }
 
+# Each row as integer numerators over the lcm of its denominators.
+_BETA_INTEGER_ROWS = {order: tuple(map(series._over_lcm, rows))
+                      for order, rows in _BETA_POLYNOMIALS.items()}
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -188,7 +192,9 @@ def beta_table(order: int, shift, alpha) -> GeneratorSpec:
     """Closed-form beta coefficients for the given order and shift.
 
     Evaluates the tabulated polynomials in rho = shift/alpha. Exact when
-    shift and alpha are rational. At shift 0 the result coincides with
+    shift and alpha are rational: in integers, homogeneously in
+    rho = u/v, with one Fraction per beta_k; otherwise by Horner in
+    floats. At shift 0 the result coincides with
     lubich_generator(order, alpha).
     """
     _validate_order(order)
@@ -196,12 +202,19 @@ def beta_table(order: int, shift, alpha) -> GeneratorSpec:
         raise ValueError("alpha must be nonzero")
     kind = series.scalar_kind(shift, alpha)
     rho = kind(shift) / kind(alpha)
-    betas = []
-    for row in _BETA_POLYNOMIALS[order]:
-        acc = row[-1]
-        for coeff in reversed(row[:-1]):
-            acc = acc * rho + coeff
-        betas.append(acc)
+    if kind is Fraction:
+        u, v = rho.numerator, rho.denominator
+        betas = [Fraction(sum(num * u**i * v**(len(nums) - 1 - i)
+                              for i, num in enumerate(nums)),
+                          den * v**(len(nums) - 1))
+                 for nums, den in _BETA_INTEGER_ROWS[order]]
+    else:
+        betas = []
+        for row in _BETA_POLYNOMIALS[order]:
+            acc = row[-1]
+            for coeff in reversed(row[:-1]):
+                acc = acc * rho + coeff
+            betas.append(acc)
     return GeneratorSpec(alpha=alpha, shift=shift, beta=tuple(betas))
 
 

@@ -1,6 +1,7 @@
 """Grid operators: the Toeplitz column and row, convolution application,
-the tridiagonal preconditioner, the Dirichlet boundary fold and the
-checked Levinson solve."""
+the tridiagonal preconditioner, the Dirichlet boundary fold, the
+checked Levinson solve and the Gohberg-Semencul inverse of its condition
+estimate."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from grunwald import (
     grunwald_weights,
     polynomial_steady_problem,
 )
+from grunwald import operators
 from grunwald.operators import (
+    _gohberg_semencul,
     checked_lu,
     checked_toeplitz_solve,
     dirichlet_fold,
@@ -22,8 +25,9 @@ from grunwald.operators import (
     scheme_operator,
     split_boundary,
     toeplitz_generators,
+    toeplitz_rcond,
 )
-from scipy.linalg import toeplitz
+from scipy.linalg import solve_toeplitz, toeplitz
 
 
 class TestGridSpec:
@@ -335,3 +339,68 @@ class TestCheckedToeplitzSolve:
         col = np.array([0.0, 1.0])
         with pytest.raises(SolverFailure, match="leading minor"):
             checked_toeplitz_solve(col, col, np.ones(2), context="test")
+
+
+def _steady_interior(scheme, alpha, size):
+    """First column and row of the interior matrix of a steady solve with
+    `size` unknowns."""
+    col, row, _ = scheme_operator(scheme, alpha, GridSpec(0.0, 1.0, size + 1))
+    return split_boundary(col, row)[:2]
+
+
+def _dominant_toeplitz(size, seed=11):
+    """A random nonsymmetric, strictly diagonally dominant Toeplitz matrix."""
+    col, row = np.random.default_rng(seed).standard_normal((2, size))
+    col[0] = row[0] = 1.0 + np.abs(col[1:]).sum() + np.abs(row[1:]).sum()
+    return col, row
+
+
+def _gs_test_matrices(size):
+    yield _dominant_toeplitz(size)
+    for scheme in ("order2", "order3"):
+        for alpha in (1.1, 1.5, 1.9):
+            yield _steady_interior(scheme, alpha, size)
+
+
+class TestGohbergSemencul:
+    """Applies of T^-1 and T^-T in Gohberg-Semencul form against Levinson
+    solves, and the x_0 guard of toeplitz_rcond."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 17, 256, 1024])
+    def test_applies_match_levinson(self, size):
+        rng = np.random.default_rng(size)
+        for col, row in _gs_test_matrices(size):
+            inverse, inverse_t = _gohberg_semencul(col, row)
+            for rhs in rng.standard_normal((2, size)):
+                for apply, generators in ((inverse, (col, row)),
+                                          (inverse_t, (row, col))):
+                    expected = solve_toeplitz(generators, rhs)
+                    gap = np.max(np.abs(apply(rhs) - expected))
+                    assert gap <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("size", [1, 17, 256])
+    def test_checked_solve_is_the_levinson_solve(self, size):
+        rhs = np.random.default_rng(size).standard_normal(size)
+        for col, row in _gs_test_matrices(size):
+            assert np.array_equal(checked_toeplitz_solve(col, row, rhs),
+                                  solve_toeplitz((col, row), rhs))
+
+    def test_non_finite_x0_is_singular(self):
+        # Levinson runs, but 1 / 1e-310 overflows: x_0 is not finite
+        col = np.array([1e-310, 0.0, 0.0])
+        assert toeplitz_rcond(col, col) == 0.0
+        with pytest.raises(SolverFailure, match=r"singular \(rcond=0"):
+            checked_toeplitz_solve(col, col, np.ones(3), context="test")
+
+    def test_zero_x0_is_singular(self, monkeypatch):
+        def levinson_with_zero_x0(generators, rhs):
+            solution = solve_toeplitz(generators, rhs)
+            solution[0] = 0.0
+            return solution
+
+        monkeypatch.setattr(operators, "solve_toeplitz",
+                            levinson_with_zero_x0)
+        col = np.array([4.0, 1.0, 0.5])
+        assert toeplitz_rcond(col, col) == 0.0
+        with pytest.raises(SolverFailure, match=r"singular \(rcond=0"):
+            checked_toeplitz_solve(col, col, np.ones(3), context="test")

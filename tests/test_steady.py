@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor, toeplitz
+from scipy.linalg import lu_factor, solve_toeplitz, toeplitz
 from scipy.linalg.lapack import dgecon
 
 from grunwald import (
@@ -18,6 +18,8 @@ from grunwald import (
     stability_scan,
 )
 from grunwald.operators import (
+    RCOND_FLOOR,
+    _inverse_norm1_estimate,
     checked_lu,
     dirichlet_fold,
     precondition_rows,
@@ -38,6 +40,18 @@ def max_error(problem, n, scheme):
 
 def _order2_weights(alpha, grid):
     return grunwald_weights(beta_table(2, 1, alpha), grid.n + 1)
+
+
+def levinson_rcond(col, row):
+    """The oracle of toeplitz_rcond: the same dlacn2 estimate of
+    ||T^-1||_1, with every apply of T^-1 and T^-T a Levinson solve."""
+    column_sums = (np.cumsum(np.abs(row)) - abs(row[0])
+                   + np.cumsum(np.abs(col))[::-1])
+    with np.errstate(over="ignore"):
+        product = column_sums.max() * _inverse_norm1_estimate(
+            lambda b: solve_toeplitz((col, row), b),
+            lambda b: solve_toeplitz((row, col), b), len(col))
+    return 1.0 / product if product > 0 else 0.0
 
 
 def dense_dirichlet_solve(problem, grid, scheme):
@@ -169,6 +183,26 @@ class TestLevinsonSolve:
             assert info == 0
             ratio = toeplitz_rcond(col, row) / rcond
             assert 1 / 3 <= ratio <= 3, f"N={n}: ratio {ratio:.3f}"
+
+    @pytest.mark.parametrize("order", range(2, 7))
+    def test_rcond_floor_verdicts_match_levinson_estimate(self, order):
+        # the scan's interior operators at N=48; orders 3 to 6 fall below
+        # the floor from alpha near 1 up to an order-dependent onset. The
+        # estimate through the Gohberg-Semencul inverse must give the
+        # Levinson estimate's verdict on both sides of it
+        grid = GridSpec(0.0, 1.0, 48)
+        sides = set()
+        for alpha in np.linspace(1.04, 2.0, 25):
+            weights = grunwald_weights(beta_table(order, 1, alpha), 49)
+            full = toeplitz_generators(weights, grid)
+            col, row, _ = dirichlet_fold(*full, np.zeros(49), 0.0, 0.0)
+            fast, oracle = toeplitz_rcond(col, row), levinson_rcond(col, row)
+            assert (fast < RCOND_FLOOR) == (oracle < RCOND_FLOOR), alpha
+            if oracle >= RCOND_FLOOR:
+                assert abs(fast - oracle) <= 1e-8 * oracle, alpha
+            sides.add(oracle < RCOND_FLOOR)
+        if order > 2:
+            assert sides == {False, True}
 
     def test_large_grid_in_linear_memory(self):
         # the dense N=8192 operator alone would take 537 MB
