@@ -9,7 +9,7 @@ usage errors.
 
 Generator scalars (--alpha, --shift, --beta) are read exactly: integers,
 fractions ("11/10") and decimals ("1.1" is 11/10) all become rationals,
-so the series arithmetic stays exact. Output files land in
+so the symbol stays exact. Output files land in
 --outdir (or $GRUNWALD_OUTDIR, default the working directory) unless an
 absolute --output is given.
 """

@@ -419,7 +419,9 @@ def convex_combination_check(shift_a, shift_b, alpha) -> OrderReport:
     base = (kind(1), kind(-1))
     sym_a = series.normalized_symbol(base, p, a, window)
     sym_b = series.normalized_symbol(base, q, a, window)
-    combined = series.add(series.scale(sym_a, lam_a), series.scale(sym_b, lam_b))
+    combined = TruncatedSeries(tuple(
+        lam_a * x + lam_b * y for x, y in zip(sym_a.coeffs, sym_b.coeffs)
+    ), kind is Fraction)
     return _report_from_symbol(combined, base, expected)
 
 

@@ -1,13 +1,13 @@
-"""Truncated power-series arithmetic over exact rationals or floats.
+"""The scaled symbol W(exp(-z)) exp(shift*z) / z^alpha of a generator as
+its Taylor coefficients c0 + c1*z + ... + cL*z^L.
 
-A series here is a finite Taylor expansion c0 + c1*z + ... + cL*z^L.
-When every input scalar is rational (int or fractions.Fraction) the
-arithmetic stays exact, which makes "is this coefficient zero?" a
-decidable question; any float input demotes the computation to ordinary
-floating point, where a relative threshold decides zeroness instead.
-Exact real powers and the exact scaled symbol are computed in Python
-integers over one known denominator, with one Fraction per output
-coefficient rather than a gcd per operation.
+When every input scalar is rational (int or fractions.Fraction) they are
+exact, which makes "is this coefficient zero?" a decidable question: the
+power and the product with exp(shift*z) are one recurrence in Python
+integers over one known denominator, with one Fraction per coefficient.
+Any float input, or an irrational a_0^alpha, demotes the computation to
+the float power recurrence times exp(shift*z), where a relative
+threshold decides zeroness instead.
 """
 
 from __future__ import annotations
@@ -67,15 +67,6 @@ class TruncatedSeries:
     coeffs: tuple
     rational: bool
 
-    @classmethod
-    def from_coefficients(cls, coeffs) -> "TruncatedSeries":
-        """Bring the coefficients to one scalar kind (scalar_kind)."""
-        values = tuple(coeffs)
-        if not values:
-            raise ValueError("a series needs at least the constant coefficient")
-        kind = scalar_kind(*values)
-        return cls(tuple(map(kind, values)), kind is Fraction)
-
     @property
     def truncation_order(self) -> int:
         return len(self.coeffs) - 1
@@ -86,72 +77,9 @@ class TruncatedSeries:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def to_float(self) -> "TruncatedSeries":
-        if not self.rational:
-            return self
-        return TruncatedSeries(tuple(float(c) for c in self.coeffs), False)
-
     def __repr__(self) -> str:
         kind = "rational" if self.rational else "float"
         return f"TruncatedSeries({list(self.coeffs)!r}, kind={kind})"
-
-
-def _check_orders(a: TruncatedSeries, b: TruncatedSeries) -> None:
-    if a.truncation_order != b.truncation_order:
-        raise ValueError(
-            "truncation orders differ: "
-            f"{a.truncation_order} vs {b.truncation_order}"
-        )
-
-
-def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Coefficient-wise sum. Requires identical truncation order and kind."""
-    _check_orders(a, b)
-    if a.rational != b.rational:
-        raise ValueError("cannot add series of different scalar kinds")
-    return TruncatedSeries(
-        tuple(x + y for x, y in zip(a.coeffs, b.coeffs)), a.rational
-    )
-
-
-def scale(a: TruncatedSeries, factor) -> TruncatedSeries:
-    """Multiply every coefficient by a scalar."""
-    kind = scalar_kind(*a.coeffs, factor)
-    factor = kind(factor)
-    return TruncatedSeries(
-        tuple(factor * kind(c) for c in a.coeffs), kind is Fraction
-    )
-
-
-def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the common order.
-
-    Mixed scalar kinds are allowed and demote the result to floats.
-    """
-    _check_orders(a, b)
-    if a.rational != b.rational:
-        a, b = a.to_float(), b.to_float()
-    length = len(a.coeffs)
-    zero = Fraction(0) if a.rational else 0.0
-    out = [zero] * length
-    for i, ai in enumerate(a.coeffs):
-        if ai == 0:
-            continue
-        for j in range(length - i):
-            out[i + j] += ai * b.coeffs[j]
-    return TruncatedSeries(tuple(out), a.rational)
-
-
-def exp_scaled(factor, truncation_order: int) -> TruncatedSeries:
-    """Expansion of exp(factor * z): coefficients factor^l / l!."""
-    if truncation_order < 0:
-        raise ValueError("truncation order must be nonnegative")
-    kind = scalar_kind(factor)
-    c = kind(factor)
-    coeffs = tuple(
-        c**l / math.factorial(l) for l in range(truncation_order + 1)
-    )
-    return TruncatedSeries(coeffs, kind is Fraction)
 
 
 def power_recurrence(coeffs, alpha, out):
@@ -220,23 +148,6 @@ def _rational_power(A, C, alpha, shift):
     )
 
 
-def pow_real(a: TruncatedSeries, alpha) -> TruncatedSeries:
-    """Raise a series with positive constant term to a real power: by
-    _rational_power when the inputs are rational and a_0^alpha is too,
-    else by power_recurrence in floats."""
-    a0 = a.coeffs[0]
-    if not a0 > 0:
-        raise ValueError(f"pow_real needs a positive constant term, got {a0}")
-    if scalar_kind(a0, alpha) is Fraction:  # a series has one kind
-        coeffs = _rational_power(*_over_lcm(a.coeffs), Fraction(alpha),
-                                 Fraction(0))
-        if coeffs is not None:
-            return TruncatedSeries(coeffs, True)
-    coeffs, alpha = a.to_float().coeffs, float(alpha)
-    out = power_recurrence(coeffs, alpha, [coeffs[0] ** alpha])
-    return TruncatedSeries(tuple(out), False)
-
-
 def normalized_symbol(beta, shift, alpha, truncation_order: int) -> TruncatedSeries:
     """Expansion of G(z) = W(exp(-z)) * exp(shift*z) / z^alpha through z^L,
     where W(y) = (sum_k beta_k y^k)^alpha.
@@ -279,5 +190,15 @@ def normalized_symbol(beta, shift, alpha, truncation_order: int) -> TruncatedSer
             for k, b in enumerate(betas):
                 acc += b * (float((-k) ** (l + 1)) / fact)
             q.append(acc)
-    powered = pow_real(TruncatedSeries(tuple(q), False), kind(alpha))
-    return mul(powered, exp_scaled(kind(shift), truncation_order))
+    if not q[0] > 0:
+        raise ValueError("P(exp(-z))/z needs a positive constant term, "
+                         f"got q_0 = {q[0]}")
+    b = power_recurrence(q, float(alpha), [q[0] ** float(alpha)])
+    # times exp(shift*z), whose coefficients shift^l / l! are rounded once
+    e = [float(kind(shift) ** l / math.factorial(l)) for l in range(len(q))]
+    c = [0.0] * len(q)
+    for i, bi in enumerate(b):
+        if bi != 0:
+            for j in range(len(q) - i):
+                c[i + j] += bi * e[j]
+    return TruncatedSeries(tuple(c), False)

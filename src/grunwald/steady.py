@@ -157,10 +157,12 @@ def stability_scan(order: int, shift: int, alphas: Sequence[float],
     the operator matrix with random vectors (positive values betray a
     loss of negative definiteness) and (ii) for alpha > 1 solves the
     monomial benchmark problem on the scan grid and on a coarse baseline
-    grid. An alpha is flagged unstable when its generator has beta_0 <= 0
-    (no weights exist), the largest quotient exceeds RAYLEIGH_TOL or is
-    not finite, a solve fails, or the error exceeds BLOWUP_FACTOR times
-    the baseline error. Failures are data, not exceptions.
+    grid. An alpha is flagged unstable without being probed when its
+    generator has beta_0 <= 0 (no weights exist) or its operator entries
+    overflow, and after probing when the largest quotient exceeds
+    RAYLEIGH_TOL or is not finite, a solve fails, or the error exceeds
+    BLOWUP_FACTOR times the baseline error. Failures are data, not
+    exceptions.
 
     Stable is evidence, not proof: random samples can miss a positive
     eigenvalue. With shift 1, N=256, the default seed and 100 alphas over
@@ -170,11 +172,10 @@ def stability_scan(order: int, shift: int, alphas: Sequence[float],
     # local import: problems depends on this module
     from .problems import polynomial_steady_problem
 
-    def benchmark_error(problem, weights, grid):
+    def benchmark_error(problem, grid, col, row):
         x = grid.points()
         solution = _solve_dirichlet(
-            *toeplitz_generators(weights, grid),
-            np.asarray(problem.source(x), dtype=float),
+            col, row, np.asarray(problem.source(x), dtype=float),
             problem, context=f"scan solve order={order} "
                              f"alpha={problem.alpha} n={grid.n}",
         )
@@ -188,18 +189,24 @@ def stability_scan(order: int, shift: int, alphas: Sequence[float],
         generator = beta_table(order, shift, alpha)
         beta0 = float(generator.beta[0])
         if not beta0 > 0:
+            skip = (f"beta_0 = {beta0:.3e} is not positive: the weight "
+                    "recurrence is undefined")
+        else:
+            # weights that outgrow the float range give non-finite entries
+            with np.errstate(over="ignore", invalid="ignore"):
+                col, row = toeplitz_generators(
+                    _left_weights(generator, grid), grid)
+            skip = None if np.isfinite(np.r_[col, row]).all() else (
+                "operator entries are not finite: the weights overflow")
+        if skip:
             entries.append(ScanEntry(
                 alpha=alpha, max_rayleigh=float("nan"), solve_error=None,
                 baseline_error=None, solve_failed=False, stable=False,
-                reason=f"beta_0 = {beta0:.3e} is not positive: the weight "
-                       "recurrence is undefined",
-            ))
+                reason=skip))
             continue
-        weights = _left_weights(generator, grid)
-        # overflowing weights give a non-finite quotient, recorded below
         with np.errstate(over="ignore", invalid="ignore"):
-            operator = toeplitz(*toeplitz_generators(weights, grid))
-            quads = np.einsum("ij,ij->i", samples @ operator, samples)
+            quads = np.einsum("ij,ij->i", samples @ toeplitz(col, row),
+                              samples)
         norms = np.einsum("ij,ij->i", samples, samples)
         max_rayleigh = float(np.max(quads / norms))
         solve_error = None
@@ -217,9 +224,9 @@ def stability_scan(order: int, shift: int, alphas: Sequence[float],
             base_grid = GridSpec(grid.a, grid.b, BASELINE_N)
             try:
                 baseline_error = benchmark_error(
-                    problem, _left_weights(generator, base_grid), base_grid,
-                )
-                solve_error = benchmark_error(problem, weights, grid)
+                    problem, base_grid, *toeplitz_generators(
+                        _left_weights(generator, base_grid), base_grid))
+                solve_error = benchmark_error(problem, grid, col, row)
             except SolverFailure as exc:
                 solve_failed = True
                 reasons.append(f"solve failed: {exc}")

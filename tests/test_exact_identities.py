@@ -1,4 +1,4 @@
-"""Randomised exact identities of the generator and series arithmetic.
+"""Randomised exact identities of the generators and the scaled symbol.
 
 Rational fractional orders alpha in (0, 2], shifts 0..3 and design orders
 1..6 are drawn at random; every identity below must hold exactly, with no
@@ -7,7 +7,9 @@ float order check must reach the same verdict as the exact one.
 
 The exact symbol is computed in integers over one denominator; a plain
 Fraction version of the same expansion, one operation at a time, is
-written out below as its reference.
+written out below as its reference, and the float symbol must match the
+same expansion done in floats bit for bit. The log form of the symbol
+certifies each table order for every shift and alpha at once.
 """
 
 import math
@@ -24,7 +26,7 @@ from grunwald import (
     convex_combination_check,
     verify_order,
 )
-from grunwald.series import TruncatedSeries, normalized_symbol, pow_real
+from grunwald.series import normalized_symbol
 
 SETTINGS = settings(max_examples=100, deadline=None, database=None)
 
@@ -77,20 +79,6 @@ def test_combination_leading_coefficient_is_its_symbol(shift_a, shift_b,
             == combination_leading_coefficient(shift_a, shift_b, alpha))
 
 
-@SETTINGS
-@given(tail=st.lists(
-    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
-    min_size=1, max_size=7,
-))
-def test_pow_real_cube_and_cube_root_round_trip(tail):
-    series = TruncatedSeries.from_coefficients([1] + tail)
-    cubed = pow_real(series, 3)
-    assert cubed.rational
-    back = pow_real(cubed, Fraction(1, 3))
-    assert back.rational
-    assert back.coeffs == series.coeffs
-
-
 # every reduced alpha = n/d in (0, 2] with d <= 20: 256 values
 SMALL_DENOMINATOR_ALPHAS = sorted({Fraction(n, d) for d in range(1, 21)
                                    for n in range(1, 2 * d + 1)})
@@ -136,13 +124,28 @@ def reference_pow(coeffs, alpha):
     return reference_power(floats, float(alpha), floats[0] ** float(alpha))
 
 
+def reference_q(beta, window):
+    """q_0..q_window of P(exp(-z))/z, exactly:
+    q_l = sum_k beta_k (-k)^(l+1) / (l+1)!."""
+    return [sum(b * Fraction((-k) ** (l + 1), math.factorial(l + 1))
+                for k, b in enumerate(beta)) for l in range(window + 1)]
+
+
 def reference_symbol(beta, shift, alpha, window):
     """W(exp(-z)) exp(shift z) / z^alpha through z^window: the power of
-    q_l = sum_k beta_k (-k)^(l+1) / (l+1)!, times the exp(shift z)
-    series, in Fractions or, past an irrational a_0^alpha, in floats."""
-    q = [sum(b * Fraction((-k) ** (l + 1), math.factorial(l + 1))
-             for k, b in enumerate(beta)) for l in range(window + 1)]
-    powered = reference_pow(q, alpha)
+    q(z) times the exp(shift z) series, in Fractions or, past an
+    irrational a_0^alpha, in floats. Float inputs sum q_l term by term
+    in floats."""
+    if isinstance(alpha, float):
+        q = []
+        for l in range(window + 1):
+            acc = 0.0
+            for k, b in enumerate(beta):
+                acc += b * (float((-k) ** (l + 1)) / math.factorial(l + 1))
+            q.append(acc)
+        powered = reference_power(q, alpha, q[0] ** alpha)
+    else:
+        powered = reference_pow(reference_q(beta, window), alpha)
     kind = type(powered[0])
     exp = [kind(shift ** l / math.factorial(l)) for l in range(window + 1)]
     out = [kind(0)] * (window + 1)
@@ -174,21 +177,64 @@ any_alphas = st.one_of(
 
 @SETTINGS
 @given(tail=st.lists(rationals, min_size=1, max_size=6), a0=a0s,
-       shift=rationals, alpha=any_alphas, window=st.integers(1, 9))
-def test_symbol_matches_fraction_reference(tail, a0, shift, alpha, window):
+       shift=rationals, alpha=any_alphas, window=st.integers(1, 9),
+       floats=st.booleans())
+def test_symbol_matches_fraction_reference(tail, a0, shift, alpha, window,
+                                           floats):
     # beta sums to zero, and is scaled so that q_0 = a0
     beta = [-sum(tail)] + tail
     q0 = -sum(k * b for k, b in enumerate(beta))
     assume(q0 != 0)
     beta = [b * a0 / q0 for b in beta]
+    if floats:
+        beta = [float(b) for b in beta]
+        shift, alpha = float(shift), float(alpha)
     assert_same(normalized_symbol(beta, shift, alpha, window),
                 reference_symbol(beta, shift, alpha, window))
 
 
-@SETTINGS
-@given(tail=st.lists(rationals, min_size=1, max_size=9), a0=a0s,
-       alpha=any_alphas)
-def test_pow_real_matches_fraction_reference(tail, a0, alpha):
-    coeffs = [a0] + tail
-    assert_same(pow_real(TruncatedSeries.from_coefficients(coeffs), alpha),
-                reference_pow(coeffs, alpha))
+def log_symbol(beta, rho, window):
+    """l_0..l_window of log q(z) + rho z for a generator with q_0 = 1, by
+    the log recurrence m q_m = sum_{k=1}^{m} k l_k q_{m-k} of q' = q l'."""
+    q = reference_q(beta, window)
+    assert q[0] == 1
+    ell = [Fraction(0)]
+    for m in range(1, window + 1):
+        ell.append(q[m] - Fraction(sum(k * ell[k] * q[m - k]
+                                       for k in range(1, m)), m))
+    ell[1] += rho
+    return ell
+
+
+def lagrange(xs, ys, x):
+    """The polynomial through the points (xs, ys), evaluated at x."""
+    total = Fraction(0)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        for j, xj in enumerate(xs):
+            if j != i:
+                yi = yi * (x - xj) / (xi - xj)
+        total += yi
+    return total
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_order_holds_for_every_shift_and_alpha(order):
+    # The table symbol is exp(alpha (log q(z) + rho z)) with rho =
+    # shift/alpha, and beta_k is a polynomial of degree <= p-1 in rho, so
+    # coefficient l of log q(z) + rho z is one of degree <= max(1, l(p-1)).
+    # Coefficients 1..p-1 vanishing at (p-1)^2 + 1 distinct rho proves
+    # order >= p for every alpha and shift; coefficient p, interpolated and
+    # times alpha, is the leading error coefficient.
+    p = order
+    n_low, n_lead = (p - 1) ** 2 + 1, max(1, p * (p - 1)) + 1
+    rhos = [Fraction(j, 3) for j in range(max(n_low, n_lead) + 1)]
+    ells = [log_symbol(beta_table(p, rho, 1).beta, rho, p) for rho in rhos]
+    for ell in ells[:n_low]:
+        assert ell[1:p] == [0] * (p - 1)
+    xs, ys = rhos[:n_lead], [ell[p] for ell in ells[:n_lead]]
+    assert lagrange(xs, ys, rhos[n_lead]) == ells[n_lead][p]
+    for shift, alpha in ((0, Fraction(1, 2)), (1, Fraction(3, 2)),
+                         (3, Fraction(7, 5))):
+        report = verify_order(beta_table(p, shift, alpha), p)
+        assert report.coefficients[p] == alpha * lagrange(xs, ys,
+                                                          shift / alpha)

@@ -1,4 +1,4 @@
-"""Truncated-series arithmetic: exactness, truncation, symbol expansion."""
+"""The float power recurrence and the scaled-symbol expansion."""
 
 import math
 from fractions import Fraction
@@ -6,19 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from grunwald import InconsistentGeneratorError, TruncatedSeries
-from grunwald.series import (
-    add,
-    exp_scaled,
-    mul,
-    normalized_symbol,
-    pow_real,
-    scale,
-)
-
-
-def make(coeffs):
-    return TruncatedSeries.from_coefficients(coeffs)
+from grunwald import InconsistentGeneratorError
+from grunwald.series import normalized_symbol, power_recurrence
 
 
 def generalized_binomial(alpha, k):
@@ -30,109 +19,20 @@ def generalized_binomial(alpha, k):
     return num / math.factorial(k)
 
 
-class TestAdd:
-    def test_cancellation(self):
-        total = add(make((1, 1)), make((1, -1)))
-        assert total.coeffs == (Fraction(2), Fraction(0))
-
-    def test_identity(self):
-        a = make((3, -2, 5))
-        zero = make((0, 0, 0))
-        assert add(a, zero).coeffs == a.coeffs
-
-    def test_hand_sum(self):
-        total = add(make((1, 1, 1)), make((0, 0, 1)))
-        assert total.coeffs == (1, 1, 2)
-
-    def test_order_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="truncation"):
-            add(make((1, 1)), make((1, 1, 1)))
-
-    def test_kind_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            add(make((1, 1)), make((1.0, 1.5)))
-
-
-class TestMul:
-    def test_difference_of_squares(self):
-        prod = mul(make((1, -1, 0)), make((1, 1, 0)))
-        assert prod.coeffs == (1, 0, -1)
-
-    def test_identity(self):
-        a = make((2, 3, -1))
-        one = make((1, 0, 0))
-        assert mul(a, one).coeffs == a.coeffs
-
-    def test_truncation_drops_high_terms(self):
-        square = mul(make((1, 1)), make((1, 1)))
-        assert square.coeffs == (1, 2)
-
-    def test_commutative_and_associative_exact(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            a, b, c = (
-                make(tuple(Fraction(int(v), int(d)) for v, d in
-                           zip(rng.integers(-9, 10, 5),
-                               rng.integers(1, 7, 5))))
-                for _ in range(3)
-            )
-            assert mul(a, b).coeffs == mul(b, a).coeffs
-            assert mul(mul(a, b), c).coeffs == mul(a, mul(b, c)).coeffs
-
-    def test_mixed_kinds_demote_to_float(self):
-        prod = mul(make((1, 1)), make((1.0, 0.5)))
-        assert not prod.rational
-        assert prod.coeffs == (1.0, 1.5)
-
-
-class TestExpScaled:
-    def test_zero_factor(self):
-        assert exp_scaled(0, 3).coeffs == (1, 0, 0, 0)
-
-    def test_unit_factor(self):
-        assert exp_scaled(1, 3).coeffs == (
-            1, 1, Fraction(1, 2), Fraction(1, 6)
-        )
-
-    def test_negative_factor(self):
-        assert exp_scaled(-1, 2).coeffs == (1, -1, Fraction(1, 2))
-
-    def test_float_factor_gives_float_kind(self):
-        s = exp_scaled(0.5, 2)
-        assert not s.rational
-        assert s.coeffs == (1.0, 0.5, 0.125)
-
-
-class TestPowReal:
-    def test_integer_power_one(self):
-        assert pow_real(make((1, -1)), 1).coeffs == (1, -1)
-
-    def test_integer_power_two(self):
-        assert pow_real(make((1, -1, 0)), 2).coeffs == (1, -2, 1)
-
+class TestPowerRecurrence:
     def test_square_root_matches_binomial_oracle(self):
         # frozen from the oracle: (0.5 choose k)(-1)^k = 1, -0.5, -0.125
-        got = pow_real(make((1.0, -1.0, 0.0)), 0.5)
-        assert got.coeffs == pytest.approx((1.0, -0.5, -0.125), abs=1e-15)
-        longer = pow_real(make((1.0, -1.0) + (0.0,) * 6), 0.5)
+        got = power_recurrence((1.0, -1.0, 0.0), 0.5, [1.0])
+        assert got == pytest.approx((1.0, -0.5, -0.125), abs=1e-15)
+        longer = power_recurrence((1.0, -1.0) + (0.0,) * 6, 0.5, [1.0])
         expected = [generalized_binomial(0.5, k) * (-1) ** k for k in range(8)]
-        assert longer.coeffs == pytest.approx(expected, rel=1e-14)
+        assert longer == pytest.approx(expected, rel=1e-14)
 
-    def test_power_then_inverse_power_rational(self):
-        a = make((1, Fraction(1, 3), Fraction(-2, 7), Fraction(1, 2)))
-        back = pow_real(pow_real(a, 3), Fraction(1, 3))
-        assert back.coeffs == a.coeffs
-
-    def test_power_then_inverse_power_float(self):
-        a = make((1.7, 0.3, -0.2, 0.05))
-        back = pow_real(pow_real(a, 1.5), 1 / 1.5)
-        assert back.coeffs == pytest.approx(a.coeffs, rel=1e-12)
-
-    def test_nonpositive_constant_term_rejected(self):
-        with pytest.raises(ValueError, match="positive constant term"):
-            pow_real(make((0, 1)), 0.5)
-        with pytest.raises(ValueError, match="positive constant term"):
-            pow_real(make((-1, 1)), 2)
+    def test_power_then_inverse_power(self):
+        a = (1.7, 0.3, -0.2, 0.05)
+        powered = power_recurrence(a, 1.5, [a[0] ** 1.5])
+        back = power_recurrence(powered, 1 / 1.5, [powered[0] ** (1 / 1.5)])
+        assert back == pytest.approx(a, rel=1e-12)
 
 
 class TestNormalizedSymbol:
@@ -177,10 +77,12 @@ class TestNormalizedSymbol:
         for e, f in zip(exact.coeffs, approx.coeffs):
             assert float(e) == pytest.approx(f, abs=1e-13)
 
-    def test_scale_helper(self):
-        doubled = scale(make((1, Fraction(1, 2))), 2)
-        assert doubled.coeffs == (2, 1)
-        assert scale(make((1.0, 0.5)), 0.5).coeffs == (0.5, 0.25)
+    def test_nonpositive_constant_term_rejected(self):
+        # q_0 = -sum_k k beta_k is 0 for (1, -2, 1) and -1 for (-1, 1)
+        for beta, alpha in (((1, -2, 1), Fraction(1, 2)), ((-1, 1), 2),
+                            ((-1.0, 1.0), 1.5)):
+            with pytest.raises(ValueError, match="positive constant term"):
+                normalized_symbol(beta, 0, alpha, 3)
 
     def test_window_must_reach_past_constant_term(self):
         with pytest.raises(ValueError, match="at least 1"):

@@ -261,12 +261,24 @@ class TestStabilityScan:
 
     def test_nonfinite_rayleigh_quotient_is_unstable(self):
         # the order-6 weights at alpha = 1 overflow from k = 340, so the
-        # sampled quotients are NaN
+        # operator has non-finite entries and is not sampled
         report = stability_scan(6, 1, [1.0], GridSpec(0.0, 1.0, 512))
         entry = report.entries[0]
         assert np.isnan(entry.max_rayleigh)
         assert not entry.stable
         assert "not finite" in entry.reason
+
+    def test_overflowing_operator_recorded_as_data(self):
+        # the order-4 weights at this alpha overflow from k = 492: the
+        # entry is recorded, and neither solve sees the infinities
+        report = stability_scan(4, 1, (1.0204081632653061,),
+                                GridSpec(0.0, 1.0, 512))
+        entry = report.entries[0]
+        assert not entry.stable
+        assert "overflow" in entry.reason
+        assert np.isnan(entry.max_rayleigh)
+        assert entry.solve_error is None and entry.baseline_error is None
+        assert not entry.solve_failed
 
     @pytest.mark.parametrize("order", range(2, 7))
     def test_nonpositive_beta0_recorded_as_data(self, order):
