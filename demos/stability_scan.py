@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 # Map where each generator family can be trusted in an implicit solver.
 #
-# For every fractional order alpha the scan samples Rayleigh quotients
-# of the operator matrix (positive values mean the negative definiteness
-# behind unconditional stability is gone) and tries the steady benchmark
-# against a coarse-grid baseline. The shifted order-2 family is clean on
-# all of [1, 2]; the higher-order shifted families lose a chunk of the
-# interval near alpha = 1.
+# For every fractional order alpha the scan computes the top eigenvalue of
+# the operator matrix's symmetric part, the largest Rayleigh quotient (a
+# positive value means the negative definiteness behind unconditional
+# stability is gone), and tries the steady benchmark against a coarse-grid
+# baseline. The shifted order-2 family is clean on all of [1, 2]; the
+# higher-order shifted families lose a chunk of the interval near
+# alpha = 1.
 
 import numpy as np
 

@@ -144,9 +144,10 @@ class TestProblemValidation:
         pulse = {f"bc_{side}": lambda t: np.where((t > 0.1) & (t < 0.2),
                                                   1.0, 0.0)}
         problem = DiffusionProblem(**self.kwargs(**pulse))
-        assert problem.homogeneous_boundary
         with pytest.raises(ValueError, match=f"{side} boundary values"):
             cn_solve(problem, GridSpec(0.0, 1.0, 16), 20)
+        with pytest.raises(ValueError, match="homogeneous boundaries"):
+            stability_estimate_check(problem, GridSpec(0.0, 1.0, 16), 20)
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_boundary_convention_enforced_on_initial_data(self, side):

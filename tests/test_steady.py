@@ -4,7 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor, solve_toeplitz, toeplitz
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigvalsh, lu_factor, solve_toeplitz, toeplitz
 from scipy.linalg.lapack import dgecon
 
 from grunwald import (
@@ -252,6 +253,41 @@ class TestStabilityScan:
         # flagged rows carry their evidence
         flagged = [e for e in report.entries if not e.stable]
         assert all(e.reason for e in flagged)
+
+    @pytest.mark.parametrize("order, alpha", [
+        (3, 1.3434343434343434), (3, 1.4141414141414141),
+        (4, 1.6767676767676767), (5, 2.0)])
+    def test_positive_eigenvalue_is_unstable(self, order, alpha):
+        # random Rayleigh quotients miss these eigenvalues (2.1 to 1e5)
+        entry = stability_scan(order, 1, [alpha],
+                               GridSpec(0.0, 1.0, 256)).entries[0]
+        assert entry.max_rayleigh > 1.0
+        assert not entry.stable
+        assert "eigenvalue" in entry.reason
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(order=st.integers(2, 6), alpha=st.floats(1.0, 2.0),
+           n=st.integers(16, 64), seed=st.integers(0, 2**32 - 1))
+    def test_max_rayleigh_is_top_eigenvalue(self, order, alpha, n, seed):
+        grid = GridSpec(0.0, 1.0, n)
+        entry = stability_scan(order, 1, [alpha], grid).entries[0]
+        matrix = toeplitz(*toeplitz_generators(grunwald_weights(
+            beta_table(order, 1, alpha), n + 1), grid))
+        top = eigvalsh(0.5 * (matrix + matrix.T))[-1]
+        # round-off is relative to the operator's norm: at order 2 and
+        # alpha = 1 the symmetric part is exactly zero
+        scale = np.linalg.norm(matrix, 2)
+        assert abs(entry.max_rayleigh - top) <= 1e-12 * scale
+        v = np.random.default_rng(seed).standard_normal((50, n + 1))
+        quotients = np.einsum("ij,ij->i", v @ matrix, v) / np.einsum(
+            "ij,ij->i", v, v)
+        assert np.all(quotients <= entry.max_rayleigh + 1e-12 * scale)
+
+    def test_seed_and_sample_count_are_ignored(self):
+        alphas, grid = np.linspace(1.0, 2.0, 7), GridSpec(0.0, 1.0, 32)
+        reports = [stability_scan(3, 1, alphas, grid, n_samples=k, seed=s)
+                   for k, s in ((500, 1822), (10, 7))]
+        assert reports[0] == reports[1]
 
     def test_solver_failure_recorded_as_data(self):
         report = stability_scan(6, 1, [1.5], GridSpec(0.0, 1.0, 64))
