@@ -243,12 +243,21 @@ def _cmd_reproduce_table(args) -> int:
     path = _resolve_output(args, f"table{args.table}_diff.csv")
     report = reproduce_table(args.table, out_path=path)
     for cell in report.failed_cells:
-        print(
-            f"FAIL alpha={cell.alpha} N={cell.n}: expected "
-            f"{cell.expected_error:.4e}, got "
-            f"{cell.actual_error if cell.actual_error is not None else 'none'}",
-            file=sys.stderr,
-        )
+        failed = []
+        if cell.error_ok is False:
+            failed.append(
+                f"error expected {cell.expected_error:.4e}, got "
+                + ("none" if cell.actual_error is None else
+                   f"{cell.actual_error:.4e}, margin "
+                   f"{cell.error_margin:.4f} relative"))
+        if cell.order_ok is False:
+            failed.append(
+                f"order expected {cell.expected_order:.2f}, got "
+                + ("none" if cell.actual_order is None else
+                   f"{cell.actual_order:.2f}, margin "
+                   f"{cell.order_margin} hundredths"))
+        print(f"FAIL alpha={cell.alpha} N={cell.n}: " + "; ".join(failed),
+              file=sys.stderr)
     print(report.summary())
     print(f"wrote {path}")
     return 0 if report.passed else 1

@@ -52,12 +52,11 @@ M_RULES = ("equal-to-n", "ceil-n-3-2", "fixed")
 CSV_HEADER = "N,M,alpha,scheme,max_error,observed_order"
 DEFAULT_SEED = 20240807
 
-# reproduce_table tolerances: errors within 2 % relative; orders within
-# 0.10 (0.30 for the columns a table marks loose), counted in whole
+# reproduce_table tolerances, the same for every cell of every table:
+# errors within 2 % relative; orders within 0.10, counted in whole
 # hundredths because both orders are printed with two decimals
 ERROR_RTOL = 0.02
 ORDER_TOL_HUNDREDTHS = 10
-LOOSE_ORDER_TOL_HUNDREDTHS = 30
 
 
 def _round_error(value: Optional[float]) -> Optional[float]:
@@ -103,6 +102,8 @@ class RunConfig:
             )
         if self.m_rule == "fixed" and (self.m_fixed is None or self.m_fixed < 1):
             raise ValueError("fixed M rule needs m_fixed >= 1")
+        if self.m_fixed is not None and self.m_rule != "fixed":
+            raise ValueError("m_fixed is used only by the fixed M rule")
 
     def steps_for(self, n: int) -> int:
         if self.m_rule == "equal-to-n":
@@ -415,9 +416,9 @@ class TableDiffReport:
 def reproduce_table(table_id: int, *, out_path=None) -> TableDiffReport:
     """Re-run the exact configuration behind a benchmark table and diff
     every cell: errors within ERROR_RTOL relative, orders within
-    ORDER_TOL_HUNDREDTHS (LOOSE_ORDER_TOL_HUNDREDTHS for the columns the
-    table marks loose). A failing cell makes the report fail; it never
-    raises.
+    ORDER_TOL_HUNDREDTHS. Every error cell and every cell with a printed
+    order is gated, and a missing value fails its gate. A failing cell
+    makes the report fail; it never raises.
     """
     if table_id not in REFERENCE_TABLES:
         raise ValueError(
@@ -428,24 +429,19 @@ def reproduce_table(table_id: int, *, out_path=None) -> TableDiffReport:
     cells = []
     for alpha in ref.alphas:
         rows = _study(ref.problem, ref.scheme, alpha, ref.n_values, m_values)
-        gate_errors = alpha not in ref.ungated_error_alphas
-        tol = (LOOSE_ORDER_TOL_HUNDREDTHS if alpha in ref.loose_order_alphas
-               else ORDER_TOL_HUNDREDTHS)
         for row, expected_error, expected_order in zip(
                 rows, ref.errors[alpha], ref.orders[alpha], strict=True):
-            rel = error_ok = error_margin = None
-            if row.max_error is None:
-                error_ok = False if gate_errors else None
-            else:
+            rel = error_margin = None
+            if row.max_error is not None:
                 rel = abs(row.max_error - expected_error) / expected_error
-                if gate_errors:
-                    error_ok = rel <= ERROR_RTOL
-                    error_margin = ERROR_RTOL - rel
+                error_margin = ERROR_RTOL - rel
+            error_ok = error_margin is not None and error_margin >= 0
             order_ok = order_margin = None
             if expected_order is not None:
                 if row.observed_order is not None:
-                    order_margin = tol - abs(round(row.observed_order * 100)
-                                             - round(expected_order * 100))
+                    order_margin = ORDER_TOL_HUNDREDTHS - abs(
+                        round(row.observed_order * 100)
+                        - round(expected_order * 100))
                 order_ok = order_margin is not None and order_margin >= 0
             cells.append(
                 CellDiff(
@@ -463,9 +459,7 @@ def reproduce_table(table_id: int, *, out_path=None) -> TableDiffReport:
                     order_margin=order_margin,
                 )
             )
-    passed = all(
-        c.error_ok is not False and c.order_ok is not False for c in cells
-    )
+    passed = all(c.error_ok and c.order_ok is not False for c in cells)
     report = TableDiffReport(
         table_id=table_id, cells=tuple(cells), passed=passed, note=ref.note
     )

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from grunwald import cli
 from grunwald.cli import main
+from grunwald.harness import CellDiff, TableDiffReport
 
 
 @pytest.fixture(autouse=True)
@@ -97,6 +99,14 @@ class TestConvergenceCommands:
         assert code == 0
         assert ",64,1.9,order3," in (outdir / "diffusion.csv").read_text()
 
+    def test_step_count_without_fixed_rule_is_usage_error(self, outdir,
+                                                          capsys):
+        code = main(["diffusion", "--alphas", "1.5", "--n", "16,32",
+                     "--m", "7"])
+        assert code == 2
+        assert "fixed M rule" in capsys.readouterr().err
+        assert not (outdir / "diffusion.csv").exists()
+
 
 class TestScan:
     def test_writes_rows_and_exits_zero(self, outdir, capsys):
@@ -121,6 +131,29 @@ class TestReproduceTable:
         assert main(["reproduce-table", "--table", "4"]) == 0
         out = capsys.readouterr().out
         assert "worst margin: order 0 hundredths (alpha=1.1, N=512)" in out
+
+    def test_fail_lines_name_the_failing_quantity(self, monkeypatch, capsys):
+        def cell(n, actual_error, error_margin, actual_order, order_margin):
+            return CellDiff(
+                alpha=1.5, n=n, m=n, expected_error=1e-5,
+                actual_error=actual_error, error_rel_diff=0.02 - error_margin,
+                error_ok=error_margin >= 0, expected_order=2.0,
+                actual_order=actual_order, order_ok=order_margin >= 0,
+                error_margin=error_margin, order_margin=order_margin)
+
+        report = TableDiffReport(table_id=5, passed=False, cells=(
+            cell(32, 1e-5, 0.02, 2.15, -5),
+            cell(64, 1.05e-5, -0.03, 2.0, 10),
+        ))
+        monkeypatch.setattr(cli, "reproduce_table",
+                            lambda table_id, out_path: report)
+        assert main(["reproduce-table", "--table", "5"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "FAIL alpha=1.5 N=32: order expected 2.00, got 2.15, "
+            "margin -5 hundredths",
+            "FAIL alpha=1.5 N=64: error expected 1.0000e-05, got "
+            "1.0500e-05, margin -0.0300 relative",
+        ]
 
 
 class TestProperties:

@@ -44,6 +44,12 @@ class TestRunConfig:
             RunConfig("diffusion-poly", "order2", (1.5,), (16,),
                       m_rule="fixed")
 
+    def test_count_needs_fixed_rule(self):
+        for rule in ("equal-to-n", "ceil-n-3-2"):
+            with pytest.raises(ValueError, match="only by the fixed M rule"):
+                RunConfig("diffusion-poly", "order2", (1.5,), (16,),
+                          m_rule=rule, m_fixed=7)
+
     def test_step_rules(self):
         equal = RunConfig("diffusion-poly", "order2", (1.5,), (16,))
         assert equal.steps_for(32) == 32
@@ -237,7 +243,6 @@ class TestReproduceTable:
         summary names the worst: table 4 passes alpha=1.1, N=512 at
         exactly the 10-hundredth order tolerance."""
         report = reproduce_table(4)
-        ref = REFERENCE_TABLES[4]
         for cell in report.cells:
             if cell.error_ok is None:
                 assert cell.error_margin is None
@@ -248,12 +253,9 @@ class TestReproduceTable:
             if cell.order_ok is None:
                 assert cell.order_margin is None
             else:
-                tol = (harness.LOOSE_ORDER_TOL_HUNDREDTHS
-                       if cell.alpha in ref.loose_order_alphas
-                       else harness.ORDER_TOL_HUNDREDTHS)
                 off = abs(round(100 * cell.actual_order)
                           - round(100 * cell.expected_order))
-                assert cell.order_margin == tol - off
+                assert cell.order_margin == harness.ORDER_TOL_HUNDREDTHS - off
                 assert cell.order_ok == (cell.order_margin >= 0)
         worst = min((c for c in report.cells if c.order_margin is not None),
                     key=lambda c: c.order_margin)
