@@ -8,14 +8,15 @@ the split of that matrix into its Toeplitz interior and boundary columns,
 and the fold that moves known boundary values to the right-hand side; the
 tridiagonal quasi-compact preconditioner stencil; the scheme rule, which
 maps a scheme name to the shifted order-2 column and row and the
-preconditioner coefficient; and the two checked solves: a Levinson
-Toeplitz solve (steady solves) and a dense LU (the Crank-Nicolson step).
-The Toeplitz solve's condition estimate applies the inverse in
-Gohberg-Semencul form, built from two more Levinson solves, by FFT
-products; the solution itself is one Levinson solve. Also the scheme list
-and the set-up checks shared by the solvers. Functions outside the grid
-are zero-extended, so indices that fall off the grid simply contribute
-nothing.
+preconditioner coefficient; and three checked solves: a lower Hessenberg
+Toeplitz solve through the triangular Toeplitz embedding L of W (steady
+solves; L^-1 holds the discrete fractional-integral weights of W), a
+Levinson Toeplitz solve with a condition estimate on the Gohberg-Semencul
+inverse (scan probes: they take any shift, and L^-1 grows exponentially
+when beta has a root inside the unit disk) and a dense LU (the CN step).
+Also the scheme list and the set-up checks shared by the solvers.
+Functions outside the grid are zero-extended, so indices that fall off the
+grid simply contribute nothing.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ __all__ = [
     "dirichlet_fold",
     "toeplitz_rcond",
     "checked_toeplitz_solve",
+    "hessenberg_rcond",
+    "checked_hessenberg_solve",
     "checked_lu",
     "solve_factored",
 ]
@@ -328,6 +331,71 @@ def checked_toeplitz_solve(col: np.ndarray, row: np.ndarray,
             f"(rcond={rcond:.2e})"
         )
     return solution
+
+
+def _hessenberg_inverse(col: np.ndarray, row: np.ndarray):
+    """The lower Hessenberg T = toeplitz(col, row) of size n is the lower
+    triangular Toeplitz L of first column (row[1], col[0], ..., col[n-1])
+    without its first row and last column (col[0] stands in for row[1] of
+    a 1 x 1 T). Returns g = L^-1 e_0, by forward substitution on the float
+    column, and T's rcond estimate from the exact ||T||_1 and FFT applies
+    of T^-1 b = c[:n] - (c_n / g_n) g[:n], c = L^-1 (0; b), and of T^-T d,
+    the last n entries of L^-T (d; -g[:n].d / g_n); it is 0 when g_n is
+    zero or g is not finite."""
+    col, row = np.asarray(col, dtype=float), np.asarray(row, dtype=float)
+    if np.any(row[2:]):
+        raise ValueError("toeplitz(col, row) is not lower Hessenberg")
+    size = len(col)
+    column = np.concatenate(([row[1] if size > 1 else col[0]], col))
+    backward = column[::-1].copy()
+    g = np.empty(size + 1)
+    with np.errstate(all="ignore"):
+        g[0] = 1.0 / column[0]
+        for k in range(1, size + 1):
+            g[k] = -(backward[size - k:size] @ g[:k]) / column[0]
+    if not (np.isfinite(g).all() and g[size] != 0):
+        return g, 0.0
+    # column 1 of T, l_0 ... l_(n-1), is the largest after column 0
+    anorm = max(np.abs(col).sum(), np.abs(column[:-1]).sum())
+    length = 1 << (2 * size).bit_length()
+    spectrum = np.fft.rfft(g, length)
+
+    def lower_inverse(v):
+        return np.fft.irfft(spectrum * np.fft.rfft(v, length), length)
+
+    def solve(b):
+        c = lower_inverse(np.r_[0.0, b])
+        return c[:size] - (c[size] / g[size]) * g[:size]
+
+    def solve_transposed(d):  # L^-T = J L^-1 J, with J the reversal
+        w = np.r_[-(g[:size] @ d) / g[size], d[::-1]]
+        return lower_inverse(w)[size - 1::-1]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = anorm * _inverse_norm1_estimate(solve, solve_transposed,
+                                                  size)
+    return g, 1.0 / product if product > 0 else 0.0
+
+
+def hessenberg_rcond(col: np.ndarray, row: np.ndarray) -> float:
+    """Reciprocal 1-norm condition estimate of the lower Hessenberg
+    toeplitz(col, row) through its triangular Toeplitz embedding."""
+    return _hessenberg_inverse(col, row)[1]
+
+
+def checked_hessenberg_solve(col: np.ndarray, row: np.ndarray,
+                             rhs: np.ndarray,
+                             context: str = "linear system") -> np.ndarray:
+    """Solve the lower Hessenberg toeplitz(col, row) x = rhs through its
+    triangular Toeplitz embedding (_hessenberg_inverse) in O(n^2) time and
+    O(n) memory. Raises SolverFailure when the condition estimate falls
+    below RCOND_FLOOR. The convolution is direct: an FFT one loses digits."""
+    g, rcond = _hessenberg_inverse(col, row)
+    if rcond < RCOND_FLOOR:
+        raise SolverFailure(f"{context}: matrix is numerically singular "
+                            f"(rcond={rcond:.2e})")
+    c = np.convolve(g, np.asarray(rhs, dtype=float))[:len(rhs)]  # c_1..c_n
+    return np.r_[0.0, c[:-1]] - (c[-1] / g[-1]) * g[:-1]
 
 
 def checked_lu(matrix: np.ndarray, context: str = "linear system"):

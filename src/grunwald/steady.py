@@ -4,13 +4,13 @@ Solves  D^alpha u = f  on [a, b] with Dirichlet data. The scheme rule
 (operators.scheme_operator) gives the shifted order-2 operator's first
 column and row and the preconditioner coefficient: order2 solves with the
 operator directly, order3 premultiplies the source by the quasi-compact
-tridiagonal preconditioner first. The interior system is Toeplitz, so it
-is solved from the column and row by Levinson recursion (O(N^2) time,
+tridiagonal preconditioner first. The interior system is lower Hessenberg
+Toeplitz, solved through its triangular Toeplitz embedding (O(N^2) time,
 O(N) memory) with a reciprocal-condition estimate; no dense matrix is
-formed. The scanner probes generators of any supported order for the
+formed. The scanner probes generators of any order and shift for the
 negative definiteness (by the exact top eigenvalue of the operator's
 symmetric part, a dense matrix) and solve quality that make implicit
-schemes trustworthy.
+schemes trustworthy; it solves by Levinson recursion (see operators).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .operators import (
     GridSpec,
     SolverFailure,
     check_domain,
+    checked_hessenberg_solve,
     checked_toeplitz_solve,
     dirichlet_fold,
     precondition_rows,
@@ -75,18 +76,17 @@ def _left_weights(generator, grid: GridSpec):
     return grunwald_weights(generator, grid.n + generator.shift)
 
 
-def _solve_dirichlet(col, row, rhs, problem, context: str) -> np.ndarray:
+def _solve_dirichlet(col, row, rhs, problem, solve, context) -> np.ndarray:
     """Solve the full-grid system toeplitz(col, row) with its boundary
     rows replaced by the Dirichlet data: fold the boundary values into the
-    interior right-hand side, solve the Toeplitz interior with the
-    singularity check, and return all n+1 grid values."""
+    interior right-hand side, solve the Toeplitz interior with `solve` (a
+    checked solve of operators), and return all n+1 grid values."""
     col, row, adjusted = dirichlet_fold(col, row, rhs, problem.phi0,
                                         problem.phi1)
     solution = np.empty(len(rhs))
     solution[0] = problem.phi0
     solution[-1] = problem.phi1
-    solution[1:-1] = checked_toeplitz_solve(col, row, adjusted,
-                                            context=context)
+    solution[1:-1] = solve(col, row, adjusted, context=context)
     return solution
 
 
@@ -106,6 +106,7 @@ def solve_steady(problem: SteadyProblem, grid: GridSpec,
     rhs = np.asarray(problem.source(grid.points()), dtype=float)
     return _solve_dirichlet(
         col, row, precondition_rows(np.pad(rhs, 1), a2), problem,
+        checked_hessenberg_solve,
         context=f"steady {scheme} solve at alpha={alpha}, n={grid.n}",
     )
 
@@ -178,8 +179,9 @@ def stability_scan(order: int, shift: int, alphas: Sequence[float],
         x = grid.points()
         solution = _solve_dirichlet(
             col, row, np.asarray(problem.source(x), dtype=float),
-            problem, context=f"scan solve order={order} "
-                             f"alpha={problem.alpha} n={grid.n}",
+            problem, checked_toeplitz_solve,
+            context=f"scan solve order={order} alpha={problem.alpha} "
+                    f"n={grid.n}",
         )
         return float(np.max(np.abs(solution - problem.exact(x))))
 

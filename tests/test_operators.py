@@ -1,7 +1,8 @@
 """Grid operators: the Toeplitz column and row, convolution application,
 the tridiagonal preconditioner, the Dirichlet boundary fold, the
 checked Levinson solve and the Gohberg-Semencul inverse of its condition
-estimate."""
+estimate, and the checked lower Hessenberg solve through the triangular
+Toeplitz embedding."""
 
 import numpy as np
 import pytest
@@ -18,9 +19,11 @@ from grunwald import (
 from grunwald import operators
 from grunwald.operators import (
     _gohberg_semencul,
+    checked_hessenberg_solve,
     checked_lu,
     checked_toeplitz_solve,
     dirichlet_fold,
+    hessenberg_rcond,
     precondition_rows,
     scheme_operator,
     split_boundary,
@@ -340,6 +343,38 @@ class TestCheckedToeplitzSolve:
         with pytest.raises(SolverFailure, match="leading minor"):
             checked_toeplitz_solve(col, col, np.ones(2), context="test")
 
+
+
+class TestCheckedHessenbergSolve:
+    def test_regular_system_solves(self):
+        col = np.array([4.0, 1.0, 0.5, 0.25])
+        row = np.array([4.0, -1.0, 0.0, 0.0])
+        rhs = np.array([1.0, 2.0, 3.0, 4.0])
+        x = checked_hessenberg_solve(col, row, rhs)
+        assert toeplitz(col, row) @ x == pytest.approx(rhs, rel=1e-14)
+
+    def test_singular_system_raises(self):
+        # the tridiagonal matrix of test_singular_system_raises above is
+        # lower Hessenberg; det = a(a^2 - 2) is zero up to rounding
+        a = np.sqrt(2.0)
+        col = np.array([a, 1.0, 0.0])
+        assert hessenberg_rcond(col, col) < 1e-14
+        with pytest.raises(SolverFailure, match=r"singular \(rcond="):
+            checked_hessenberg_solve(col, col, np.ones(3), context="test")
+
+    def test_non_finite_inverse_column_is_singular(self):
+        # 1 / 1e-310 overflows, so the embedding's inverse column is not
+        # finite
+        col = np.array([1.0, 0.0, 0.0])
+        row = np.array([1.0, 1e-310, 0.0])
+        assert hessenberg_rcond(col, row) == 0.0
+        with pytest.raises(SolverFailure, match=r"singular \(rcond=0"):
+            checked_hessenberg_solve(col, row, np.ones(3), context="test")
+
+    def test_upper_bandwidth_above_one_rejected(self):
+        col = np.array([4.0, 1.0, 0.5])
+        with pytest.raises(ValueError, match="Hessenberg"):
+            checked_hessenberg_solve(col, col, np.ones(3))
 
 def _steady_interior(scheme, alpha, size):
     """First column and row of the interior matrix of a steady solve with

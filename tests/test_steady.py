@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import eigvalsh, lu_factor, solve_toeplitz, toeplitz
+from scipy.linalg import (eigvalsh, lu_factor, lu_solve, solve_toeplitz,
+                          toeplitz)
 from scipy.linalg.lapack import dgecon
 
 from grunwald import (
@@ -22,8 +23,11 @@ from grunwald.operators import (
     RCOND_FLOOR,
     _inverse_norm1_estimate,
     checked_lu,
+    checked_toeplitz_solve,
     dirichlet_fold,
+    hessenberg_rcond,
     precondition_rows,
+    scheme_operator,
     solve_factored,
     toeplitz_generators,
     toeplitz_rcond,
@@ -158,18 +162,42 @@ class TestSolveSteady:
 
 
 class TestLevinsonSolve:
-    """The Levinson solve against the dense LU oracle."""
+    """The steady solve, through the triangular Toeplitz embedding,
+    against the dense LU oracle and a longdouble-refined solution; its
+    condition estimate and the scan's Levinson one against dgecon."""
 
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
     @pytest.mark.parametrize("scheme", ["order2", "order3"])
     def test_matches_dense_oracle(self, scheme, alpha):
         problem = polynomial_steady_problem(alpha)
-        for n in LADDER:
+        # n = 2 leaves one unknown, whose matrix has no superdiagonal
+        for n in (2, 3, 4) + LADDER:
             grid = GridSpec(0.0, 1.0, n)
             fast = solve_steady(problem, grid, scheme)
             dense = dense_dirichlet_solve(problem, grid, scheme)
             gap = np.max(np.abs(fast - dense)) / np.max(np.abs(dense))
             assert gap <= 5e-12, f"N={n}: relative gap {gap:.2e}"
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.9])
+    def test_order3_within_round_off_of_refined_solution(self, alpha):
+        # x_ref solves the same float system: a dense LU solution refined
+        # with residuals in 80-bit long double
+        assert np.finfo(np.longdouble).nmant >= 63, "needs 80-bit long double"
+        problem = polynomial_steady_problem(alpha)
+        grid = GridSpec(0.0, 1.0, 1024)
+        col, row, a2 = scheme_operator("order3", alpha, grid)
+        rhs = precondition_rows(np.pad(problem.source(grid.points()), 1), a2)
+        col, row, adjusted = dirichlet_fold(col, row, rhs, problem.phi0,
+                                            problem.phi1)
+        matrix = toeplitz(col, row)
+        factors = lu_factor(matrix)
+        reference = lu_solve(factors, adjusted).astype(np.longdouble)
+        for _ in range(4):
+            residual = adjusted - matrix.astype(np.longdouble) @ reference
+            reference += lu_solve(factors, residual.astype(float))
+        solution = solve_steady(problem, grid, "order3")[1:-1]
+        gap = float(np.max(np.abs(solution - reference)))
+        assert gap <= 5e-13 * np.max(np.abs(solution)), f"gap {gap:.2e}"
 
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
     def test_rcond_estimate_tracks_dgecon(self, alpha):
@@ -182,8 +210,10 @@ class TestLevinsonSolve:
             rcond, info = dgecon(lu_factor(matrix)[0],
                                  np.linalg.norm(matrix, 1))
             assert info == 0
-            ratio = toeplitz_rcond(col, row) / rcond
-            assert 1 / 3 <= ratio <= 3, f"N={n}: ratio {ratio:.3f}"
+            for estimate in (toeplitz_rcond, hessenberg_rcond):
+                ratio = estimate(col, row) / rcond
+                assert 1 / 3 <= ratio <= 3, (
+                    f"{estimate.__name__}, N={n}: ratio {ratio:.3f}")
 
     @pytest.mark.parametrize("order", range(2, 7))
     def test_rcond_floor_verdicts_match_levinson_estimate(self, order):
@@ -329,12 +359,25 @@ class TestStabilityScan:
         assert entry.solve_error is None
 
     def test_order2_scan_errors_are_the_steady_solver_errors(self):
-        # the scan's order-2, shift-1 family is the order2 steady scheme,
-        # so its scan-grid and baseline errors are solve_steady's, exactly
+        # the scan's order-2, shift-1 family is the order2 steady scheme.
+        # The scan solves with checked_toeplitz_solve, so its scan-grid and
+        # baseline errors are those of that solve of the folded system, bit
+        # for bit; solve_steady solves the same system through the
+        # triangular embedding, which rounds differently
         alphas = (1.2, 1.7)
         report = stability_scan(2, 1, alphas, GridSpec(0.0, 1.0, 48))
         for alpha, entry in zip(alphas, report.entries):
             problem = polynomial_steady_problem(alpha)
-            assert entry.solve_error == max_error(problem, 48, "order2")
-            assert entry.baseline_error == max_error(problem, BASELINE_N,
-                                                     "order2")
+            for n, error in ((48, entry.solve_error),
+                             (BASELINE_N, entry.baseline_error)):
+                grid = GridSpec(0.0, 1.0, n)
+                x = grid.points()
+                col, row, adjusted = dirichlet_fold(
+                    *toeplitz_generators(_order2_weights(alpha, grid), grid),
+                    problem.source(x), problem.phi0, problem.phi1)
+                solution = np.r_[problem.phi0,
+                                 checked_toeplitz_solve(col, row, adjusted),
+                                 problem.phi1]
+                assert error == np.max(np.abs(solution - problem.exact(x)))
+                assert max_error(problem, n, "order2") == pytest.approx(
+                    error, rel=1e-10, abs=0)
