@@ -8,12 +8,12 @@ the split of that matrix into its Toeplitz interior and boundary columns,
 and the fold that moves known boundary values to the right-hand side; the
 tridiagonal quasi-compact preconditioner stencil; the scheme rule, which
 maps a scheme name to the shifted order-2 column and row and the
-preconditioner coefficient; and three checked solves: a lower Hessenberg
+preconditioner coefficient; and two checked solves: a lower Hessenberg
 Toeplitz solve through the triangular Toeplitz embedding L of W (steady
-solves; L^-1 holds the discrete fractional-integral weights of W), a
-Levinson Toeplitz solve with a condition estimate on the Gohberg-Semencul
-inverse (scan probes: they take any shift, and L^-1 grows exponentially
-when beta has a root inside the unit disk) and a dense LU (the CN step).
+solves; L^-1 holds the discrete fractional-integral weights of W) and a
+dense LU (the CN step; scan probes: dense LU, since the scan is dense
+already; the embedding does not fit them, as they take any shift and L^-1
+grows exponentially when beta has a root inside the unit disk).
 Also the scheme list and the set-up checks shared by the solvers.
 Functions outside the grid are zero-extended, so indices that fall off the
 grid simply contribute nothing.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 import numpy as np
-from scipy.linalg import LinAlgError, lu_factor, lu_solve, solve_toeplitz
+from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon
 
 from .generators import (WeightSequence, a2_coefficient, beta_table,
@@ -42,8 +42,6 @@ __all__ = [
     "toeplitz_generators",
     "split_boundary",
     "dirichlet_fold",
-    "toeplitz_rcond",
-    "checked_toeplitz_solve",
     "hessenberg_rcond",
     "checked_hessenberg_solve",
     "checked_lu",
@@ -244,93 +242,6 @@ def _inverse_norm1_estimate(solve, solve_transposed, size: int) -> float:
     alternating = np.where(i % 2 == 0, 1.0, -1.0) * (1 + i / max(size - 1, 1))
     return max(estimate,
                2.0 * np.abs(solve(alternating)).sum() / (3.0 * size))
-
-
-def _gohberg_semencul(col: np.ndarray, row: np.ndarray):
-    """Applies of T^-1 and T^-T for T = toeplitz(col, row), from two
-    Levinson solves x = T^-1 e_0 and y = T^-1 e_(n-1) (Gohberg-Semencul;
-    Heinig & Rost 1984):
-
-        x_0 T^-1 = L(x) U(Jy) - L(Zy) U(ZJx),
-        x_0 T^-T = L(Jy) U(x) - L(ZJx) U(Zy),
-
-    with L(v) and U(v) the lower and upper triangular Toeplitz matrices of
-    first column (row) v, J the reversal, Z the down shift, and
-    U(v) b = J L(v) J b. Each triangular product is a zero-padded FFT
-    convolution, so an apply costs O(n log n). Returns None when x_0 is
-    zero or not finite; x_0 = det T[1:, 1:] / det T, so that happens only
-    for a (numerically) singular T. Raises numpy.linalg.LinAlgError when
-    Levinson recursion meets a singular leading minor."""
-    size = len(col)
-    x = solve_toeplitz((col, row), np.eye(1, size, 0)[0])
-    y = solve_toeplitz((col, row), np.eye(1, size, size - 1)[0])
-    x0 = x[0]
-    if x0 == 0 or not np.isfinite(x0):
-        return None
-    # the first `size` terms of a linear convolution need 2 size - 1 points
-    length = 1 << (2 * size - 2).bit_length()
-    shifted_y = np.concatenate(([0.0], y[:-1]))
-    shifted_jx = np.concatenate(([0.0], x[:0:-1]))
-    # spectra of the L factors (x, Zy) and the U factors (Jy, ZJx) of x_0 T^-1
-    lower = np.fft.rfft(np.array([x, shifted_y]), length)
-    upper = np.fft.rfft(np.array([y[::-1], shifted_jx]), length)
-
-    def apply(b, first, second):
-        # sum_k second_k (J first_k J b) / x_0, by L(v) b = conv(v, b)[:n]
-        inner = np.fft.irfft(first * np.fft.rfft(b[::-1], length),
-                             length)[:, size - 1::-1]
-        outer = second * np.fft.rfft(inner, length)
-        return np.fft.irfft(outer[0] - outer[1], length)[:size] / x0
-
-    return (lambda b: apply(b, upper, lower),
-            lambda b: apply(b, lower, upper))
-
-
-def toeplitz_rcond(col: np.ndarray, row: np.ndarray) -> float:
-    """Reciprocal 1-norm condition estimate of toeplitz(col, row):
-    1 / (||A||_1 est||A^-1||_1). ||A||_1 is exact, in O(n) from cumulative
-    sums of |col| and |row|; the inverse norm is estimated from applies of
-    A^-1 and A^-T in Gohberg-Semencul form (_gohberg_semencul), two
-    Levinson solves and then O(n log n) per apply. Returns 0 when that
-    form does not exist (x_0 zero or not finite). Raises
-    numpy.linalg.LinAlgError when Levinson recursion meets a singular
-    leading minor."""
-    # column j holds row[j..1] above the diagonal and col[0..n-1-j] from it
-    column_sums = (np.cumsum(np.abs(row)) - abs(row[0])
-                   + np.cumsum(np.abs(col))[::-1])
-    anorm = float(column_sums.max())
-    # overflowing generators give a non-finite estimate, hence rcond 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        inverse = _gohberg_semencul(col, row)
-        if inverse is None:
-            return 0.0
-        product = anorm * _inverse_norm1_estimate(*inverse, len(col))
-    return 1.0 / product if product > 0 else 0.0
-
-
-def checked_toeplitz_solve(col: np.ndarray, row: np.ndarray,
-                           rhs: np.ndarray,
-                           context: str = "linear system") -> np.ndarray:
-    """Solve toeplitz(col, row) x = rhs by Levinson recursion, in O(n^2)
-    time and O(n) memory, with the singularity check of checked_lu.
-
-    Raises SolverFailure when the reciprocal condition estimate falls
-    below RCOND_FLOOR or the recursion meets a singular leading minor.
-    """
-    try:
-        rcond = toeplitz_rcond(col, row)
-        solution = solve_toeplitz((col, row), rhs)
-    except LinAlgError as exc:
-        raise SolverFailure(
-            f"{context}: Levinson recursion met a singular leading minor "
-            f"({exc})"
-        ) from exc
-    if rcond < RCOND_FLOOR:
-        raise SolverFailure(
-            f"{context}: matrix is numerically singular "
-            f"(rcond={rcond:.2e})"
-        )
-    return solution
 
 
 def _hessenberg_inverse(col: np.ndarray, row: np.ndarray):

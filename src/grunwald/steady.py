@@ -10,7 +10,8 @@ O(N) memory) with a reciprocal-condition estimate; no dense matrix is
 formed. The scanner probes generators of any order and shift for the
 negative definiteness (by the exact top eigenvalue of the operator's
 symmetric part, a dense matrix) and solve quality that make implicit
-schemes trustworthy; it solves by Levinson recursion (see operators).
+schemes trustworthy. Scan probes: dense LU, since the scan is dense
+already (operators.checked_lu, the checked solve of the CN step).
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ from .operators import (
     SolverFailure,
     check_domain,
     checked_hessenberg_solve,
-    checked_toeplitz_solve,
+    checked_lu,
     dirichlet_fold,
     precondition_rows,
     scheme_operator,
+    solve_factored,
     toeplitz_generators,
 )
 
@@ -175,11 +177,14 @@ def stability_scan(order: int, shift: int, alphas: Sequence[float],
     # local import: problems depends on this module
     from .problems import polynomial_steady_problem
 
+    def dense_solve(col, row, rhs, context):
+        return solve_factored(checked_lu(toeplitz(col, row), context), rhs)
+
     def benchmark_error(problem, grid, col, row):
         x = grid.points()
         solution = _solve_dirichlet(
             col, row, np.asarray(problem.source(x), dtype=float),
-            problem, checked_toeplitz_solve,
+            problem, dense_solve,
             context=f"scan solve order={order} alpha={problem.alpha} "
                     f"n={grid.n}",
         )

@@ -1,8 +1,8 @@
 """Grid operators: the Toeplitz column and row, convolution application,
-the tridiagonal preconditioner, the Dirichlet boundary fold, the
-checked Levinson solve and the Gohberg-Semencul inverse of its condition
-estimate, and the checked lower Hessenberg solve through the triangular
-Toeplitz embedding."""
+the tridiagonal preconditioner, the Dirichlet boundary fold, and the two
+checked solves: the dense LU (the CN step; scan probes: dense LU, since
+the scan is dense already) and the lower Hessenberg solve through the
+triangular Toeplitz embedding (steady solves)."""
 
 import numpy as np
 import pytest
@@ -16,21 +16,18 @@ from grunwald import (
     grunwald_weights,
     polynomial_steady_problem,
 )
-from grunwald import operators
 from grunwald.operators import (
-    _gohberg_semencul,
     checked_hessenberg_solve,
     checked_lu,
-    checked_toeplitz_solve,
     dirichlet_fold,
     hessenberg_rcond,
     precondition_rows,
     scheme_operator,
+    solve_factored,
     split_boundary,
     toeplitz_generators,
-    toeplitz_rcond,
 )
-from scipy.linalg import solve_toeplitz, toeplitz
+from scipy.linalg import toeplitz
 
 
 class TestGridSpec:
@@ -312,37 +309,28 @@ class TestCheckedLU:
             checked_lu(np.zeros((3, 3)), context="test")
 
     def test_regular_matrix_solves(self):
-        from grunwald.operators import solve_factored
-
         matrix = np.array([[2.0, 1.0], [1.0, 3.0]])
         factors = checked_lu(matrix)
         x = solve_factored(factors, np.array([3.0, 4.0]))
         assert matrix @ x == pytest.approx([3.0, 4.0])
 
-
-class TestCheckedToeplitzSolve:
-    def test_regular_system_solves(self):
-        col = np.array([4.0, 1.0, 0.5, 0.25])
-        row = np.array([4.0, -1.0, 0.0, 2.0])
-        rhs = np.array([1.0, 2.0, 3.0, 4.0])
-        x = checked_toeplitz_solve(col, row, rhs)
-        assert toeplitz(col, row) @ x == pytest.approx(rhs, rel=1e-14)
-
-    def test_singular_system_raises(self):
-        # leading minors sqrt(2) and 1 are regular; the whole matrix has
-        # determinant a(a^2 - 2) = 0, so Levinson runs to the end and the
-        # condition estimate rejects it
-        a = np.sqrt(2.0)
-        col = np.array([a, 1.0, 0.0])
-        with pytest.raises(SolverFailure, match=r"singular \(rcond="):
-            checked_toeplitz_solve(col, col, np.ones(3), context="test")
-
-    def test_levinson_breakdown_raises(self):
-        # a regular permutation matrix whose first leading minor is zero
-        col = np.array([0.0, 1.0])
-        with pytest.raises(SolverFailure, match="leading minor"):
-            checked_toeplitz_solve(col, col, np.ones(2), context="test")
-
+    @pytest.mark.parametrize("col, regular", [
+        # determinant a(a^2 - 2) with a = sqrt(2) is zero up to rounding:
+        # dgecon gives rcond 1.90e-17
+        (np.array([np.sqrt(2.0), 1.0, 0.0]), False),
+        # a regular permutation matrix whose first leading minor is zero:
+        # partial pivoting solves it
+        (np.array([0.0, 1.0]), True),
+    ], ids=["singular-tridiagonal", "zero-leading-minor"])
+    def test_symmetric_toeplitz(self, col, regular):
+        matrix = toeplitz(col)
+        rhs = np.arange(1.0, len(col) + 1)
+        if regular:
+            x = solve_factored(checked_lu(matrix), rhs)
+            assert matrix @ x == pytest.approx(rhs, rel=1e-14)
+        else:
+            with pytest.raises(SolverFailure, match=r"singular \(rcond="):
+                checked_lu(matrix, context="test")
 
 
 class TestCheckedHessenbergSolve:
@@ -354,8 +342,8 @@ class TestCheckedHessenbergSolve:
         assert toeplitz(col, row) @ x == pytest.approx(rhs, rel=1e-14)
 
     def test_singular_system_raises(self):
-        # the tridiagonal matrix of test_singular_system_raises above is
-        # lower Hessenberg; det = a(a^2 - 2) is zero up to rounding
+        # the singular tridiagonal of TestCheckedLU is lower Hessenberg;
+        # det = a(a^2 - 2) is zero up to rounding
         a = np.sqrt(2.0)
         col = np.array([a, 1.0, 0.0])
         assert hessenberg_rcond(col, col) < 1e-14
@@ -375,67 +363,3 @@ class TestCheckedHessenbergSolve:
         col = np.array([4.0, 1.0, 0.5])
         with pytest.raises(ValueError, match="Hessenberg"):
             checked_hessenberg_solve(col, col, np.ones(3))
-
-def _steady_interior(scheme, alpha, size):
-    """First column and row of the interior matrix of a steady solve with
-    `size` unknowns."""
-    col, row, _ = scheme_operator(scheme, alpha, GridSpec(0.0, 1.0, size + 1))
-    return split_boundary(col, row)[:2]
-
-
-def _dominant_toeplitz(size, seed=11):
-    """A random nonsymmetric, strictly diagonally dominant Toeplitz matrix."""
-    col, row = np.random.default_rng(seed).standard_normal((2, size))
-    col[0] = row[0] = 1.0 + np.abs(col[1:]).sum() + np.abs(row[1:]).sum()
-    return col, row
-
-
-def _gs_test_matrices(size):
-    yield _dominant_toeplitz(size)
-    for scheme in ("order2", "order3"):
-        for alpha in (1.1, 1.5, 1.9):
-            yield _steady_interior(scheme, alpha, size)
-
-
-class TestGohbergSemencul:
-    """Applies of T^-1 and T^-T in Gohberg-Semencul form against Levinson
-    solves, and the x_0 guard of toeplitz_rcond."""
-
-    @pytest.mark.parametrize("size", [1, 2, 3, 17, 256, 1024])
-    def test_applies_match_levinson(self, size):
-        rng = np.random.default_rng(size)
-        for col, row in _gs_test_matrices(size):
-            inverse, inverse_t = _gohberg_semencul(col, row)
-            for rhs in rng.standard_normal((2, size)):
-                for apply, generators in ((inverse, (col, row)),
-                                          (inverse_t, (row, col))):
-                    expected = solve_toeplitz(generators, rhs)
-                    gap = np.max(np.abs(apply(rhs) - expected))
-                    assert gap <= 1e-12 * np.max(np.abs(expected))
-
-    @pytest.mark.parametrize("size", [1, 17, 256])
-    def test_checked_solve_is_the_levinson_solve(self, size):
-        rhs = np.random.default_rng(size).standard_normal(size)
-        for col, row in _gs_test_matrices(size):
-            assert np.array_equal(checked_toeplitz_solve(col, row, rhs),
-                                  solve_toeplitz((col, row), rhs))
-
-    def test_non_finite_x0_is_singular(self):
-        # Levinson runs, but 1 / 1e-310 overflows: x_0 is not finite
-        col = np.array([1e-310, 0.0, 0.0])
-        assert toeplitz_rcond(col, col) == 0.0
-        with pytest.raises(SolverFailure, match=r"singular \(rcond=0"):
-            checked_toeplitz_solve(col, col, np.ones(3), context="test")
-
-    def test_zero_x0_is_singular(self, monkeypatch):
-        def levinson_with_zero_x0(generators, rhs):
-            solution = solve_toeplitz(generators, rhs)
-            solution[0] = 0.0
-            return solution
-
-        monkeypatch.setattr(operators, "solve_toeplitz",
-                            levinson_with_zero_x0)
-        col = np.array([4.0, 1.0, 0.5])
-        assert toeplitz_rcond(col, col) == 0.0
-        with pytest.raises(SolverFailure, match=r"singular \(rcond=0"):
-            checked_toeplitz_solve(col, col, np.ones(3), context="test")

@@ -5,8 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import (eigvalsh, lu_factor, lu_solve, solve_toeplitz,
-                          toeplitz)
+from scipy.linalg import eigvalsh, lu_factor, lu_solve, toeplitz
 from scipy.linalg.lapack import dgecon
 
 from grunwald import (
@@ -20,17 +19,13 @@ from grunwald import (
     stability_scan,
 )
 from grunwald.operators import (
-    RCOND_FLOOR,
-    _inverse_norm1_estimate,
     checked_lu,
-    checked_toeplitz_solve,
     dirichlet_fold,
     hessenberg_rcond,
     precondition_rows,
     scheme_operator,
     solve_factored,
     toeplitz_generators,
-    toeplitz_rcond,
 )
 from grunwald.steady import BASELINE_N
 
@@ -45,18 +40,6 @@ def max_error(problem, n, scheme):
 
 def _order2_weights(alpha, grid):
     return grunwald_weights(beta_table(2, 1, alpha), grid.n + 1)
-
-
-def levinson_rcond(col, row):
-    """The oracle of toeplitz_rcond: the same dlacn2 estimate of
-    ||T^-1||_1, with every apply of T^-1 and T^-T a Levinson solve."""
-    column_sums = (np.cumsum(np.abs(row)) - abs(row[0])
-                   + np.cumsum(np.abs(col))[::-1])
-    with np.errstate(over="ignore"):
-        product = column_sums.max() * _inverse_norm1_estimate(
-            lambda b: solve_toeplitz((col, row), b),
-            lambda b: solve_toeplitz((row, col), b), len(col))
-    return 1.0 / product if product > 0 else 0.0
 
 
 def dense_dirichlet_solve(problem, grid, scheme):
@@ -161,10 +144,10 @@ class TestSolveSteady:
             solve_steady(problem, GridSpec(0.0, 2.0, 16))
 
 
-class TestLevinsonSolve:
+class TestEmbeddingSolve:
     """The steady solve, through the triangular Toeplitz embedding,
     against the dense LU oracle and a longdouble-refined solution; its
-    condition estimate and the scan's Levinson one against dgecon."""
+    condition estimate against dgecon."""
 
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
     @pytest.mark.parametrize("scheme", ["order2", "order3"])
@@ -210,30 +193,8 @@ class TestLevinsonSolve:
             rcond, info = dgecon(lu_factor(matrix)[0],
                                  np.linalg.norm(matrix, 1))
             assert info == 0
-            for estimate in (toeplitz_rcond, hessenberg_rcond):
-                ratio = estimate(col, row) / rcond
-                assert 1 / 3 <= ratio <= 3, (
-                    f"{estimate.__name__}, N={n}: ratio {ratio:.3f}")
-
-    @pytest.mark.parametrize("order", range(2, 7))
-    def test_rcond_floor_verdicts_match_levinson_estimate(self, order):
-        # the scan's interior operators at N=48; orders 3 to 6 fall below
-        # the floor from alpha near 1 up to an order-dependent onset. The
-        # estimate through the Gohberg-Semencul inverse must give the
-        # Levinson estimate's verdict on both sides of it
-        grid = GridSpec(0.0, 1.0, 48)
-        sides = set()
-        for alpha in np.linspace(1.04, 2.0, 25):
-            weights = grunwald_weights(beta_table(order, 1, alpha), 49)
-            full = toeplitz_generators(weights, grid)
-            col, row, _ = dirichlet_fold(*full, np.zeros(49), 0.0, 0.0)
-            fast, oracle = toeplitz_rcond(col, row), levinson_rcond(col, row)
-            assert (fast < RCOND_FLOOR) == (oracle < RCOND_FLOOR), alpha
-            if oracle >= RCOND_FLOOR:
-                assert abs(fast - oracle) <= 1e-8 * oracle, alpha
-            sides.add(oracle < RCOND_FLOOR)
-        if order > 2:
-            assert sides == {False, True}
+            ratio = hessenberg_rcond(col, row) / rcond
+            assert 1 / 3 <= ratio <= 3, f"N={n}: ratio {ratio:.3f}"
 
     def test_large_grid_in_linear_memory(self):
         # the dense N=8192 operator alone would take 537 MB
@@ -324,6 +285,21 @@ class TestStabilityScan:
         entry = report.entries[0]
         assert not entry.stable
         assert entry.max_rayleigh > 1e-8
+        assert entry.solve_failed
+        assert "numerically singular (rcond=" in entry.reason
+
+    def test_verdicts_on_short_grid(self):
+        # stable and failed-solve counts and onsets of orders 2 to 6 at
+        # shift 1, N=48, over 100 alphas in [1, 2]
+        alphas = np.linspace(1.0, 2.0, 100)
+        grid = GridSpec(0.0, 1.0, 48)
+        reports = [stability_scan(order, 1, alphas, grid)
+                   for order in range(2, 7)]
+        assert [len(r.stable_alphas) for r in reports] == [100, 59, 20, 0, 0]
+        assert [sum(e.solve_failed for e in r.entries)
+                for r in reports] == [0, 14, 40, 66, 91]
+        assert [r.stable_onset() for r in reports] == [
+            1.0, 1.4141414141414141, 1.8080808080808082, None, None]
 
     def test_nonfinite_rayleigh_quotient_is_unstable(self):
         # the order-6 weights at alpha = 1 overflow from k = 340, so the
@@ -360,8 +336,8 @@ class TestStabilityScan:
 
     def test_order2_scan_errors_are_the_steady_solver_errors(self):
         # the scan's order-2, shift-1 family is the order2 steady scheme.
-        # The scan solves with checked_toeplitz_solve, so its scan-grid and
-        # baseline errors are those of that solve of the folded system, bit
+        # The scan probes with a dense LU of the folded system, so its
+        # scan-grid and baseline errors are those of the dense oracle, bit
         # for bit; solve_steady solves the same system through the
         # triangular embedding, which rounds differently
         alphas = (1.2, 1.7)
@@ -371,13 +347,8 @@ class TestStabilityScan:
             for n, error in ((48, entry.solve_error),
                              (BASELINE_N, entry.baseline_error)):
                 grid = GridSpec(0.0, 1.0, n)
-                x = grid.points()
-                col, row, adjusted = dirichlet_fold(
-                    *toeplitz_generators(_order2_weights(alpha, grid), grid),
-                    problem.source(x), problem.phi0, problem.phi1)
-                solution = np.r_[problem.phi0,
-                                 checked_toeplitz_solve(col, row, adjusted),
-                                 problem.phi1]
-                assert error == np.max(np.abs(solution - problem.exact(x)))
+                solution = dense_dirichlet_solve(problem, grid, "order2")
+                assert error == np.max(np.abs(solution
+                                              - problem.exact(grid.points())))
                 assert max_error(problem, n, "order2") == pytest.approx(
                     error, rel=1e-10, abs=0)
