@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: verify-order, weights, steady, diffusion, scan,
-reproduce-table, properties. Options may come from a key = value config
-file (--config): each key is a long option of the subcommand, and the
-file's lines are parsed as those flags ahead of the explicit ones, which
-win. Exit codes: 0 when every check passes, 1 when a check fails, 2 on
-usage errors.
+reproduce-table, properties. Options may also come from @FILE, written
+after the subcommand: each `key = value` line is the long option
+--key=value, and a true or false value gives or leaves out a switch.
+Explicit flags win over the file. Exit codes: 0 when every check passes,
+1 when a check fails, 2 on usage errors.
 
 Generator scalars (--alpha, --shift, --beta) are read exactly: integers,
 fractions ("11/10") and decimals ("1.1" is 11/10) all become rationals,
@@ -49,8 +49,22 @@ OUTDIR_ENV = "GRUNWALD_OUTDIR"
 USAGE_ERROR = 2
 
 
-class UsageError(Exception):
-    pass
+class _Parser(argparse.ArgumentParser):
+    """Reads a line of an @FILE as a long option: `m_rule = fixed` is
+    --m-rule=fixed, `json = true` is --json and `json = false` nothing."""
+
+    def convert_arg_line_to_args(self, arg_line):
+        line = arg_line.split("#", 1)[0].strip()
+        if not line:
+            return []
+        key, equals, value = line.partition("=")
+        if not equals:
+            self.error(f"option file line {line!r} is not 'key = value'")
+        flag = "--" + key.strip().replace("_", "-")
+        value = value.strip()
+        if value.lower() in ("true", "false"):
+            return [flag] if value.lower() == "true" else []
+        return [f"{flag}={value}"]
 
 
 def _list_of(kind):
@@ -63,64 +77,6 @@ def _list_of(kind):
 
     parse.__name__ = f"{kind.__name__} list"
     return parse
-
-
-def _config_flags(path, subparser) -> list:
-    """The flags of `subparser` that a key = value config file stands for.
-
-    A key names a long option of the subcommand; a switch (`json`) takes
-    true or false. Values are left to the subcommand's own parse.
-    """
-    # argparse keeps no public map from option string to its action
-    options = subparser._option_string_actions
-    flags = []
-    try:
-        with open(path) as handle:
-            lines = list(handle)
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from None
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, equals, value = line.partition("=")
-        if not equals:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = key.strip(), value.strip()
-        flag = "--" + key.replace("_", "-")
-        action = options.get(flag)
-        if action is None or action.dest in ("help", "config"):
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        if action.nargs != 0:
-            flags.append(f"{flag}={value}")
-        elif value.lower() == "true":
-            flags.append(flag)
-        elif value.lower() != "false":
-            raise UsageError(
-                f"{path}:{lineno}: {key} takes true or false, not {value!r}"
-            )
-    return flags
-
-
-def _with_config(parser, argv) -> list:
-    """argv with the chosen subcommand's --config file spliced in as flags
-    ahead of the explicit ones, so explicit flags win.
-
-    --config is looked up apart from the subcommand's parse, which would
-    demand options (--alpha, --table) that the file may supply.
-    """
-    subparser = parser.subcommands.get(argv[0]) if argv else None
-    if subparser is None:
-        return argv
-    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    finder.add_argument("--config")
-    try:
-        path = finder.parse_known_args(argv[1:])[0].config
-    except argparse.ArgumentError:
-        return argv  # the subcommand's parse reports the malformed flag
-    if path is None:
-        return argv
-    return argv[:1] + _config_flags(path, subparser) + argv[1:]
 
 
 def _resolve_output(args, default_name):
@@ -302,18 +258,19 @@ def _add_generator_options(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="grunwald",
         description="Grunwald-type fractional derivative approximations, "
-                    "solvers and experiment harness",
+                    "solvers and experiment harness. Options may also come "
+                    "from @FILE after the subcommand, one 'key = value' "
+                    "line each (true/false for a switch); explicit flags win.",
+        fromfile_prefix_chars="@",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.subcommands = sub.choices
 
     def subcommand(name, handler, help):
         p = sub.add_parser(name, help=help)
-        p.add_argument("--config", help="key=value config file")
         p.set_defaults(handler=handler)
         return p
 
@@ -366,10 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    # @FILE options go first after the subcommand, so explicit flags win
+    argv = argv[:1] + sorted(argv[1:], key=lambda arg: not arg.startswith("@"))
     try:
-        args = parser.parse_args(_with_config(parser, argv))
+        args = parser.parse_args(argv)
         return args.handler(args)
-    except (UsageError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

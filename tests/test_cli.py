@@ -5,9 +5,10 @@ import sys
 
 import pytest
 
-from grunwald import cli
+from grunwald import cli, harness
 from grunwald.cli import main
 from grunwald.harness import CellDiff, TableDiffReport
+from grunwald.operators import SolverFailure
 
 
 @pytest.fixture(autouse=True)
@@ -38,6 +39,13 @@ class TestExitCodes:
                      "--shift", "1", "--alpha", "3/2", "--expect", "4"])
         assert code == 1
         assert "observed order 1" in capsys.readouterr().out
+
+    def test_custom_generator(self, capsys):
+        code = main(["verify-order", "--beta", "1,-1", "--alpha", "3/2"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "observed order 1" in out
+        assert "PASS" in out
 
     def test_argparse_usage_error_is_two(self):
         with pytest.raises(SystemExit) as info:
@@ -108,6 +116,30 @@ class TestConvergenceCommands:
         assert not (outdir / "diffusion.csv").exists()
 
 
+class TestSolverFailure:
+    @pytest.fixture(autouse=True)
+    def fail_at_32(self, monkeypatch):
+        solve = harness.solve_steady
+
+        def failing(problem, grid, scheme):
+            if grid.n == 32:
+                raise SolverFailure("matrix is singular")
+            return solve(problem, grid, scheme)
+
+        monkeypatch.setattr(harness, "solve_steady", failing)
+
+    def test_failed_row_exits_one(self, capsys):
+        code = main(["steady", "--alphas", "1.5", "--n", "16,32,64"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("FAIL alpha=1.5 N=32:")
+        assert "alpha=1.5 order2: N=64 error=" in captured.out
+
+    def test_failed_final_solve(self, capsys):
+        assert main(["steady", "--alphas", "1.5", "--n", "16,32"]) == 1
+        assert "alpha=1.5: final solve failed" in capsys.readouterr().out
+
+
 class TestScan:
     def test_writes_rows_and_exits_zero(self, outdir, capsys):
         code = main(["scan", "--order", "2", "--shift", "1",
@@ -169,53 +201,63 @@ class TestConfigFile:
         config.write_text(
             "# benchmark slice\n"
             "scheme = order2\n"
-            "alphas = 1.5\n"
+            "alphas = 1.5  # one order\n"
+            "\n"
             "n = 16,32\n"
+            "json = true\n"
         )
-        code = main(["steady", "--config", str(config)])
+        code = main(["steady", f"@{config}"])
         assert code == 0
         text = (outdir / "steady.csv").read_text()
         assert "order2" in text and ",1.5," in text
         assert "64" not in text.split("\n", 2)[2]
+        assert (outdir / "steady.json").exists()
 
     def test_flags_override_config(self, outdir, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("scheme = order2\nalphas = 1.5\nn = 16\n")
-        code = main(["steady", "--config", str(config),
-                     "--scheme", "order3"])
-        assert code == 0
-        assert "order3" in (outdir / "steady.csv").read_text()
+        for argv in ([f"@{config}", "--scheme", "order3"],
+                     ["--scheme", "order3", f"@{config}"]):
+            assert main(["steady", *argv]) == 0
+            assert "order3" in (outdir / "steady.csv").read_text()
 
     def test_unknown_key_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("tablecloth = 3\n")
-        code = main(["steady", "--config", str(config)])
-        assert code == 2
-        assert "unknown key" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            main(["steady", f"@{config}"])
+        assert info.value.code == 2
+        assert ("unrecognized arguments: --tablecloth=3"
+                in capsys.readouterr().err)
 
     def test_missing_config_is_usage_error(self, capsys):
-        code = main(["steady", "--config", "/nonexistent.cfg"])
-        assert code == 2
+        with pytest.raises(SystemExit) as info:
+            main(["steady", "@/nonexistent.cfg"])
+        assert info.value.code == 2
+        assert "No such file or directory" in capsys.readouterr().err
 
     def test_key_of_another_subcommand_is_usage_error(self, tmp_path,
                                                       capsys):
         config = tmp_path / "run.cfg"
         config.write_text("alphas = 1.5\nn = 16\nseed = 3\n")
-        code = main(["steady", "--config", str(config)])
-        assert code == 2
-        assert f"{config}:3: unknown key 'seed'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            main(["steady", f"@{config}"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed=3" in capsys.readouterr().err
 
-    def test_config_values_meet_the_flag_types(self, tmp_path):
+    def test_config_values_meet_the_flag_types(self, tmp_path, capsys):
         config = tmp_path / "scan.cfg"
         config.write_text("shift = 3/2\npoints = 2\nn = 16\n")
         with pytest.raises(SystemExit) as info:
-            main(["scan", "--config", str(config)])
+            main(["scan", f"@{config}"])
         assert info.value.code == 2
+        assert ("argument --shift: invalid int value: '3/2'"
+                in capsys.readouterr().err)
 
     def test_config_supplies_a_required_option(self, tmp_path, capsys):
         config = tmp_path / "gen.cfg"
         config.write_text("order = 2\nshift = 1\nalpha = 3/2\n")
-        code = main(["verify-order", "--config", str(config)])
+        code = main(["verify-order", f"@{config}"])
         assert code == 0
         assert "observed order 2" in capsys.readouterr().out
 
@@ -224,7 +266,7 @@ class TestConfigFile:
     def test_json_switch(self, outdir, tmp_path, value, mirrored):
         config = tmp_path / "run.cfg"
         config.write_text(f"alphas = 1.5\nn = 16\njson = {value}\n")
-        code = main(["diffusion", "--config", str(config)])
+        code = main(["diffusion", f"@{config}"])
         assert code == 0
         assert (outdir / "diffusion.csv").exists()
         assert (outdir / "diffusion.json").exists() == mirrored
@@ -232,9 +274,19 @@ class TestConfigFile:
     def test_json_takes_true_or_false(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("json = maybe\n")
-        code = main(["steady", "--config", str(config)])
-        assert code == 2
-        assert "true or false" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            main(["steady", f"@{config}"])
+        assert info.value.code == 2
+        assert ("argument --json: ignored explicit argument 'maybe'"
+                in capsys.readouterr().err)
+
+    def test_line_without_equals_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("alphas = 1.5\njson\n")
+        with pytest.raises(SystemExit) as info:
+            main(["steady", f"@{config}"])
+        assert info.value.code == 2
+        assert "'json' is not 'key = value'" in capsys.readouterr().err
 
 
 class TestEntryPoint:
@@ -246,6 +298,22 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert "PASS" in result.stdout
+
+    def test_option_file_from_the_shell(self, tmp_path):
+        config = tmp_path / "gen.cfg"
+        config.write_text("shift = 1\nalpha = 3/2\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "grunwald", "verify-order", f"@{config}"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0
+        assert "observed order 2" in result.stdout
+        result = subprocess.run(
+            [sys.executable, "-m", "grunwald", "verify-order",
+             f"@{tmp_path / 'missing.cfg'}"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
 
 
 class TestOutputResolution:

@@ -310,6 +310,18 @@ class TestWeightProperties:
         assert not report.w1_nonpositive
         assert not report.partial_sums_nonpositive
 
+    @pytest.mark.parametrize("weights, flag, message", [
+        ([-0.1, -1, 0.5, 0.1], "w0_nonnegative", "w_0 = -1.000e-01 < 0"),
+        ([0.5, -1, -0.6, 0.1], "w0_plus_w2_nonnegative",
+         "w_0 + w_2 = -1.000e-01 < 0"),
+        ([1, -1, 0.1, -0.2, 0.05], "tail_nonnegative",
+         "w_3 = -2.000e-01 < 0"),
+    ])
+    def test_violation_messages(self, weights, flag, message):
+        report = weight_sign_report(weights)
+        assert not getattr(report, flag)
+        assert message in report.violations
+
 
 class TestGeneratorSpec:
     def test_inconsistent_sum_rejected(self):

@@ -19,6 +19,7 @@ from grunwald import (
 )
 from grunwald import harness
 from grunwald.harness import _round_error, _round_order
+from grunwald.operators import SolverFailure
 from grunwald.reference_tables import REFERENCE_TABLES
 
 
@@ -97,6 +98,26 @@ class TestRunConvergence:
         rows = run_convergence(config)[0].rows
         assert [row.max_error for row in rows] == [0.5, 0.0, 0.125]
         assert [row.observed_order for row in rows] == [None, None, None]
+
+    def test_solver_failure_is_recorded_in_its_row(self, monkeypatch,
+                                                   tmp_path):
+        solve = harness.solve_steady
+
+        def failing(problem, grid, scheme):
+            if grid.n == 32:
+                raise SolverFailure("matrix is singular")
+            return solve(problem, grid, scheme)
+
+        monkeypatch.setattr(harness, "solve_steady", failing)
+        config = RunConfig("steady-poly", "order2", (1.5,), (16, 32, 64))
+        reports = run_convergence(config)
+        failed, last = reports[0].rows[1:]
+        assert failed.failure == "matrix is singular"
+        assert failed.max_error is None and failed.observed_order is None
+        assert last.max_error is not None and last.observed_order is None
+        path = tmp_path / "report.csv"
+        write_report_csv(reports, path)
+        assert read_report_csv(path) == reports
 
     def test_diffusion_ceil_rule_orders(self):
         config = RunConfig(
