@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -96,6 +96,9 @@ class RunConfig:
             raise ValueError("N list must not be empty")
         if min(self.n_values) < 16:
             raise ValueError("N values must be at least 16")
+        for name, values in (("alpha", self.alphas), ("N", self.n_values)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} values must be distinct: {values}")
         if self.m_rule not in M_RULES:
             raise ValueError(
                 f"unknown M rule {self.m_rule!r}; expected one of {M_RULES}"
@@ -150,11 +153,11 @@ def _solve_once(problem_id: str, scheme: str, alpha: float, n: int,
 
 def _study(problem: str, scheme: str, alpha: float, n_values: Sequence[int],
            m_values: Sequence[int]) -> tuple:
-    """Solve at each (N, M) in turn; a row's order is log2 of the previous
-    over this unrounded error, empty when either is missing or zero. Solver
-    failures are recorded in their row and do not abort the study."""
+    """Solve at each (N, M) in turn; a row's order is log(e_prev/e) /
+    log(N/N_prev) over unrounded errors, empty when either error is missing
+    or zero. Solver failures are recorded in their row and do not abort."""
     rows = []
-    previous = None
+    previous = previous_n = None
     for n, m in zip(n_values, m_values):
         error = None
         failure = None
@@ -164,7 +167,8 @@ def _study(problem: str, scheme: str, alpha: float, n_values: Sequence[int],
             failure = str(exc)
         order = None
         if previous and error:
-            order = _round_order(math.log2(previous / error))
+            order = _round_order(math.log2(previous / error)
+                                 / math.log2(n / previous_n))
         rows.append(
             ConvergenceRow(
                 n=n,
@@ -174,7 +178,7 @@ def _study(problem: str, scheme: str, alpha: float, n_values: Sequence[int],
                 failure=failure,
             )
         )
-        previous = error
+        previous, previous_n = error, n
     return tuple(rows)
 
 
@@ -258,76 +262,38 @@ def read_report_csv(path) -> list:
     """Parse a CSV written by write_report_csv back into reports."""
     problem = None
     failures = {}
-    rows = []
+    groups = {}
     with open(path) as handle:
         for line in handle:
             line = line.rstrip("\n")
-            if not line:
-                continue
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("problem="):
                     problem = body[len("problem="):]
                 elif body.startswith("failure "):
                     head, _, note = body[len("failure "):].partition(": ")
-                    fields = dict(
-                        part.split("=", 1) for part in head.split()
-                    )
+                    fields = dict(part.split("=", 1) for part in head.split())
                     failures[(float(fields["alpha"]), int(fields["N"]))] = note
-                continue
-            if line == CSV_HEADER:
-                continue
-            parts = line.split(",")
-            n, m, alpha, scheme, err, order = parts
-            rows.append(
-                (
-                    float(alpha),
-                    scheme,
-                    ConvergenceRow(
-                        n=int(n),
-                        m=int(m),
-                        max_error=float(err) if err else None,
-                        observed_order=float(order) if order else None,
-                        failure=failures.get((float(alpha), int(n))),
-                    ),
-                )
-            )
+            elif line and line != CSV_HEADER:
+                n, m, alpha, scheme, err, order = line.split(",")
+                n, alpha = int(n), float(alpha)
+                groups.setdefault((alpha, scheme), []).append(ConvergenceRow(
+                    n=n, m=int(m), max_error=float(err) if err else None,
+                    observed_order=float(order) if order else None,
+                    failure=failures.get((alpha, n))))
     if problem is None:
         raise ValueError(f"{path} is missing the problem comment line")
-    reports = []
-    seen = {}
-    for alpha, scheme, row in rows:
-        key = (alpha, scheme)
-        seen.setdefault(key, []).append(row)
-    for (alpha, scheme), group in seen.items():
-        reports.append(
-            ConvergenceReport(
-                problem=problem, scheme=scheme, alpha=alpha, rows=tuple(group)
-            )
-        )
-    return reports
+    return [ConvergenceReport(problem=problem, scheme=scheme, alpha=alpha,
+                              rows=tuple(rows))
+            for (alpha, scheme), rows in groups.items()]
 
 
 def write_report_json(reports: Sequence[ConvergenceReport], path) -> None:
     payload = {
         "problem": _one_problem(reports, "JSON"),
-        "reports": [
-            {
-                "alpha": report.alpha,
-                "scheme": report.scheme,
-                "rows": [
-                    {
-                        "n": row.n,
-                        "m": row.m,
-                        "max_error": row.max_error,
-                        "observed_order": row.observed_order,
-                        "failure": row.failure,
-                    }
-                    for row in report.rows
-                ],
-            }
-            for report in reports
-        ],
+        "reports": [{"alpha": report.alpha, "scheme": report.scheme,
+                     "rows": [asdict(row) for row in report.rows]}
+                    for report in reports],
     }
     _atomic_write(path, json.dumps(payload, indent=2) + "\n")
 

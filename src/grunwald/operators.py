@@ -11,9 +11,7 @@ maps a scheme name to the shifted order-2 column and row and the
 preconditioner coefficient; and two checked solves: a lower Hessenberg
 Toeplitz solve through the triangular Toeplitz embedding L of W (steady
 solves; L^-1 holds the discrete fractional-integral weights of W) and a
-dense LU (the CN step; scan probes: dense LU, since the scan is dense
-already; the embedding does not fit them, as they take any shift and L^-1
-grows exponentially when beta has a root inside the unit disk).
+dense LU (the CN step; scan probes: dense LU).
 Also the scheme list and the set-up checks shared by the solvers.
 Functions outside the grid are zero-extended, so indices that fall off the
 grid simply contribute nothing.

@@ -10,8 +10,7 @@ O(N) memory) with a reciprocal-condition estimate; no dense matrix is
 formed. The scanner probes generators of any order and shift for the
 negative definiteness (by the exact top eigenvalue of the operator's
 symmetric part, a dense matrix) and solve quality that make implicit
-schemes trustworthy. Scan probes: dense LU, since the scan is dense
-already (operators.checked_lu, the checked solve of the CN step).
+schemes trustworthy. Scan probes: dense LU.
 """
 
 from __future__ import annotations
@@ -74,24 +73,6 @@ class SteadyProblem:
             raise ValueError("domain endpoints must satisfy a < b")
 
 
-def _left_weights(generator, grid: GridSpec):
-    return grunwald_weights(generator, grid.n + generator.shift)
-
-
-def _solve_dirichlet(col, row, rhs, problem, solve, context) -> np.ndarray:
-    """Solve the full-grid system toeplitz(col, row) with its boundary
-    rows replaced by the Dirichlet data: fold the boundary values into the
-    interior right-hand side, solve the Toeplitz interior with `solve` (a
-    checked solve of operators), and return all n+1 grid values."""
-    col, row, adjusted = dirichlet_fold(col, row, rhs, problem.phi0,
-                                        problem.phi1)
-    solution = np.empty(len(rhs))
-    solution[0] = problem.phi0
-    solution[-1] = problem.phi1
-    solution[1:-1] = solve(col, row, adjusted, context=context)
-    return solution
-
-
 def solve_steady(problem: SteadyProblem, grid: GridSpec,
                  scheme: str = "order2") -> np.ndarray:
     """Solve the steady problem on the grid; returns all n+1 grid values
@@ -106,11 +87,12 @@ def solve_steady(problem: SteadyProblem, grid: GridSpec,
     alpha = float(problem.alpha)
     col, row, a2 = scheme_operator(scheme, alpha, grid)
     rhs = np.asarray(problem.source(grid.points()), dtype=float)
-    return _solve_dirichlet(
-        col, row, precondition_rows(np.pad(rhs, 1), a2), problem,
-        checked_hessenberg_solve,
-        context=f"steady {scheme} solve at alpha={alpha}, n={grid.n}",
-    )
+    col, row, rhs = dirichlet_fold(col, row,
+                                   precondition_rows(np.pad(rhs, 1), a2),
+                                   problem.phi0, problem.phi1)
+    interior = checked_hessenberg_solve(
+        col, row, rhs, f"steady {scheme} solve at alpha={alpha}, n={grid.n}")
+    return np.r_[problem.phi0, interior, problem.phi1]
 
 
 @dataclass(frozen=True)
@@ -153,6 +135,21 @@ class StabilityReport:
         return onset
 
 
+def _probe_error(problem: SteadyProblem, weights, grid: GridSpec,
+                 order: int) -> float:
+    """Max error of the scan's benchmark solve on the grid: the operator of
+    the weights with its boundary rows folded into the right-hand side,
+    solved by the dense checked LU."""
+    x = grid.points()
+    col, row, rhs = dirichlet_fold(*toeplitz_generators(weights, grid),
+                                   problem.source(x), problem.phi0,
+                                   problem.phi1)
+    factors = checked_lu(toeplitz(col, row), f"scan solve order={order} "
+                         f"alpha={problem.alpha} n={grid.n}")
+    solution = np.r_[problem.phi0, solve_factored(factors, rhs), problem.phi1]
+    return float(np.max(np.abs(solution - problem.exact(x))))
+
+
 def stability_scan(order: int, shift: int, alphas: Sequence[float],
                    grid: GridSpec, *, n_samples: int = 500,
                    seed: int = 1822) -> StabilityReport:
@@ -162,13 +159,18 @@ def stability_scan(order: int, shift: int, alphas: Sequence[float],
     symmetric part (A + A')/2 of the operator matrix A, which is the
     supremum of the Rayleigh quotients v'Av / v'v (a positive value means
     A is not negative definite), and (ii) for alpha > 1 solves the
-    monomial benchmark problem on the scan grid and on a coarse baseline
-    grid. An alpha is flagged unstable without being probed when its
-    generator has beta_0 <= 0 (no weights exist) or its operator entries
-    overflow, and after probing when the top eigenvalue exceeds
-    RAYLEIGH_TOL or is not finite, a solve fails, or the error exceeds
-    BLOWUP_FACTOR times the baseline error. Failures are data, not
+    monomial benchmark problem on the scan grid and on a coarse
+    BASELINE_N-interval grid. An alpha is flagged unstable without being
+    probed when its generator has beta_0 <= 0 (no weights exist) or its
+    operator entries overflow, and after probing when the top eigenvalue
+    exceeds RAYLEIGH_TOL or is not finite, a solve fails, or the error
+    exceeds BLOWUP_FACTOR times the baseline error. Failures are data, not
     exceptions.
+
+    The probes solve with the dense checked LU (operators.checked_lu), as
+    the scan forms the dense matrix anyway. The steady solves' triangular
+    Toeplitz embedding does not fit them: they take any shift, and its
+    inverse grows exponentially when beta has a root inside the unit disk.
 
     n_samples and seed are ignored: the scan draws no random numbers. They
     stay only because the benchmark workloads still pass them, and go with
@@ -177,82 +179,57 @@ def stability_scan(order: int, shift: int, alphas: Sequence[float],
     # local import: problems depends on this module
     from .problems import polynomial_steady_problem
 
-    def dense_solve(col, row, rhs, context):
-        return solve_factored(checked_lu(toeplitz(col, row), context), rhs)
-
-    def benchmark_error(problem, grid, col, row):
-        x = grid.points()
-        solution = _solve_dirichlet(
-            col, row, np.asarray(problem.source(x), dtype=float),
-            problem, dense_solve,
-            context=f"scan solve order={order} alpha={problem.alpha} "
-                    f"n={grid.n}",
-        )
-        return float(np.max(np.abs(solution - problem.exact(x))))
-
+    base_grid = GridSpec(grid.a, grid.b, BASELINE_N)
     entries = []
-    for alpha in alphas:
-        alpha = float(alpha)
+    for alpha in map(float, alphas):
         generator = beta_table(order, shift, alpha)
         beta0 = float(generator.beta[0])
-        if not beta0 > 0:
-            skip = (f"beta_0 = {beta0:.3e} is not positive: the weight "
-                    "recurrence is undefined")
-        else:
-            # weights that outgrow the float range give non-finite entries
-            with np.errstate(over="ignore", invalid="ignore"):
-                col, row = toeplitz_generators(
-                    _left_weights(generator, grid), grid)
-            skip = None if np.isfinite(np.r_[col, row]).all() else (
-                "operator entries are not finite: the weights overflow")
-        if skip:
-            entries.append(ScanEntry(
-                alpha=alpha, max_rayleigh=float("nan"), solve_error=None,
-                baseline_error=None, solve_failed=False, stable=False,
-                reason=skip))
-            continue
-        # A is Toeplitz, so its symmetric part is the symmetric Toeplitz
-        # matrix of (col + row) / 2; halving first keeps the sum finite
-        max_rayleigh = float(eigvalsh(toeplitz(0.5 * col + 0.5 * row),
-                                      subset_by_index=[grid.n, grid.n])[0])
-        solve_error = None
-        baseline_error = None
+        max_rayleigh = float("nan")
+        solve_error = baseline_error = None
         solve_failed = False
         reasons = []
-        if not np.isfinite(max_rayleigh):
-            reasons.append(f"top eigenvalue is not finite ({max_rayleigh})")
-        elif max_rayleigh > RAYLEIGH_TOL:
-            reasons.append(
-                f"symmetric part has a positive eigenvalue {max_rayleigh:.3e}"
-            )
-        if alpha > 1.0:
-            problem = polynomial_steady_problem(alpha)
-            base_grid = GridSpec(grid.a, grid.b, BASELINE_N)
-            try:
-                baseline_error = benchmark_error(
-                    problem, base_grid, *toeplitz_generators(
-                        _left_weights(generator, base_grid), base_grid))
-                solve_error = benchmark_error(problem, grid, col, row)
-            except SolverFailure as exc:
-                solve_failed = True
-                reasons.append(f"solve failed: {exc}")
-            else:
-                if solve_error > BLOWUP_FACTOR * baseline_error:
-                    reasons.append(
-                        f"error {solve_error:.3e} exceeds "
-                        f"{BLOWUP_FACTOR:g}x baseline {baseline_error:.3e}"
-                    )
-        entries.append(
-            ScanEntry(
-                alpha=alpha,
-                max_rayleigh=max_rayleigh,
-                solve_error=solve_error,
-                baseline_error=baseline_error,
-                solve_failed=solve_failed,
-                stable=not reasons,
-                reason="; ".join(reasons),
-            )
-        )
-    return StabilityReport(
-        order=order, shift=shift, grid_n=grid.n, entries=tuple(entries)
-    )
+        if not beta0 > 0:
+            reasons.append(f"beta_0 = {beta0:.3e} is not positive: the "
+                           "weight recurrence is undefined")
+        else:
+            # weights that outgrow the float range give non-finite
+            # entries; the baseline grid uses a prefix of the same weights
+            with np.errstate(over="ignore", invalid="ignore"):
+                weights = grunwald_weights(
+                    generator, max(grid.n, BASELINE_N) + shift)
+                col, row = toeplitz_generators(weights, grid)
+            if not np.isfinite(np.r_[col, row]).all():
+                reasons.append(
+                    "operator entries are not finite: the weights overflow")
+        if not reasons:
+            # A is Toeplitz, so its symmetric part is the symmetric
+            # Toeplitz matrix of (col + row) / 2; halving first keeps the
+            # sum finite
+            max_rayleigh = float(eigvalsh(toeplitz(0.5 * col + 0.5 * row),
+                                          subset_by_index=[grid.n, grid.n])[0])
+            if not np.isfinite(max_rayleigh):
+                reasons.append(
+                    f"top eigenvalue is not finite ({max_rayleigh})")
+            elif max_rayleigh > RAYLEIGH_TOL:
+                reasons.append("symmetric part has a positive eigenvalue "
+                               f"{max_rayleigh:.3e}")
+            if alpha > 1.0:
+                problem = polynomial_steady_problem(alpha)
+                try:
+                    baseline_error = _probe_error(problem, weights,
+                                                  base_grid, order)
+                    solve_error = _probe_error(problem, weights, grid, order)
+                except SolverFailure as exc:
+                    solve_failed = True
+                    reasons.append(f"solve failed: {exc}")
+                else:
+                    if solve_error > BLOWUP_FACTOR * baseline_error:
+                        reasons.append(f"error {solve_error:.3e} exceeds "
+                                       f"{BLOWUP_FACTOR:g}x baseline "
+                                       f"{baseline_error:.3e}")
+        entries.append(ScanEntry(
+            alpha=alpha, max_rayleigh=max_rayleigh, solve_error=solve_error,
+            baseline_error=baseline_error, solve_failed=solve_failed,
+            stable=not reasons, reason="; ".join(reasons)))
+    return StabilityReport(order=order, shift=shift, grid_n=grid.n,
+                           entries=tuple(entries))

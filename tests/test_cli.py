@@ -57,6 +57,20 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_empty_list_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["steady", "--alphas", ","])
+        assert info.value.code == 2
+        assert "empty list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, values", [("--alphas", "1.5,1.5"),
+                                              ("--n", "16,32,16")])
+    def test_repeated_value_is_usage_error(self, outdir, capsys, flag,
+                                           values):
+        assert main(["steady", flag, values]) == 2
+        assert "must be distinct" in capsys.readouterr().err
+        assert not (outdir / "steady.csv").exists()
+
     def test_seed_is_not_a_steady_option(self):
         with pytest.raises(SystemExit) as info:
             main(["steady", "--seed", "3"])

@@ -245,6 +245,17 @@ class TestVerifyOrder:
                 report = verify_order(spec, 2)
                 assert report.coefficients[2] == a2_coefficient(shift, alpha)
 
+    @pytest.mark.parametrize("alpha, zero", [(Fraction(3, 2), Fraction(0)),
+                                             (1.5, 0.0)])
+    def test_order_beyond_the_window(self, alpha, zero):
+        # order 6 shows no nonzero coefficient in the window of an
+        # expected order 1 (orders 1 .. 1 + ORDER_MARGIN)
+        report = verify_order(beta_table(6, 0, alpha), 1)
+        assert report.observed_order == report.truncation_order + 1 == 5
+        assert report.leading_coeff == zero
+        assert type(report.leading_coeff) is type(zero)
+        assert report.passed
+
     def test_inconsistent_generator_detected(self):
         bad = GeneratorSpec(alpha=1.5, shift=0, beta=(2, -1, -1))
         with pytest.raises(InconsistentGeneratorError, match="consistent"):

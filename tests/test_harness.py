@@ -40,6 +40,20 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="scheme"):
             RunConfig("steady-poly", "order7", (1.5,), (16,))
 
+    def test_rejects_unknown_m_rule(self):
+        with pytest.raises(ValueError, match="unknown M rule"):
+            RunConfig("diffusion-poly", "order2", (1.5,), (16,),
+                      m_rule="squared")
+
+    def test_rejects_repeated_alphas(self):
+        # compared after the float conversion, which "1.5" also meets
+        with pytest.raises(ValueError, match="alpha values must be distinct"):
+            RunConfig("steady-poly", "order2", ("1.5", 1.5), (16, 32))
+
+    def test_rejects_repeated_n(self):
+        with pytest.raises(ValueError, match="N values must be distinct"):
+            RunConfig("steady-poly", "order2", (1.5,), (16, 32, 16.0))
+
     def test_fixed_rule_needs_count(self):
         with pytest.raises(ValueError, match="m_fixed"):
             RunConfig("diffusion-poly", "order2", (1.5,), (16,),
@@ -73,6 +87,18 @@ class TestRunConvergence:
         assert rows[0].observed_order is None
         assert rows[1].observed_order == pytest.approx(1.95, abs=0.05)
         assert rows[0].max_error == pytest.approx(2.5141e-01, rel=0.02)
+
+    def test_order_on_a_ladder_that_does_not_double(self, monkeypatch):
+        config = RunConfig("steady-poly", "order2", (1.5,), (16, 64, 128))
+        rows = run_convergence(config)[0].rows
+        assert [row.observed_order for row in rows] == [None, 1.97, 1.99]
+        # errors of exactly N^-2 give order 2 whatever the ratio of the Ns
+        monkeypatch.setattr(harness, "_solve_once",
+                            lambda problem, scheme, alpha, n, m: n ** -2.0)
+        config = RunConfig("steady-poly", "order2", (1.5,),
+                           (16, 64, 128, 384))
+        rows = run_convergence(config)[0].rows
+        assert [row.observed_order for row in rows] == [None, 2.0, 2.0, 2.0]
 
     def test_deterministic(self):
         config = RunConfig("steady-poly", "order3", (1.1, 1.9), (16, 32))
@@ -162,6 +188,34 @@ class TestReportIO:
         path = tmp_path / "report.csv"
         write_report_csv([report], path)
         assert read_report_csv(path) == [report]
+
+    def test_comments_and_blank_lines_are_skipped(self, tmp_path):
+        reports = self.reports()
+        path = tmp_path / "report.csv"
+        write_report_csv(reports, path)
+        lines = path.read_text().splitlines()
+        lines[1:1] = ["# note: written by hand", ""]
+        lines.insert(4, "")
+        path.write_text("\n".join(lines) + "\n")
+        assert read_report_csv(path) == reports
+
+    def test_missing_problem_line(self, tmp_path):
+        path = tmp_path / "report.csv"
+        write_report_csv(self.reports(), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[1:]) + "\n")
+        with pytest.raises(ValueError,
+                           match="missing the problem comment line"):
+            read_report_csv(path)
+
+    @pytest.mark.parametrize("write", [write_report_csv, write_report_json])
+    def test_reports_must_share_a_problem(self, tmp_path, write):
+        steady = self.reports()[0]
+        diffusion = ConvergenceReport(problem="diffusion-poly",
+                                      scheme="order2", alpha=1.5,
+                                      rows=steady.rows)
+        with pytest.raises(ValueError, match="must share a problem"):
+            write([steady, diffusion], tmp_path / "report")
 
     def test_json_mirror(self, tmp_path):
         reports = self.reports()

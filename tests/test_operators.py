@@ -292,6 +292,10 @@ class TestReduceSystem:
         with pytest.raises(ValueError, match="interior"):
             dirichlet_fold(np.ones(2), np.ones(2), np.zeros(2), 0.0, 0.0)
 
+    def test_rhs_length_must_match(self):
+        with pytest.raises(ValueError, match="lengths differ"):
+            dirichlet_fold(np.ones(4), np.ones(4), np.zeros(3), 0.0, 0.0)
+
     def test_fold_matches_dense_boundary_columns(self):
         grid = GridSpec(0.0, 1.0, 9)
         weights = grunwald_weights(beta_table(2, 1, 1.5), 10)
