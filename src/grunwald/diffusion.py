@@ -18,12 +18,12 @@ is evaluated on arrays of times, once per run or block, never per step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import toeplitz
-from scipy.special import gamma
 
 from .operators import (
     GridSpec,
@@ -259,7 +259,7 @@ def fractional_poly_source(x, exponent: int, alpha: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise ValueError("arguments must lie in [0, 1]")
-    coeff = gamma(exponent + 1) / gamma(exponent + 1 - alpha)
+    coeff = math.gamma(exponent + 1) / math.gamma(exponent + 1 - alpha)
     power = exponent - alpha
     return coeff * (x**power + (1.0 - x) ** power)
 

@@ -13,7 +13,6 @@ scaled symbol W(exp(-z)) exp(r z) / z^alpha = 1 + O(z^p).
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -284,18 +283,15 @@ def grunwald_weights(generator: GeneratorSpec, count: int) -> WeightSequence:
     """
     if count < 0:
         raise ValueError("weight count must be nonnegative")
-    betas = tuple(float(b) for b in generator.beta[: count + 1])
+    betas = [float(b) for b in generator.beta]
     if not betas[0] > 0:
         raise ValueError(
             f"weight recurrence requires beta_0 > 0, got {betas[0]}"
         )
-    padded = betas + (0.0,) * (count + 1 - len(betas))
     alpha = float(generator.alpha)
-    # unboxed doubles: count may be large, and boxed floats keep their
-    # memory after they are freed
-    w = series.power_recurrence(padded, alpha, array("d", [betas[0] ** alpha]))
+    w = series.power_recurrence(betas, alpha, betas[0] ** alpha, count)
     return WeightSequence(
-        values=np.frombuffer(w), alpha=alpha, shift=generator.shift,
+        values=w, alpha=alpha, shift=generator.shift,
         source=generator,
     )
 
@@ -371,10 +367,17 @@ def verify_order(generator: GeneratorSpec, expected_order: int) -> OrderReport:
     """Expand the scaled symbol and locate the first error coefficient.
 
     The expansion window is expected_order + 3 so the leading error term
-    and a successor are both visible.
+    and a successor are both visible. The symbol starts at q_0^alpha, with
+    q_0 = -sum_k k beta_k, so rational beta must have q_0 == 1 exactly.
     """
     if expected_order < 1:
         raise ValueError("expected order must be at least 1")
+    if series.scalar_kind(*generator.beta) is Fraction:
+        nums, den = series._over_lcm(generator.beta)
+        q0 = Fraction(-sum(k * n for k, n in enumerate(nums)), den)
+        if q0 != 1:
+            raise InconsistentGeneratorError(
+                f"q_0 = {q0}, not 1: the generator is not consistent")
     window = expected_order + ORDER_MARGIN
     symbol = series.normalized_symbol(
         generator.beta, generator.shift, generator.alpha, window

@@ -9,9 +9,9 @@ and the fold that moves known boundary values to the right-hand side; the
 tridiagonal quasi-compact preconditioner stencil; the scheme rule, which
 maps a scheme name to the shifted order-2 column and row and the
 preconditioner coefficient; and two checked solves: a lower Hessenberg
-Toeplitz solve through the triangular Toeplitz embedding L of W (steady
-solves; L^-1 holds the discrete fractional-integral weights of W) and a
-dense LU (the CN step; scan probes: dense LU).
+Toeplitz solve through the triangular Toeplitz embedding L of W, given
+g = L^-1 e_0, the discrete fractional-integral weights of W (steady
+solves), and a dense LU (the CN step; scan probes: dense LU).
 Also the scheme list and the set-up checks shared by the solvers.
 Functions outside the grid are zero-extended, so indices that fall off the
 grid simply contribute nothing.
@@ -242,30 +242,27 @@ def _inverse_norm1_estimate(solve, solve_transposed, size: int) -> float:
                2.0 * np.abs(solve(alternating)).sum() / (3.0 * size))
 
 
-def _hessenberg_inverse(col: np.ndarray, row: np.ndarray):
-    """The lower Hessenberg T = toeplitz(col, row) of size n is the lower
-    triangular Toeplitz L of first column (row[1], col[0], ..., col[n-1])
-    without its first row and last column (col[0] stands in for row[1] of
-    a 1 x 1 T). Returns g = L^-1 e_0, by forward substitution on the float
-    column, and T's rcond estimate from the exact ||T||_1 and FFT applies
-    of T^-1 b = c[:n] - (c_n / g_n) g[:n], c = L^-1 (0; b), and of T^-T d,
-    the last n entries of L^-T (d; -g[:n].d / g_n); it is 0 when g_n is
-    zero or g is not finite."""
-    col, row = np.asarray(col, dtype=float), np.asarray(row, dtype=float)
+def hessenberg_rcond(col: np.ndarray, row: np.ndarray, g: np.ndarray) -> float:
+    """Reciprocal 1-norm condition estimate of the lower Hessenberg
+    T = toeplitz(col, row) of size n through its triangular Toeplitz
+    embedding: T is the lower triangular Toeplitz L of first column
+    (row[1], col[0], ..., col[n-1]) without its first row and last column
+    (col[0] stands in for row[1] of a 1 x 1 T), and g = L^-1 e_0, of length
+    n + 1, is the caller's. The estimate takes the exact ||T||_1 and FFT
+    applies of T^-1 b = c[:n] - (c_n / g_n) g[:n], c = L^-1 (0; b), and of
+    T^-T d, the last n entries of L^-T (d; -g[:n].d / g_n); it is 0 when
+    g_n is zero or g is not finite."""
+    col, row, g = (np.asarray(v, dtype=float) for v in (col, row, g))
     if np.any(row[2:]):
         raise ValueError("toeplitz(col, row) is not lower Hessenberg")
     size = len(col)
-    column = np.concatenate(([row[1] if size > 1 else col[0]], col))
-    backward = column[::-1].copy()
-    g = np.empty(size + 1)
-    with np.errstate(all="ignore"):
-        g[0] = 1.0 / column[0]
-        for k in range(1, size + 1):
-            g[k] = -(backward[size - k:size] @ g[:k]) / column[0]
+    if len(g) != size + 1:
+        raise ValueError(f"need {size + 1} entries of L^-1 e_0, got {len(g)}")
     if not (np.isfinite(g).all() and g[size] != 0):
-        return g, 0.0
+        return 0.0
     # column 1 of T, l_0 ... l_(n-1), is the largest after column 0
-    anorm = max(np.abs(col).sum(), np.abs(column[:-1]).sum())
+    anorm = max(np.abs(col).sum(),
+                np.abs(np.r_[row[1] if size > 1 else col[0], col[:-1]]).sum())
     length = 1 << (2 * size).bit_length()
     spectrum = np.fft.rfft(g, length)
 
@@ -283,26 +280,22 @@ def _hessenberg_inverse(col: np.ndarray, row: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         product = anorm * _inverse_norm1_estimate(solve, solve_transposed,
                                                   size)
-    return g, 1.0 / product if product > 0 else 0.0
+    return 1.0 / product if product > 0 else 0.0
 
 
-def hessenberg_rcond(col: np.ndarray, row: np.ndarray) -> float:
-    """Reciprocal 1-norm condition estimate of the lower Hessenberg
-    toeplitz(col, row) through its triangular Toeplitz embedding."""
-    return _hessenberg_inverse(col, row)[1]
-
-
-def checked_hessenberg_solve(col: np.ndarray, row: np.ndarray,
+def checked_hessenberg_solve(col: np.ndarray, row: np.ndarray, g: np.ndarray,
                              rhs: np.ndarray,
                              context: str = "linear system") -> np.ndarray:
     """Solve the lower Hessenberg toeplitz(col, row) x = rhs through its
-    triangular Toeplitz embedding (_hessenberg_inverse) in O(n^2) time and
-    O(n) memory. Raises SolverFailure when the condition estimate falls
-    below RCOND_FLOOR. The convolution is direct: an FFT one loses digits."""
-    g, rcond = _hessenberg_inverse(col, row)
+    triangular Toeplitz embedding L, given g = L^-1 e_0 (see
+    hessenberg_rcond), in O(n^2) time and O(n) memory. Raises
+    SolverFailure when the condition estimate falls below RCOND_FLOOR.
+    The convolution is direct: an FFT one loses digits."""
+    rcond = hessenberg_rcond(col, row, g)
     if rcond < RCOND_FLOOR:
         raise SolverFailure(f"{context}: matrix is numerically singular "
                             f"(rcond={rcond:.2e})")
+    g = np.asarray(g, dtype=float)
     c = np.convolve(g, np.asarray(rhs, dtype=float))[:len(rhs)]  # c_1..c_n
     return np.r_[0.0, c[:-1]] - (c[-1] / g[-1]) * g[:-1]
 

@@ -8,8 +8,9 @@ polynomial pulse.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import gamma
 
 from .diffusion import DiffusionProblem, fractional_poly_source
 from .steady import SteadyProblem
@@ -32,8 +33,8 @@ def polynomial_steady_problem(alpha: float) -> SteadyProblem:
     solution, A * Gamma(e+1)/Gamma(e+1-alpha) * x^(e-alpha); boundary
     values are 0 and A.
     """
-    coeff = (STEADY_AMPLITUDE * gamma(STEADY_EXPONENT + 1)
-             / gamma(STEADY_EXPONENT + 1 - alpha))
+    coeff = (STEADY_AMPLITUDE * math.gamma(STEADY_EXPONENT + 1)
+             / math.gamma(STEADY_EXPONENT + 1 - alpha))
 
     def source(x):
         return coeff * np.asarray(x, dtype=float) ** (STEADY_EXPONENT - alpha)

@@ -6,8 +6,8 @@ exact, which makes "is this coefficient zero?" a decidable question: the
 power and the product with exp(shift*z) are one recurrence in Python
 integers over one known denominator, with one Fraction per coefficient.
 Any float input, or an irrational a_0^alpha, demotes the computation to
-the float power recurrence times exp(shift*z), where a relative
-threshold decides zeroness instead.
+the float power recurrence (one BLAS band solve) times exp(shift*z),
+where a relative threshold decides zeroness instead.
 """
 
 from __future__ import annotations
@@ -16,6 +16,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+
+import numpy as np
+from scipy.linalg.blas import dtbsv
 
 # Float zero threshold of the order check: a symbol coefficient past the
 # constant term counts as zero, and the constant term as 1, within
@@ -82,27 +85,29 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self.coeffs)!r}, kind={kind})"
 
 
-def power_recurrence(coeffs, alpha, out):
-    """Extend out = [b_0], with b_0 = a_0^alpha, to the float coefficients
-    b_0..b_L of (a_0 + a_1 z + ... + a_L z^L)^alpha by the power
-    recurrence derived from b' a = alpha b a' (b = a^alpha):
+def power_recurrence(poly, alpha, b0, count):
+    """Float coefficients b_0..b_count of (a_0 + a_1 z + ... + a_d z^d)^alpha,
+    given b_0 = b0 = a_0^alpha, from the power recurrence derived from
+    b' a = alpha b a' (b = a^alpha):
 
-        m * b_m * a_0 = sum_{k=1}^{min(m, d)} (k*(alpha+1) - m) * a_k * b_{m-k}
+        m a_0 b_m - sum_{k=1}^{min(m, d)} (k (alpha + 1) - m) a_k b_{m-k} = 0,
 
-    where d is the index of the last nonzero a_k, so a polynomial of
-    degree d padded to L + 1 terms costs O(L d). out is any appendable
-    sequence of floats (a list, or an array('d') that stores them
-    unboxed). Returns out. The exact counterpart is _rational_power.
+    where d is the index of the last nonzero a_k up to a_count. With the
+    row b_0 = b0 on top this is a lower triangular band system, solved by
+    forward substitution in one BLAS dtbsv call in O(count d); band row k
+    holds the entries (j - k alpha) a_k of diagonal -k, at column j. A
+    longer call returns a longer copy of the same values. The exact
+    counterpart is _rational_power.
     """
-    a0 = coeffs[0]
-    degree = max(k for k, c in enumerate(coeffs) if k == 0 or c != 0)
-    alpha1 = alpha + 1
-    for m in range(1, len(coeffs)):
-        acc = 0.0
-        for k in range(1, min(m, degree) + 1):
-            acc += (k * alpha1 - m) * coeffs[k] * out[m - k]
-        out.append(acc / (m * a0))
-    return out
+    poly = [float(a) for a in poly[: count + 1]]
+    degree = max(k for k, a in enumerate(poly) if k == 0 or a != 0)
+    # the transpose of a C-ordered array is in BLAS's (Fortran) layout
+    band = ((np.arange(count + 1.0)[:, None] - alpha * np.arange(degree + 1.0))
+            * poly[: degree + 1]).T
+    band[0, 0] = 1.0
+    b = np.zeros(count + 1)
+    b[0] = b0
+    return dtbsv(degree, band, b, lower=1, overwrite_x=1)
 
 
 def _over_lcm(values):
@@ -193,7 +198,8 @@ def normalized_symbol(beta, shift, alpha, truncation_order: int) -> TruncatedSer
     if not q[0] > 0:
         raise ValueError("P(exp(-z))/z needs a positive constant term, "
                          f"got q_0 = {q[0]}")
-    b = power_recurrence(q, float(alpha), [q[0] ** float(alpha)])
+    b = power_recurrence(q, float(alpha), q[0] ** float(alpha),
+                         truncation_order).tolist()
     # times exp(shift*z), whose coefficients shift^l / l! are rounded once
     e = [float(kind(shift) ** l / math.factorial(l)) for l in range(len(q))]
     c = [0.0] * len(q)

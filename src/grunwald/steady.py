@@ -5,12 +5,13 @@ Solves  D^alpha u = f  on [a, b] with Dirichlet data. The scheme rule
 column and row and the preconditioner coefficient: order2 solves with the
 operator directly, order3 premultiplies the source by the quasi-compact
 tridiagonal preconditioner first. The interior system is lower Hessenberg
-Toeplitz, solved through its triangular Toeplitz embedding (O(N^2) time,
-O(N) memory) with a reciprocal-condition estimate; no dense matrix is
-formed. The scanner probes generators of any order and shift for the
-negative definiteness (by the exact top eigenvalue of the operator's
-symmetric part, a dense matrix) and solve quality that make implicit
-schemes trustworthy. Scan probes: dense LU.
+Toeplitz, solved through its triangular Toeplitz embedding L, with
+L^-1 e_0 from the generator at exponent -alpha (O(N^2) time, O(N) memory)
+and a reciprocal-condition estimate; no dense matrix is formed. The
+scanner probes generators of any order and shift for the negative
+definiteness (by the exact top eigenvalue of the operator's symmetric
+part, a dense matrix) and solve quality that make implicit schemes
+trustworthy. Scan probes: dense LU.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from scipy.linalg import eigvalsh, toeplitz
 
 from .generators import beta_table, grunwald_weights
+from .series import power_recurrence
 from .operators import (
     GridSpec,
     SolverFailure,
@@ -90,8 +92,13 @@ def solve_steady(problem: SteadyProblem, grid: GridSpec,
     col, row, rhs = dirichlet_fold(col, row,
                                    precondition_rows(np.pad(rhs, 1), a2),
                                    problem.phi0, problem.phi1)
-    interior = checked_hessenberg_solve(
-        col, row, rhs, f"steady {scheme} solve at alpha={alpha}, n={grid.n}")
+    # the embedding is h^-alpha times the triangular Toeplitz matrix of
+    # beta(z)^alpha, with beta the generator of scheme_operator
+    beta = [float(b) for b in beta_table(2, 1, alpha).beta]
+    g = grid.h ** alpha * power_recurrence(beta, -alpha, beta[0] ** -alpha,
+                                           len(col))
+    interior = checked_hessenberg_solve(col, row, g, rhs, f"steady {scheme} "
+                                        f"solve at alpha={alpha}, n={grid.n}")
     return np.r_[problem.phi0, interior, problem.phi1]
 
 

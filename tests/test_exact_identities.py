@@ -8,15 +8,18 @@ float order check must reach the same verdict as the exact one.
 The exact symbol is computed in integers over one denominator; a plain
 Fraction version of the same expansion, one operation at a time, is
 written out below as its reference, and the float symbol must match the
-same expansion done in floats bit for bit. The log form of the symbol
+same expansion done in floats, with the power as its band system solved
+by BLAS dtbsv, bit for bit. The log form of the symbol
 certifies each table order for every shift and alpha at once.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg.blas import dtbsv
 
 from grunwald import (
     a2_coefficient,
@@ -93,6 +96,8 @@ def test_every_small_denominator_alpha(order):
             case = (order, shift, alpha)
             exact = verify_order(table, order)
             assert exact.passed, case
+            assert all(isinstance(c, Fraction)
+                       for c in exact.coefficients), case
             floating = verify_order(beta_table(order, shift, float(alpha)),
                                     order)
             assert floating.observed_order == exact.observed_order, case
@@ -100,17 +105,32 @@ def test_every_small_denominator_alpha(order):
 
 
 def reference_power(coeffs, alpha, b0):
-    """Coefficients of (sum_k a_k z^k)^alpha by the power recurrence
+    """Fractions of (sum_k a_k z^k)^alpha by the power recurrence
     m b_m a_0 = sum_k (k (alpha + 1) - m) a_k b_{m-k}, one scalar
-    operation at a time in the kind of b0, up to the last nonzero a_k."""
+    operation at a time, up to the last nonzero a_k."""
     degree = max(k for k, c in enumerate(coeffs) if k == 0 or c != 0)
     out = [b0]
     for m in range(1, len(coeffs)):
-        acc = type(b0)(0)
+        acc = Fraction(0)
         for k in range(1, min(m, degree) + 1):
             acc += (k * (alpha + 1) - m) * coeffs[k] * out[m - k]
         out.append(acc / (m * coeffs[0]))
     return out
+
+
+def reference_float_power(coeffs, alpha, b0):
+    """Floats of the same recurrence as the lower triangular band system
+    b_0 = b0, m a_0 b_m + sum_k (m - k - k alpha) a_k b_{m-k} = 0, built
+    entry by entry (entry (j + k, j) at [k, j]) and solved by dtbsv."""
+    degree = max(k for k, c in enumerate(coeffs) if k == 0 or c != 0)
+    band = np.zeros((degree + 1, len(coeffs)), order="F")
+    for j in range(len(coeffs)):
+        band[0, j] = j * coeffs[0] if j else 1.0
+        for k in range(1, degree + 1):
+            band[k, j] = (j - k * alpha) * coeffs[k]
+    rhs = np.zeros(len(coeffs))
+    rhs[0] = b0
+    return dtbsv(degree, band, rhs, lower=1).tolist()
 
 
 def reference_pow(coeffs, alpha):
@@ -121,7 +141,8 @@ def reference_pow(coeffs, alpha):
     if a0 == 1:
         return reference_power(coeffs, alpha, Fraction(1))
     floats = [float(c) for c in coeffs]
-    return reference_power(floats, float(alpha), floats[0] ** float(alpha))
+    return reference_float_power(floats, float(alpha),
+                                 floats[0] ** float(alpha))
 
 
 def reference_q(beta, window):
@@ -143,7 +164,7 @@ def reference_symbol(beta, shift, alpha, window):
             for k, b in enumerate(beta):
                 acc += b * (float((-k) ** (l + 1)) / math.factorial(l + 1))
             q.append(acc)
-        powered = reference_power(q, alpha, q[0] ** alpha)
+        powered = reference_float_power(q, alpha, q[0] ** alpha)
     else:
         powered = reference_pow(reference_q(beta, window), alpha)
     kind = type(powered[0])

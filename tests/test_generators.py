@@ -261,6 +261,15 @@ class TestVerifyOrder:
         with pytest.raises(InconsistentGeneratorError, match="consistent"):
             verify_order(bad, 1)
 
+    @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(3, 2)])
+    def test_rational_constant_term_decided_exactly(self, alpha):
+        # q_0 = 1 + eps with q_0^alpha irrational: the float expansion
+        # reads its constant term, 1.0000000000005 at alpha = 1/2, as 1
+        eps = Fraction(1, 10**12)
+        bad = GeneratorSpec(alpha=alpha, shift=0, beta=(1 + eps, -(1 + eps)))
+        with pytest.raises(InconsistentGeneratorError, match="q_0 = "):
+            verify_order(bad, 1)
+
 
 class TestA2Coefficient:
     def test_alpha_two(self):

@@ -27,7 +27,7 @@ from grunwald.operators import (
     split_boundary,
     toeplitz_generators,
 )
-from scipy.linalg import toeplitz
+from scipy.linalg import solve_triangular, toeplitz
 
 
 class TestGridSpec:
@@ -337,12 +337,22 @@ class TestCheckedLU:
                 checked_lu(matrix, context="test")
 
 
+def embedding_inverse_column(col, row):
+    """g = L^-1 e_0 for the triangular Toeplitz embedding L, of first
+    column (row[1], col[0], ..., col[n-1]), of the lower Hessenberg
+    toeplitz(col, row), by a dense triangular solve."""
+    column = np.r_[row[1], col]
+    return solve_triangular(toeplitz(column, np.zeros(len(column))),
+                            np.eye(len(column))[0], lower=True)
+
+
 class TestCheckedHessenbergSolve:
     def test_regular_system_solves(self):
         col = np.array([4.0, 1.0, 0.5, 0.25])
         row = np.array([4.0, -1.0, 0.0, 0.0])
         rhs = np.array([1.0, 2.0, 3.0, 4.0])
-        x = checked_hessenberg_solve(col, row, rhs)
+        g = embedding_inverse_column(col, row)
+        x = checked_hessenberg_solve(col, row, g, rhs)
         assert toeplitz(col, row) @ x == pytest.approx(rhs, rel=1e-14)
 
     def test_singular_system_raises(self):
@@ -350,20 +360,36 @@ class TestCheckedHessenbergSolve:
         # det = a(a^2 - 2) is zero up to rounding
         a = np.sqrt(2.0)
         col = np.array([a, 1.0, 0.0])
-        assert hessenberg_rcond(col, col) < 1e-14
+        g = embedding_inverse_column(col, col)
+        assert hessenberg_rcond(col, col, g) < 1e-14
         with pytest.raises(SolverFailure, match=r"singular \(rcond="):
-            checked_hessenberg_solve(col, col, np.ones(3), context="test")
+            checked_hessenberg_solve(col, col, g, np.ones(3), context="test")
 
     def test_non_finite_inverse_column_is_singular(self):
         # 1 / 1e-310 overflows, so the embedding's inverse column is not
         # finite
         col = np.array([1.0, 0.0, 0.0])
         row = np.array([1.0, 1e-310, 0.0])
-        assert hessenberg_rcond(col, row) == 0.0
+        g = embedding_inverse_column(col, row)
+        assert not np.isfinite(g).all()
+        assert hessenberg_rcond(col, row, g) == 0.0
         with pytest.raises(SolverFailure, match=r"singular \(rcond=0"):
-            checked_hessenberg_solve(col, row, np.ones(3), context="test")
+            checked_hessenberg_solve(col, row, g, np.ones(3), context="test")
+
+    def test_vanishing_last_entry_is_singular(self):
+        # g = (1, -1, 0) has g_n = 0: toeplitz(col, row) = [[1, 1], [1, 1]]
+        col, row = np.array([1.0, 1.0]), np.array([1.0, 1.0])
+        g = embedding_inverse_column(col, row)
+        assert g[-1] == 0.0
+        assert hessenberg_rcond(col, row, g) == 0.0
 
     def test_upper_bandwidth_above_one_rejected(self):
         col = np.array([4.0, 1.0, 0.5])
         with pytest.raises(ValueError, match="Hessenberg"):
-            checked_hessenberg_solve(col, col, np.ones(3))
+            checked_hessenberg_solve(col, col, np.ones(4), np.ones(3))
+
+    def test_inverse_column_length_checked(self):
+        col = np.array([4.0, 1.0, 0.5])
+        row = np.array([4.0, -1.0, 0.0])
+        with pytest.raises(ValueError, match="need 4 entries"):
+            hessenberg_rcond(col, row, np.ones(3))

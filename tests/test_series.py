@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from grunwald import InconsistentGeneratorError
+from grunwald import InconsistentGeneratorError, beta_table
 from grunwald.series import normalized_symbol, power_recurrence
 
 
@@ -19,20 +19,50 @@ def generalized_binomial(alpha, k):
     return num / math.factorial(k)
 
 
+def longdouble_power(poly, alpha, count):
+    """b_0..b_count of (sum_k a_k z^k)^alpha by the power recurrence, one
+    np.longdouble operation at a time."""
+    a = [np.longdouble(c) for c in poly]
+    alpha = np.longdouble(alpha)
+    b = [a[0] ** alpha]
+    for m in range(1, count + 1):
+        acc = np.longdouble(0)
+        for k in range(1, min(m, len(a) - 1) + 1):
+            acc += (k * (alpha + 1) - m) * a[k] * b[m - k]
+        b.append(acc / (m * a[0]))
+    return np.array(b)
+
+
 class TestPowerRecurrence:
     def test_square_root_matches_binomial_oracle(self):
         # frozen from the oracle: (0.5 choose k)(-1)^k = 1, -0.5, -0.125
-        got = power_recurrence((1.0, -1.0, 0.0), 0.5, [1.0])
+        got = power_recurrence((1.0, -1.0, 0.0), 0.5, 1.0, 2).tolist()
         assert got == pytest.approx((1.0, -0.5, -0.125), abs=1e-15)
-        longer = power_recurrence((1.0, -1.0) + (0.0,) * 6, 0.5, [1.0])
+        longer = power_recurrence((1.0, -1.0), 0.5, 1.0, 7).tolist()
         expected = [generalized_binomial(0.5, k) * (-1) ** k for k in range(8)]
         assert longer == pytest.approx(expected, rel=1e-14)
 
     def test_power_then_inverse_power(self):
         a = (1.7, 0.3, -0.2, 0.05)
-        powered = power_recurrence(a, 1.5, [a[0] ** 1.5])
-        back = power_recurrence(powered, 1 / 1.5, [powered[0] ** (1 / 1.5)])
-        assert back == pytest.approx(a, rel=1e-12)
+        powered = power_recurrence(a, 1.5, a[0] ** 1.5, 3)
+        back = power_recurrence(powered, 1 / 1.5, powered[0] ** (1 / 1.5), 3)
+        assert back.tolist() == pytest.approx(a, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    def test_long_order2_run_matches_longdouble(self, alpha):
+        beta = [float(b) for b in beta_table(2, 1, alpha).beta]
+        got = power_recurrence(beta, alpha, beta[0] ** alpha, 50_000)
+        want = longdouble_power(beta, alpha, 50_000)
+        gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert gap <= 1e-15, f"relative gap {float(gap):.2e}"
+
+    def test_shorter_call_is_a_prefix(self):
+        # the stability scan's baseline grid takes a prefix of its weights
+        beta = [float(b) for b in beta_table(3, 1, 1.5).beta]
+        longest = power_recurrence(beta, 1.5, beta[0] ** 1.5, 5000)
+        for count in (0, 1, 2, 3, 16, 4999):
+            shorter = power_recurrence(beta, 1.5, beta[0] ** 1.5, count)
+            assert np.array_equal(shorter, longest[: count + 1]), count
 
 
 class TestNormalizedSymbol:

@@ -1,11 +1,13 @@
 """Steady solver accuracy and the stability scanner."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import eigvalsh, lu_factor, lu_solve, toeplitz
+from scipy.linalg import (eigvalsh, lu_factor, lu_solve, solve_triangular,
+                          toeplitz)
 from scipy.linalg.lapack import dgecon
 
 from grunwald import (
@@ -183,6 +185,42 @@ class TestEmbeddingSolve:
         assert gap <= 5e-13 * np.max(np.abs(solution)), f"gap {gap:.2e}"
 
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    def test_order3_error_matches_exact_generator_reference(self, alpha):
+        # the reference inverts the operator of the exact (Fraction)
+        # generator: the -alpha power recurrence of its embedding's inverse
+        # column, the boundary fold and the convolution in 80-bit long
+        # double. Inverting the rounded weights instead put the N=4096
+        # error at alpha=1.9 52 % off.
+        assert np.finfo(np.longdouble).nmant >= 63, "needs 80-bit long double"
+        problem = polynomial_steady_problem(alpha)
+        exact = Fraction(str(alpha))
+
+        def longdouble(x):
+            return np.longdouble(x.numerator) / np.longdouble(x.denominator)
+
+        a = longdouble(exact)
+        beta = [longdouble(b) for b in beta_table(2, 1, exact).beta]
+        for n in (2048, 4096):
+            grid = GridSpec(0.0, 1.0, n)
+            h = np.longdouble(1) / n
+            g = [beta[0] ** -a]  # coefficients of beta(z)^-alpha
+            for m in range(1, n):
+                g.append(sum((k * (1 - a) - m) * beta[k] * g[m - k]
+                             for k in (1, 2) if k <= m) / (m * beta[0]))
+            g = h**a * np.array(g)
+            source = problem.source(grid.points()).astype(np.longdouble)
+            rhs = precondition_rows(np.pad(source, 1),
+                                    longdouble(a2_coefficient(1, exact)))
+            rhs = rhs[1:-1]
+            rhs[-1] -= beta[0] ** a / h**a * problem.phi1  # phi0 = 0
+            c = np.convolve(g, rhs)
+            interior = np.r_[0, c[: n - 2]] - (c[n - 2] / g[-1]) * g[:-1]
+            want = float(np.max(np.abs(
+                interior - problem.exact(grid.points()[1:-1]))))
+            got = max_error(problem, n, "order3")
+            assert abs(got - want) <= 1e-3 * want, (n, got, want)
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
     def test_rcond_estimate_tracks_dgecon(self, alpha):
         for n in LADDER:
             grid = GridSpec(0.0, 1.0, n)
@@ -193,7 +231,10 @@ class TestEmbeddingSolve:
             rcond, info = dgecon(lu_factor(matrix)[0],
                                  np.linalg.norm(matrix, 1))
             assert info == 0
-            ratio = hessenberg_rcond(col, row) / rcond
+            column = np.r_[row[1], col]  # the embedding's first column
+            g = solve_triangular(toeplitz(column, np.zeros(n)),
+                                 np.eye(n)[0], lower=True)
+            ratio = hessenberg_rcond(col, row, g) / rcond
             assert 1 / 3 <= ratio <= 3, f"N={n}: ratio {ratio:.3f}"
 
     def test_large_grid_in_linear_memory(self):
