@@ -140,7 +140,7 @@ class CNSystem:
 def _cn_system(problem: DiffusionProblem, grid: GridSpec,
                m_steps: int, scheme: str) -> CNSystem:
     alpha = float(problem.alpha)
-    col, row, a2 = scheme_operator(scheme, alpha, grid)
+    col, row, a2, _ = scheme_operator(scheme, alpha, grid)
     if m_steps < 1:
         raise ValueError("need at least one time step")
     tau = problem.t_final / m_steps

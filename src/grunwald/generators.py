@@ -111,9 +111,12 @@ _BETA_POLYNOMIALS = {
     ),
 }
 
-# Each row as integer numerators over the lcm of its denominators.
+# Each row as integer numerators over the lcm of its denominators (the
+# exact branch of beta_table), and rounded to floats (the float branch).
 _BETA_INTEGER_ROWS = {order: tuple(map(series._over_lcm, rows))
                       for order, rows in _BETA_POLYNOMIALS.items()}
+_BETA_FLOAT_ROWS = {order: tuple(tuple(map(float, row)) for row in rows)
+                    for order, rows in _BETA_POLYNOMIALS.items()}
 
 
 @dataclass(frozen=True)
@@ -209,7 +212,7 @@ def beta_table(order: int, shift, alpha) -> GeneratorSpec:
                  for nums, den in _BETA_INTEGER_ROWS[order]]
     else:
         betas = []
-        for row in _BETA_POLYNOMIALS[order]:
+        for row in _BETA_FLOAT_ROWS[order]:
             acc = row[-1]
             for coeff in reversed(row[:-1]):
                 acc = acc * rho + coeff

@@ -586,8 +586,8 @@ def _prop_negative_definite(rng):
     worst = -np.inf
     for alpha in (1.1, 1.5, 1.9):
         for n in (16, 64):
-            col, row, _ = ops.scheme_operator("order2", alpha,
-                                              GridSpec(0.0, 1.0, n))
+            col, row, _, _ = ops.scheme_operator("order2", alpha,
+                                                 GridSpec(0.0, 1.0, n))
             top = _symmetric_eigenvalues(toeplitz(col, row))[-1]
             worst = max(worst, top)
             if top > 1e-12:
@@ -602,7 +602,7 @@ def _prop_norm_equivalence(rng):
     lo, hi = np.inf, -np.inf
     grid = GridSpec(0.0, 1.0, 64)
     for alpha in (1.0, 1.5, 2.0):
-        _, _, a2 = ops.scheme_operator("order3", alpha, grid)
+        _, _, a2, _ = ops.scheme_operator("order3", alpha, grid)
         size = grid.n - 1
         eigs = _symmetric_eigenvalues(
             ops.precondition_rows(np.eye(size + 2, size, k=-1), a2))

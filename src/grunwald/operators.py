@@ -7,11 +7,14 @@ scipy.linalg.toeplitz, and the right-side operator is toeplitz(row, col));
 the split of that matrix into its Toeplitz interior and boundary columns,
 and the fold that moves known boundary values to the right-hand side; the
 tridiagonal quasi-compact preconditioner stencil; the scheme rule, which
-maps a scheme name to the shifted order-2 column and row and the
-preconditioner coefficient; and two checked solves: a lower Hessenberg
-Toeplitz solve through the triangular Toeplitz embedding L of W, given
-g = L^-1 e_0, the discrete fractional-integral weights of W (steady
-solves), and a dense LU (the CN step; scan probes: dense LU).
+maps a scheme name to the shifted order-2 column and row, the
+preconditioner coefficient and the generator; the top eigenvalue of a
+symmetric Toeplitz matrix from the even and odd halves of its
+centrosymmetric split (scan definiteness); and three checked solves: a
+lower Hessenberg Toeplitz solve through the triangular Toeplitz embedding
+L of W, given g = L^-1 e_0, the discrete fractional-integral weights of W
+(steady solves), a band LU of a Toeplitz matrix with few superdiagonals
+(scan probes), and a dense LU (the CN step).
 Also the scheme list and the set-up checks shared by the solvers.
 Functions outside the grid are zero-extended, so indices that fall off the
 grid simply contribute nothing.
@@ -23,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import dgecon
+from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs, dgecon, dsyevr
 
 from .generators import (WeightSequence, a2_coefficient, beta_table,
                          grunwald_weights)
@@ -36,12 +39,14 @@ __all__ = [
     "check_domain",
     "check_scheme",
     "scheme_operator",
+    "toeplitz_top_eigenvalue",
     "precondition_rows",
     "toeplitz_generators",
     "split_boundary",
     "dirichlet_fold",
     "hessenberg_rcond",
     "checked_hessenberg_solve",
+    "checked_band_solve",
     "checked_lu",
     "solve_factored",
 ]
@@ -166,14 +171,45 @@ def scheme_operator(scheme: str, alpha: float, grid: GridSpec):
     """The scheme rule: both schemes discretise with the shifted order-2
     generator, and order3 also premultiplies by the quasi-compact
     preconditioner. Returns the first column and row of the left operator
-    matrix (see toeplitz_generators) and the preconditioner coefficient
-    a2, which is 0 for order2 (precondition_rows is then the identity).
+    matrix (see toeplitz_generators), the preconditioner coefficient a2,
+    which is 0 for order2 (precondition_rows is then the identity), and
+    the generator itself.
     """
     check_scheme(scheme)
-    weights = grunwald_weights(beta_table(2, 1, alpha), grid.n + 1)
-    col, row = toeplitz_generators(weights, grid)
+    generator = beta_table(2, 1, alpha)
+    col, row = toeplitz_generators(grunwald_weights(generator, grid.n + 1),
+                                   grid)
     a2 = float(a2_coefficient(1, alpha)) if scheme == "order3" else 0.0
-    return col, row, a2
+    return col, row, a2, generator
+
+
+def toeplitz_top_eigenvalue(t: np.ndarray) -> float:
+    """Largest eigenvalue of the symmetric Toeplitz matrix of first column
+    t, of size n >= 2, from the two halves of its centrosymmetric split
+    (Cantoni and Butler, Linear Algebra Appl. 13, 1976). With m = n // 2,
+    a_ij = t[|i-j|] and c_ij = t[n-1-i-j] for i, j < m, the odd half is
+    a - c and the even half a + c, bordered for odd n by the middle column
+    sqrt(2) t[m-i] and the corner t[0]; each gives its top eigenvalue to
+    dsyevr."""
+    t = np.asarray(t, dtype=float)
+    size, m = len(t), len(t) // 2
+    k = np.arange(m)
+    a = t[np.abs(k[:, None] - k)]
+    c = t[size - 1 - k[:, None] - k]
+    even = np.empty((size - m, size - m))
+    even[:m, :m] = a + c
+    if size % 2:
+        even[m, :m] = even[:m, m] = np.sqrt(2.0) * t[m - k]
+        even[m, m] = t[0]
+    tops = []
+    for half in (even, a - c):
+        w, _, _, _, info = dsyevr(half, compute_v=0, range="I",
+                                  il=len(half), iu=len(half))
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"dsyevr failed to converge (info={info})")
+        tops.append(w[0])
+    return float(max(tops))
 
 
 def check_domain(problem, grid: GridSpec) -> None:
@@ -261,8 +297,8 @@ def hessenberg_rcond(col: np.ndarray, row: np.ndarray, g: np.ndarray) -> float:
     if not (np.isfinite(g).all() and g[size] != 0):
         return 0.0
     # column 1 of T, l_0 ... l_(n-1), is the largest after column 0
-    anorm = max(np.abs(col).sum(),
-                np.abs(np.r_[row[1] if size > 1 else col[0], col[:-1]]).sum())
+    anorm = max(np.abs(col).sum(), np.abs(np.concatenate(
+        ([row[1] if size > 1 else col[0]], col[:-1]))).sum())
     length = 1 << (2 * size).bit_length()
     spectrum = np.fft.rfft(g, length)
 
@@ -270,11 +306,11 @@ def hessenberg_rcond(col: np.ndarray, row: np.ndarray, g: np.ndarray) -> float:
         return np.fft.irfft(spectrum * np.fft.rfft(v, length), length)
 
     def solve(b):
-        c = lower_inverse(np.r_[0.0, b])
+        c = lower_inverse(np.concatenate(([0.0], b)))
         return c[:size] - (c[size] / g[size]) * g[:size]
 
     def solve_transposed(d):  # L^-T = J L^-1 J, with J the reversal
-        w = np.r_[-(g[:size] @ d) / g[size], d[::-1]]
+        w = np.concatenate(([-(g[:size] @ d) / g[size]], d[::-1]))
         return lower_inverse(w)[size - 1::-1]
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -297,7 +333,38 @@ def checked_hessenberg_solve(col: np.ndarray, row: np.ndarray, g: np.ndarray,
                             f"(rcond={rcond:.2e})")
     g = np.asarray(g, dtype=float)
     c = np.convolve(g, np.asarray(rhs, dtype=float))[:len(rhs)]  # c_1..c_n
-    return np.r_[0.0, c[:-1]] - (c[-1] / g[-1]) * g[:-1]
+    return np.concatenate(([0.0], c[:-1])) - (c[-1] / g[-1]) * g[:-1]
+
+
+def checked_band_solve(col: np.ndarray, row: np.ndarray, rhs: np.ndarray,
+                       context: str = "linear system") -> np.ndarray:
+    """Solve toeplitz(col, row) x = rhs by a band LU of the transpose.
+
+    The upper bandwidth p of the matrix is the index of the last nonzero
+    entry of row; its transpose, of lower bandwidth p and full upper
+    bandwidth, goes into LAPACK band storage, where each band row is one
+    constant diagonal, and factors in O(n^2 p) time (dgbtrf). Raises
+    SolverFailure when the factorisation meets an exactly zero pivot or
+    the reciprocal 1-norm condition estimate, from dgbcon with the exact
+    ||A||_1, is not finite or falls below RCOND_FLOOR.
+    """
+    col, row, rhs = (np.asarray(v, dtype=float) for v in (col, row, rhs))
+    size = len(col)
+    kl, ku = int(np.flatnonzero(row).max(initial=0)), size - 1
+    # one column of the band storage: kl rows of fill-in space, then
+    # A^T's diagonals from the top, col[n-1] ... col[0], row[1] ... row[kl]
+    band = np.concatenate((np.zeros(kl), col[::-1], row[1:kl + 1]))
+    lu, piv, info = dgbtrf(np.tile(band, (size, 1)).T, kl, ku,
+                           overwrite_ab=1)
+    # column j of A holds row[j] ... row[1] above col[0] ... col[n-1-j]
+    anorm = np.max(np.cumsum(np.abs(col))[::-1] + np.cumsum(np.abs(row))
+                   - abs(row[0]))
+    rcond, cond_info = dgbcon(kl, ku, lu, piv, anorm, norm="I")
+    if (info != 0 or cond_info != 0 or not np.isfinite(rcond)
+            or rcond < RCOND_FLOOR):
+        raise SolverFailure(f"{context}: matrix is numerically singular "
+                            f"(rcond={rcond:.2e})")
+    return dgbtrs(lu, kl, ku, rhs, piv, trans=1)[0]
 
 
 def checked_lu(matrix: np.ndarray, context: str = "linear system"):

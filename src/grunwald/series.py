@@ -101,9 +101,11 @@ def power_recurrence(poly, alpha, b0, count):
     """
     poly = [float(a) for a in poly[: count + 1]]
     degree = max(k for k, a in enumerate(poly) if k == 0 or a != 0)
-    # the transpose of a C-ordered array is in BLAS's (Fortran) layout
-    band = ((np.arange(count + 1.0)[:, None] - alpha * np.arange(degree + 1.0))
-            * poly[: degree + 1]).T
+    # the transpose of a C-ordered array is in BLAS's (Fortran) layout;
+    # scaling in place keeps one (count + 1) x (d + 1) array alive
+    band = np.arange(count + 1.0)[:, None] - alpha * np.arange(degree + 1.0)
+    band *= poly[: degree + 1]
+    band = band.T
     band[0, 0] = 1.0
     b = np.zeros(count + 1)
     b[0] = b0

@@ -10,8 +10,8 @@ L^-1 e_0 from the generator at exponent -alpha (O(N^2) time, O(N) memory)
 and a reciprocal-condition estimate; no dense matrix is formed. The
 scanner probes generators of any order and shift for the negative
 definiteness (by the exact top eigenvalue of the operator's symmetric
-part, a dense matrix) and solve quality that make implicit schemes
-trustworthy. Scan probes: dense LU.
+part, from the even and odd halves of that symmetric Toeplitz matrix) and
+solve quality (by band LU solves) that make implicit schemes trustworthy.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigvalsh, toeplitz
 
 from .generators import beta_table, grunwald_weights
 from .series import power_recurrence
@@ -28,13 +27,13 @@ from .operators import (
     GridSpec,
     SolverFailure,
     check_domain,
+    checked_band_solve,
     checked_hessenberg_solve,
-    checked_lu,
     dirichlet_fold,
     precondition_rows,
     scheme_operator,
-    solve_factored,
     toeplitz_generators,
+    toeplitz_top_eigenvalue,
 )
 
 __all__ = [
@@ -87,19 +86,19 @@ def solve_steady(problem: SteadyProblem, grid: GridSpec,
     """
     check_domain(problem, grid)
     alpha = float(problem.alpha)
-    col, row, a2 = scheme_operator(scheme, alpha, grid)
+    col, row, a2, generator = scheme_operator(scheme, alpha, grid)
     rhs = np.asarray(problem.source(grid.points()), dtype=float)
     col, row, rhs = dirichlet_fold(col, row,
                                    precondition_rows(np.pad(rhs, 1), a2),
                                    problem.phi0, problem.phi1)
     # the embedding is h^-alpha times the triangular Toeplitz matrix of
-    # beta(z)^alpha, with beta the generator of scheme_operator
-    beta = [float(b) for b in beta_table(2, 1, alpha).beta]
+    # beta(z)^alpha
+    beta = [float(b) for b in generator.beta]
     g = grid.h ** alpha * power_recurrence(beta, -alpha, beta[0] ** -alpha,
                                            len(col))
     interior = checked_hessenberg_solve(col, row, g, rhs, f"steady {scheme} "
                                         f"solve at alpha={alpha}, n={grid.n}")
-    return np.r_[problem.phi0, interior, problem.phi1]
+    return np.concatenate(([problem.phi0], interior, [problem.phi1]))
 
 
 @dataclass(frozen=True)
@@ -146,14 +145,14 @@ def _probe_error(problem: SteadyProblem, weights, grid: GridSpec,
                  order: int) -> float:
     """Max error of the scan's benchmark solve on the grid: the operator of
     the weights with its boundary rows folded into the right-hand side,
-    solved by the dense checked LU."""
+    solved by the checked band LU."""
     x = grid.points()
     col, row, rhs = dirichlet_fold(*toeplitz_generators(weights, grid),
                                    problem.source(x), problem.phi0,
                                    problem.phi1)
-    factors = checked_lu(toeplitz(col, row), f"scan solve order={order} "
-                         f"alpha={problem.alpha} n={grid.n}")
-    solution = np.r_[problem.phi0, solve_factored(factors, rhs), problem.phi1]
+    interior = checked_band_solve(col, row, rhs, f"scan solve order={order} "
+                                  f"alpha={problem.alpha} n={grid.n}")
+    solution = np.concatenate(([problem.phi0], interior, [problem.phi1]))
     return float(np.max(np.abs(solution - problem.exact(x))))
 
 
@@ -174,10 +173,13 @@ def stability_scan(order: int, shift: int, alphas: Sequence[float],
     exceeds BLOWUP_FACTOR times the baseline error. Failures are data, not
     exceptions.
 
-    The probes solve with the dense checked LU (operators.checked_lu), as
-    the scan forms the dense matrix anyway. The steady solves' triangular
-    Toeplitz embedding does not fit them: they take any shift, and its
-    inverse grows exponentially when beta has a root inside the unit disk.
+    The top eigenvalue comes from the even and odd halves of the
+    symmetric Toeplitz matrix (operators.toeplitz_top_eigenvalue). The
+    probes solve with the checked band LU (operators.checked_band_solve):
+    at shift s the operator has s superdiagonals, so its transpose
+    factors in O(n^2 s) time. The steady solves' triangular Toeplitz
+    embedding does not fit them: they take any shift, and its inverse
+    grows exponentially when beta has a root inside the unit disk.
 
     n_samples and seed are ignored: the scan draws no random numbers. They
     stay only because the benchmark workloads still pass them, and go with
@@ -205,15 +207,14 @@ def stability_scan(order: int, shift: int, alphas: Sequence[float],
                 weights = grunwald_weights(
                     generator, max(grid.n, BASELINE_N) + shift)
                 col, row = toeplitz_generators(weights, grid)
-            if not np.isfinite(np.r_[col, row]).all():
+            if not (np.isfinite(col).all() and np.isfinite(row).all()):
                 reasons.append(
                     "operator entries are not finite: the weights overflow")
         if not reasons:
             # A is Toeplitz, so its symmetric part is the symmetric
             # Toeplitz matrix of (col + row) / 2; halving first keeps the
             # sum finite
-            max_rayleigh = float(eigvalsh(toeplitz(0.5 * col + 0.5 * row),
-                                          subset_by_index=[grid.n, grid.n])[0])
+            max_rayleigh = toeplitz_top_eigenvalue(0.5 * col + 0.5 * row)
             if not np.isfinite(max_rayleigh):
                 reasons.append(
                     f"top eigenvalue is not finite ({max_rayleigh})")

@@ -1,11 +1,16 @@
 """Grid operators: the Toeplitz column and row, convolution application,
-the tridiagonal preconditioner, the Dirichlet boundary fold, and the two
-checked solves: the dense LU (the CN step; scan probes: dense LU, since
-the scan is dense already) and the lower Hessenberg solve through the
-triangular Toeplitz embedding (steady solves)."""
+the tridiagonal preconditioner, the Dirichlet boundary fold, the top
+eigenvalue of a symmetric Toeplitz matrix, and the three checked solves:
+the dense LU (the CN step), the band LU (scan probes) and the lower
+Hessenberg solve through the triangular Toeplitz embedding (steady
+solves)."""
+
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from grunwald import (
     GeneratorSpec,
@@ -16,7 +21,9 @@ from grunwald import (
     grunwald_weights,
     polynomial_steady_problem,
 )
+from grunwald import operators
 from grunwald.operators import (
+    checked_band_solve,
     checked_hessenberg_solve,
     checked_lu,
     dirichlet_fold,
@@ -26,8 +33,10 @@ from grunwald.operators import (
     solve_factored,
     split_boundary,
     toeplitz_generators,
+    toeplitz_top_eigenvalue,
 )
-from scipy.linalg import solve_triangular, toeplitz
+from scipy.linalg import eigvalsh, lu_factor, solve_triangular, toeplitz
+from scipy.linalg.lapack import dgecon
 
 
 class TestGridSpec:
@@ -240,8 +249,9 @@ class TestSchemeOperator:
         from grunwald import a2_coefficient
 
         grid = GridSpec(0.0, 1.0, n)
-        col, row, a2 = scheme_operator(scheme, alpha, grid)
-        weights = grunwald_weights(beta_table(2, 1, alpha), n + 1)
+        col, row, a2, generator = scheme_operator(scheme, alpha, grid)
+        assert generator == beta_table(2, 1, alpha)
+        weights = grunwald_weights(generator, n + 1)
         expected_col, expected_row = toeplitz_generators(weights, grid)
         assert np.array_equal(col, expected_col)
         assert np.array_equal(row, expected_row)
@@ -393,3 +403,71 @@ class TestCheckedHessenbergSolve:
         row = np.array([4.0, -1.0, 0.0])
         with pytest.raises(ValueError, match="need 4 entries"):
             hessenberg_rcond(col, row, np.ones(3))
+
+
+class TestToeplitzTopEigenvalue:
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(t=st.integers(3, 130).flatmap(lambda n: arrays(
+        float, n, elements=st.floats(-1e3, 1e3))))
+    @example(t=np.zeros(3))
+    @example(t=np.zeros(4))
+    def test_matches_dense_eigvalsh(self, t):
+        matrix = toeplitz(t)
+        scale = np.linalg.norm(matrix, 2)
+        assert abs(toeplitz_top_eigenvalue(t)
+                   - eigvalsh(matrix)[-1]) <= 1e-12 * scale
+
+
+def scan_probe_operator(shift, size):
+    """Column and row of the folded order-3 scan operator at alpha = 1.9
+    with `size` interior points; its upper bandwidth is the shift."""
+    grid = GridSpec(0.0, 1.0, size + 1)
+    weights = grunwald_weights(beta_table(3, shift, 1.9), size + 2 + shift)
+    col, row, _, _ = split_boundary(*toeplitz_generators(weights, grid))
+    return col, row
+
+
+class TestCheckedBandSolve:
+    @pytest.mark.parametrize("size", [1, 2, 16])
+    @pytest.mark.parametrize("shift", [0, 1, 2])
+    def test_matches_dense_oracle(self, shift, size):
+        col, row = scan_probe_operator(shift, size)
+        matrix = toeplitz(col, row)
+        rhs = np.linspace(1.0, 2.0, size)
+        expected = solve_factored(checked_lu(matrix), rhs)
+        assert checked_band_solve(col, row, rhs) == pytest.approx(
+            expected, rel=1e-12, abs=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("size", [1, 2, 16])
+    @pytest.mark.parametrize("shift", [0, 1, 2])
+    def test_rcond_tracks_dgecon(self, shift, size, monkeypatch):
+        # with an infinite floor every solve is refused, and the refusal
+        # prints the estimate
+        col, row = scan_probe_operator(shift, size)
+        matrix = toeplitz(col, row)
+        dense, _ = dgecon(lu_factor(matrix)[0], np.linalg.norm(matrix, 1))
+        monkeypatch.setattr(operators, "RCOND_FLOOR", np.inf)
+        with pytest.raises(SolverFailure, match="rcond=") as failure:
+            checked_band_solve(col, row, np.ones(size))
+        band = float(re.search(r"rcond=([^)]*)\)", str(failure.value))[1])
+        assert dense / 10 <= band <= dense * 10
+
+    @pytest.mark.parametrize("size", [1, 5])
+    @pytest.mark.parametrize("shift", [0, 1, 2])
+    def test_singular_matrix_raises(self, shift, size):
+        # shift 0: a zero diagonal; shifts 1 and 2: columns 0 to shift of
+        # an all-ones band are equal
+        col = np.ones(size)
+        row = np.zeros(size)
+        row[:shift + 1] = 1.0
+        if shift == 0 or size == 1:
+            col[0] = row[0] = 0.0
+        with pytest.raises(SolverFailure, match=r"test: matrix is "
+                           r"numerically singular \(rcond="):
+            checked_band_solve(col, row, np.ones(size), context="test")
+
+    def test_singular_scan_operator_raises(self):
+        # dgecon gives rcond 1.7e-37 for this shift-2 operator
+        col, row = scan_probe_operator(2, 47)
+        with pytest.raises(SolverFailure, match=r"singular \(rcond="):
+            checked_band_solve(col, row, np.ones(47))

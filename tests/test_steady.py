@@ -170,7 +170,7 @@ class TestEmbeddingSolve:
         assert np.finfo(np.longdouble).nmant >= 63, "needs 80-bit long double"
         problem = polynomial_steady_problem(alpha)
         grid = GridSpec(0.0, 1.0, 1024)
-        col, row, a2 = scheme_operator("order3", alpha, grid)
+        col, row, a2, _ = scheme_operator("order3", alpha, grid)
         rhs = precondition_rows(np.pad(problem.source(grid.points()), 1), a2)
         col, row, adjusted = dirichlet_fold(col, row, rhs, problem.phi0,
                                             problem.phi1)
@@ -342,6 +342,24 @@ class TestStabilityScan:
         assert [r.stable_onset() for r in reports] == [
             1.0, 1.4141414141414141, 1.8080808080808082, None, None]
 
+    @pytest.mark.parametrize("shift, stable, failed, onsets", [
+        # the unshifted generators have positive top eigenvalues
+        (0, [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [None] * 5),
+        (2, [4, 0, 0, 0, 0], [41, 58, 55, 52, 50],
+         [1.9696969696969697, None, None, None, None]),
+    ])
+    def test_verdicts_at_shifts_0_and_2(self, shift, stable, failed, onsets):
+        # the counts of test_verdicts_on_short_grid at shifts 0 and 2; the
+        # probes solve at upper bandwidths 0 and 2
+        alphas = np.linspace(1.0, 2.0, 100)
+        grid = GridSpec(0.0, 1.0, 48)
+        reports = [stability_scan(order, shift, alphas, grid)
+                   for order in range(2, 7)]
+        assert [len(r.stable_alphas) for r in reports] == stable
+        assert [sum(e.solve_failed for e in r.entries)
+                for r in reports] == failed
+        assert [r.stable_onset() for r in reports] == onsets
+
     def test_nonfinite_rayleigh_quotient_is_unstable(self):
         # the order-6 weights at alpha = 1 overflow from k = 340, so the
         # operator has non-finite entries and is not sampled
@@ -377,10 +395,9 @@ class TestStabilityScan:
 
     def test_order2_scan_errors_are_the_steady_solver_errors(self):
         # the scan's order-2, shift-1 family is the order2 steady scheme.
-        # The scan probes with a dense LU of the folded system, so its
-        # scan-grid and baseline errors are those of the dense oracle, bit
-        # for bit; solve_steady solves the same system through the
-        # triangular embedding, which rounds differently
+        # The scan probes with a band LU of the folded system; the dense
+        # oracle's LU and solve_steady's triangular embedding solve the
+        # same system and round differently
         alphas = (1.2, 1.7)
         report = stability_scan(2, 1, alphas, GridSpec(0.0, 1.0, 48))
         for alpha, entry in zip(alphas, report.entries):
@@ -389,7 +406,7 @@ class TestStabilityScan:
                              (BASELINE_N, entry.baseline_error)):
                 grid = GridSpec(0.0, 1.0, n)
                 solution = dense_dirichlet_solve(problem, grid, "order2")
-                assert error == np.max(np.abs(solution
-                                              - problem.exact(grid.points())))
+                assert np.max(np.abs(solution - problem.exact(
+                    grid.points()))) == pytest.approx(error, rel=1e-10, abs=0)
                 assert max_error(problem, n, "order2") == pytest.approx(
                     error, rel=1e-10, abs=0)
