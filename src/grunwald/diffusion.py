@@ -11,9 +11,10 @@ time, so a step (P - B) u_next = (P + B) u + r_m is linear with constant
 coefficients. It is marched in one form only: in the coordinates
 y = (P - B) u, as y_next = y + E y + r_m with the increment matrix
 E = 2 B (P - B)^-1, so the forcing r_m needs no solve and one solve maps
-the states back to u. cn_solve groups SUBSTEPS steps into one matvec; the
-energy check marches single steps and keeps every state. Problem data
-is evaluated on arrays of times, once per run or block, never per step.
+the states back to u. cn_solve marches s ~ sqrt(M) interleaved step
+sequences at once, one matrix product of width s per s steps; the energy
+check marches single steps and keeps every state. Problem data is
+evaluated on arrays of times, once per run or block, never per step.
 """
 
 from __future__ import annotations
@@ -44,15 +45,10 @@ __all__ = [
     "stability_estimate_check",
 ]
 
-# Time steps whose forcing is assembled together: large enough that the
-# grouped forcing is a few matrix products, small enough that a block is a
-# few MB at the paper's N <= 512. A multiple of SUBSTEPS.
+# Rows of cn_solve's step sequence whose forcing is assembled together:
+# few source calls, a few MB at the paper's N <= 512. A block is at least
+# two strides of the march, which exceed 128 only from M = 65536.
 STEP_BLOCK = 256
-
-# cn_solve marches SUBSTEPS = 2^SUBSTEP_DOUBLINGS steps per matvec, so the
-# step operator is streamed once per group instead of once per step.
-SUBSTEP_DOUBLINGS = 4
-SUBSTEPS = 2 ** SUBSTEP_DOUBLINGS
 
 # Norm-equivalence constant of the preconditioned energy norm: the
 # discrete L2 norm is controlled by sqrt(5) times the P-norm.
@@ -175,22 +171,23 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
 
     Each step solves (P - B) u_next = (P + B) u + r_m on the interior,
     with r_m = tau * (P f)(midpoint) and the known boundary values folded
-    in through the boundary columns of B and P. The march runs on
-    y = (P - B) u in increment form, y_next = y + E y + r_m with
-    E = 2 B (P - B)^-1, and maps back with one solve at the end. Each
-    full group of SUBSTEPS steps is one matvec with E_k, where
-    I + E_k = (I + E)^SUBSTEPS; the forcing of every group in a block of
-    STEP_BLOCK steps comes from one Horner pass of matrix products.
-    Each boundary is evaluated once on t_0 .. t_M, the source once per
-    block on its midpoint times. Raises ValueError when a side with a
-    nonzero coefficient has a nonzero boundary value at a step time after
-    t_0 or nonzero initial data at that end, and when the data or the
-    state become non-finite.
+    in through the boundary columns of B and P. In y = (P - B) u the step
+    is y_next = y + E y + r_m with E = 2 B (P - B)^-1, so
+    y_M = sum_j (I + E)^(M-j) v_j over v = [y_0, r_0, .., r_{M-1}]. With v
+    zero padded at the front (exact: the sum starts from 0) to groups of
+    s = 2^floor(log2 sqrt(M)) rows, an accumulator W of s rows takes each
+    group V_g as W <- W (I + E_s)^T + V_g, one product of width s, with
+    I + E_s = (I + E)^s; then y_M = sum_i (I + E)^(s-1-i) W_i, and one
+    solve maps it back to u. Each boundary is evaluated once on
+    t_0 .. t_M, the source once per block of STEP_BLOCK rows of v, on its
+    midpoint times. Raises ValueError when a side with a nonzero
+    coefficient has a nonzero boundary value at a step time after t_0 or
+    nonzero initial data at that end, and when the data or the state
+    become non-finite.
     """
     check_domain(problem, grid)
     system = _cn_system(problem, grid, m_steps, scheme)
     tau, a2, factors = system.tau, system.a2, system.factors
-    b_col_left, b_col_right = system.b_col_left, system.b_col_right
     x = grid.points()
     initial = np.asarray(problem.init(x), dtype=float)
     if not np.all(np.isfinite(initial)):
@@ -204,42 +201,45 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
     u = initial[1:-1]
     y = system.p_reduced @ u - system.b_reduced @ u
     e_one = system.increment
+    sides = ((left, system.b_col_left, 0), (right, system.b_col_right, -1))
     del system  # P and B are not needed past this point
-    e_group = e_one
-    for _ in range(SUBSTEP_DOUBLINGS):
-        # (I + E_j)^2 = I + E_2j with E_2j = 2 E_j + E_j E_j
+    doublings = math.isqrt(m_steps).bit_length() - 1
+    s = 2 ** doublings
+    pad = -(m_steps + 1) % s
+    # at least one step in the first block, after its padding and y_0
+    block = max(STEP_BLOCK, 2 * s)
+    e_group = e_one.T
+    for _ in range(doublings):
+        # (I + E_j)^2 = I + E_2j with E_2j = 2 E_j + E_j E_j, transposed
         squared = e_group @ e_group
         squared += 2.0 * e_group
         e_group = squared
-    for start in range(0, m_steps, STEP_BLOCK):
-        stop = min(start + STEP_BLOCK, m_steps)
-        mid = tau * (np.arange(start, stop)[:, None] + 0.5)
+    w = np.zeros((s, len(y)))
+    length = pad + 1 + m_steps
+    for start in range(0, length, block):
+        # rows start .. stop - 1 of v hold the forcing of steps lo .. hi - 1
+        stop = min(start + block, length)
+        lo, hi = max(start - pad - 1, 0), stop - pad - 1
+        mid = tau * (np.arange(lo, hi)[:, None] + 0.5)
         f_mid = np.asarray(np.broadcast_to(problem.source(x, mid),
                                            (len(mid), len(x))), dtype=float)
-        rhs = tau * precondition_rows(f_mid.T, a2)
-        left_now, left_next = left[start:stop], left[start + 1:stop + 1]
-        right_now, right_next = right[start:stop], right[start + 1:stop + 1]
-        rhs += np.multiply.outer(b_col_left, left_next + left_now)
-        rhs += np.multiply.outer(b_col_right, right_next + right_now)
-        if a2 != 0.0:
-            rhs[0] -= a2 * (left_next - left_now)
-            rhs[-1] -= a2 * (right_next - right_now)
-        groups = (stop - start) // SUBSTEPS
-        grouped = rhs[:, :groups * SUBSTEPS].reshape(len(rhs), groups,
-                                                     SUBSTEPS)
-        # Horner: z = sum_i (I + E)^(SUBSTEPS-1-i) r_i for every group
-        z = grouped[:, :, 0].copy()
-        for i in range(1, SUBSTEPS):
-            z += e_one @ z
-            z += grouped[:, :, i]
-        for g in range(groups):
-            y += e_group @ y
-            y += z[:, g]
-        for j in range(groups * SUBSTEPS, stop - start):
-            y += e_one @ y
-            y += rhs[:, j]
-        if not np.all(np.isfinite(y)):
-            raise ValueError(f"state is not finite after step {stop}")
+        rows = tau * precondition_rows(f_mid.T, a2).T
+        for values, column, edge in sides:
+            if values[lo:hi + 1].any():
+                now, after = values[lo:hi], values[lo + 1:hi + 1]
+                rows += np.multiply.outer(after + now, column)
+                rows[:, edge] -= a2 * (after - now)
+        if start == 0:
+            rows = np.concatenate((np.zeros((pad, len(y))), [y], rows))
+        for g in range(0, len(rows), s):
+            w += w @ e_group
+            w += rows[g:g + s]
+        if not np.all(np.isfinite(w)):
+            raise ValueError(f"state is not finite after step {hi}")
+    y = w[0]
+    for row in w[1:]:
+        y += e_one @ y
+        y += row
     u = solve_factored(factors, y)
     return np.concatenate(([left[-1]], u, [right[-1]]))
 

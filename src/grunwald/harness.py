@@ -151,35 +151,40 @@ def _solve_once(problem_id: str, scheme: str, alpha: float, n: int,
     return float(np.max(np.abs(solution - exact)))
 
 
+def _orders(errors: Sequence[Optional[float]],
+            n_values: Sequence[int]) -> list:
+    """The order of each row, log(e_prev/e) / log(N/N_prev) to two
+    decimals; None in the first row and where either error is missing or
+    zero."""
+    orders = [None]
+    for previous, error, previous_n, n in zip(errors, errors[1:], n_values,
+                                              n_values[1:]):
+        orders.append(_round_order(math.log2(previous / error)
+                                   / math.log2(n / previous_n))
+                      if previous and error else None)
+    return orders
+
+
 def _study(problem: str, scheme: str, alpha: float, n_values: Sequence[int],
            m_values: Sequence[int]) -> tuple:
-    """Solve at each (N, M) in turn; a row's order is log(e_prev/e) /
-    log(N/N_prev) over unrounded errors, empty when either error is missing
-    or zero. Solver failures are recorded in their row and do not abort."""
-    rows = []
-    previous = previous_n = None
+    """Solve at each (N, M) in turn; a row's order is taken over unrounded
+    errors (_orders). Solver failures are recorded in their row and do not
+    abort."""
+    errors, failures = [], []
     for n, m in zip(n_values, m_values):
-        error = None
-        failure = None
+        error = failure = None
         try:
             error = _solve_once(problem, scheme, alpha, n, m)
         except SolverFailure as exc:
             failure = str(exc)
-        order = None
-        if previous and error:
-            order = _round_order(math.log2(previous / error)
-                                 / math.log2(n / previous_n))
-        rows.append(
-            ConvergenceRow(
-                n=n,
-                m=m,
-                max_error=_round_error(error),
-                observed_order=order,
-                failure=failure,
-            )
-        )
-        previous, previous_n = error, n
-    return tuple(rows)
+        errors.append(error)
+        failures.append(failure)
+    return tuple(
+        ConvergenceRow(n=n, m=m, max_error=_round_error(error),
+                       observed_order=order, failure=failure)
+        for n, m, error, order, failure in zip(
+            n_values, m_values, errors, _orders(errors, n_values), failures)
+    )
 
 
 def run_convergence(config: RunConfig) -> list:
@@ -382,9 +387,11 @@ class TableDiffReport:
 def reproduce_table(table_id: int, *, out_path=None) -> TableDiffReport:
     """Re-run the exact configuration behind a benchmark table and diff
     every cell: errors within ERROR_RTOL relative, orders within
-    ORDER_TOL_HUNDREDTHS. Every error cell and every cell with a printed
-    order is gated, and a missing value fails its gate. A failing cell
-    makes the report fail; it never raises.
+    ORDER_TOL_HUNDREDTHS. The expected order of a cell is the order of the
+    table's printed errors (_orders), as its observed order is that of the
+    computed ones. Every error cell and every cell after the first N is
+    gated, and a missing value fails its gate. A failing cell makes the
+    report fail; it never raises.
     """
     if table_id not in REFERENCE_TABLES:
         raise ValueError(
@@ -395,8 +402,9 @@ def reproduce_table(table_id: int, *, out_path=None) -> TableDiffReport:
     cells = []
     for alpha in ref.alphas:
         rows = _study(ref.problem, ref.scheme, alpha, ref.n_values, m_values)
+        expected_orders = _orders(ref.errors[alpha], ref.n_values)
         for row, expected_error, expected_order in zip(
-                rows, ref.errors[alpha], ref.orders[alpha], strict=True):
+                rows, ref.errors[alpha], expected_orders, strict=True):
             rel = error_margin = None
             if row.max_error is not None:
                 rel = abs(row.max_error - expected_error) / expected_error

@@ -3,8 +3,10 @@
 Four convergence tables for the two benchmark problems: steady solves at
 design orders 2 and 3 (tables 3 and 4), and Crank-Nicolson diffusion
 runs at spatial orders 2 and 3 (tables 5 and 6). Errors are maximum-norm
-errors at the final time (diffusion) or of the solution (steady); orders
-are base-2 logs of successive error ratios, to two decimals.
+errors at the final time (diffusion) or of the solution (steady). Orders
+are not stored: a cell's expected order is the base-2 log of its printed
+error ratio, to two decimals, which is the printed order in every cell of
+tables 3, 5 and 6 (table 4's printed orders are in its note).
 
 Table 6 ties the time step to the mesh via tau ~ h^(3/2); its M column
 is the printed floor(N^1.5) + 1 at every N. With it, alpha=1.9 passes the
@@ -29,7 +31,6 @@ class ReferenceTable:
     m_values: Optional[tuple]
     alphas: tuple
     errors: dict
-    orders: dict
     note: str = ""
 
 
@@ -49,11 +50,6 @@ REFERENCE_TABLES = {
             1.9: (1.3365e-01, 3.3951e-02, 8.5491e-03, 2.1446e-03,
                   5.3703e-04, 1.3437e-04, 3.3606e-05),
         },
-        orders={
-            1.1: (None, 2.08, 2.09, 2.10, 2.10, 2.09, 2.00),
-            1.5: (None, 1.95, 1.98, 1.99, 2.00, 2.00, 2.00),
-            1.9: (None, 1.98, 1.99, 2.00, 2.00, 2.00, 2.00),
-        },
     ),
     4: ReferenceTable(
         table_id=4,
@@ -70,17 +66,14 @@ REFERENCE_TABLES = {
             1.9: (3.8208e-03, 4.6147e-04, 5.6560e-05, 7.0003e-06,
                   8.7069e-07, 1.0857e-07, 1.3563e-08),
         },
-        orders={
-            1.1: (None, 3.15, 3.13, 3.11, 3.11, 3.01, 3.00),
-            1.5: (None, 3.00, 3.00, 3.00, 3.00, 3.00, 3.00),
-            1.9: (None, 3.03, 3.01, 3.01, 3.00, 3.00, 2.96),
-        },
         note=(
-            "The alpha=1.1 order column is the column its own errors give "
-            "(3.20, 3.15, 3.13, 3.11, 3.11, 3.01) shifted one row; three "
-            "printed orders differ from their errors by more than 0.02: "
-            "alpha=1.1 N=32 (3.15 vs 3.20), alpha=1.1 N=512 (3.01 vs "
-            "3.11) and alpha=1.9 N=1024 (2.96 vs 3.00)."
+            "Expected orders are those of the printed errors. The printed "
+            "order columns (N=32..1024) are alpha=1.1: 3.15, 3.13, 3.11, "
+            "3.11, 3.01, 3.00; alpha=1.5: 3.00 at every N; alpha=1.9: 3.03, "
+            "3.01, 3.01, 3.00, 3.00, 2.96. They differ from the orders of "
+            "their errors in 10 cells: the alpha=1.1 column is its errors' "
+            "column (3.20, 3.15, 3.13, 3.11, 3.11, 3.01) shifted one row, "
+            "and alpha=1.9 N=1024 prints 2.96 for 3.00."
         ),
     ),
     5: ReferenceTable(
@@ -98,11 +91,6 @@ REFERENCE_TABLES = {
             1.9: (5.6905e-06, 1.4309e-06, 3.5731e-07, 8.9332e-08,
                   2.2338e-08, 5.5852e-09),
         },
-        orders={
-            1.1: (None, 1.90, 1.95, 1.97, 1.99, 1.99),
-            1.5: (None, 1.97, 1.98, 1.99, 1.99, 2.00),
-            1.9: (None, 1.99, 2.00, 2.00, 2.00, 2.00),
-        },
     ),
     6: ReferenceTable(
         table_id=6,
@@ -118,11 +106,6 @@ REFERENCE_TABLES = {
                   1.7758e-10, 2.2183e-11),
             1.9: (2.9010e-08, 2.7484e-09, 5.3796e-10, 7.9399e-11,
                   1.0667e-11, 1.3792e-12),
-        },
-        orders={
-            1.1: (None, 2.97, 2.99, 2.99, 3.00, 3.00),
-            1.5: (None, 2.99, 3.00, 3.00, 3.00, 3.00),
-            1.9: (None, 3.40, 2.35, 2.76, 2.90, 2.95),
         },
         note=(
             "M column is literal: floor(N^1.5) + 1 at every N. alpha=1.9 "

@@ -176,7 +176,7 @@ class TestReproduceTable:
     def test_table4_prints_worst_margin(self, outdir, capsys):
         assert main(["reproduce-table", "--table", "4"]) == 0
         out = capsys.readouterr().out
-        assert "worst margin: order 0 hundredths (alpha=1.1, N=512)" in out
+        assert "worst margin: order 10 hundredths (alpha=1.1, N=32)" in out
 
     def test_fail_lines_name_the_failing_quantity(self, monkeypatch, capsys):
         def cell(n, actual_error, error_margin, actual_order, order_margin):

@@ -20,7 +20,8 @@ from grunwald import (
     polynomial_diffusion_problem,
     stability_estimate_check,
 )
-from grunwald.diffusion import STEP_BLOCK, SUBSTEPS, _cn_system
+from grunwald import diffusion
+from grunwald.diffusion import STEP_BLOCK, _cn_system
 from grunwald.operators import precondition_rows, solve_factored
 
 
@@ -102,14 +103,13 @@ def moving_right_boundary_problem(alpha=1.5):
 
 
 class CountedCalls:
-    """Wraps a data function and records the argument shapes of each
-    call."""
+    """Wraps a data function and records the arguments of each call."""
 
     def __init__(self, fn):
-        self.fn, self.shapes = fn, []
+        self.fn, self.calls = fn, []
 
     def __call__(self, *args):
-        self.shapes.append(tuple(np.shape(a) for a in args))
+        self.calls.append(args)
         return self.fn(*args)
 
 
@@ -224,35 +224,61 @@ class TestCNSolve:
 
     @pytest.mark.parametrize("bad_after", [0.0, 0.9, 0.97])
     def test_non_finite_source_rejected(self, bad_after):
-        # the NaN first shows in the first block, or only in a later one,
-        # or only in that block's steps after its last full group
+        # 2 STEP_BLOCK + 1 = 513 steps march at stride 16 after 14 padding
+        # rows and y_0, so the blocks end after steps 241, 497 and 513; the
+        # NaN first shows in the first, the middle or the last block, and
+        # is reported at the end of that block
         problem = DiffusionProblem(
             a=0.0, b=1.0, t_final=1.0, alpha=1.5, k_left=1.0, k_right=1.0,
             source=lambda x, t: (np.where(t > bad_after, np.nan, 0.0)
                                  + zero_x(x)),
             init=zero_x, bc_left=lambda t: 0.0, bc_right=lambda t: 0.0,
         )
-        # 300 steps: a full block, then full groups and single steps
-        single_steps_from = 300 - (300 - STEP_BLOCK) % SUBSTEPS
-        assert STEP_BLOCK < 0.9 * 300 and single_steps_from < 0.97 * 300
-        with pytest.raises(ValueError, match="state is not finite"):
-            cn_solve(problem, GridSpec(0.0, 1.0, 16), 300)
+        reported = {0.0: 241, 0.9: 497, 0.97: 513}[bad_after]
+        with pytest.raises(ValueError,
+                           match=f"not finite after step {reported}$"):
+            cn_solve(problem, GridSpec(0.0, 1.0, 16), 2 * STEP_BLOCK + 1)
 
     def test_data_evaluated_once_per_block(self):
-        # one source call per block of midpoint times (as a column), one
-        # call per boundary function on all step times, none per step
+        # one source call per block on a column of consecutive midpoint
+        # times, which together cover every t_{m+1/2} once; one call per
+        # boundary function on all step times, none per step. 513 steps
+        # march at stride 16: the first block of STEP_BLOCK rows also
+        # holds 14 padding rows and y_0.
         m_steps = 2 * STEP_BLOCK + 1
         base = moving_right_boundary_problem()
         counted = {name: CountedCalls(getattr(base, name))
                    for name in ("source", "bc_left", "bc_right")}
         problem = replace(base, **counted)
         for counter in counted.values():
-            counter.shapes.clear()
+            counter.calls.clear()
         cn_solve(problem, GridSpec(0.0, 1.0, 16), m_steps)
-        source_times = [shapes[-1] for shapes in counted["source"].shapes]
-        assert source_times == [(STEP_BLOCK, 1), (STEP_BLOCK, 1), (1, 1)]
+        source_times = [t for _, t in counted["source"].calls]
+        assert [t.shape for t in source_times] == [(241, 1), (256, 1),
+                                                   (16, 1)]
+        tau = problem.t_final / m_steps
+        np.testing.assert_array_equal(
+            np.concatenate(source_times)[:, 0],
+            tau * (np.arange(m_steps) + 0.5))
         for name in ("bc_left", "bc_right"):
-            assert counted[name].shapes == [((m_steps + 1,),)]
+            (times,), = counted[name].calls
+            np.testing.assert_array_equal(times, tau * np.arange(m_steps + 1))
+
+    def test_first_block_holds_a_step(self, monkeypatch):
+        # 256 steps march at stride 16 after 15 padding rows and y_0, so a
+        # block of 16 rows would hold no step: a block is at least two
+        # strides long, and the source is never called without times
+        monkeypatch.setattr(diffusion, "STEP_BLOCK", 16)
+        base = polynomial_diffusion_problem(1.5)
+        counted = CountedCalls(base.source)
+        problem = replace(base, source=counted)
+        grid = GridSpec(0.0, 1.0, 16)
+        final = cn_solve(problem, grid, 256, "order3")
+        assert [t.shape for _, t in counted.calls] == (
+            [(16, 1)] + [(32, 1)] * 7 + [(16, 1)])
+        reference = per_step_march(base, grid, 256, "order3")
+        assert np.max(np.abs(final - reference)) <= (
+            1e-12 * np.max(np.abs(reference)))
 
     def test_non_finite_initial_data_rejected(self):
         problem = DiffusionProblem(
@@ -265,9 +291,11 @@ class TestCNSolve:
             cn_solve(problem, GridSpec(0.0, 1.0, 16), 3)
 
 
-# step counts below, at and around SUBSTEPS, and across STEP_BLOCK
-ORACLE_STEPS = (1, SUBSTEPS - 1, SUBSTEPS, SUBSTEPS + 1, 300,
-                2 * STEP_BLOCK + 1)
+# step counts: one step; s^2 - 1, s^2 and s^2 + 1, where the stride
+# doubles to s = 4, 8 and 16; 79, where M + 1 is a multiple of the stride 8
+# and no padding row is added; 300; and three blocks of STEP_BLOCK rows
+ORACLE_STEPS = (1, *(s * s + d for s in (4, 8, 16) for d in (-1, 0, 1)),
+                79, 300, 2 * STEP_BLOCK + 1)
 
 
 class TestStepMatrixOracle:
@@ -299,9 +327,15 @@ class TestStepMatrixOracle:
 
     @pytest.mark.parametrize("scheme", ["order2", "order3"])
     def test_moving_boundary_folded_into_forcing(self, scheme):
-        for m_steps in (SUBSTEPS + 1, 300):
-            self.assert_agrees(moving_right_boundary_problem(), 48, m_steps,
-                               scheme)
+        # the second right boundary is 10 at t_0 (from the initial data),
+        # then 0 up to t_496 of 513 steps: the middle block (steps 241 to
+        # 496) sees a nonzero value only as the new value of its last step
+        moving = moving_right_boundary_problem()
+        late = replace(moving, bc_right=lambda t: np.where(
+            t < 0.968, 0.0, 10.0 * np.exp(-t)))
+        for problem in (moving, late):
+            for m_steps in (17, 300, 2 * STEP_BLOCK + 1):
+                self.assert_agrees(problem, 48, m_steps, scheme)
 
 
 class TestExtendedPrecisionMarch:
@@ -385,6 +419,17 @@ class TestPolynomialDiffusionSource:
             for row, t in zip(rows, times):
                 assert np.array_equal(row, source(x, t))
                 assert np.array_equal(row, self.formula(x, t, alpha))
+
+    def test_profile_reused_only_on_an_equal_grid(self):
+        # the kept profile follows a change of grid, also one made in place
+        # to the array of an earlier call
+        source = polynomial_diffusion_problem(1.5).source
+        grid_a, grid_b = np.linspace(0.0, 1.0, 17), np.linspace(0.0, 1.0, 33)
+        for x in (grid_a, grid_a.copy(), grid_b, grid_a):
+            assert np.array_equal(source(x, 0.5), self.formula(x, 0.5, 1.5))
+        grid_a **= 2
+        assert np.array_equal(source(grid_a, 0.5),
+                              self.formula(grid_a, 0.5, 1.5))
 
 
 class TestFractionalPolySource:
