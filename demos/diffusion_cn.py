@@ -31,7 +31,7 @@ print(f"\n--- order3, tau = h^(3/2), alpha = {alpha} ---")
 previous = None
 print(f"{'N':>6} {'M':>6} {'max error at T':>15} {'order':>6}")
 for n in (16, 32, 64, 128):
-    m = math.ceil(n**1.5)
+    m = math.isqrt(n**3)  # floor(N^1.5), the steps of the paper's run
     grid = GridSpec(0.0, 1.0, n)
     final = cn_solve(problem, grid, m, "order3")
     error = np.max(np.abs(final - problem.exact(grid.points(), 1.0)))

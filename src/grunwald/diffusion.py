@@ -4,17 +4,18 @@ equation u_t = K1 * D_left^alpha u + K2 * D_right^alpha u + f.
 The scheme rule (operators.scheme_operator) gives the shifted order-2
 operator A on both sides and, for order3, the quasi-compact tridiagonal
 preconditioner P that premultiplies the equation (P = I for order2). The
-two-sided operator B = (tau/2)(K1 A + K2 A^T) is Toeplitz, so its
-interior matrix and boundary columns are taken from the first column and
-row of A, with no full-grid matrix. The CN matrices are constant in
-time, so a step (P - B) u_next = (P + B) u + r_m is linear with constant
-coefficients. It is marched in one form only: in the coordinates
-y = (P - B) u, as y_next = y + E y + r_m with the increment matrix
-E = 2 B (P - B)^-1, so the forcing r_m needs no solve and one solve maps
-the states back to u. cn_solve marches s ~ sqrt(M) interleaved step
-sequences at once, one matrix product of width s per s steps; the energy
-check marches single steps and keeps every state. Problem data is
-evaluated on arrays of times, once per run or block, never per step.
+two-sided operator B = (tau/2)(K1 A + K2 A^T) is Toeplitz: CNSystem keeps
+its interior column and row and its boundary columns, taken from the first
+column and row of A, and dense P and B are formed only to factor P - B and
+build E. The CN matrices are constant in time, so a step
+(P - B) u_next = (P + B) u + r_m is linear with constant coefficients. It
+is marched in one form only: in the coordinates y = (P - B) u, as
+y_next = y + E y + r_m with the increment matrix E = 2 B (P - B)^-1, so
+the forcing r_m needs no solve and one solve maps the states back to u.
+cn_solve marches s ~ sqrt(M) interleaved step sequences at once, one
+matrix product of width s per s steps; the energy check marches single
+steps and keeps every state. Problem data is evaluated on arrays of
+times, once per run or block, never per step.
 """
 
 from __future__ import annotations
@@ -115,22 +116,30 @@ class DiffusionProblem:
 class CNSystem:
     """Assembled Crank-Nicolson step on the interior unknowns.
 
-    p_reduced is the preconditioner P (identity for order 2), b_reduced
-    is B = (tau/2)(K1 A + K2 A^T) and factors is the LU factorisation of
-    P - B, so one step is (P - B) u_next = (P + B) u + r with r the step's
-    sources and boundary terms. increment is E = 2 B (P - B)^-1, the step
-    y_next = y + E y + r in the coordinates y = (P - B) u. The boundary
-    columns of B are kept for folding in known boundary values.
+    The step is (P - B) u_next = (P + B) u + r, r the step's sources and
+    boundary terms, P the preconditioner of coefficient a2 (identity for
+    order 2) and B = (tau/2)(K1 A + K2 A^T) the Toeplitz matrix of first
+    column b_col and row b_row. factors is the LU factorisation of P - B,
+    and increment is E = 2 B (P - B)^-1, the step y_next = y + E y + r in
+    the coordinates y = (P - B) u. B's boundary columns fold in known
+    boundary values.
     """
 
     tau: float
     a2: float
-    p_reduced: np.ndarray
-    b_reduced: np.ndarray
+    b_col: np.ndarray
+    b_row: np.ndarray
     factors: tuple
     b_col_left: np.ndarray
     b_col_right: np.ndarray
     increment: np.ndarray
+
+    def march_coordinates(self, u: np.ndarray) -> np.ndarray:
+        """y = (P - B) u, the coordinates of the march: the stencil of P
+        minus the Toeplitz product B u, a direct convolution."""
+        diagonals = np.concatenate((self.b_row[:0:-1], self.b_col))
+        return (precondition_rows(np.pad(u, 1), self.a2)
+                - np.convolve(diagonals, u, mode="valid"))
 
 
 def _cn_system(problem: DiffusionProblem, grid: GridSpec,
@@ -152,16 +161,9 @@ def _cn_system(problem: DiffusionProblem, grid: GridSpec,
     )
     # E^T solves (P - B)^T E^T = 2 B^T on the factors of P - B
     increment = solve_factored(factors, 2.0 * b_hat.T, trans=1).T
-    return CNSystem(
-        tau=tau,
-        a2=a2,
-        p_reduced=p_hat,
-        b_reduced=b_hat,
-        factors=factors,
-        b_col_left=b_left,
-        b_col_right=b_right,
-        increment=increment,
-    )
+    return CNSystem(tau=tau, a2=a2, b_col=b_col, b_row=b_row,
+                    factors=factors, b_col_left=b_left, b_col_right=b_right,
+                    increment=increment)
 
 
 def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
@@ -199,10 +201,9 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
     left[0], right[0] = initial[0], initial[-1]
     problem._check_boundary_values(left, right)
     u = initial[1:-1]
-    y = system.p_reduced @ u - system.b_reduced @ u
+    y = system.march_coordinates(u)
     e_one = system.increment
     sides = ((left, system.b_col_left, 0), (right, system.b_col_right, -1))
-    del system  # P and B are not needed past this point
     doublings = math.isqrt(m_steps).bit_length() - 1
     s = 2 ** doublings
     pad = -(m_steps + 1) % s
@@ -315,7 +316,7 @@ def stability_estimate_check(problem: DiffusionProblem, grid: GridSpec,
     v = init_amplitude * rng.standard_normal(interior)
     sources = source_amplitude * rng.standard_normal((m_steps, interior))
     states = np.empty((interior, m_steps + 1))
-    states[:, 0] = system.p_reduced @ v - system.b_reduced @ v
+    states[:, 0] = system.march_coordinates(v)
     for m, s in enumerate(sources):
         y = states[:, m]
         states[:, m + 1] = y + system.increment @ y + tau * s

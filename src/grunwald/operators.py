@@ -6,13 +6,13 @@ operator (callers that need the dense matrix build it with
 scipy.linalg.toeplitz, and the right-side operator is toeplitz(row, col));
 the split of that matrix into its Toeplitz interior and boundary columns,
 and the fold that moves known boundary values to the right-hand side; the
-tridiagonal quasi-compact preconditioner stencil; the scheme rule, which
-maps a scheme name to the shifted order-2 column and row, the
-preconditioner coefficient and the generator; the top eigenvalue of a
-symmetric Toeplitz matrix from the even and odd halves of its
-centrosymmetric split (scan definiteness); and three checked solves: a
-lower Hessenberg Toeplitz solve through the triangular Toeplitz embedding
-L of W, given g = L^-1 e_0, the discrete fractional-integral weights of W
+tridiagonal quasi-compact preconditioner stencil and its eigenvalues; the
+scheme rule, which maps a scheme name to the shifted order-2 column and
+row, the preconditioner coefficient and the generator; the top eigenvalue
+of a symmetric Toeplitz matrix from the even and odd halves of its
+centrosymmetric split (definiteness); and three checked solves: a lower
+Hessenberg Toeplitz solve through the triangular Toeplitz embedding L of
+W, given g = L^-1 e_0, the discrete fractional-integral weights of W
 (steady solves), a band LU of a Toeplitz matrix with few superdiagonals
 (scan probes), and a dense LU (the CN step).
 Also the scheme list and the set-up checks shared by the solvers.
@@ -41,6 +41,7 @@ __all__ = [
     "scheme_operator",
     "toeplitz_top_eigenvalue",
     "precondition_rows",
+    "preconditioner_eigenvalues",
     "toeplitz_generators",
     "split_boundary",
     "dirichlet_fold",
@@ -160,6 +161,14 @@ def precondition_rows(values: np.ndarray, a2: float) -> np.ndarray:
     return a2 * (values[:-2] + values[2:]) + (1.0 - 2.0 * a2) * values[1:-1]
 
 
+def preconditioner_eigenvalues(a2: float, size: int) -> np.ndarray:
+    """Eigenvalues of the size x size matrix of precondition_rows, the
+    tridiagonal Toeplitz (a2, 1 - 2 a2, a2), in closed form:
+    1 - 4 a2 sin^2(k pi / (2 (size + 1))) for k = 1 .. size."""
+    k = np.arange(1, size + 1)
+    return 1.0 - 4.0 * a2 * np.sin(k * np.pi / (2.0 * (size + 1))) ** 2
+
+
 def check_scheme(scheme: str) -> None:
     if scheme not in SCHEMES:
         raise ValueError(
@@ -189,9 +198,12 @@ def toeplitz_top_eigenvalue(t: np.ndarray) -> float:
     (Cantoni and Butler, Linear Algebra Appl. 13, 1976). With m = n // 2,
     a_ij = t[|i-j|] and c_ij = t[n-1-i-j] for i, j < m, the odd half is
     a - c and the even half a + c, bordered for odd n by the middle column
-    sqrt(2) t[m-i] and the corner t[0]; each gives its top eigenvalue to
-    dsyevr."""
+    sqrt(2) t[m-i] and the corner t[0]. dsyevr gives each half's top
+    eigenvalue, on t scaled exactly to max |t| < 1 by a power of two (it
+    drops off-diagonals of a tiny matrix), or all of them if that fails."""
     t = np.asarray(t, dtype=float)
+    exponent = np.frexp(np.max(np.abs(t)))[1]
+    t = np.ldexp(t, -exponent)
     size, m = len(t), len(t) // 2
     k = np.arange(m)
     a = t[np.abs(k[:, None] - k)]
@@ -203,13 +215,15 @@ def toeplitz_top_eigenvalue(t: np.ndarray) -> float:
         even[m, m] = t[0]
     tops = []
     for half in (even, a - c):
-        w, _, _, _, info = dsyevr(half, compute_v=0, range="I",
-                                  il=len(half), iu=len(half))
+        w, _, found, _, info = dsyevr(half, compute_v=0, range="I",
+                                      il=len(half), iu=len(half))
+        if info != 0:
+            w, _, found, _, info = dsyevr(half, compute_v=0)
         if info != 0:
             raise np.linalg.LinAlgError(
                 f"dsyevr failed to converge (info={info})")
-        tops.append(w[0])
-    return float(max(tops))
+        tops.append(w[found - 1])
+    return float(np.ldexp(max(tops), exponent))
 
 
 def check_domain(problem, grid: GridSpec) -> None:

@@ -117,7 +117,7 @@ class TestConvergenceCommands:
 
     def test_diffusion_step_rule(self, outdir):
         code = main(["diffusion", "--scheme", "order3", "--alphas", "1.9",
-                     "--n", "16", "--m-rule", "ceil-n-3-2"])
+                     "--n", "16", "--m-rule", "floor-n-3-2"])
         assert code == 0
         assert ",64,1.9,order3," in (outdir / "diffusion.csv").read_text()
 

@@ -5,7 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor, lu_solve
+from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import cholesky, eigvalsh, lu_factor, lu_solve, solve
 from scipy.special import gamma
 
 from grunwald import (
@@ -55,7 +56,8 @@ def step_forcing(problem, system, x, m, left_now, right_now):
 def per_step_march(problem, grid, m_steps, scheme):
     """Reference CN march: one right-hand side and one LU solve per step."""
     system = _cn_system(problem, grid, m_steps, scheme)
-    rhs_matrix = system.p_reduced + system.b_reduced
+    dense = dense_cn_system(problem, grid, m_steps, scheme)
+    rhs_matrix = dense["p_hat"] + dense["b_hat"]
     x = grid.points()
     current = np.asarray(problem.init(x), dtype=float)
     for m in range(m_steps):
@@ -77,7 +79,8 @@ def longdouble_march(problem, grid, m_steps, scheme):
     current = np.asarray(problem.init(x), dtype=float)
     ld = np.longdouble
     e = system.increment.astype(ld)
-    p_minus_b = system.p_reduced.astype(ld) - system.b_reduced.astype(ld)
+    dense = dense_cn_system(problem, grid, m_steps, scheme)
+    p_minus_b = dense["p_hat"].astype(ld) - dense["b_hat"].astype(ld)
     y = p_minus_b @ current[1:-1].astype(ld)
     left, right = current[0], current[-1]
     for m in range(m_steps):
@@ -360,7 +363,7 @@ def dense_cn_system(problem, grid, m_steps, scheme):
     """The full-grid oracle of _cn_system: write out the (N+1)^2 operator
     A[i, j] = w_{i-j+1} / h^alpha entry by entry, form
     B = (tau/2)(K1 A + K2 A^T), and slice its interior and boundary
-    columns."""
+    columns; the dense interior P and B are p_hat and b_hat."""
     alpha = float(problem.alpha)
     tau = problem.t_final / m_steps
     w = grunwald_weights(beta_table(2, 1, alpha), grid.n + 1).values
@@ -372,8 +375,8 @@ def dense_cn_system(problem, grid, m_steps, scheme):
     p_hat = precondition_rows(np.eye(grid.n + 1, grid.n - 1, k=-1), a2)
     b_hat = b_full[1:-1, 1:-1]
     factors = lu_factor(p_hat - b_hat)
-    return dict(b_reduced=b_hat, b_col_left=b_full[1:-1, 0],
-                b_col_right=b_full[1:-1, -1],
+    return dict(p_hat=p_hat, b_hat=b_hat, b_col=b_hat[:, 0], b_row=b_hat[0],
+                b_col_left=b_full[1:-1, 0], b_col_right=b_full[1:-1, -1],
                 increment=lu_solve(factors, 2.0 * b_hat.T, trans=1).T,
                 factors=factors)
 
@@ -393,10 +396,49 @@ class TestCNSystemOracle:
         grid = GridSpec(0.0, 1.0, n)
         system = _cn_system(problem, grid, 64, scheme)
         dense = dense_cn_system(problem, grid, 64, scheme)
-        for name in ("b_reduced", "b_col_left", "b_col_right", "increment"):
+        for name in ("b_col", "b_row", "b_col_left", "b_col_right",
+                     "increment"):
             assert np.array_equal(getattr(system, name), dense[name]), name
         assert np.array_equal(system.factors[0], dense["factors"][0])
         assert np.array_equal(system.factors[1], dense["factors"][1])
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 512])
+    @pytest.mark.parametrize("scheme", ["order2", "order3"])
+    def test_march_coordinates_match_dense(self, scheme, n):
+        # y = (P - B) u by the stencil and a convolution with B's diagonals
+        problem = replace(polynomial_diffusion_problem(1.5),
+                          k_left=0.7, k_right=1.3)
+        grid = GridSpec(0.0, 1.0, n)
+        dense = dense_cn_system(problem, grid, 64, scheme)
+        u = np.random.default_rng(n).standard_normal(n - 1)
+        expected = (dense["p_hat"] - dense["b_hat"]) @ u
+        y = _cn_system(problem, grid, 64, scheme).march_coordinates(u)
+        assert np.max(np.abs(y - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+class TestEnergyConditions:
+    """The two conditions of the energy method: (a) sym(B) <= 0 and (b) P
+    symmetric positive definite make every CN step a contraction in the
+    P-norm. With P = L L^T, ||S||_P is the spectral norm of L^T S L^-T."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(alpha=st.floats(1.05, 2.0), n=st.integers(8, 64),
+           m_steps=st.integers(1, 64), k_left=st.floats(0.0, 2.0),
+           k_right=st.floats(0.0, 2.0),
+           scheme=st.sampled_from(["order2", "order3"]))
+    def test_step_contracts_in_p_norm(self, alpha, n, m_steps, k_left,
+                                      k_right, scheme):
+        assume(k_left > 0 or k_right > 0)
+        problem = replace(polynomial_diffusion_problem(alpha),
+                          k_left=k_left, k_right=k_right)
+        dense = dense_cn_system(problem, GridSpec(0.0, 1.0, n), m_steps,
+                                scheme)
+        p_hat, b_hat = dense["p_hat"], dense["b_hat"]
+        assume(eigvalsh(0.5 * (b_hat + b_hat.T))[-1] <= 0.0)
+        step = solve(p_hat - b_hat, p_hat + b_hat)
+        lower = cholesky(p_hat, lower=True)
+        conjugated = solve(lower, (lower.T @ step).T).T  # L^T S L^-T
+        assert np.linalg.norm(conjugated, 2) <= 1.0 + 1e-12
 
 
 class TestPolynomialDiffusionSource:
@@ -476,7 +518,8 @@ def per_step_stability_check(problem, grid, m_steps, scheme, seed):
     solve of (P - B) v^{m+1} = (P + B) v^m + tau S^m per step. Returns the
     norms, the bounds and the verdict."""
     system = _cn_system(problem, grid, m_steps, scheme)
-    rhs_matrix = system.p_reduced + system.b_reduced
+    dense = dense_cn_system(problem, grid, m_steps, scheme)
+    rhs_matrix = dense["p_hat"] + dense["b_hat"]
     rng = np.random.default_rng(seed)
     amp = np.sqrt(5.0) if scheme == "order3" else 1.0
 

@@ -60,7 +60,7 @@ class TestRunConfig:
                       m_rule="fixed")
 
     def test_count_needs_fixed_rule(self):
-        for rule in ("equal-to-n", "ceil-n-3-2"):
+        for rule in ("equal-to-n", "floor-n-3-2"):
             with pytest.raises(ValueError, match="only by the fixed M rule"):
                 RunConfig("diffusion-poly", "order2", (1.5,), (16,),
                           m_rule=rule, m_fixed=7)
@@ -68,11 +68,15 @@ class TestRunConfig:
     def test_step_rules(self):
         equal = RunConfig("diffusion-poly", "order2", (1.5,), (16,))
         assert equal.steps_for(32) == 32
-        ceil = RunConfig("diffusion-poly", "order3", (1.5,), (16,),
-                         m_rule="ceil-n-3-2")
-        assert ceil.steps_for(16) == 64
-        assert ceil.steps_for(32) == 182
-        assert ceil.steps_for(128) == 1449
+        # floor(N^1.5): the steps of the paper's run, one fewer than the
+        # printed M column of table 6 (65, 182, 513, 1449, 4097, 11586)
+        floor = RunConfig("diffusion-poly", "order3", (1.5,), (16,),
+                          m_rule="floor-n-3-2")
+        assert floor.steps_for(16) == 64
+        assert floor.steps_for(32) == 181
+        assert floor.steps_for(128) == 1448
+        assert floor.steps_for(512) == 11585
+        assert floor.steps_for(10**6) == 10**9
         fixed = RunConfig("diffusion-poly", "order2", (1.5,), (16,),
                           m_rule="fixed", m_fixed=77)
         assert fixed.steps_for(512) == 77
@@ -145,10 +149,10 @@ class TestRunConvergence:
         write_report_csv(reports, path)
         assert read_report_csv(path) == reports
 
-    def test_diffusion_ceil_rule_orders(self):
+    def test_diffusion_floor_rule_orders(self):
         config = RunConfig(
             "diffusion-poly", "order3", (1.1,), (16, 32, 64, 128),
-            m_rule="ceil-n-3-2",
+            m_rule="floor-n-3-2",
         )
         rows = run_convergence(config)[0].rows
         for row in rows[1:]:
@@ -401,6 +405,27 @@ class TestPropertySuite:
             "steady-solver-linear",
             "cn-zero-data-stays-zero",
         ]
+
+    def test_stability_conditions_fail_when_broken(self, monkeypatch):
+        # a positive top eigenvalue breaks (a) and so the three properties
+        # built on it; an eigenvalue of P at 0.1 breaks (b) and coercivity
+        monkeypatch.setattr(harness.ops, "toeplitz_top_eigenvalue",
+                            lambda t: 0.5)
+        failed = {r.name: r.detail for r in run_property_suite().results
+                  if not r.passed}
+        assert failed["operator-negative-definite"].startswith(
+            "positive eigenvalue 5.00e-01")
+        assert "coercivity bound 0.5000 below 1.0" in failed[
+            "cn-left-matrix-coercive"]
+        assert failed["cn-single-step-energy-decay"].startswith(
+            "sym(B) has eigenvalue 5.00e-01")
+        monkeypatch.undo()
+        monkeypatch.setattr(harness.ops, "preconditioner_eigenvalues",
+                            lambda a2, size: np.full(size, 0.1))
+        failed = {r.name for r in run_property_suite().results
+                  if not r.passed}
+        assert failed == {"preconditioner-norm-equivalence",
+                          "cn-left-matrix-coercive"}
 
     def test_summary_mentions_every_property(self):
         report = run_property_suite()

@@ -29,6 +29,7 @@ from grunwald.operators import (
     dirichlet_fold,
     hessenberg_rcond,
     precondition_rows,
+    preconditioner_eigenvalues,
     scheme_operator,
     solve_factored,
     split_boundary,
@@ -222,6 +223,16 @@ class TestPreconditioner:
         dense = preconditioner_matrix(0.17, 7)
         assert np.array_equal(dense, dense.T)
 
+    @pytest.mark.parametrize("size", [3, 17, 32, 63, 64])
+    @pytest.mark.parametrize("alpha", [1.0, 1.1, 1.5, np.sqrt(1.5), 1.9, 2.0])
+    def test_closed_form_spectrum(self, alpha, size):
+        from grunwald import a2_coefficient
+
+        a2 = float(a2_coefficient(1, alpha))
+        dense = precondition_rows(np.eye(size + 2, size, k=-1), a2)
+        closed = np.sort(preconditioner_eigenvalues(a2, size))
+        assert np.max(np.abs(closed - eigvalsh(dense))) <= 1e-14
+
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
     def test_energy_ratio_within_band(self, alpha):
         from grunwald import a2_coefficient
@@ -405,17 +416,63 @@ class TestCheckedHessenbergSolve:
             hessenberg_rcond(col, row, np.ones(3))
 
 
+def lag_pair_kernel():
+    """t of length 33 with 20 at lag 31 and 3.85e-160 at lag 16: two
+    [[0, 20], [20, 0]] blocks and a tiny perturbation, top eigenvalue 20.
+    A dense eigvalsh returns 20.00033 for it."""
+    t = np.zeros(33)
+    t[31], t[16] = 20.0, 3.85e-160
+    return t
+
+
+def tiny_kernel():
+    """A matrix of norm 1e-300, whose off-diagonal 1e-310 moves the top
+    eigenvalue by 1e-10 relative: LAPACK drops it unless t is scaled."""
+    return np.array([1e-300, 1e-310, 3e-320])
+
+
+def bisection_failure_kernel():
+    """-1 at lag 17 and 2^-1023 elsewhere, length 34: dsyevr's bisection
+    for the top eigenvalue alone fails on it (info 2)."""
+    t = np.full(34, 2.0 ** -1023)
+    t[17] = -1.0
+    return t
+
+
+def is_positive_definite(matrix):
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 class TestToeplitzTopEigenvalue:
     @settings(max_examples=80, deadline=None, database=None)
     @given(t=st.integers(3, 130).flatmap(lambda n: arrays(
         float, n, elements=st.floats(-1e3, 1e3))))
     @example(t=np.zeros(3))
     @example(t=np.zeros(4))
-    def test_matches_dense_eigvalsh(self, t):
+    @example(t=lag_pair_kernel())
+    @example(t=tiny_kernel())
+    @example(t=np.array([0.0, 1e-313, 0.0]))
+    @example(t=bisection_failure_kernel())
+    def test_top_eigenvalue_has_inertia_certificate(self, t):
+        # lambda is the top eigenvalue of T to within d when (lambda + d) I - T
+        # is positive definite and (lambda - d) I - T is not, both decided by
+        # Cholesky on T scaled to unit norm. d is 1e-12 ||T||_2 plus the
+        # smallest subnormal, the spacing a subnormal lambda is rounded to
+        top = toeplitz_top_eigenvalue(t)
         matrix = toeplitz(t)
         scale = np.linalg.norm(matrix, 2)
-        assert abs(toeplitz_top_eigenvalue(t)
-                   - eigvalsh(matrix)[-1]) <= 1e-12 * scale
+        if scale == 0.0:
+            assert top == 0.0
+            return
+        identity = np.eye(len(t))
+        shifted = (top / scale) * identity - matrix / scale
+        rel = 1e-12 + np.finfo(float).smallest_subnormal / scale
+        assert is_positive_definite(shifted + rel * identity)
+        assert not is_positive_definite(shifted - rel * identity)
 
 
 def scan_probe_operator(shift, size):
