@@ -169,21 +169,19 @@ def _cmd_diffusion(args) -> int:
 
 def _cmd_scan(args) -> int:
     order, shift, n = args.order, args.shift, args.n
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.points)
     report = stability_scan(order, shift, alphas, GridSpec(0.0, 1.0, n))
     path = _resolve_output(args, f"scan_p{order}_r{shift}.csv")
     lines = [
         f"# scan order={order} shift={shift} n={n}",
-        "alpha,max_rayleigh,solve_error,baseline_error,stable,reason",
+        "alpha,max_rayleigh,stable,reason",
     ]
     for e in report.entries:
-        err = "" if e.solve_error is None else f"{e.solve_error:.4e}"
-        base = "" if e.baseline_error is None else f"{e.baseline_error:.4e}"
         reason = e.reason.replace(",", ";")
-        lines.append(
-            f"{e.alpha!r},{e.max_rayleigh:.4e},{err},{base},"
-            f"{'yes' if e.stable else 'no'},{reason}"
-        )
+        lines.append(f"{e.alpha!r},{e.max_rayleigh:.4e},"
+                     f"{'yes' if e.stable else 'no'},{reason}")
     _atomic_write(path, "\n".join(lines) + "\n")
     onset = report.stable_onset()
     stable = len(report.stable_alphas)

@@ -10,11 +10,10 @@ tridiagonal quasi-compact preconditioner stencil and its eigenvalues; the
 scheme rule, which maps a scheme name to the shifted order-2 column and
 row, the preconditioner coefficient and the generator; the top eigenvalue
 of a symmetric Toeplitz matrix from the even and odd halves of its
-centrosymmetric split (definiteness); and three checked solves: a lower
+centrosymmetric split (definiteness); and two checked solves: a lower
 Hessenberg Toeplitz solve through the triangular Toeplitz embedding L of
 W, given g = L^-1 e_0, the discrete fractional-integral weights of W
-(steady solves), a band LU of a Toeplitz matrix with few superdiagonals
-(scan probes), and a dense LU (the CN step).
+(steady solves), and a dense LU (the CN step).
 Also the scheme list and the set-up checks shared by the solvers.
 Functions outside the grid are zero-extended, so indices that fall off the
 grid simply contribute nothing.
@@ -26,7 +25,7 @@ import warnings
 from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs, dgecon, dsyevr
+from scipy.linalg.lapack import dgecon, dsyevr
 
 from .generators import (WeightSequence, a2_coefficient, beta_table,
                          grunwald_weights)
@@ -47,7 +46,6 @@ __all__ = [
     "dirichlet_fold",
     "hessenberg_rcond",
     "checked_hessenberg_solve",
-    "checked_band_solve",
     "checked_lu",
     "solve_factored",
 ]
@@ -61,7 +59,8 @@ SCHEMES = ("order2", "order3")
 
 class SolverFailure(RuntimeError):
     """A linear solve was abandoned because the matrix is (numerically)
-    singular. Carries enough context to feed stability scans."""
+    singular. Its message names the system and the condition estimate;
+    convergence studies record it in the failed row."""
 
 
 @dataclass(frozen=True)
@@ -348,37 +347,6 @@ def checked_hessenberg_solve(col: np.ndarray, row: np.ndarray, g: np.ndarray,
     g = np.asarray(g, dtype=float)
     c = np.convolve(g, np.asarray(rhs, dtype=float))[:len(rhs)]  # c_1..c_n
     return np.concatenate(([0.0], c[:-1])) - (c[-1] / g[-1]) * g[:-1]
-
-
-def checked_band_solve(col: np.ndarray, row: np.ndarray, rhs: np.ndarray,
-                       context: str = "linear system") -> np.ndarray:
-    """Solve toeplitz(col, row) x = rhs by a band LU of the transpose.
-
-    The upper bandwidth p of the matrix is the index of the last nonzero
-    entry of row; its transpose, of lower bandwidth p and full upper
-    bandwidth, goes into LAPACK band storage, where each band row is one
-    constant diagonal, and factors in O(n^2 p) time (dgbtrf). Raises
-    SolverFailure when the factorisation meets an exactly zero pivot or
-    the reciprocal 1-norm condition estimate, from dgbcon with the exact
-    ||A||_1, is not finite or falls below RCOND_FLOOR.
-    """
-    col, row, rhs = (np.asarray(v, dtype=float) for v in (col, row, rhs))
-    size = len(col)
-    kl, ku = int(np.flatnonzero(row).max(initial=0)), size - 1
-    # one column of the band storage: kl rows of fill-in space, then
-    # A^T's diagonals from the top, col[n-1] ... col[0], row[1] ... row[kl]
-    band = np.concatenate((np.zeros(kl), col[::-1], row[1:kl + 1]))
-    lu, piv, info = dgbtrf(np.tile(band, (size, 1)).T, kl, ku,
-                           overwrite_ab=1)
-    # column j of A holds row[j] ... row[1] above col[0] ... col[n-1-j]
-    anorm = np.max(np.cumsum(np.abs(col))[::-1] + np.cumsum(np.abs(row))
-                   - abs(row[0]))
-    rcond, cond_info = dgbcon(kl, ku, lu, piv, anorm, norm="I")
-    if (info != 0 or cond_info != 0 or not np.isfinite(rcond)
-            or rcond < RCOND_FLOOR):
-        raise SolverFailure(f"{context}: matrix is numerically singular "
-                            f"(rcond={rcond:.2e})")
-    return dgbtrs(lu, kl, ku, rhs, piv, trans=1)[0]
 
 
 def checked_lu(matrix: np.ndarray, context: str = "linear system"):

@@ -161,9 +161,17 @@ class TestScan:
                      "--points", "4", "--n", "32"])
         assert code == 0
         lines = (outdir / "scan_p2_r1.csv").read_text().splitlines()
-        assert lines[1].startswith("alpha,max_rayleigh")
+        header = lines[1].split(",")
+        assert header == ["alpha", "max_rayleigh", "stable", "reason"]
         assert len(lines) == 2 + 4
-        assert all(line.split(",")[4] == "yes" for line in lines[2:])
+        stable = header.index("stable")
+        assert all(line.split(",")[stable] == "yes" for line in lines[2:])
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_no_points_is_usage_error(self, outdir, points, capsys):
+        assert main(["scan", "--points", points]) == 2
+        assert "--points" in capsys.readouterr().err
+        assert not list(outdir.iterdir())
 
 
 class TestReproduceTable:

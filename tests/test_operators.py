@@ -1,11 +1,8 @@
 """Grid operators: the Toeplitz column and row, convolution application,
 the tridiagonal preconditioner, the Dirichlet boundary fold, the top
-eigenvalue of a symmetric Toeplitz matrix, and the three checked solves:
-the dense LU (the CN step), the band LU (scan probes) and the lower
-Hessenberg solve through the triangular Toeplitz embedding (steady
-solves)."""
-
-import re
+eigenvalue of a symmetric Toeplitz matrix, and the two checked solves:
+the dense LU (the CN step) and the lower Hessenberg solve through the
+triangular Toeplitz embedding (steady solves)."""
 
 import numpy as np
 import pytest
@@ -21,9 +18,7 @@ from grunwald import (
     grunwald_weights,
     polynomial_steady_problem,
 )
-from grunwald import operators
 from grunwald.operators import (
-    checked_band_solve,
     checked_hessenberg_solve,
     checked_lu,
     dirichlet_fold,
@@ -36,8 +31,7 @@ from grunwald.operators import (
     toeplitz_generators,
     toeplitz_top_eigenvalue,
 )
-from scipy.linalg import eigvalsh, lu_factor, solve_triangular, toeplitz
-from scipy.linalg.lapack import dgecon
+from scipy.linalg import eigvalsh, solve_triangular, toeplitz
 
 
 class TestGridSpec:
@@ -473,58 +467,3 @@ class TestToeplitzTopEigenvalue:
         rel = 1e-12 + np.finfo(float).smallest_subnormal / scale
         assert is_positive_definite(shifted + rel * identity)
         assert not is_positive_definite(shifted - rel * identity)
-
-
-def scan_probe_operator(shift, size):
-    """Column and row of the folded order-3 scan operator at alpha = 1.9
-    with `size` interior points; its upper bandwidth is the shift."""
-    grid = GridSpec(0.0, 1.0, size + 1)
-    weights = grunwald_weights(beta_table(3, shift, 1.9), size + 2 + shift)
-    col, row, _, _ = split_boundary(*toeplitz_generators(weights, grid))
-    return col, row
-
-
-class TestCheckedBandSolve:
-    @pytest.mark.parametrize("size", [1, 2, 16])
-    @pytest.mark.parametrize("shift", [0, 1, 2])
-    def test_matches_dense_oracle(self, shift, size):
-        col, row = scan_probe_operator(shift, size)
-        matrix = toeplitz(col, row)
-        rhs = np.linspace(1.0, 2.0, size)
-        expected = solve_factored(checked_lu(matrix), rhs)
-        assert checked_band_solve(col, row, rhs) == pytest.approx(
-            expected, rel=1e-12, abs=1e-12 * np.abs(expected).max())
-
-    @pytest.mark.parametrize("size", [1, 2, 16])
-    @pytest.mark.parametrize("shift", [0, 1, 2])
-    def test_rcond_tracks_dgecon(self, shift, size, monkeypatch):
-        # with an infinite floor every solve is refused, and the refusal
-        # prints the estimate
-        col, row = scan_probe_operator(shift, size)
-        matrix = toeplitz(col, row)
-        dense, _ = dgecon(lu_factor(matrix)[0], np.linalg.norm(matrix, 1))
-        monkeypatch.setattr(operators, "RCOND_FLOOR", np.inf)
-        with pytest.raises(SolverFailure, match="rcond=") as failure:
-            checked_band_solve(col, row, np.ones(size))
-        band = float(re.search(r"rcond=([^)]*)\)", str(failure.value))[1])
-        assert dense / 10 <= band <= dense * 10
-
-    @pytest.mark.parametrize("size", [1, 5])
-    @pytest.mark.parametrize("shift", [0, 1, 2])
-    def test_singular_matrix_raises(self, shift, size):
-        # shift 0: a zero diagonal; shifts 1 and 2: columns 0 to shift of
-        # an all-ones band are equal
-        col = np.ones(size)
-        row = np.zeros(size)
-        row[:shift + 1] = 1.0
-        if shift == 0 or size == 1:
-            col[0] = row[0] = 0.0
-        with pytest.raises(SolverFailure, match=r"test: matrix is "
-                           r"numerically singular \(rcond="):
-            checked_band_solve(col, row, np.ones(size), context="test")
-
-    def test_singular_scan_operator_raises(self):
-        # dgecon gives rcond 1.7e-37 for this shift-2 operator
-        col, row = scan_probe_operator(2, 47)
-        with pytest.raises(SolverFailure, match=r"singular \(rcond="):
-            checked_band_solve(col, row, np.ones(47))
