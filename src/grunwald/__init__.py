@@ -2,16 +2,11 @@
 generating functions, with steady-state and Crank-Nicolson diffusion
 solvers and a convergence/stability harness."""
 
-from .series import (
-    InconsistentGeneratorError,
-    TruncatedSeries,
-    normalized_symbol,
-)
+from .series import InconsistentGeneratorError, normalized_symbol
 from .generators import (
     ConstructionError,
     GeneratorSpec,
     OrderReport,
-    SignReport,
     WeightSequence,
     a2_coefficient,
     beta_table,
@@ -64,13 +59,11 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "TruncatedSeries",
     "normalized_symbol",
     "InconsistentGeneratorError",
     "GeneratorSpec",
     "WeightSequence",
     "OrderReport",
-    "SignReport",
     "ConstructionError",
     "beta_table",
     "construct_beta",

@@ -81,11 +81,10 @@ def _list_of(kind):
 
 def _resolve_output(args, default_name):
     outdir = args.outdir or os.environ.get(OUTDIR_ENV) or "."
-    name = args.output or default_name
-    if os.path.isabs(name):
-        return name
-    os.makedirs(outdir, exist_ok=True)
-    return os.path.join(outdir, name)
+    # an absolute name replaces outdir in the join
+    path = os.path.join(outdir, args.output or default_name)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    return path
 
 
 def _make_generator(args):

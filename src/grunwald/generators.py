@@ -13,20 +13,18 @@ scaled symbol W(exp(-z)) exp(r z) / z^alpha = 1 + O(z^p).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
 from . import series
-from .series import InconsistentGeneratorError, TruncatedSeries
+from .series import InconsistentGeneratorError
 
 __all__ = [
     "GeneratorSpec",
     "WeightSequence",
     "OrderReport",
-    "SignReport",
     "ConstructionError",
     "InconsistentGeneratorError",
     "beta_table",
@@ -45,6 +43,11 @@ MAX_ORDER = 6
 # Extra terms kept past the design order when expanding the symbol, so
 # the leading error coefficient and one successor are visible.
 ORDER_MARGIN = 3
+
+# Float zero threshold of the order check: a symbol coefficient past the
+# constant term counts as zero, and the constant term as 1, within
+# FLOAT_ZERO_TOL times the size of the generator terms that cancel in it.
+FLOAT_ZERO_TOL = 1e-10
 
 # Round-off allowance of each inequality in weight_sign_report.
 SIGN_TOL = 1e-14
@@ -163,7 +166,6 @@ class WeightSequence:
     values: np.ndarray
     alpha: float
     shift: object
-    source: Optional[GeneratorSpec] = None
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
@@ -172,12 +174,6 @@ class WeightSequence:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def __getitem__(self, index):
-        return self.values[index]
-
-    def partial_sums(self) -> np.ndarray:
-        return np.cumsum(self.values)
 
 
 def _validate_order(order: int) -> None:
@@ -292,11 +288,8 @@ def grunwald_weights(generator: GeneratorSpec, count: int) -> WeightSequence:
             f"weight recurrence requires beta_0 > 0, got {betas[0]}"
         )
     alpha = float(generator.alpha)
-    w = series.power_recurrence(betas, alpha, betas[0] ** alpha, count)
-    return WeightSequence(
-        values=w, alpha=alpha, shift=generator.shift,
-        source=generator,
-    )
+    w = series.power_recurrence(betas, alpha, count)
+    return WeightSequence(values=w, alpha=alpha, shift=generator.shift)
 
 
 @dataclass(frozen=True)
@@ -305,7 +298,7 @@ class OrderReport:
 
     observed_order is the index of the first nonvanishing coefficient past
     the constant term; if nothing shows up inside the expansion window it
-    is truncation_order + 1 (the true order exceeds the window).
+    is len(coefficients) (the true order exceeds the window).
     """
 
     observed_order: int
@@ -313,56 +306,43 @@ class OrderReport:
     expected_order: int
     passed: bool
     coefficients: tuple
-    truncation_order: int
 
 
-def _zero_tolerances(symbol: TruncatedSeries, betas) -> list:
-    """Zero threshold of each symbol coefficient: exactly zero for
-    rationals; for floats, FLOAT_ZERO_TOL times the size of the generator
-    terms that cancel in it. Coefficient l of P(exp(-z))/z sums
-    beta_k (-k)^(l+1) / (l+1)!, and coefficient l of the symbol is built
-    from those of index <= l, so its size is the largest of
-    1, sum_k |beta_k| k^(j+1) / (j+1)! for j <= l."""
-    count = symbol.truncation_order + 1
-    if symbol.rational:
-        return [0] * count
-    sizes = [abs(float(b)) for b in betas]
-    size, tols = 1.0, []
-    for l in range(count):
-        fact = math.factorial(l + 1)
-        size = max(size, sum(s * k ** (l + 1) / fact
-                             for k, s in enumerate(sizes)))
-        tols.append(series.FLOAT_ZERO_TOL * size)
-    return tols
+def _order_report(coeffs: tuple, betas, expected_order: int) -> OrderReport:
+    """Order report of the scaled symbol with coefficients coeffs of a
+    generator with coefficients betas.
 
-
-def _first_nonzero(symbol: TruncatedSeries, tols) -> tuple[int, object]:
-    """Index and value of the first coefficient past the constant term
-    whose size exceeds its tolerance."""
-    for l in range(1, symbol.truncation_order + 1):
-        if not abs(symbol.coeffs[l]) <= tols[l]:  # NaN counts as nonzero
-            return l, symbol.coeffs[l]
-    zero = Fraction(0) if symbol.rational else 0.0
-    return symbol.truncation_order + 1, zero
-
-
-def _report_from_symbol(symbol: TruncatedSeries, betas,
-                        expected_order: int) -> OrderReport:
-    tols = _zero_tolerances(symbol, betas)
-    a0 = symbol.coeffs[0]
-    if not abs(a0 - 1) <= tols[0]:
-        raise InconsistentGeneratorError(
-            f"scaled symbol starts at {a0}, not 1; the generator is not a "
-            "consistent approximation"
-        )
-    observed, leading = _first_nonzero(symbol, tols)
+    Fraction coefficients are decided exactly. A float coefficient counts
+    as zero, and the constant term as 1, within FLOAT_ZERO_TOL times the
+    size of the generator terms that cancel in it: coefficient l of
+    P(exp(-z))/z sums beta_k (-k)^(l+1) / (l+1)!, and coefficient l of the
+    symbol is built from those of index <= l, so its size is the largest
+    of 1, sum_k |beta_k| k^(j+1) / (j+1)! for j <= l.
+    """
+    rational = isinstance(coeffs[0], Fraction)
+    observed, leading = len(coeffs), Fraction(0) if rational else 0.0
+    tol, size = 0, 1.0
+    for l, c in enumerate(coeffs):
+        if not rational:
+            fact = math.factorial(l + 1)
+            size = max(size, sum(abs(float(b)) * k ** (l + 1) / fact
+                                 for k, b in enumerate(betas)))
+            tol = FLOAT_ZERO_TOL * size
+        if l == 0:
+            if not abs(c - 1) <= tol:
+                raise InconsistentGeneratorError(
+                    f"scaled symbol starts at {c}, not 1; the generator is "
+                    "not a consistent approximation"
+                )
+        elif not abs(c) <= tol:  # NaN counts as nonzero
+            observed, leading = l, c
+            break
     return OrderReport(
         observed_order=observed,
         leading_coeff=leading,
         expected_order=expected_order,
         passed=observed >= expected_order,
-        coefficients=symbol.coeffs,
-        truncation_order=symbol.truncation_order,
+        coefficients=coeffs,
     )
 
 
@@ -385,7 +365,7 @@ def verify_order(generator: GeneratorSpec, expected_order: int) -> OrderReport:
     symbol = series.normalized_symbol(
         generator.beta, generator.shift, generator.alpha, window
     )
-    return _report_from_symbol(symbol, generator.beta, expected_order)
+    return _order_report(symbol, generator.beta, expected_order)
 
 
 def a2_coefficient(shift, alpha):
@@ -425,64 +405,36 @@ def convex_combination_check(shift_a, shift_b, alpha) -> OrderReport:
     base = (kind(1), kind(-1))
     sym_a = series.normalized_symbol(base, p, a, window)
     sym_b = series.normalized_symbol(base, q, a, window)
-    combined = TruncatedSeries(tuple(
-        lam_a * x + lam_b * y for x, y in zip(sym_a.coeffs, sym_b.coeffs)
-    ), kind is Fraction)
-    return _report_from_symbol(combined, base, expected)
+    combined = tuple(lam_a * x + lam_b * y for x, y in zip(sym_a, sym_b))
+    return _order_report(combined, base, expected)
 
 
-@dataclass(frozen=True)
-class SignReport:
-    """Sign-pattern check for the weights of the shifted order-2 generator
-    on 1 <= alpha <= 2: w_0 >= 0, w_1 <= 0, w_0 + w_2 >= 0, w_m >= 0 for
-    m >= 3, and all partial sums from index 2 onward nonpositive. These
-    are exactly the conditions that make the operator matrix negative
-    definite."""
-
-    w0_nonnegative: bool
-    w1_nonpositive: bool
-    w0_plus_w2_nonnegative: bool
-    tail_nonnegative: bool
-    partial_sums_nonpositive: bool
-    violations: tuple = field(default_factory=tuple)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def weight_sign_report(weights) -> SignReport:
-    """Evaluate the order-2 shifted sign pattern on a weight array."""
+def weight_sign_report(weights) -> tuple:
+    """Violations of the sign pattern of the shifted order-2 weights on
+    1 <= alpha <= 2, as messages; empty when the pattern holds. The pattern
+    is w_0 >= 0, w_1 <= 0, w_0 + w_2 >= 0, w_m >= 0 for m >= 3, and all
+    partial sums from index 2 onward nonpositive: exactly the conditions
+    that make the operator matrix negative definite. Each message names
+    the first entry that fails its inequality; a NaN fails every one."""
     w = np.asarray(weights, dtype=float)
     if len(w) < 3:
         raise ValueError("need at least w_0..w_2 to check the pattern")
     violations = []
-    w0_ok = w[0] >= -SIGN_TOL
-    if not w0_ok:
+    if not w[0] >= -SIGN_TOL:
         violations.append(f"w_0 = {w[0]:.3e} < 0")
-    w1_ok = w[1] <= SIGN_TOL
-    if not w1_ok:
+    if not w[1] <= SIGN_TOL:
         violations.append(f"w_1 = {w[1]:.3e} > 0")
-    w02_ok = w[0] + w[2] >= -SIGN_TOL
-    if not w02_ok:
+    if not w[0] + w[2] >= -SIGN_TOL:
         violations.append(f"w_0 + w_2 = {w[0] + w[2]:.3e} < 0")
-    tail = w[3:]
-    tail_ok = bool(np.all(tail >= -SIGN_TOL)) if len(tail) else True
-    if not tail_ok:
-        first_bad = int(np.argmax(tail < -SIGN_TOL)) + 3
-        violations.append(f"w_{first_bad} = {w[first_bad]:.3e} < 0")
+    bad = np.flatnonzero(~(w[3:] >= -SIGN_TOL))
+    if len(bad):
+        first = bad[0] + 3
+        violations.append(f"w_{first} = {w[first]:.3e} < 0")
     sums = np.cumsum(w)
-    sums_ok = bool(np.all(sums[2:] <= SIGN_TOL)) if len(sums) > 2 else True
-    if not sums_ok:
-        first_bad = int(np.argmax(sums[2:] > SIGN_TOL)) + 2
+    bad = np.flatnonzero(~(sums[2:] <= SIGN_TOL))
+    if len(bad):
+        first = bad[0] + 2
         violations.append(
-            f"partial sum through {first_bad} = {sums[first_bad]:.3e} > 0"
+            f"partial sum through {first} = {sums[first]:.3e} > 0"
         )
-    return SignReport(
-        w0_nonnegative=w0_ok,
-        w1_nonpositive=w1_ok,
-        w0_plus_w2_nonnegative=w02_ok,
-        tail_nonnegative=tail_ok,
-        partial_sums_nonpositive=sums_ok,
-        violations=tuple(violations),
-    )
+    return tuple(violations)

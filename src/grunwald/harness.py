@@ -535,9 +535,9 @@ def _prop_sign_pattern(rng):
     cases += [(alpha, 2001) for alpha in (1.1, 1.5, 1.9)]
     for alpha, terms in cases:
         weights = gen.grunwald_weights(gen.beta_table(2, 1, alpha), terms)
-        report = gen.weight_sign_report(weights.values)
-        if not report.ok:
-            return False, f"alpha={alpha}, K={terms}: {report.violations[0]}"
+        violations = gen.weight_sign_report(weights.values)
+        if violations:
+            return False, f"alpha={alpha}, K={terms}: {violations[0]}"
     return True, "50 alphas at K=2000, 3 at K=2001"
 
 

@@ -2,29 +2,21 @@
 its Taylor coefficients c0 + c1*z + ... + cL*z^L.
 
 When every input scalar is rational (int or fractions.Fraction) they are
-exact, which makes "is this coefficient zero?" a decidable question: the
-power and the product with exp(shift*z) are one recurrence in Python
-integers over one known denominator, with one Fraction per coefficient.
-Any float input, or an irrational a_0^alpha, demotes the computation to
-the float power recurrence (one BLAS band solve) times exp(shift*z),
-where a relative threshold decides zeroness instead.
+exact Fractions: the power and the product with exp(shift*z) are one
+recurrence in Python integers over one known denominator. Any float
+input, or an irrational a_0^alpha, demotes the computation to the float
+power recurrence (one BLAS band solve) times exp(shift*z), and every
+coefficient is a float.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
-
-# Float zero threshold of the order check: a symbol coefficient past the
-# constant term counts as zero, and the constant term as 1, within
-# FLOAT_ZERO_TOL times the size of the generator terms that cancel in it
-# (generators._zero_tolerances).
-FLOAT_ZERO_TOL = 1e-10
 
 # Slack for the zero-sum consistency check on float generator coefficients.
 CONSISTENCY_TOL = 1e-12
@@ -63,41 +55,19 @@ def check_sum_zero(betas) -> None:
     )
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Coefficients c_0..c_L of a power series truncated at order L."""
-
-    coeffs: tuple
-    rational: bool
-
-    @property
-    def truncation_order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, index: int):
-        return self.coeffs[index]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __repr__(self) -> str:
-        kind = "rational" if self.rational else "float"
-        return f"TruncatedSeries({list(self.coeffs)!r}, kind={kind})"
-
-
-def power_recurrence(poly, alpha, b0, count):
+def power_recurrence(poly, alpha, count):
     """Float coefficients b_0..b_count of (a_0 + a_1 z + ... + a_d z^d)^alpha,
-    given b_0 = b0 = a_0^alpha, from the power recurrence derived from
+    from b_0 = a_0^alpha and the power recurrence derived from
     b' a = alpha b a' (b = a^alpha):
 
         m a_0 b_m - sum_{k=1}^{min(m, d)} (k (alpha + 1) - m) a_k b_{m-k} = 0,
 
     where d is the index of the last nonzero a_k up to a_count. With the
-    row b_0 = b0 on top this is a lower triangular band system, solved by
-    forward substitution in one BLAS dtbsv call in O(count d); band row k
-    holds the entries (j - k alpha) a_k of diagonal -k, at column j. A
-    longer call returns a longer copy of the same values. The exact
-    counterpart is _rational_power.
+    row b_0 = a_0^alpha on top this is a lower triangular band system,
+    solved by forward substitution in one BLAS dtbsv call in O(count d);
+    band row k holds the entries (j - k alpha) a_k of diagonal -k, at
+    column j. A longer call returns a longer copy of the same values. The
+    exact counterpart is _rational_power.
     """
     poly = [float(a) for a in poly[: count + 1]]
     degree = max(k for k, a in enumerate(poly) if k == 0 or a != 0)
@@ -108,7 +78,7 @@ def power_recurrence(poly, alpha, b0, count):
     band = band.T
     band[0, 0] = 1.0
     b = np.zeros(count + 1)
-    b[0] = b0
+    b[0] = poly[0] ** alpha
     return dtbsv(degree, band, b, lower=1, overwrite_x=1)
 
 
@@ -155,9 +125,10 @@ def _rational_power(A, C, alpha, shift):
     )
 
 
-def normalized_symbol(beta, shift, alpha, truncation_order: int) -> TruncatedSeries:
-    """Expansion of G(z) = W(exp(-z)) * exp(shift*z) / z^alpha through z^L,
-    where W(y) = (sum_k beta_k y^k)^alpha.
+def normalized_symbol(beta, shift, alpha, window: int) -> tuple:
+    """Coefficients c_0..c_L, L = window, of G(z) = W(exp(-z)) *
+    exp(shift*z) / z^alpha, where W(y) = (sum_k beta_k y^k)^alpha, as a
+    tuple: Fractions when _rational_power applies, floats otherwise.
 
     The z^0 term of sum_k beta_k exp(-k z) equals sum_k beta_k, which must
     vanish; it is cancelled symbolically (never subtracted numerically),
@@ -169,8 +140,8 @@ def normalized_symbol(beta, shift, alpha, truncation_order: int) -> TruncatedSer
 
     Coefficient l of the result is the error-expansion coefficient a_l(shift).
     """
-    if truncation_order < 1:
-        raise ValueError("truncation order must be at least 1")
+    if window < 1:
+        raise ValueError("expansion window must be at least 1")
     beta = tuple(beta)
     kind = scalar_kind(*beta, shift, alpha)
     betas = tuple(map(kind, beta))
@@ -180,18 +151,18 @@ def normalized_symbol(beta, shift, alpha, truncation_order: int) -> TruncatedSer
     # rational beta_k = N_k / D
     if kind is Fraction:
         nums, den = _over_lcm(betas)
-        top = math.factorial(truncation_order + 1)
+        top = math.factorial(window + 1)
         Q = [sum(n * (-k) ** (l + 1) for k, n in enumerate(nums))
              * (top // math.factorial(l + 1))
-             for l in range(truncation_order + 1)]
+             for l in range(window + 1)]
         coeffs = _rational_power(Q, den * top, Fraction(alpha),
                                  Fraction(shift))
         if coeffs is not None:
-            return TruncatedSeries(coeffs, True)
+            return coeffs
         q = [n / (den * top) for n in Q]  # float(q_l), correctly rounded
     else:
         q = []
-        for l in range(truncation_order + 1):
+        for l in range(window + 1):
             fact = math.factorial(l + 1)
             acc = 0.0
             for k, b in enumerate(betas):
@@ -200,8 +171,7 @@ def normalized_symbol(beta, shift, alpha, truncation_order: int) -> TruncatedSer
     if not q[0] > 0:
         raise ValueError("P(exp(-z))/z needs a positive constant term, "
                          f"got q_0 = {q[0]}")
-    b = power_recurrence(q, float(alpha), q[0] ** float(alpha),
-                         truncation_order).tolist()
+    b = power_recurrence(q, float(alpha), window).tolist()
     # times exp(shift*z), whose coefficients shift^l / l! are rounded once
     e = [float(kind(shift) ** l / math.factorial(l)) for l in range(len(q))]
     c = [0.0] * len(q)
@@ -209,4 +179,4 @@ def normalized_symbol(beta, shift, alpha, truncation_order: int) -> TruncatedSer
         if bi != 0:
             for j in range(len(q) - i):
                 c[i + j] += bi * e[j]
-    return TruncatedSeries(tuple(c), False)
+    return tuple(c)

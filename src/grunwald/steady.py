@@ -88,9 +88,7 @@ def solve_steady(problem: SteadyProblem, grid: GridSpec,
                                    problem.phi0, problem.phi1)
     # the embedding is h^-alpha times the triangular Toeplitz matrix of
     # beta(z)^alpha
-    beta = [float(b) for b in generator.beta]
-    g = grid.h ** alpha * power_recurrence(beta, -alpha, beta[0] ** -alpha,
-                                           len(col))
+    g = grid.h ** alpha * power_recurrence(generator.beta, -alpha, len(col))
     interior = checked_hessenberg_solve(col, row, g, rhs, f"steady {scheme} "
                                         f"solve at alpha={alpha}, n={grid.n}")
     return np.concatenate(([problem.phi0], interior, [problem.phi1]))

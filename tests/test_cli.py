@@ -340,12 +340,23 @@ class TestEntryPoint:
 
 class TestOutputResolution:
     def test_absolute_output_wins(self, tmp_path, capsys):
-        target = tmp_path / "elsewhere" / "w.csv"
-        target.parent.mkdir()
+        target = tmp_path / "elsewhere" / "w.csv"  # a directory not yet made
         code = main(["weights", "--order", "1", "--alpha", "1.5",
                      "--count", "1", "--output", str(target)])
         assert code == 0
         assert target.exists()
+
+    def test_output_in_a_new_subdirectory(self, outdir, capsys):
+        # the parent of --output is created under the output directory
+        code = main(["weights", "--order", "2", "--alpha", "3/2",
+                     "--count", "8", "--output", "sub/w.csv"])
+        assert code == 0
+        assert len((outdir / "sub" / "w.csv").read_text().splitlines()) == 10
+        code = main(["steady", "--n", "16,32", "--alphas", "1.5",
+                     "--output", "sub/deeper/s.csv"])
+        assert code == 0
+        assert "16,0,1.5,order2," in (outdir / "sub" / "deeper"
+                                      / "s.csv").read_text()
 
     def test_outdir_flag_beats_env(self, tmp_path, capsys):
         other = tmp_path / "flagdir"

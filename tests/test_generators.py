@@ -24,6 +24,15 @@ from grunwald import (
 EXACT_ALPHAS = (Fraction(11, 10), Fraction(3, 2), Fraction(19, 10), Fraction(2))
 
 
+def order2_weights(replaced):
+    """Shifted order-2 weights w_0..w_50 at alpha = 1.5, with the entries
+    in replaced (index: value) overwritten."""
+    w = grunwald_weights(beta_table(2, 1, 1.5), 50).values.copy()
+    for k, value in replaced.items():
+        w[k] = value
+    return w
+
+
 def binomial_expansion_weights(beta, alpha, count):
     """Oracle for weight generation: write the polynomial as
     beta_0 (1 + u) with u = (beta_1 z + ... )/beta_0, expand (1+u)^alpha
@@ -251,7 +260,7 @@ class TestVerifyOrder:
         # order 6 shows no nonzero coefficient in the window of an
         # expected order 1 (orders 1 .. 1 + ORDER_MARGIN)
         report = verify_order(beta_table(6, 0, alpha), 1)
-        assert report.observed_order == report.truncation_order + 1 == 5
+        assert report.observed_order == len(report.coefficients) == 5
         assert report.leading_coeff == zero
         assert type(report.leading_coeff) is type(zero)
         assert report.passed
@@ -310,8 +319,8 @@ class TestWeightProperties:
     def test_sign_pattern_densely_sampled(self):
         for alpha in np.linspace(1.0, 2.0, 21):
             weights = grunwald_weights(beta_table(2, 1, float(alpha)), 2000)
-            report = weight_sign_report(weights.values)
-            assert report.ok, (alpha, report.violations)
+            violations = weight_sign_report(weights.values)
+            assert not violations, (alpha, violations)
 
     def test_tail_sums_decay(self):
         for alpha in (1.1, 1.5, 1.9):
@@ -320,27 +329,30 @@ class TestWeightProperties:
 
     def test_partial_sums_nonpositive_from_two(self):
         weights = grunwald_weights(beta_table(2, 1, 1.5), 500)
-        assert np.all(weights.partial_sums()[2:] <= 1e-14)
+        assert np.all(np.cumsum(weights.values)[2:] <= 1e-14)
 
     def test_corrupted_weight_is_detected(self):
         weights = grunwald_weights(beta_table(2, 1, 1.5), 50).values.copy()
         weights[1] = -weights[1]
-        report = weight_sign_report(weights)
-        assert not report.ok
-        assert not report.w1_nonpositive
-        assert not report.partial_sums_nonpositive
+        names = [message.split(" = ")[0]
+                 for message in weight_sign_report(weights)]
+        assert names == ["w_1", "partial sum through 2"]
 
-    @pytest.mark.parametrize("weights, flag, message", [
-        ([-0.1, -1, 0.5, 0.1], "w0_nonnegative", "w_0 = -1.000e-01 < 0"),
-        ([0.5, -1, -0.6, 0.1], "w0_plus_w2_nonnegative",
-         "w_0 + w_2 = -1.000e-01 < 0"),
-        ([1, -1, 0.1, -0.2, 0.05], "tail_nonnegative",
-         "w_3 = -2.000e-01 < 0"),
-    ])
-    def test_violation_messages(self, weights, flag, message):
-        report = weight_sign_report(weights)
-        assert not getattr(report, flag)
-        assert message in report.violations
+    @pytest.mark.parametrize("weights, violations", [
+        ([-0.1, -1, 0.5, 0.1], ("w_0 = -1.000e-01 < 0",)),
+        ([0.5, -1, -0.6, 0.1], ("w_0 + w_2 = -1.000e-01 < 0",)),
+        ([1, -1, 0.1, -0.2, 0.05], ("w_3 = -2.000e-01 < 0",
+                                    "partial sum through 2 = 1.000e-01 > 0")),
+        # a NaN fails every inequality, so the first entry named is the
+        # NaN, even ahead of a later negative weight
+        (order2_weights({10: math.nan}), ("w_10 = nan < 0",
+                                          "partial sum through 10 = nan > 0")),
+        (order2_weights({4: math.nan, 7: -1.0}),
+         ("w_4 = nan < 0", "partial sum through 4 = nan > 0")),
+    ], ids=["w0_nonnegative", "w0_plus_w2_nonnegative", "tail_nonnegative",
+            "nan_weight", "nan_before_negative_weight"])
+    def test_violation_messages(self, weights, violations):
+        assert weight_sign_report(weights) == violations
 
 
 class TestGeneratorSpec:
