@@ -5,7 +5,7 @@ reproduce-table, properties. Options may also come from @FILE, written
 after the subcommand: each `key = value` line is the long option
 --key=value, and a true or false value gives or leaves out a switch.
 Explicit flags win over the file. Exit codes: 0 when every check passes,
-1 when a check fails, 2 on usage errors.
+1 when a check fails, 2 on usage errors and unwritable output paths.
 
 Generator scalars (--alpha, --shift, --beta) are read exactly: integers,
 fractions ("11/10") and decimals ("1.1" is 11/10) all become rationals,
@@ -111,12 +111,12 @@ def _cmd_verify_order(args) -> int:
 
 
 def _cmd_weights(args) -> int:
+    path = _resolve_output(args, args.output) if args.output else None
     weights = grunwald_weights(_make_generator(args), args.count)
     lines = ["k,weight"]
     lines += [f"{k},{w:.16e}" for k, w in enumerate(weights.values)]
     text = "\n".join(lines) + "\n"
-    if args.output:
-        path = _resolve_output(args, args.output)
+    if path:
         _atomic_write(path, text)
         print(f"wrote {path}")
     else:
@@ -170,9 +170,9 @@ def _cmd_scan(args) -> int:
     order, shift, n = args.order, args.shift, args.n
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
+    path = _resolve_output(args, f"scan_p{order}_r{shift}.csv")
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.points)
     report = stability_scan(order, shift, alphas, GridSpec(0.0, 1.0, n))
-    path = _resolve_output(args, f"scan_p{order}_r{shift}.csv")
     lines = [
         f"# scan order={order} shift={shift} n={n}",
         "alpha,max_rayleigh,stable,reason",
@@ -194,7 +194,8 @@ def _cmd_scan(args) -> int:
 
 def _cmd_reproduce_table(args) -> int:
     path = _resolve_output(args, f"table{args.table}_diff.csv")
-    report = reproduce_table(args.table, out_path=path)
+    report = reproduce_table(args.table)
+    report.to_csv(path)
     for cell in report.failed_cells:
         failed = []
         if cell.error_ok is False:
@@ -325,7 +326,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -256,11 +256,17 @@ def write_report_csv(reports: Sequence[ConvergenceReport], path) -> None:
 
 
 def _atomic_write(path, text: str) -> None:
+    """Write through path + ".tmp"; a failed write leaves no temp file."""
     path = os.fspath(path)
     tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    handle = open(tmp, "w")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def read_report_csv(path) -> list:
@@ -384,7 +390,7 @@ class TableDiffReport:
         )
 
 
-def reproduce_table(table_id: int, *, out_path=None) -> TableDiffReport:
+def reproduce_table(table_id: int) -> TableDiffReport:
     """Re-run the exact configuration behind a benchmark table and diff
     every cell: errors within ERROR_RTOL relative, orders within
     ORDER_TOL_HUNDREDTHS. The expected order of a cell is the order of the
@@ -434,12 +440,9 @@ def reproduce_table(table_id: int, *, out_path=None) -> TableDiffReport:
                 )
             )
     passed = all(c.error_ok and c.order_ok is not False for c in cells)
-    report = TableDiffReport(
+    return TableDiffReport(
         table_id=table_id, cells=tuple(cells), passed=passed, note=ref.note
     )
-    if out_path is not None:
-        report.to_csv(out_path)
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,14 @@ Grid application of one-sided weighted differences; the first column and
 row of their Toeplitz matrix, which are the one construction of the
 operator (callers that need the dense matrix build it with
 scipy.linalg.toeplitz, and the right-side operator is toeplitz(row, col));
-the split of that matrix into its Toeplitz interior and boundary columns,
-and the fold that moves known boundary values to the right-hand side; the
-tridiagonal quasi-compact preconditioner stencil and its eigenvalues; the
-scheme rule, which maps a scheme name to the shifted order-2 column and
+the split of that matrix into its Toeplitz interior and boundary columns;
+the tridiagonal quasi-compact preconditioner stencil and its eigenvalues;
+the scheme rule, which maps a scheme name to the shifted order-2 column and
 row, the preconditioner coefficient and the generator; the top eigenvalue
 of a symmetric Toeplitz matrix from the even and odd halves of its
-centrosymmetric split (definiteness); and two checked solves: a lower
-Hessenberg Toeplitz solve through the triangular Toeplitz embedding L of
-W, given g = L^-1 e_0, the discrete fractional-integral weights of W
+centrosymmetric split (definiteness); and two checked solves: a Dirichlet
+problem on a lower triangular Toeplitz L, its boundary values inside the
+system, given g = L^-1 e_0, the discrete fractional-integral weights
 (steady solves), and a dense LU (the CN step).
 Also the scheme list and the set-up checks shared by the solvers.
 Functions outside the grid are zero-extended, so indices that fall off the
@@ -43,7 +42,6 @@ __all__ = [
     "preconditioner_eigenvalues",
     "toeplitz_generators",
     "split_boundary",
-    "dirichlet_fold",
     "hessenberg_rcond",
     "checked_hessenberg_solve",
     "checked_lu",
@@ -245,27 +243,6 @@ def split_boundary(col: np.ndarray, row: np.ndarray):
     return col[:-2], row[:-2], col[1:-1], row[-2:0:-1]
 
 
-def dirichlet_fold(col: np.ndarray, row: np.ndarray, rhs: np.ndarray,
-                   phi0: float, phi1: float):
-    """Drop the boundary rows and columns of toeplitz(col, row) and fold
-    the known boundary values into the right-hand side.
-
-    Returns the first column and first row of the interior matrix (see
-    split_boundary) and the adjusted interior right-hand side
-    rhs_i - A[i,0]*phi0 - A[i,n]*phi1.
-    """
-    col = np.asarray(col, dtype=float)
-    row = np.asarray(row, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    size = len(col)
-    if len(row) != size or len(rhs) != size:
-        raise ValueError("column, row and right-hand side lengths differ")
-    if size < 3:
-        raise ValueError("no interior points to solve for")
-    inner_col, inner_row, first, last = split_boundary(col, row)
-    return inner_col, inner_row, rhs[1:-1] - first * phi0 - last * phi1
-
-
 def _inverse_norm1_estimate(solve, solve_transposed, size: int) -> float:
     """Estimate ||A^-1||_1 from solves with A and A^T: the Hager/Higham
     iteration in the form of LAPACK's dlacn2 (deterministic, at most five
@@ -291,27 +268,22 @@ def _inverse_norm1_estimate(solve, solve_transposed, size: int) -> float:
                2.0 * np.abs(solve(alternating)).sum() / (3.0 * size))
 
 
-def hessenberg_rcond(col: np.ndarray, row: np.ndarray, g: np.ndarray) -> float:
-    """Reciprocal 1-norm condition estimate of the lower Hessenberg
-    T = toeplitz(col, row) of size n through its triangular Toeplitz
-    embedding: T is the lower triangular Toeplitz L of first column
-    (row[1], col[0], ..., col[n-1]) without its first row and last column
-    (col[0] stands in for row[1] of a 1 x 1 T), and g = L^-1 e_0, of length
-    n + 1, is the caller's. The estimate takes the exact ||T||_1 and FFT
-    applies of T^-1 b = c[:n] - (c_n / g_n) g[:n], c = L^-1 (0; b), and of
-    T^-T d, the last n entries of L^-T (d; -g[:n].d / g_n); it is 0 when
-    g_n is zero or g is not finite."""
-    col, row, g = (np.asarray(v, dtype=float) for v in (col, row, g))
-    if np.any(row[2:]):
-        raise ValueError("toeplitz(col, row) is not lower Hessenberg")
-    size = len(col)
-    if len(g) != size + 1:
-        raise ValueError(f"need {size + 1} entries of L^-1 e_0, got {len(g)}")
+def hessenberg_rcond(l: np.ndarray, g: np.ndarray) -> float:
+    """Reciprocal 1-norm condition estimate of the lower Hessenberg Toeplitz
+    T = L[1:, :-1] of size n, where L is the lower triangular Toeplitz
+    matrix of first column l and g = L^-1 e_0, both of length n + 1. The
+    estimate takes the exact ||T||_1 and FFT applies of
+    T^-1 b = c[:n] - (c_n / g_n) g[:n], c = L^-1 (0; b), and of T^-T d, the
+    last n entries of L^-T (d; -g[:n].d / g_n); it is 0 when g_n is zero or
+    g is not finite."""
+    l, g = np.asarray(l, dtype=float), np.asarray(g, dtype=float)
+    size = len(l) - 1
     if not (np.isfinite(g).all() and g[size] != 0):
         return 0.0
-    # column 1 of T, l_0 ... l_(n-1), is the largest after column 0
-    anorm = max(np.abs(col).sum(), np.abs(np.concatenate(
-        ([row[1] if size > 1 else col[0]], col[:-1]))).sum())
+    # column j < n of T is column j of L, l_0 ... l_(n-j), less row 0
+    norms = np.cumsum(np.abs(l))[:0:-1]
+    norms[0] -= abs(l[0])
+    anorm = norms.max()
     length = 1 << (2 * size).bit_length()
     spectrum = np.fft.rfft(g, length)
 
@@ -332,21 +304,26 @@ def hessenberg_rcond(col: np.ndarray, row: np.ndarray, g: np.ndarray) -> float:
     return 1.0 / product if product > 0 else 0.0
 
 
-def checked_hessenberg_solve(col: np.ndarray, row: np.ndarray, g: np.ndarray,
-                             rhs: np.ndarray,
+def checked_hessenberg_solve(l: np.ndarray, g: np.ndarray, rhs: np.ndarray,
+                             phi0: float, phi1: float,
                              context: str = "linear system") -> np.ndarray:
-    """Solve the lower Hessenberg toeplitz(col, row) x = rhs through its
-    triangular Toeplitz embedding L, given g = L^-1 e_0 (see
-    hessenberg_rcond), in O(n^2) time and O(n) memory. Raises
-    SolverFailure when the condition estimate falls below RCOND_FLOOR.
-    The convolution is direct: an FFT one loses digits."""
-    rcond = hessenberg_rcond(col, row, g)
+    """Return u_0 ... u_n with u_0 = phi0, u_n = phi1 and
+    (L u)_m = rhs_(m-2) for m = 2 .. n, where L is the lower triangular
+    Toeplitz matrix of first column l and g = L^-1 e_0, both of length
+    n + 1, in O(n^2) time and O(n) memory: u = L^-1 r, r = (l_0 phi0, t,
+    rhs), with t fixed by u_n = phi1, so u = c + ((phi1 - c_n) / g_(n-1))
+    (0, g_0, ..., g_(n-1)) for c = L^-1 r at t = 0. Raises SolverFailure
+    when the condition estimate of the interior matrix L[2:, 1:-1] falls
+    below RCOND_FLOOR. The convolution is direct: an FFT one loses digits."""
+    rcond = hessenberg_rcond(l[:-1], g[:-1])
     if rcond < RCOND_FLOOR:
         raise SolverFailure(f"{context}: matrix is numerically singular "
                             f"(rcond={rcond:.2e})")
-    g = np.asarray(g, dtype=float)
-    c = np.convolve(g, np.asarray(rhs, dtype=float))[:len(rhs)]  # c_1..c_n
-    return np.concatenate(([0.0], c[:-1])) - (c[-1] / g[-1]) * g[:-1]
+    r = np.concatenate(([l[0] * phi0, 0.0], rhs))
+    c = np.convolve(g, r)[:len(r)]
+    u = c + ((phi1 - c[-1]) / g[-2]) * np.concatenate(([0.0], g[:-1]))
+    u[0], u[-1] = phi0, phi1
+    return u
 
 
 def checked_lu(matrix: np.ndarray, context: str = "linear system"):

@@ -4,10 +4,10 @@ Solves  D^alpha u = f  on [a, b] with Dirichlet data. The scheme rule
 (operators.scheme_operator) gives the shifted order-2 operator's first
 column and row and the preconditioner coefficient: order2 solves with the
 operator directly, order3 premultiplies the source by the quasi-compact
-tridiagonal preconditioner first. The interior system is lower Hessenberg
-Toeplitz, solved through its triangular Toeplitz embedding L, with
-L^-1 e_0 from the generator at exponent -alpha (O(N^2) time, O(N) memory)
-and a reciprocal-condition estimate; no dense matrix is formed. The
+tridiagonal preconditioner first. All N+1 grid values solve one lower
+triangular Toeplitz system L u = r, with the Dirichlet data inside it and
+L^-1 e_0 from the generator at exponent -alpha (O(N^2) time, O(N) memory),
+under a reciprocal-condition estimate; no dense matrix is formed. The
 scanner decides, for generators of any order and shift, the negative
 semi-definiteness that makes implicit schemes trustworthy, by the exact
 top eigenvalue of the operator's symmetric part (from the even and odd
@@ -27,7 +27,6 @@ from .operators import (
     GridSpec,
     check_domain,
     checked_hessenberg_solve,
-    dirichlet_fold,
     precondition_rows,
     scheme_operator,
     toeplitz_generators,
@@ -76,22 +75,20 @@ def solve_steady(problem: SteadyProblem, grid: GridSpec,
 
     order2 solves A U = F directly; order3 premultiplies the source by
     the quasi-compact preconditioner (full rows, so boundary source
-    values participate) before the same reduced solve. With order2's
-    a2 = 0 the preconditioner returns the source unchanged.
+    values participate) before the same solve. With order2's a2 = 0 the
+    preconditioner returns the source unchanged.
     """
     check_domain(problem, grid)
     alpha = float(problem.alpha)
     col, row, a2, generator = scheme_operator(scheme, alpha, grid)
-    rhs = np.asarray(problem.source(grid.points()), dtype=float)
-    col, row, rhs = dirichlet_fold(col, row,
-                                   precondition_rows(np.pad(rhs, 1), a2),
-                                   problem.phi0, problem.phi1)
-    # the embedding is h^-alpha times the triangular Toeplitz matrix of
-    # beta(z)^alpha
-    g = grid.h ** alpha * power_recurrence(generator.beta, -alpha, len(col))
-    interior = checked_hessenberg_solve(col, row, g, rhs, f"steady {scheme} "
-                                        f"solve at alpha={alpha}, n={grid.n}")
-    return np.concatenate(([problem.phi0], interior, [problem.phi1]))
+    source = np.asarray(problem.source(grid.points()), dtype=float)
+    # L is h^-alpha times the triangular Toeplitz matrix of beta(z)^alpha,
+    # so L^-1 e_0 is h^alpha times the coefficients of beta(z)^-alpha
+    l = np.concatenate(([row[1]], col[:-1]))
+    g = grid.h ** alpha * power_recurrence(generator.beta, -alpha, grid.n)
+    return checked_hessenberg_solve(
+        l, g, precondition_rows(source, a2), problem.phi0, problem.phi1,
+        f"steady {scheme} solve at alpha={alpha}, n={grid.n}")
 
 
 @dataclass(frozen=True)

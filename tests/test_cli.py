@@ -199,8 +199,7 @@ class TestReproduceTable:
             cell(32, 1e-5, 0.02, 2.15, -5),
             cell(64, 1.05e-5, -0.03, 2.0, 10),
         ))
-        monkeypatch.setattr(cli, "reproduce_table",
-                            lambda table_id, out_path: report)
+        monkeypatch.setattr(cli, "reproduce_table", lambda table_id: report)
         assert main(["reproduce-table", "--table", "5"]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "FAIL alpha=1.5 N=32: order expected 2.00, got 2.15, "
@@ -357,6 +356,20 @@ class TestOutputResolution:
         assert code == 0
         assert "16,0,1.5,order2," in (outdir / "sub" / "deeper"
                                       / "s.csv").read_text()
+
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        # an output directory that is a regular file, and an output file
+        # that is a directory
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        (tmp_path / "d" / "x.csv").mkdir(parents=True)
+        for argv in (["weights", "--order", "2", "--alpha", "3/2",
+                      "--outdir", str(blocker), "--output", "w.csv"],
+                     ["scan", "--n", "16", "--points", "2",
+                      "--outdir", str(tmp_path / "d"), "--output", "x.csv"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_outdir_flag_beats_env(self, tmp_path, capsys):
         other = tmp_path / "flagdir"

@@ -275,7 +275,8 @@ class TestReproduceTable:
 
     def test_table3_passes_and_emits_diff(self, tmp_path):
         path = tmp_path / "table3.csv"
-        report = reproduce_table(3, out_path=path)
+        report = reproduce_table(3)
+        report.to_csv(path)
         assert report.passed
         assert not report.failed_cells
         lines = path.read_text().splitlines()

@@ -21,7 +21,6 @@ from grunwald import (
 from grunwald.operators import (
     checked_hessenberg_solve,
     checked_lu,
-    dirichlet_fold,
     hessenberg_rcond,
     precondition_rows,
     preconditioner_eigenvalues,
@@ -267,30 +266,7 @@ class TestSchemeOperator:
 
 
 class TestReduceSystem:
-    """dirichlet_fold: the boundary reduction of a Toeplitz system."""
-
-    def test_homogeneous_boundary_truncates(self):
-        rng = np.random.default_rng(3)
-        col, row = rng.standard_normal((2, 6))
-        row[0] = col[0]
-        rhs = rng.standard_normal(6)
-        inner_col, inner_row, adjusted = dirichlet_fold(col, row, rhs,
-                                                        0.0, 0.0)
-        assert np.array_equal(toeplitz(inner_col, inner_row),
-                              toeplitz(col, row)[1:-1, 1:-1])
-        assert np.array_equal(adjusted, rhs[1:-1])
-
-    def test_identity_moves_first_column(self):
-        col = np.array([1.0, 0.0, 0.0, 0.0])
-        rhs = np.array([1.0, 2.0, 3.0, 4.0])
-        inner_col, inner_row, adjusted = dirichlet_fold(col, col, rhs,
-                                                        1.0, 0.0)
-        assert np.array_equal(toeplitz(inner_col, inner_row), np.eye(2))
-        # identity has zero off-diagonal boundary columns, rhs unchanged
-        assert adjusted == pytest.approx([2.0, 3.0])
-        col[1] = 2.0
-        _, _, adjusted = dirichlet_fold(col, np.eye(1, 4)[0], rhs, 1.0, 0.0)
-        assert adjusted == pytest.approx([0.0, 3.0])
+    """split_boundary: the boundary split of a Toeplitz system."""
 
     def test_split_matches_dense_slices(self):
         rng = np.random.default_rng(5)
@@ -302,24 +278,6 @@ class TestReduceSystem:
                               dense[1:-1, 1:-1])
         assert np.array_equal(first, dense[1:-1, 0])
         assert np.array_equal(last, dense[1:-1, -1])
-
-    def test_no_interior(self):
-        with pytest.raises(ValueError, match="interior"):
-            dirichlet_fold(np.ones(2), np.ones(2), np.zeros(2), 0.0, 0.0)
-
-    def test_rhs_length_must_match(self):
-        with pytest.raises(ValueError, match="lengths differ"):
-            dirichlet_fold(np.ones(4), np.ones(4), np.zeros(3), 0.0, 0.0)
-
-    def test_fold_matches_dense_boundary_columns(self):
-        grid = GridSpec(0.0, 1.0, 9)
-        weights = grunwald_weights(beta_table(2, 1, 1.5), 10)
-        col, row = toeplitz_generators(weights, grid)
-        dense = toeplitz(col, row)
-        rhs = np.arange(10.0)
-        _, _, adjusted = dirichlet_fold(col, row, rhs, 2.0, -3.0)
-        expected = rhs[1:-1] - dense[1:-1, 0] * 2.0 - dense[1:-1, -1] * -3.0
-        assert np.array_equal(adjusted, expected)
 
 
 class TestCheckedLU:
@@ -352,62 +310,56 @@ class TestCheckedLU:
                 checked_lu(matrix, context="test")
 
 
-def embedding_inverse_column(col, row):
-    """g = L^-1 e_0 for the triangular Toeplitz embedding L, of first
-    column (row[1], col[0], ..., col[n-1]), of the lower Hessenberg
-    toeplitz(col, row), by a dense triangular solve."""
-    column = np.r_[row[1], col]
-    return solve_triangular(toeplitz(column, np.zeros(len(column))),
-                            np.eye(len(column))[0], lower=True)
+def lower_toeplitz(l):
+    """The lower triangular Toeplitz matrix of first column l."""
+    return toeplitz(l, np.zeros(len(l)))
+
+
+def inverse_column(l):
+    """g = L^-1 e_0 for the lower triangular Toeplitz L of first column l,
+    by a dense triangular solve."""
+    return solve_triangular(lower_toeplitz(l), np.eye(len(l))[0], lower=True)
 
 
 class TestCheckedHessenbergSolve:
     def test_regular_system_solves(self):
-        col = np.array([4.0, 1.0, 0.5, 0.25])
-        row = np.array([4.0, -1.0, 0.0, 0.0])
-        rhs = np.array([1.0, 2.0, 3.0, 4.0])
-        g = embedding_inverse_column(col, row)
-        x = checked_hessenberg_solve(col, row, g, rhs)
-        assert toeplitz(col, row) @ x == pytest.approx(rhs, rel=1e-14)
+        # the interior matrix L[2:, 1:-1] is toeplitz((4, 1, 0.5),
+        # (4, -1, 0))
+        l = np.array([-1.0, 4.0, 1.0, 0.5, 0.25])
+        rhs = np.array([1.0, 2.0, 3.0])
+        u = checked_hessenberg_solve(l, inverse_column(l), rhs, 2.0, -3.0)
+        assert (u[0], u[-1]) == (2.0, -3.0)
+        assert lower_toeplitz(l)[2:] @ u == pytest.approx(rhs, rel=1e-14)
 
     def test_singular_system_raises(self):
         # the singular tridiagonal of TestCheckedLU is lower Hessenberg;
         # det = a(a^2 - 2) is zero up to rounding
         a = np.sqrt(2.0)
-        col = np.array([a, 1.0, 0.0])
-        g = embedding_inverse_column(col, col)
-        assert hessenberg_rcond(col, col, g) < 1e-14
+        l = np.array([1.0, a, 1.0, 0.0, 0.0])
+        g = inverse_column(l)
+        assert np.array_equal(lower_toeplitz(l)[2:, 1:-1],
+                              toeplitz([a, 1.0, 0.0]))
+        assert hessenberg_rcond(l[:-1], g[:-1]) < 1e-14
         with pytest.raises(SolverFailure, match=r"singular \(rcond="):
-            checked_hessenberg_solve(col, col, g, np.ones(3), context="test")
+            checked_hessenberg_solve(l, g, np.ones(3), 0.0, 0.0,
+                                     context="test")
 
     def test_non_finite_inverse_column_is_singular(self):
-        # 1 / 1e-310 overflows, so the embedding's inverse column is not
-        # finite
-        col = np.array([1.0, 0.0, 0.0])
-        row = np.array([1.0, 1e-310, 0.0])
-        g = embedding_inverse_column(col, row)
+        # 1 / 1e-310 overflows, so L's inverse column is not finite
+        l = np.array([1e-310, 1.0, 0.0, 0.0])
+        g = inverse_column(l)
         assert not np.isfinite(g).all()
-        assert hessenberg_rcond(col, row, g) == 0.0
+        assert hessenberg_rcond(l, g) == 0.0
         with pytest.raises(SolverFailure, match=r"singular \(rcond=0"):
-            checked_hessenberg_solve(col, row, g, np.ones(3), context="test")
+            checked_hessenberg_solve(l, g, np.ones(2), 0.0, 0.0,
+                                     context="test")
 
     def test_vanishing_last_entry_is_singular(self):
-        # g = (1, -1, 0) has g_n = 0: toeplitz(col, row) = [[1, 1], [1, 1]]
-        col, row = np.array([1.0, 1.0]), np.array([1.0, 1.0])
-        g = embedding_inverse_column(col, row)
+        # g = (1, -1, 0) has g_n = 0: L[1:, :-1] = [[1, 1], [1, 1]]
+        l = np.ones(3)
+        g = inverse_column(l)
         assert g[-1] == 0.0
-        assert hessenberg_rcond(col, row, g) == 0.0
-
-    def test_upper_bandwidth_above_one_rejected(self):
-        col = np.array([4.0, 1.0, 0.5])
-        with pytest.raises(ValueError, match="Hessenberg"):
-            checked_hessenberg_solve(col, col, np.ones(4), np.ones(3))
-
-    def test_inverse_column_length_checked(self):
-        col = np.array([4.0, 1.0, 0.5])
-        row = np.array([4.0, -1.0, 0.0])
-        with pytest.raises(ValueError, match="need 4 entries"):
-            hessenberg_rcond(col, row, np.ones(3))
+        assert hessenberg_rcond(l, g) == 0.0
 
 
 def lag_pair_kernel():

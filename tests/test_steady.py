@@ -1,5 +1,7 @@
 """Steady solver accuracy and the stability scanner."""
 
+import dataclasses
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -22,7 +24,6 @@ from grunwald import (
 )
 from grunwald.operators import (
     checked_lu,
-    dirichlet_fold,
     hessenberg_rcond,
     precondition_rows,
     scheme_operator,
@@ -155,13 +156,17 @@ class TestEmbeddingSolve:
     @pytest.mark.parametrize("scheme", ["order2", "order3"])
     def test_matches_dense_oracle(self, scheme, alpha):
         problem = polynomial_steady_problem(alpha)
+        # phi0 = 0 in every other steady problem
+        shifted = dataclasses.replace(problem, phi0=-3.0, exact=None)
         # n = 2 leaves one unknown, whose matrix has no superdiagonal
-        for n in (2, 3, 4) + LADDER:
+        for n, case in itertools.product((2, 3, 4) + LADDER,
+                                         (problem, shifted)):
             grid = GridSpec(0.0, 1.0, n)
-            fast = solve_steady(problem, grid, scheme)
-            dense = dense_dirichlet_solve(problem, grid, scheme)
+            fast = solve_steady(case, grid, scheme)
+            dense = dense_dirichlet_solve(case, grid, scheme)
             gap = np.max(np.abs(fast - dense)) / np.max(np.abs(dense))
-            assert gap <= 5e-12, f"N={n}: relative gap {gap:.2e}"
+            assert gap <= 5e-12, (f"N={n}, phi0={case.phi0}: relative gap "
+                                  f"{gap:.2e}")
 
     @pytest.mark.parametrize("alpha", [1.1, 1.9])
     def test_order3_within_round_off_of_refined_solution(self, alpha):
@@ -171,10 +176,11 @@ class TestEmbeddingSolve:
         problem = polynomial_steady_problem(alpha)
         grid = GridSpec(0.0, 1.0, 1024)
         col, row, a2, _ = scheme_operator("order3", alpha, grid)
-        rhs = precondition_rows(np.pad(problem.source(grid.points()), 1), a2)
-        col, row, adjusted = dirichlet_fold(col, row, rhs, problem.phi0,
-                                            problem.phi1)
-        matrix = toeplitz(col, row)
+        dense = toeplitz(col, row)
+        matrix = dense[1:-1, 1:-1]
+        adjusted = (precondition_rows(problem.source(grid.points()), a2)
+                    - dense[1:-1, 0] * problem.phi0
+                    - dense[1:-1, -1] * problem.phi1)
         factors = lu_factor(matrix)
         reference = lu_solve(factors, adjusted).astype(np.longdouble)
         for _ in range(4):
@@ -188,9 +194,9 @@ class TestEmbeddingSolve:
     def test_order3_error_matches_exact_generator_reference(self, alpha):
         # the reference inverts the operator of the exact (Fraction)
         # generator: the -alpha power recurrence of its embedding's inverse
-        # column, the boundary fold and the convolution in 80-bit long
-        # double. Inverting the rounded weights instead put the N=4096
-        # error at alpha=1.9 52 % off.
+        # column, the boundary value moved to the right-hand side and the
+        # convolution in 80-bit long double. Inverting the rounded weights
+        # instead put the N=4096 error at alpha=1.9 52 % off.
         assert np.finfo(np.longdouble).nmant >= 63, "needs 80-bit long double"
         problem = polynomial_steady_problem(alpha)
         exact = Fraction(str(alpha))
@@ -225,16 +231,15 @@ class TestEmbeddingSolve:
         for n in LADDER:
             grid = GridSpec(0.0, 1.0, n)
             weights = _order2_weights(alpha, grid)
-            full = toeplitz_generators(weights, grid)
-            col, row, _ = dirichlet_fold(*full, np.zeros(n + 1), 0.0, 0.0)
-            matrix = toeplitz(*full)[1:-1, 1:-1]
+            matrix = toeplitz(*toeplitz_generators(weights, grid))[1:-1, 1:-1]
             rcond, info = dgecon(lu_factor(matrix)[0],
                                  np.linalg.norm(matrix, 1))
             assert info == 0
-            column = np.r_[row[1], col]  # the embedding's first column
-            g = solve_triangular(toeplitz(column, np.zeros(n)),
-                                 np.eye(n)[0], lower=True)
-            ratio = hessenberg_rcond(col, row, g) / rcond
+            # the first column of L, whose L[1:, :-1] is the matrix
+            l = np.r_[matrix[0, 1], matrix[:, 0]]
+            g = solve_triangular(toeplitz(l, np.zeros(n)), np.eye(n)[0],
+                                 lower=True)
+            ratio = hessenberg_rcond(l, g) / rcond
             assert 1 / 3 <= ratio <= 3, f"N={n}: ratio {ratio:.3f}"
 
     def test_large_grid_in_linear_memory(self):
