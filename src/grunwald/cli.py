@@ -84,6 +84,9 @@ def _resolve_output(args, default_name):
     # an absolute name replaces outdir in the join
     path = os.path.join(outdir, args.output or default_name)
     os.makedirs(os.path.dirname(path), exist_ok=True)
+    # refused here, before any computing, rather than at the final rename
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"output path {path} is a directory")
     return path
 
 

@@ -5,13 +5,16 @@ The scheme rule (operators.scheme_operator) gives the shifted order-2
 operator A on both sides and, for order3, the quasi-compact tridiagonal
 preconditioner P that premultiplies the equation (P = I for order2). The
 two-sided operator B = (tau/2)(K1 A + K2 A^T) is Toeplitz: CNSystem keeps
-its interior column and row and its boundary columns, taken from the first
-column and row of A, and dense P and B are formed only to factor P - B and
-build E. The CN matrices are constant in time, so a step
-(P - B) u_next = (P + B) u + r_m is linear with constant coefficients. It
-is marched in one form only: in the coordinates y = (P - B) u, as
-y_next = y + E y + r_m with the increment matrix E = 2 B (P - B)^-1, so
-the forcing r_m needs no solve and one solve maps the states back to u.
+its first column and row. The step acts on all n + 1 grid values, with
+B's rows 0 and n zeroed and P's those of the identity, so the Dirichlet
+rows of P - B are e_0 and e_n and the forcing carries the boundary values;
+dense P and B are formed only to factor P - B and build E. The CN
+matrices are constant in time, so a step (P - B) u_next = (P - B + D) u +
+r_m, D = 2B but for -1 at (0, 0) and (n, n), is linear with constant
+coefficients. It is marched in one form only: in the coordinates
+y = (P - B) u, as y_next = y + E y + r_m with the increment matrix
+E = D (P - B)^-1, so the forcing r_m needs no solve and one solve maps
+the states back to u.
 cn_solve marches s ~ sqrt(M) interleaved step sequences at once, one
 matrix product of width s per s steps; the energy check marches single
 steps and keeps every state. Problem data is evaluated on arrays of
@@ -34,7 +37,6 @@ from .operators import (
     precondition_rows,
     scheme_operator,
     solve_factored,
-    split_boundary,
 )
 
 __all__ = [
@@ -114,15 +116,14 @@ class DiffusionProblem:
 
 @dataclass(frozen=True)
 class CNSystem:
-    """Assembled Crank-Nicolson step on the interior unknowns.
+    """Assembled Crank-Nicolson step on all n + 1 grid values.
 
-    The step is (P - B) u_next = (P + B) u + r, r the step's sources and
-    boundary terms, P the preconditioner of coefficient a2 (identity for
-    order 2) and B = (tau/2)(K1 A + K2 A^T) the Toeplitz matrix of first
-    column b_col and row b_row. factors is the LU factorisation of P - B,
-    and increment is E = 2 B (P - B)^-1, the step y_next = y + E y + r in
-    the coordinates y = (P - B) u. B's boundary columns fold in known
-    boundary values.
+    P is the preconditioner of coefficient a2 (identity for order 2) on
+    rows 1 .. n-1, and B = (tau/2)(K1 A + K2 A^T) the Toeplitz matrix of
+    first column b_col and row b_row with rows 0 and n zeroed. factors is
+    the LU factorisation of P - B, whose rows 0 and n are e_0 and e_n, and
+    increment is E = D (P - B)^-1, D = 2B but for -1 at (0, 0) and (n, n):
+    the step y_next = y + E y + r in the coordinates y = (P - B) u.
     """
 
     tau: float
@@ -130,40 +131,44 @@ class CNSystem:
     b_col: np.ndarray
     b_row: np.ndarray
     factors: tuple
-    b_col_left: np.ndarray
-    b_col_right: np.ndarray
     increment: np.ndarray
 
     def march_coordinates(self, u: np.ndarray) -> np.ndarray:
-        """y = (P - B) u, the coordinates of the march: the stencil of P
-        minus the Toeplitz product B u, a direct convolution."""
-        diagonals = np.concatenate((self.b_row[:0:-1], self.b_col))
-        return (precondition_rows(np.pad(u, 1), self.a2)
-                - np.convolve(diagonals, u, mode="valid"))
+        """y = (P - B) u for the n + 1 grid values u: u's boundary values,
+        and on rows 1 .. n-1 the stencil of P minus the Toeplitz product
+        B u, a direct convolution."""
+        diagonals = np.concatenate((self.b_row[-2:0:-1], self.b_col[:-1]))
+        u = np.asarray(u, dtype=float)
+        y = u.copy()
+        y[1:-1] = (precondition_rows(u, self.a2)
+                   - np.convolve(diagonals, u, mode="valid"))
+        return y
 
 
 def _cn_system(problem: DiffusionProblem, grid: GridSpec,
                m_steps: int, scheme: str) -> CNSystem:
-    alpha = float(problem.alpha)
-    col, row, a2, _ = scheme_operator(scheme, alpha, grid)
     if m_steps < 1:
         raise ValueError("need at least one time step")
+    alpha = float(problem.alpha)
+    col, row, a2, _ = scheme_operator(scheme, alpha, grid)
     tau = problem.t_final / m_steps
     # B = (tau/2)(K1 A + K2 A^T) is Toeplitz with these column and row
     half, k1, k2 = 0.5 * tau, problem.k_left, problem.k_right
-    b_col, b_row, b_left, b_right = split_boundary(
-        half * (k1 * col + k2 * row), half * (k1 * row + k2 * col))
-    p_hat = precondition_rows(np.eye(grid.n + 1, grid.n - 1, k=-1), a2)
+    b_col, b_row = half * (k1 * col + k2 * row), half * (k1 * row + k2 * col)
     b_hat = toeplitz(b_col, b_row)
+    b_hat[[0, -1]] = 0.0
+    p_hat = np.eye(grid.n + 1)
+    p_hat[1:-1] = precondition_rows(p_hat, a2)
     factors = checked_lu(
         p_hat - b_hat,
         context=f"CN step matrix ({scheme}, alpha={alpha}, n={grid.n})",
     )
-    # E^T solves (P - B)^T E^T = 2 B^T on the factors of P - B
-    increment = solve_factored(factors, 2.0 * b_hat.T, trans=1).T
+    d_hat = 2.0 * b_hat
+    d_hat[0, 0] = d_hat[-1, -1] = -1.0
+    # E^T solves (P - B)^T E^T = D^T on the factors of P - B
+    increment = solve_factored(factors, d_hat.T, trans=1).T
     return CNSystem(tau=tau, a2=a2, b_col=b_col, b_row=b_row,
-                    factors=factors, b_col_left=b_left, b_col_right=b_right,
-                    increment=increment)
+                    factors=factors, increment=increment)
 
 
 def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
@@ -171,21 +176,21 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
     """March the Crank-Nicolson scheme; returns the n + 1 grid values at
     the final time.
 
-    Each step solves (P - B) u_next = (P + B) u + r_m on the interior,
-    with r_m = tau * (P f)(midpoint) and the known boundary values folded
-    in through the boundary columns of B and P. In y = (P - B) u the step
-    is y_next = y + E y + r_m with E = 2 B (P - B)^-1, so
+    Each step solves (P - B) u_next = (P - B + D) u + r_m on all grid
+    values (see CNSystem), with the forcing r_m = (bc_left(t_{m+1}),
+    tau * (P f)(midpoint), bc_right(t_{m+1})). In y = (P - B) u the step
+    is y_next = y + E y + r_m, so
     y_M = sum_j (I + E)^(M-j) v_j over v = [y_0, r_0, .., r_{M-1}]. With v
     zero padded at the front (exact: the sum starts from 0) to groups of
     s = 2^floor(log2 sqrt(M)) rows, an accumulator W of s rows takes each
     group V_g as W <- W (I + E_s)^T + V_g, one product of width s, with
     I + E_s = (I + E)^s; then y_M = sum_i (I + E)^(s-1-i) W_i, and one
-    solve maps it back to u. Each boundary is evaluated once on
-    t_0 .. t_M, the source once per block of STEP_BLOCK rows of v, on its
-    midpoint times. Raises ValueError when a side with a nonzero
-    coefficient has a nonzero boundary value at a step time after t_0 or
-    nonzero initial data at that end, and when the data or the state
-    become non-finite.
+    solve maps it back to u, whose end values are set to the boundary
+    data. Each boundary is evaluated once on t_0 .. t_M, the source once
+    per block of STEP_BLOCK rows of v, on its midpoint times. Raises
+    ValueError when a side with a nonzero coefficient has a nonzero
+    boundary value at a step time after t_0 or nonzero initial data at
+    that end, and when the data or the state become non-finite.
     """
     check_domain(problem, grid)
     system = _cn_system(problem, grid, m_steps, scheme)
@@ -200,10 +205,8 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
     right = np.broadcast_to(problem.bc_right(times), times.shape).astype(float)
     left[0], right[0] = initial[0], initial[-1]
     problem._check_boundary_values(left, right)
-    u = initial[1:-1]
-    y = system.march_coordinates(u)
+    y = system.march_coordinates(initial)
     e_one = system.increment
-    sides = ((left, system.b_col_left, 0), (right, system.b_col_right, -1))
     doublings = math.isqrt(m_steps).bit_length() - 1
     s = 2 ** doublings
     pad = -(m_steps + 1) % s
@@ -224,12 +227,9 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
         mid = tau * (np.arange(lo, hi)[:, None] + 0.5)
         f_mid = np.asarray(np.broadcast_to(problem.source(x, mid),
                                            (len(mid), len(x))), dtype=float)
-        rows = tau * precondition_rows(f_mid.T, a2).T
-        for values, column, edge in sides:
-            if values[lo:hi + 1].any():
-                now, after = values[lo:hi], values[lo + 1:hi + 1]
-                rows += np.multiply.outer(after + now, column)
-                rows[:, edge] -= a2 * (after - now)
+        rows = np.empty((hi - lo, len(x)))
+        rows[:, 0], rows[:, -1] = left[lo + 1:hi + 1], right[lo + 1:hi + 1]
+        rows[:, 1:-1] = tau * precondition_rows(f_mid.T, a2).T
         if start == 0:
             rows = np.concatenate((np.zeros((pad, len(y))), [y], rows))
         for g in range(0, len(rows), s):
@@ -242,7 +242,8 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
         y += e_one @ y
         y += row
     u = solve_factored(factors, y)
-    return np.concatenate(([left[-1]], u, [right[-1]]))
+    u[0], u[-1] = left[-1], right[-1]
+    return u
 
 
 def fractional_poly_source(x, exponent: int, alpha: float) -> np.ndarray:
@@ -299,10 +300,11 @@ def stability_estimate_check(problem: DiffusionProblem, grid: GridSpec,
         order2:  ||v^m|| <=          ||v^0|| +         tau sum ||S^l||
 
     The march is cn_solve's, y^{m+1} = y^m + E y^m + tau S^m with
-    y = (P - B) v and E = CNSystem.increment; every state is kept and all
-    are mapped back to v in one solve. Requires both boundaries to be zero
-    at every step time t_0 .. t_M. Amplitudes of 0 reproduce the unforced /
-    zero-start special cases.
+    y = (P - B) v and E = CNSystem.increment, on the n + 1 grid values
+    with zero boundary rows; every state is kept and all are mapped back
+    to v in one solve. Requires both boundaries to be zero at every step
+    time t_0 .. t_M. Amplitudes of 0 reproduce the unforced / zero-start
+    special cases.
     """
     check_domain(problem, grid)
     system = _cn_system(problem, grid, m_steps, scheme)
@@ -313,9 +315,10 @@ def stability_estimate_check(problem: DiffusionProblem, grid: GridSpec,
         raise ValueError("stability check requires homogeneous boundaries")
     rng = np.random.default_rng(seed)
     interior = grid.n - 1
-    v = init_amplitude * rng.standard_normal(interior)
-    sources = source_amplitude * rng.standard_normal((m_steps, interior))
-    states = np.empty((interior, m_steps + 1))
+    v = np.pad(init_amplitude * rng.standard_normal(interior), 1)
+    draws = source_amplitude * rng.standard_normal((m_steps, interior))
+    sources = np.pad(draws, ((0, 0), (1, 1)))
+    states = np.empty((grid.n + 1, m_steps + 1))
     states[:, 0] = system.march_coordinates(v)
     for m, s in enumerate(sources):
         y = states[:, m]

@@ -4,7 +4,6 @@ Grid application of one-sided weighted differences; the first column and
 row of their Toeplitz matrix, which are the one construction of the
 operator (callers that need the dense matrix build it with
 scipy.linalg.toeplitz, and the right-side operator is toeplitz(row, col));
-the split of that matrix into its Toeplitz interior and boundary columns;
 the tridiagonal quasi-compact preconditioner stencil and its eigenvalues;
 the scheme rule, which maps a scheme name to the shifted order-2 column and
 row, the preconditioner coefficient and the generator; the top eigenvalue
@@ -12,7 +11,8 @@ of a symmetric Toeplitz matrix from the even and odd halves of its
 centrosymmetric split (definiteness); and two checked solves: a Dirichlet
 problem on a lower triangular Toeplitz L, its boundary values inside the
 system, given g = L^-1 e_0, the discrete fractional-integral weights
-(steady solves), and a dense LU (the CN step).
+(steady solves), and a dense LU (the CN step, whose Dirichlet rows are
+inside its system too).
 Also the scheme list and the set-up checks shared by the solvers.
 Functions outside the grid are zero-extended, so indices that fall off the
 grid simply contribute nothing.
@@ -41,7 +41,6 @@ __all__ = [
     "precondition_rows",
     "preconditioner_eigenvalues",
     "toeplitz_generators",
-    "split_boundary",
     "hessenberg_rcond",
     "checked_hessenberg_solve",
     "checked_lu",
@@ -230,17 +229,6 @@ def check_domain(problem, grid: GridSpec) -> None:
             f"grid [{grid.a}, {grid.b}] does not match problem domain "
             f"[{problem.a}, {problem.b}]"
         )
-
-
-def split_boundary(col: np.ndarray, row: np.ndarray):
-    """Split toeplitz(col, row), of size n+1, at its boundary rows and
-    columns.
-
-    Returns the first column and first row of the (n-1) x (n-1) interior
-    matrix, itself Toeplitz, and the interior rows of the first and last
-    columns: A[i,0] = col[i] and A[i,n] = row[n-i] for i = 1 .. n-1.
-    """
-    return col[:-2], row[:-2], col[1:-1], row[-2:0:-1]
 
 
 def _inverse_norm1_estimate(solve, solve_transposed, size: int) -> float:

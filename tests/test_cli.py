@@ -371,6 +371,24 @@ class TestOutputResolution:
             assert capsys.readouterr().err.startswith("error: ")
         assert not list(tmp_path.rglob("*.tmp"))
 
+    @pytest.mark.parametrize("argv, compute", [
+        (["scan", "--order", "3", "--n", "512", "--points", "100"],
+         "stability_scan"),
+        (["steady", "--n", "16,32", "--alphas", "1.5"], "run_convergence"),
+        (["reproduce-table", "--table", "3"], "reproduce_table"),
+    ])
+    def test_directory_target_refused_before_computing(
+            self, tmp_path, monkeypatch, capsys, argv, compute):
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{compute} ran before the path check")
+
+        monkeypatch.setattr(cli, compute, unreachable)
+        (tmp_path / "d" / "x.csv").mkdir(parents=True)
+        code = main(argv + ["--outdir", str(tmp_path / "d"),
+                            "--output", "x.csv"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: output path ")
+
     def test_outdir_flag_beats_env(self, tmp_path, capsys):
         other = tmp_path / "flagdir"
         code = main(["steady", "--alphas", "1.5", "--n", "16",

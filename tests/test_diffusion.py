@@ -23,7 +23,6 @@ from grunwald import (
 )
 from grunwald import diffusion
 from grunwald.diffusion import STEP_BLOCK, _cn_system
-from grunwald.operators import precondition_rows, solve_factored
 
 
 def zero_x(x):
@@ -37,56 +36,48 @@ def final_error(problem, n, m, scheme):
     return float(np.max(np.abs(final - exact)))
 
 
-def step_forcing(problem, system, x, m, left_now, right_now):
-    """r_m of step m: tau (P f)(midpoint) and the boundary terms, given the
-    boundary values at t_m. Returns r_m and the boundary values at
-    t_{m+1}."""
-    tau, a2 = system.tau, system.a2
-    left_next = float(problem.bc_left((m + 1) * tau))
-    right_next = float(problem.bc_right((m + 1) * tau))
+def step_forcing(problem, tau, a2, x, m):
+    """r_m of step m on all grid values: the boundary values at t_{m+1} in
+    rows 0 and n, and tau (P f)(midpoint) between them."""
     f = np.asarray(problem.source(x, (m + 0.5) * tau), dtype=float)
-    rhs = tau * (a2 * (f[:-2] + f[2:]) + (1.0 - 2.0 * a2) * f[1:-1])
-    rhs += system.b_col_left * (left_next + left_now)
-    rhs += system.b_col_right * (right_next + right_now)
-    rhs[0] -= a2 * (left_next - left_now)
-    rhs[-1] -= a2 * (right_next - right_now)
-    return rhs, left_next, right_next
+    r = np.empty(len(x))
+    r[0] = problem.bc_left((m + 1) * tau)
+    r[1:-1] = tau * (a2 * (f[:-2] + f[2:]) + (1.0 - 2.0 * a2) * f[1:-1])
+    r[-1] = problem.bc_right((m + 1) * tau)
+    return r
 
 
 def per_step_march(problem, grid, m_steps, scheme):
-    """Reference CN march: one right-hand side and one LU solve per step."""
-    system = _cn_system(problem, grid, m_steps, scheme)
+    """Reference CN march on all grid values: one right-hand side
+    (P + B) u + r_m, with its Dirichlet rows 0 and n holding only the new
+    boundary values, and one LU solve with P - B per step."""
     dense = dense_cn_system(problem, grid, m_steps, scheme)
-    rhs_matrix = dense["p_hat"] + dense["b_hat"]
+    rhs_matrix = dense["p_full"] + dense["b_full"]
+    rhs_matrix[[0, -1]] = 0.0
     x = grid.points()
     current = np.asarray(problem.init(x), dtype=float)
     for m in range(m_steps):
-        r, left_next, right_next = step_forcing(
-            problem, system, x, m, current[0], current[-1])
-        interior = solve_factored(system.factors,
-                                  rhs_matrix @ current[1:-1] + r)
-        current = np.concatenate(([left_next], interior, [right_next]))
+        r = step_forcing(problem, dense["tau"], dense["a2"], x, m)
+        current = lu_solve(dense["factors"], rhs_matrix @ current + r)
     return current
 
 
 def longdouble_march(problem, grid, m_steps, scheme):
     """The recurrence y <- y + E y + r_m of cn_solve, with y = (P - B) u
-    and E = 2 B (P - B)^-1, marched one step at a time in extended
-    precision and mapped back with the LU factors. Returns the interior
-    of the final state."""
-    system = _cn_system(problem, grid, m_steps, scheme)
+    and E the increment of the dense oracle, marched one step at a time in
+    extended precision and mapped back with the LU factors. Returns all
+    grid values of the final state."""
+    dense = dense_cn_system(problem, grid, m_steps, scheme)
     x = grid.points()
     current = np.asarray(problem.init(x), dtype=float)
     ld = np.longdouble
-    e = system.increment.astype(ld)
-    dense = dense_cn_system(problem, grid, m_steps, scheme)
-    p_minus_b = dense["p_hat"].astype(ld) - dense["b_hat"].astype(ld)
-    y = p_minus_b @ current[1:-1].astype(ld)
-    left, right = current[0], current[-1]
+    e = dense["increment"].astype(ld)
+    p_minus_b = dense["p_full"].astype(ld) - dense["b_full"].astype(ld)
+    y = p_minus_b @ current.astype(ld)
     for m in range(m_steps):
-        r, left, right = step_forcing(problem, system, x, m, left, right)
+        r = step_forcing(problem, dense["tau"], dense["a2"], x, m)
         y = y + e @ y + r.astype(ld)
-    return lu_solve(system.factors, y.astype(float))
+    return lu_solve(dense["factors"], y.astype(float))
 
 
 def moving_right_boundary_problem(alpha=1.5):
@@ -155,7 +146,7 @@ class TestProblemValidation:
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_boundary_convention_enforced_on_initial_data(self, side):
         # init is 1 at one end only; the boundary functions are zero, so
-        # the problem is built, but the first step would fold that value in
+        # the problem is built, but the first step would carry that value in
         end = 0.0 if side == "left" else 1.0
         problem = DiffusionProblem(**self.kwargs(
             init=lambda x: np.where(np.asarray(x) == end, 1.0, 0.0)))
@@ -353,31 +344,40 @@ class TestExtendedPrecisionMarch:
     def test_close_to_longdouble_recurrence(self, scheme, alpha):
         problem = polynomial_diffusion_problem(alpha)
         grid = GridSpec(0.0, 1.0, 128)
-        final = cn_solve(problem, grid, 1449, scheme)[1:-1]
+        final = cn_solve(problem, grid, 1449, scheme)
         reference = longdouble_march(problem, grid, 1449, scheme)
         scale = np.max(np.abs(reference))
         assert np.max(np.abs(final - reference)) <= 2e-14 * scale
 
 
 def dense_cn_system(problem, grid, m_steps, scheme):
-    """The full-grid oracle of _cn_system: write out the (N+1)^2 operator
-    A[i, j] = w_{i-j+1} / h^alpha entry by entry, form
-    B = (tau/2)(K1 A + K2 A^T), and slice its interior and boundary
-    columns; the dense interior P and B are p_hat and b_hat."""
+    """The full-grid oracle of _cn_system, written out entry by entry: the
+    (N+1)^2 operator A[i, j] = w_{i-j+1} / h^alpha,
+    B = (tau/2)(K1 A + K2 A^T) with rows 0 and N zeroed, P with the
+    stencil (a2, 1 - 2 a2, a2) on rows 1 .. N-1 and the identity's rows 0
+    and N, the factors of P - B and the increment E = D (P - B)^-1, D = 2B
+    but for -1 at (0, 0) and (N, N). p_hat and b_hat are the dense
+    interior P and B."""
     alpha = float(problem.alpha)
     tau = problem.t_final / m_steps
     w = grunwald_weights(beta_table(2, 1, alpha), grid.n + 1).values
     i, j = np.indices((grid.n + 1, grid.n + 1))
     k = i - j + 1
     left = np.where(k >= 0, w[np.maximum(k, 0)], 0.0) / grid.h ** alpha
-    b_full = 0.5 * tau * (problem.k_left * left + problem.k_right * left.T)
+    b_toeplitz = 0.5 * tau * (problem.k_left * left
+                              + problem.k_right * left.T)
     a2 = float(a2_coefficient(1, alpha)) if scheme == "order3" else 0.0
-    p_hat = precondition_rows(np.eye(grid.n + 1, grid.n - 1, k=-1), a2)
-    b_hat = b_full[1:-1, 1:-1]
-    factors = lu_factor(p_hat - b_hat)
-    return dict(p_hat=p_hat, b_hat=b_hat, b_col=b_hat[:, 0], b_row=b_hat[0],
-                b_col_left=b_full[1:-1, 0], b_col_right=b_full[1:-1, -1],
-                increment=lu_solve(factors, 2.0 * b_hat.T, trans=1).T,
+    inner = (0 < i) & (i < grid.n)
+    b_full = np.where(inner, b_toeplitz, 0.0)
+    p_full = np.where(i == j, np.where(inner, 1.0 - 2.0 * a2, 1.0),
+                      np.where(inner & (abs(i - j) == 1), a2, 0.0))
+    d_full = 2.0 * b_full
+    d_full[0, 0] = d_full[-1, -1] = -1.0
+    factors = lu_factor(p_full - b_full)
+    return dict(tau=tau, a2=a2, p_full=p_full, b_full=b_full,
+                b_col=b_toeplitz[:, 0], b_row=b_toeplitz[0],
+                p_hat=p_full[1:-1, 1:-1], b_hat=b_full[1:-1, 1:-1],
+                increment=lu_solve(factors, d_full.T, trans=1).T,
                 factors=factors)
 
 
@@ -396,8 +396,7 @@ class TestCNSystemOracle:
         grid = GridSpec(0.0, 1.0, n)
         system = _cn_system(problem, grid, 64, scheme)
         dense = dense_cn_system(problem, grid, 64, scheme)
-        for name in ("b_col", "b_row", "b_col_left", "b_col_right",
-                     "increment"):
+        for name in ("b_col", "b_row", "increment"):
             assert np.array_equal(getattr(system, name), dense[name]), name
         assert np.array_equal(system.factors[0], dense["factors"][0])
         assert np.array_equal(system.factors[1], dense["factors"][1])
@@ -410,10 +409,32 @@ class TestCNSystemOracle:
                           k_left=0.7, k_right=1.3)
         grid = GridSpec(0.0, 1.0, n)
         dense = dense_cn_system(problem, grid, 64, scheme)
-        u = np.random.default_rng(n).standard_normal(n - 1)
-        expected = (dense["p_hat"] - dense["b_hat"]) @ u
+        u = np.random.default_rng(n).standard_normal(n + 1)
+        expected = (dense["p_full"] - dense["b_full"]) @ u
         y = _cn_system(problem, grid, 64, scheme).march_coordinates(u)
         assert np.max(np.abs(y - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    @pytest.mark.parametrize("scheme", ["order2", "order3"])
+    def test_dirichlet_rows_of_increment(self, scheme, alpha):
+        # rows 0 and N of I + E vanish, so each step's boundary values are
+        # the ones its forcing carries
+        problem = replace(polynomial_diffusion_problem(alpha),
+                          k_left=0.7, k_right=1.3)
+        grid = GridSpec(0.0, 1.0, 64)
+        increment = _cn_system(problem, grid, 64, scheme).increment
+        identity = np.eye(grid.n + 1)
+        for row in (0, -1):
+            assert np.max(np.abs(increment[row] + identity[row])) <= 1e-13
+
+    @pytest.mark.parametrize("scheme", ["order2", "order3"])
+    def test_end_values_are_boundary_data(self, scheme):
+        problem = moving_right_boundary_problem()
+        for m_steps in (1, 17, 300):
+            final = cn_solve(problem, GridSpec(0.0, 1.0, 48), m_steps, scheme)
+            t_last = np.array([problem.t_final / m_steps * m_steps])
+            assert final[0] == problem.bc_left(t_last)
+            assert final[-1] == problem.bc_right(t_last)[0]
 
 
 class TestEnergyConditions:
@@ -515,11 +536,12 @@ class TestFractionalPolySource:
 
 def per_step_stability_check(problem, grid, m_steps, scheme, seed):
     """Reference of stability_estimate_check: one source draw and one LU
-    solve of (P - B) v^{m+1} = (P + B) v^m + tau S^m per step. Returns the
-    norms, the bounds and the verdict."""
-    system = _cn_system(problem, grid, m_steps, scheme)
+    solve of (P - B) v^{m+1} = (P + B) v^m + tau S^m per step, on the
+    interior unknowns (zero boundary values drop out). Returns the norms,
+    the bounds and the verdict."""
     dense = dense_cn_system(problem, grid, m_steps, scheme)
-    rhs_matrix = dense["p_hat"] + dense["b_hat"]
+    p_hat, b_hat, tau = dense["p_hat"], dense["b_hat"], dense["tau"]
+    factors = lu_factor(p_hat - b_hat)
     rng = np.random.default_rng(seed)
     amp = np.sqrt(5.0) if scheme == "order3" else 1.0
 
@@ -530,10 +552,10 @@ def per_step_stability_check(problem, grid, m_steps, scheme, seed):
     norms, bounds, total = [norm(v)], [amp * norm(v)], 0.0
     for _ in range(m_steps):
         s = rng.standard_normal(grid.n - 1)
-        v = solve_factored(system.factors, rhs_matrix @ v + system.tau * s)
+        v = lu_solve(factors, (p_hat + b_hat) @ v + tau * s)
         total += norm(s)
         norms.append(norm(v))
-        bounds.append(amp * (norms[0] + amp * system.tau * total))
+        bounds.append(amp * (norms[0] + amp * tau * total))
     norms, bounds = np.array(norms), np.array(bounds)
     return norms, bounds, bool(np.max(norms / bounds) <= 1.0 + 1e-12)
 

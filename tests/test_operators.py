@@ -26,7 +26,6 @@ from grunwald.operators import (
     preconditioner_eigenvalues,
     scheme_operator,
     solve_factored,
-    split_boundary,
     toeplitz_generators,
     toeplitz_top_eigenvalue,
 )
@@ -263,21 +262,6 @@ class TestSchemeOperator:
             assert a2 == 0.0
         else:
             assert a2 == float(a2_coefficient(1, alpha))
-
-
-class TestReduceSystem:
-    """split_boundary: the boundary split of a Toeplitz system."""
-
-    def test_split_matches_dense_slices(self):
-        rng = np.random.default_rng(5)
-        col, row = rng.standard_normal((2, 7))
-        row[0] = col[0]
-        dense = toeplitz(col, row)
-        inner_col, inner_row, first, last = split_boundary(col, row)
-        assert np.array_equal(toeplitz(inner_col, inner_row),
-                              dense[1:-1, 1:-1])
-        assert np.array_equal(first, dense[1:-1, 0])
-        assert np.array_equal(last, dense[1:-1, -1])
 
 
 class TestCheckedLU:
