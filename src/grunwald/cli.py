@@ -67,6 +67,15 @@ class _Parser(argparse.ArgumentParser):
         return [f"{flag}={value}"]
 
 
+def _exact(text):
+    """Argument type for an exact scalar: argparse reports a ValueError as
+    a usage error, but not the ZeroDivisionError of Fraction("1/0")."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+
+
 def _list_of(kind):
     """Argument type for a comma-separated list of `kind` values."""
     def parse(text):
@@ -247,14 +256,14 @@ def _add_convergence_options(parser, n_default):
 def _add_generator_options(parser):
     parser.add_argument("--order", type=int, default=2,
                         help="design order p (1..6)")
-    parser.add_argument("--shift", type=Fraction, default=Fraction(0),
+    parser.add_argument("--shift", type=_exact, default=Fraction(0),
                         help="stencil shift r (default %(default)s)")
-    parser.add_argument("--alpha", type=Fraction, required=True,
+    parser.add_argument("--alpha", type=_exact, required=True,
                         help="fractional order (e.g. 1.5 or 3/2)")
     parser.add_argument("--family", choices=("table", "lubich"),
                         default="table",
                         help="coefficient family (default %(default)s)")
-    parser.add_argument("--beta", type=_list_of(Fraction),
+    parser.add_argument("--beta", type=_list_of(_exact),
                         help="custom comma-separated coefficients")
 
 

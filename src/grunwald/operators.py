@@ -11,8 +11,8 @@ of a symmetric Toeplitz matrix from the even and odd halves of its
 centrosymmetric split (definiteness); and two checked solves: a Dirichlet
 problem on a lower triangular Toeplitz L, its boundary values inside the
 system, given g = L^-1 e_0, the discrete fractional-integral weights
-(steady solves), and a dense LU (the CN step, whose Dirichlet rows are
-inside its system too).
+(steady solves, under a closed-form bound on the condition number), and
+a dense LU (the CN step, whose Dirichlet rows are inside its system too).
 Also the scheme list and the set-up checks shared by the solvers.
 Functions outside the grid are zero-extended, so indices that fall off the
 grid simply contribute nothing.
@@ -56,8 +56,8 @@ SCHEMES = ("order2", "order3")
 
 class SolverFailure(RuntimeError):
     """A linear solve was abandoned because the matrix is (numerically)
-    singular. Its message names the system and the condition estimate;
-    convergence studies record it in the failed row."""
+    singular. Its message names the system and the refused reciprocal
+    condition number; convergence studies record it in the failed row."""
 
 
 @dataclass(frozen=True)
@@ -231,39 +231,14 @@ def check_domain(problem, grid: GridSpec) -> None:
         )
 
 
-def _inverse_norm1_estimate(solve, solve_transposed, size: int) -> float:
-    """Estimate ||A^-1||_1 from solves with A and A^T: the Hager/Higham
-    iteration in the form of LAPACK's dlacn2 (deterministic, at most five
-    steps, then the alternating-sign check vector)."""
-    y = solve(np.full(size, 1.0 / size))
-    estimate = np.abs(y).sum()
-    signs = np.where(y >= 0, 1.0, -1.0)
-    j = int(np.argmax(np.abs(solve_transposed(signs))))
-    for _ in range(4):
-        y = solve(np.eye(1, size, j)[0])
-        previous, estimate = estimate, np.abs(y).sum()
-        new_signs = np.where(y >= 0, 1.0, -1.0)
-        if np.array_equal(new_signs, signs) or estimate <= previous:
-            break
-        signs = new_signs
-        z = solve_transposed(signs)
-        j_last, j = j, int(np.argmax(np.abs(z)))
-        if z[j_last] == abs(z[j]):
-            break
-    i = np.arange(size)
-    alternating = np.where(i % 2 == 0, 1.0, -1.0) * (1 + i / max(size - 1, 1))
-    return max(estimate,
-               2.0 * np.abs(solve(alternating)).sum() / (3.0 * size))
-
-
 def hessenberg_rcond(l: np.ndarray, g: np.ndarray) -> float:
-    """Reciprocal 1-norm condition estimate of the lower Hessenberg Toeplitz
-    T = L[1:, :-1] of size n, where L is the lower triangular Toeplitz
-    matrix of first column l and g = L^-1 e_0, both of length n + 1. The
-    estimate takes the exact ||T||_1 and FFT applies of
-    T^-1 b = c[:n] - (c_n / g_n) g[:n], c = L^-1 (0; b), and of T^-T d, the
-    last n entries of L^-T (d; -g[:n].d / g_n); it is 0 when g_n is zero or
-    g is not finite."""
+    """Guaranteed lower bound on the reciprocal 1-norm condition number of
+    T = L[1:, :-1] (lower Hessenberg Toeplitz, size n), where L is lower
+    triangular Toeplitz of first column l and g = L^-1 e_0, both of length
+    n + 1: ||T||_1 is exact, and T^-1 b = c[:n] - (c_n / g_n) g[:n] with
+    c = L^-1 (0; b), ||c[:n]||_1 <= ||g[:n]||_1 ||b||_1 and |c_n| <=
+    max|g[:n]| ||b||_1, so ||T^-1||_1 <= ||g[:n]||_1 (1 + max|g[:n]| /
+    |g_n|). 0 when g is not finite, g_n is zero or the product overflows."""
     l, g = np.asarray(l, dtype=float), np.asarray(g, dtype=float)
     size = len(l) - 1
     if not (np.isfinite(g).all() and g[size] != 0):
@@ -271,24 +246,9 @@ def hessenberg_rcond(l: np.ndarray, g: np.ndarray) -> float:
     # column j < n of T is column j of L, l_0 ... l_(n-j), less row 0
     norms = np.cumsum(np.abs(l))[:0:-1]
     norms[0] -= abs(l[0])
-    anorm = norms.max()
-    length = 1 << (2 * size).bit_length()
-    spectrum = np.fft.rfft(g, length)
-
-    def lower_inverse(v):
-        return np.fft.irfft(spectrum * np.fft.rfft(v, length), length)
-
-    def solve(b):
-        c = lower_inverse(np.concatenate(([0.0], b)))
-        return c[:size] - (c[size] / g[size]) * g[:size]
-
-    def solve_transposed(d):  # L^-T = J L^-1 J, with J the reversal
-        w = np.concatenate(([-(g[:size] @ d) / g[size]], d[::-1]))
-        return lower_inverse(w)[size - 1::-1]
-
+    head = np.abs(g[:size])
     with np.errstate(over="ignore", invalid="ignore"):
-        product = anorm * _inverse_norm1_estimate(solve, solve_transposed,
-                                                  size)
+        product = norms.max() * head.sum() * (1.0 + head.max() / abs(g[size]))
     return 1.0 / product if product > 0 else 0.0
 
 
@@ -301,8 +261,8 @@ def checked_hessenberg_solve(l: np.ndarray, g: np.ndarray, rhs: np.ndarray,
     n + 1, in O(n^2) time and O(n) memory: u = L^-1 r, r = (l_0 phi0, t,
     rhs), with t fixed by u_n = phi1, so u = c + ((phi1 - c_n) / g_(n-1))
     (0, g_0, ..., g_(n-1)) for c = L^-1 r at t = 0. Raises SolverFailure
-    when the condition estimate of the interior matrix L[2:, 1:-1] falls
-    below RCOND_FLOOR. The convolution is direct: an FFT one loses digits."""
+    when the rcond bound of the interior matrix L[2:, 1:-1] falls below
+    RCOND_FLOOR. The convolution is direct: an FFT one loses digits."""
     rcond = hessenberg_rcond(l[:-1], g[:-1])
     if rcond < RCOND_FLOOR:
         raise SolverFailure(f"{context}: matrix is numerically singular "

@@ -7,11 +7,12 @@ operator directly, order3 premultiplies the source by the quasi-compact
 tridiagonal preconditioner first. All N+1 grid values solve one lower
 triangular Toeplitz system L u = r, with the Dirichlet data inside it and
 L^-1 e_0 from the generator at exponent -alpha (O(N^2) time, O(N) memory),
-under a reciprocal-condition estimate; no dense matrix is formed. The
-scanner decides, for generators of any order and shift, the negative
-semi-definiteness that makes implicit schemes trustworthy, by the exact
-top eigenvalue of the operator's symmetric part (from the even and odd
-halves of that symmetric Toeplitz matrix).
+guarded by a closed-form lower bound on the reciprocal condition number
+of its interior matrix; no dense matrix is formed. The scanner decides,
+for generators of any order and shift, the negative semi-definiteness
+that makes implicit schemes trustworthy, by the exact top eigenvalue of
+the operator's symmetric part (from the even and odd halves of that
+symmetric Toeplitz matrix).
 """
 
 from __future__ import annotations

@@ -63,6 +63,22 @@ class TestExitCodes:
         assert info.value.code == 2
         assert "empty list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-order", "--alpha", "1/0"],
+        ["verify-order", "--alpha", "3/2", "--shift", "1/0"],
+        ["verify-order", "--alpha", "3/2", "--beta", "1/0,-1"],
+        ["weights", "--alpha", "3/0"],
+    ], ids=["alpha", "shift", "beta", "weights-alpha"])
+    def test_zero_denominator_is_usage_error(self, argv, capsys):
+        # Fraction("1/0") raises ZeroDivisionError, not ValueError
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --" in err
+        assert "not a rational number: '" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("flag, values", [("--alphas", "1.5,1.5"),
                                               ("--n", "16,32,16")])
     def test_repeated_value_is_usage_error(self, outdir, capsys, flag,

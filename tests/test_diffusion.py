@@ -320,7 +320,7 @@ class TestStepMatrixOracle:
         self.assert_agrees(problem, 64, m_steps, scheme)
 
     @pytest.mark.parametrize("scheme", ["order2", "order3"])
-    def test_moving_boundary_folded_into_forcing(self, scheme):
+    def test_moving_boundary_inside_forcing_rows(self, scheme):
         # the second right boundary is 10 at t_0 (from the initial data),
         # then 0 up to t_496 of 513 steps: the middle block (steps 241 to
         # 496) sees a nonzero value only as the new value of its last step

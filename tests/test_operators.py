@@ -1,12 +1,14 @@
 """Grid operators: the Toeplitz column and row, convolution application,
-the tridiagonal preconditioner, the Dirichlet boundary fold, the top
-eigenvalue of a symmetric Toeplitz matrix, and the two checked solves:
-the dense LU (the CN step) and the lower Hessenberg solve through the
-triangular Toeplitz embedding (steady solves)."""
+the tridiagonal preconditioner, the top eigenvalue of a symmetric Toeplitz
+matrix, and the two checked solves: the dense LU (the CN step) and the
+lower Hessenberg solve through the triangular Toeplitz embedding (steady
+solves), with the lower bound on its reciprocal condition number."""
+
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from grunwald import (
@@ -344,6 +346,34 @@ class TestCheckedHessenbergSolve:
         g = inverse_column(l)
         assert g[-1] == 0.0
         assert hessenberg_rcond(l, g) == 0.0
+
+    def test_overflowing_bound_is_singular(self):
+        # g = 2^k is finite up to k = 1023, but the bound on ||T^-1||_1
+        # for the guard's n = 1022 overflows: 3 (2^1022 - 1) 1.5 > 1.8e308.
+        # T = -2 I + superdiagonal has condition number below 3; the bound
+        # is loose when g grows, and the guard refuses such a system.
+        l = np.zeros(1024)
+        l[:2] = 1.0, -2.0
+        g = 2.0 ** np.arange(1024)
+        assert np.isfinite(g).all()
+        assert np.array_equal(lower_toeplitz(l) @ g, np.eye(1024)[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hessenberg_rcond(l[:-1], g[:-1]) == 0.0
+            with pytest.raises(SolverFailure, match=r"singular \(rcond=0"):
+                checked_hessenberg_solve(l, g, np.ones(1022), 0.0, 0.0,
+                                         context="test")
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(l=st.integers(2, 41).flatmap(lambda size: arrays(
+        float, size, elements=st.floats(-10.0, 10.0))),
+        l0=st.floats(0.5, 10.0), sign=st.sampled_from((-1.0, 1.0)))
+    def test_rcond_bound_never_exceeds_exact(self, l, l0, sign):
+        l[0] = sign * l0
+        cond = np.linalg.cond(lower_toeplitz(l)[1:, :-1], 1)
+        assume(cond <= 1e8)
+        # the dense inverse behind cond is good to about n cond eps
+        assert hessenberg_rcond(l, inverse_column(l)) <= (1 + 1e-6) / cond
 
 
 def lag_pair_kernel():

@@ -8,9 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import (eigvalsh, lu_factor, lu_solve, solve_triangular,
-                          toeplitz)
-from scipy.linalg.lapack import dgecon
+from scipy.linalg import eigvalsh, lu_factor, lu_solve, toeplitz
 
 from grunwald import (
     GridSpec,
@@ -30,6 +28,7 @@ from grunwald.operators import (
     solve_factored,
     toeplitz_generators,
 )
+from grunwald.series import power_recurrence
 from grunwald.steady import RAYLEIGH_TOL
 
 LADDER = tuple(2**k for k in range(4, 12))  # N = 16 ... 2048
@@ -149,8 +148,9 @@ class TestSolveSteady:
 
 class TestEmbeddingSolve:
     """The steady solve, through the triangular Toeplitz embedding,
-    against the dense LU oracle and a longdouble-refined solution; its
-    condition estimate against dgecon."""
+    against the dense LU oracle and a longdouble-refined solution; the
+    lower bound of its guard against the exact reciprocal condition
+    number."""
 
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
     @pytest.mark.parametrize("scheme", ["order2", "order3"])
@@ -226,21 +226,21 @@ class TestEmbeddingSolve:
             got = max_error(problem, n, "order3")
             assert abs(got - want) <= 1e-3 * want, (n, got, want)
 
-    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
-    def test_rcond_estimate_tracks_dgecon(self, alpha):
-        for n in LADDER:
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9, 2.0])
+    def test_rcond_bound_within_tenth_of_exact(self, alpha):
+        # the guard's l and g, as solve_steady forms them; the interior
+        # matrix L[2:, 1:-1] is the dense operator's interior
+        for n in LADDER[:7]:  # N = 16 ... 1024
             grid = GridSpec(0.0, 1.0, n)
-            weights = _order2_weights(alpha, grid)
-            matrix = toeplitz(*toeplitz_generators(weights, grid))[1:-1, 1:-1]
-            rcond, info = dgecon(lu_factor(matrix)[0],
-                                 np.linalg.norm(matrix, 1))
-            assert info == 0
-            # the first column of L, whose L[1:, :-1] is the matrix
-            l = np.r_[matrix[0, 1], matrix[:, 0]]
-            g = solve_triangular(toeplitz(l, np.zeros(n)), np.eye(n)[0],
-                                 lower=True)
-            ratio = hessenberg_rcond(l, g) / rcond
-            assert 1 / 3 <= ratio <= 3, f"N={n}: ratio {ratio:.3f}"
+            col, row, _, generator = scheme_operator("order2", alpha, grid)
+            matrix = toeplitz(col, row)[1:-1, 1:-1]
+            exact = 1.0 / (np.linalg.norm(matrix, 1)
+                           * np.linalg.norm(np.linalg.inv(matrix), 1))
+            l = np.r_[row[1], col[:-2]]
+            g = grid.h ** alpha * power_recurrence(generator.beta, -alpha,
+                                                   n - 1)
+            ratio = hessenberg_rcond(l, g) / exact
+            assert 0.1 <= ratio <= 1 + 1e-12, f"N={n}: ratio {ratio:.4f}"
 
     def test_large_grid_in_linear_memory(self):
         # the dense N=8192 operator alone would take 537 MB
@@ -335,10 +335,10 @@ class TestStabilityScan:
                    for k, s in ((500, 1822), (10, 7))]
         assert reports[0] == reports[1]
 
-    def test_solver_failure_recorded_as_data(self):
-        # the folded operator of order 6 at this alpha is numerically
-        # singular (rcond below 1e-14): the scan records it by its
-        # positive top eigenvalue, without solving
+    def test_positive_top_eigenvalue_recorded_as_data(self):
+        # the order-6 operator at this alpha has finite entries but a
+        # symmetric part with a positive eigenvalue: the scan records it
+        # by that top eigenvalue, without solving
         report = stability_scan(6, 1, [1.5], GridSpec(0.0, 1.0, 64))
         entry = report.entries[0]
         assert not entry.stable
