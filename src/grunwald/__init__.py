@@ -18,11 +18,7 @@ from .generators import (
     verify_order,
     weight_sign_report,
 )
-from .operators import (
-    GridSpec,
-    SolverFailure,
-    apply_grunwald,
-)
+from .operators import GridSpec, SolverFailure
 from .steady import (
     ScanEntry,
     StabilityReport,
@@ -76,7 +72,6 @@ __all__ = [
     "weight_sign_report",
     "GridSpec",
     "SolverFailure",
-    "apply_grunwald",
     "SteadyProblem",
     "solve_steady",
     "stability_scan",

@@ -164,8 +164,6 @@ class WeightSequence:
     """
 
     values: np.ndarray
-    alpha: float
-    shift: object
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
@@ -287,9 +285,8 @@ def grunwald_weights(generator: GeneratorSpec, count: int) -> WeightSequence:
         raise ValueError(
             f"weight recurrence requires beta_0 > 0, got {betas[0]}"
         )
-    alpha = float(generator.alpha)
-    w = series.power_recurrence(betas, alpha, count)
-    return WeightSequence(values=w, alpha=alpha, shift=generator.shift)
+    w = series.power_recurrence(betas, float(generator.alpha), count)
+    return WeightSequence(values=w)
 
 
 @dataclass(frozen=True)

@@ -568,13 +568,16 @@ def _prop_matrix_apply(rng):
     worst = 0.0
     for n in (16, 64, 128):
         grid = GridSpec(0.0, 1.0, n)
-        weights = gen.grunwald_weights(gen.beta_table(2, 1, 1.5), n + 1)
-        col, row = ops.toeplitz_generators(weights, grid)
+        generator = gen.beta_table(2, 1, 1.5)
+        col, row = ops.toeplitz_generators(generator, grid)
+        w = gen.grunwald_weights(generator, n + 1).values
         for side, matrix in (("left", toeplitz(col, row)),
                              ("right", toeplitz(row, col))):
             u = rng.standard_normal(n + 1)
             direct = matrix @ u
-            conv = ops.apply_grunwald(u, weights, grid, side)
+            # v_i = sum_k w_k u_(i-k+1) / h^alpha; the right side mirrors it
+            step = 1 if side == "left" else -1
+            conv = np.convolve(w, u[::step])[1: n + 2][::step] / grid.h ** 1.5
             rel = np.max(np.abs(direct - conv)) / max(
                 np.max(np.abs(direct)), 1e-300
             )

@@ -1,9 +1,9 @@
 """Discrete fractional operators on uniform grids.
 
-Grid application of one-sided weighted differences; the first column and
-row of their Toeplitz matrix, which are the one construction of the
-operator (callers that need the dense matrix build it with
-scipy.linalg.toeplitz, and the right-side operator is toeplitz(row, col));
+The first column and row of the Toeplitz matrix of a generator's shifted
+weights, which are the one construction of the operator (callers that
+need the dense matrix build it with scipy.linalg.toeplitz, and the
+right-side operator is toeplitz(row, col));
 the tridiagonal quasi-compact preconditioner stencil and its eigenvalues;
 the scheme rule, which maps a scheme name to the shifted order-2 column and
 row, the preconditioner coefficient and the generator; the top eigenvalue
@@ -26,14 +26,13 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon, dsyevr
 
-from .generators import (WeightSequence, a2_coefficient, beta_table,
+from .generators import (GeneratorSpec, a2_coefficient, beta_table,
                          grunwald_weights)
 
 __all__ = [
     "GridSpec",
     "SCHEMES",
     "SolverFailure",
-    "apply_grunwald",
     "check_domain",
     "check_scheme",
     "scheme_operator",
@@ -82,65 +81,26 @@ class GridSpec:
         return np.linspace(self.a, self.b, self.n + 1)
 
 
-def _integer_shift(weights: WeightSequence) -> int:
-    shift = weights.shift
-    shift_int = int(round(float(shift)))
-    if abs(float(shift) - shift_int) > 0 or shift_int < 0:
+def _integer_shift(shift) -> int:
+    if shift != int(shift) or shift < 0:
         raise ValueError(
             "grid operators require a nonnegative integer shift, got "
             f"{shift!r}; real shifts are for symbol analysis only"
         )
-    return shift_int
+    return int(shift)
 
 
-def _check_weight_count(weights: WeightSequence, grid: GridSpec,
-                        shift: int) -> None:
-    needed = grid.n + shift + 1
-    if len(weights) < needed:
-        raise ValueError(
-            f"need at least {needed} weights for n={grid.n}, shift={shift}; "
-            f"got {len(weights)}"
-        )
-
-
-def apply_grunwald(u, weights: WeightSequence, grid: GridSpec,
-                   side: str = "left") -> np.ndarray:
-    """Apply the shifted difference operator to grid values.
-
-    Left side: v_i = h^(-alpha) * sum_k w_k u_{i-k+r}; the right side
-    mirrors the stencil. Off-grid values are zero.
-    """
-    u = np.asarray(u, dtype=float)
-    shift = _integer_shift(weights)
-    if len(u) != grid.n + 1:
-        raise ValueError(
-            f"expected {grid.n + 1} grid values, got {len(u)}"
-        )
-    _check_weight_count(weights, grid, shift)
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    w = weights.values[: grid.n + shift + 1]
-    if side == "right":
-        u = u[::-1]
-    conv = np.convolve(w, u)
-    v = conv[shift: shift + grid.n + 1]
-    if side == "right":
-        v = v[::-1]
-    return v / grid.h ** weights.alpha
-
-
-def toeplitz_generators(weights: WeightSequence, grid: GridSpec):
-    """First column and first row of the left operator matrix: entry
-    (i, j) is w_{i-j+shift} / h^alpha, so the column holds
-    w_shift ... w_{shift+n} and the row w_shift ... w_0 followed by zeros."""
-    shift = _integer_shift(weights)
-    _check_weight_count(weights, grid, shift)
-    w = weights.values
-    scale = grid.h ** weights.alpha
-    col = w[shift: shift + grid.n + 1] / scale
+def toeplitz_generators(generator: GeneratorSpec, grid: GridSpec):
+    """First column and first row of the generator's left operator matrix
+    on the grid: with the generator's integer shift r and the weights w of
+    grunwald_weights, entry (i, j) is w_{i-j+r} / h^alpha, so the column
+    holds w_r ... w_{r+n} and the row w_r ... w_0 followed by zeros."""
+    shift = _integer_shift(generator.shift)
+    w = (grunwald_weights(generator, grid.n + shift).values
+         / grid.h ** float(generator.alpha))
     row = np.zeros(grid.n + 1)
-    row[: shift + 1] = w[shift::-1] / scale
-    return col, row
+    row[: shift + 1] = w[shift::-1]
+    return w[shift:], row
 
 
 def precondition_rows(values: np.ndarray, a2: float) -> np.ndarray:
@@ -182,8 +142,7 @@ def scheme_operator(scheme: str, alpha: float, grid: GridSpec):
     """
     check_scheme(scheme)
     generator = beta_table(2, 1, alpha)
-    col, row = toeplitz_generators(grunwald_weights(generator, grid.n + 1),
-                                   grid)
+    col, row = toeplitz_generators(generator, grid)
     a2 = float(a2_coefficient(1, alpha)) if scheme == "order3" else 0.0
     return col, row, a2, generator
 
@@ -238,7 +197,11 @@ def hessenberg_rcond(l: np.ndarray, g: np.ndarray) -> float:
     n + 1: ||T||_1 is exact, and T^-1 b = c[:n] - (c_n / g_n) g[:n] with
     c = L^-1 (0; b), ||c[:n]||_1 <= ||g[:n]||_1 ||b||_1 and |c_n| <=
     max|g[:n]| ||b||_1, so ||T^-1||_1 <= ||g[:n]||_1 (1 + max|g[:n]| /
-    |g_n|). 0 when g is not finite, g_n is zero or the product overflows."""
+    |g_n|). 0 when g is not finite, g_n is zero or the product overflows.
+    It serves the steady operators, whose g grows polynomially: there it
+    reads 0.125 to 0.997 of the exact rcond. It is loose where g grows
+    geometrically: for l = (1, -2, 0, ...) cond(T) < 3, yet the bound is
+    below RCOND_FLOOR from n = 45."""
     l, g = np.asarray(l, dtype=float), np.asarray(g, dtype=float)
     size = len(l) - 1
     if not (np.isfinite(g).all() and g[size] != 0):

@@ -78,7 +78,9 @@ def power_recurrence(poly, alpha, count):
     band = band.T
     band[0, 0] = 1.0
     b = np.zeros(count + 1)
-    b[0] = poly[0] ** alpha
+    # a numpy scalar power rounds as Python's does (np.power's SIMD loop
+    # need not) but overflows to inf under np.errstate, not OverflowError
+    b[0] = np.float64(poly[0]) ** alpha
     return dtbsv(degree, band, b, lower=1, overwrite_x=1)
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .generators import beta_table, grunwald_weights
+from .generators import beta_table
 from .series import power_recurrence
 from .operators import (
     GridSpec,
@@ -169,10 +169,10 @@ def stability_scan(order: int, shift: int, alphas: Sequence[float],
             reasons.append(f"beta_0 = {beta0:.3e} is not positive: the "
                            "weight recurrence is undefined")
         else:
-            # weights that outgrow the float range give non-finite entries
-            with np.errstate(over="ignore", invalid="ignore"):
-                weights = grunwald_weights(generator, grid.n + shift)
-                col, row = toeplitz_generators(weights, grid)
+            # weights that outgrow the float range, or a scale h^alpha
+            # that underflows to 0, give non-finite entries
+            with np.errstate(all="ignore"):
+                col, row = toeplitz_generators(generator, grid)
             if not (np.isfinite(col).all() and np.isfinite(row).all()):
                 reasons.append(
                     "operator entries are not finite: the weights overflow")

@@ -108,6 +108,19 @@ class TestWeights:
         assert len(lines) == 5
         assert float(lines[1].split(",")[1]) == pytest.approx(0.76072577, rel=1e-6)
 
+    def test_overflowing_weights_are_usage_error(self):
+        # beta_0^2000 overflows: refused with the first non-finite index,
+        # with no warning even when warnings are errors
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "grunwald", "weights",
+             "--alpha", "2000", "--count", "3"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: weight 0 is inf")
+        assert "Traceback" not in result.stderr
+
     def test_file_output(self, outdir, capsys):
         code = main(["weights", "--order", "1", "--alpha", "1.5",
                      "--count", "2", "--output", "w.csv"])

@@ -1,8 +1,9 @@
-"""Grid operators: the Toeplitz column and row, convolution application,
-the tridiagonal preconditioner, the top eigenvalue of a symmetric Toeplitz
-matrix, and the two checked solves: the dense LU (the CN step) and the
-lower Hessenberg solve through the triangular Toeplitz embedding (steady
-solves), with the lower bound on its reciprocal condition number."""
+"""Grid operators: the Toeplitz column and row and the matrix they
+determine, applied to grid values; the tridiagonal preconditioner, the top
+eigenvalue of a symmetric Toeplitz matrix, and the two checked solves: the
+dense LU (the CN step) and the lower Hessenberg solve through the
+triangular Toeplitz embedding (steady solves), with the lower bound on its
+reciprocal condition number."""
 
 import warnings
 
@@ -15,7 +16,6 @@ from grunwald import (
     GeneratorSpec,
     GridSpec,
     SolverFailure,
-    apply_grunwald,
     beta_table,
     grunwald_weights,
     polynomial_steady_problem,
@@ -49,11 +49,20 @@ class TestGridSpec:
             GridSpec(1.0, 0.0, 4)
 
 
-def dense_operator(weights, grid, side="left"):
+def dense_operator(generator, grid, side="left"):
     """The operator matrix built from its first column and row; the
     right-side operator is the transpose, toeplitz(row, col)."""
-    col, row = toeplitz_generators(weights, grid)
+    col, row = toeplitz_generators(generator, grid)
     return toeplitz(col, row) if side == "left" else toeplitz(row, col)
+
+
+def convolve_operator(u, weights, grid, side="left"):
+    """The shift-1 operator at order 1.5 as a convolution of the grid
+    values with the weights: v_i = sum_k w_k u_(i-k+1) / h^1.5, and the
+    right side mirrors the stencil."""
+    step = 1 if side == "left" else -1
+    n = grid.n
+    return np.convolve(weights, u[::step])[1: n + 2][::step] / grid.h**1.5
 
 
 class TestAssemble:
@@ -62,8 +71,7 @@ class TestAssemble:
     def test_first_order_unshifted_is_backward_difference(self):
         grid = GridSpec(0.0, 2.0, 2)  # h = 1
         spec = GeneratorSpec(alpha=1, shift=0, beta=(1, -1))
-        weights = grunwald_weights(spec, 2)
-        dense = dense_operator(weights, grid)
+        dense = dense_operator(spec, grid)
         expected = np.array(
             [[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]]
         )
@@ -71,9 +79,9 @@ class TestAssemble:
 
     def test_shifted_first_row_by_hand(self):
         grid = GridSpec(0.0, 1.0, 3)
-        weights = grunwald_weights(beta_table(2, 1, 1.5), 4)
-        dense = dense_operator(weights, grid)
-        w = weights.values
+        generator = beta_table(2, 1, 1.5)
+        dense = dense_operator(generator, grid)
+        w = grunwald_weights(generator, 4).values
         scale = grid.h**1.5
         assert dense[0] == pytest.approx(
             np.array([w[1], w[0], 0.0, 0.0]) / scale
@@ -83,58 +91,70 @@ class TestAssemble:
             np.array([w[2], w[1], w[0], 0.0]) / scale
         )
 
+    @pytest.mark.parametrize("order, shift, alpha", [
+        (2, 0, 1.5), (2, 1, 1.5), (3, 2, 1.9), (3, 3, 1.1),
+    ], ids=["r0", "r1", "r2", "r3"])
+    def test_weight_count_follows_shift(self, order, shift, alpha):
+        # the column holds n + 1 weights from w_shift on: entry (i, j) is
+        # w_{i-j+shift} / h^alpha, and zero where i - j + shift < 0 (each
+        # case has beta_0 > 0, so its weights exist)
+        grid = GridSpec(0.0, 1.0, 9)
+        generator = beta_table(order, shift, alpha)
+        col, row = toeplitz_generators(generator, grid)
+        assert len(col) == len(row) == grid.n + 1
+        w = grunwald_weights(generator, grid.n + shift).values
+        i, j = np.indices((grid.n + 1, grid.n + 1))
+        k = i - j + shift
+        expected = np.where(k >= 0, w[np.maximum(k, 0)], 0.0) / grid.h**alpha
+        assert np.array_equal(toeplitz(col, row), expected)
+
     def test_right_side_is_transpose(self):
         grid = GridSpec(0.0, 1.0, 6)
-        weights = grunwald_weights(beta_table(2, 1, 1.5), 7)
-        left = dense_operator(weights, grid, "left")
-        right = dense_operator(weights, grid, "right")
+        generator = beta_table(2, 1, 1.5)
+        left = dense_operator(generator, grid, "left")
+        right = dense_operator(generator, grid, "right")
         assert np.array_equal(right, left.T)
         u = np.arange(7.0)
+        weights = grunwald_weights(generator, 7).values
         assert right @ u == pytest.approx(
-            apply_grunwald(u, weights, grid, "right"), rel=1e-13)
+            convolve_operator(u, weights, grid, "right"), rel=1e-13)
 
     def test_real_shift_rejected(self):
         grid = GridSpec(0.0, 1.0, 4)
         spec = GeneratorSpec(alpha=1.5, shift=0.75, beta=(1, -1))
-        weights = grunwald_weights(spec, 6)
         with pytest.raises(ValueError, match="integer shift"):
-            toeplitz_generators(weights, grid)
-
-    def test_insufficient_weights_rejected(self):
-        grid = GridSpec(0.0, 1.0, 8)
-        weights = grunwald_weights(beta_table(2, 1, 1.5), 4)
-        with pytest.raises(ValueError, match="weights"):
-            toeplitz_generators(weights, grid)
+            toeplitz_generators(spec, grid)
 
     def test_matrix_apply_method(self):
-        # the generators carry the weights' shift (1: the diagonal holds
-        # w_1) and order (1.5: the scale h^1.5), and the matrix they
+        # the generators carry the generator's shift (1: the diagonal
+        # holds w_1) and order (1.5: the scale h^1.5), and the matrix they
         # determine applies the operator
         grid = GridSpec(0.0, 1.0, 8)
-        weights = grunwald_weights(beta_table(2, 1, 1.5), 9)
-        col, row = toeplitz_generators(weights, grid)
-        w = weights.values
+        generator = beta_table(2, 1, 1.5)
+        col, row = toeplitz_generators(generator, grid)
+        w = grunwald_weights(generator, 9).values
         assert col[0] == row[0] == w[1] / grid.h**1.5
         assert row[1] == w[0] / grid.h**1.5
         assert not np.any(row[2:])
         u = np.arange(9.0)
         assert toeplitz(col, row) @ u == pytest.approx(
-            apply_grunwald(u, weights, grid, "left"), rel=1e-13)
+            convolve_operator(u, w, grid, "left"), rel=1e-13)
 
 
 class TestApply:
+    """The operator applied to grid values as the product of its Toeplitz
+    matrix."""
+
     def test_zero_input(self):
         grid = GridSpec(0.0, 1.0, 8)
-        weights = grunwald_weights(beta_table(2, 1, 1.5), 9)
-        out = apply_grunwald(np.zeros(9), weights, grid, "left")
+        out = dense_operator(beta_table(2, 1, 1.5), grid) @ np.zeros(9)
         assert np.all(out == 0.0)
 
     def test_backward_difference_case(self):
         grid = GridSpec(0.0, 1.0, 4)
         spec = GeneratorSpec(alpha=1, shift=0, beta=(1, -1))
-        weights = grunwald_weights(spec, 4)
         u = np.array([0.0, 1.0, 4.0, 9.0, 16.0])
-        got = apply_grunwald(u, weights, grid, "left")
+        got = dense_operator(spec, grid) @ u
         h = grid.h
         expected = np.concatenate(([u[0] / h], (u[1:] - u[:-1]) / h))
         assert got == pytest.approx(expected)
@@ -144,23 +164,24 @@ class TestApply:
     def test_matches_matrix_action(self, side, n):
         rng = np.random.default_rng(42 + n)
         grid = GridSpec(0.0, 1.0, n)
-        weights = grunwald_weights(beta_table(2, 1, 1.5), n + 1)
+        generator = beta_table(2, 1, 1.5)
         u = rng.standard_normal(n + 1)
-        direct = dense_operator(weights, grid, side) @ u
-        conv = apply_grunwald(u, weights, grid, side)
+        direct = dense_operator(generator, grid, side) @ u
+        conv = convolve_operator(
+            u, grunwald_weights(generator, n + 1).values, grid, side)
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(direct - conv)) <= 1e-13 * scale
 
     def test_constant_input_equals_partial_sums(self):
-        # for u = 1 the convolution telescopes into the cumulative weight
+        # for u = 1 the product telescopes into the cumulative weight
         # sums, which tend to zero; this is the discrete version of the
         # derivative of a constant vanishing (the last row is excluded:
         # its stencil sticks out past the boundary)
         n = 2000
         grid = GridSpec(0.0, 1.0, n)
-        weights = grunwald_weights(beta_table(2, 1, 1.5), n + 1)
-        out = apply_grunwald(np.ones(n + 1), weights, grid, "left")
-        sums = np.cumsum(weights.values)
+        generator = beta_table(2, 1, 1.5)
+        out = dense_operator(generator, grid) @ np.ones(n + 1)
+        sums = np.cumsum(grunwald_weights(generator, n + 1).values)
         assert out[:-1] * grid.h**1.5 == pytest.approx(sums[1:-1], abs=1e-12)
         assert abs(out[-2] * grid.h**1.5) < 1e-3
 
@@ -171,26 +192,12 @@ class TestApply:
         maxima = []
         for n in (512, 1024):
             grid = GridSpec(0.0, 1.0, n)
-            weights = grunwald_weights(beta_table(2, 1, 1.5), n + 1)
-            approx = apply_grunwald(
-                problem.exact(grid.points()), weights, grid, "left"
-            )
+            approx = (dense_operator(beta_table(2, 1, 1.5), grid)
+                      @ problem.exact(grid.points()))
             residual = np.abs(approx - problem.source(grid.points()))
             maxima.append(residual[:-1].max())
         assert maxima[0] / maxima[1] == pytest.approx(4.0, abs=0.5)
         assert maxima[1] == pytest.approx(1.22e-3, rel=0.05)
-
-    def test_bad_side(self):
-        grid = GridSpec(0.0, 1.0, 4)
-        weights = grunwald_weights(beta_table(2, 1, 1.5), 5)
-        with pytest.raises(ValueError, match="side"):
-            apply_grunwald(np.zeros(5), weights, grid, "up")
-
-    def test_wrong_length_input(self):
-        grid = GridSpec(0.0, 1.0, 4)
-        weights = grunwald_weights(beta_table(2, 1, 1.5), 5)
-        with pytest.raises(ValueError, match="grid values"):
-            apply_grunwald(np.zeros(4), weights, grid, "left")
 
 
 def preconditioner_matrix(a2, n):
@@ -256,8 +263,7 @@ class TestSchemeOperator:
         grid = GridSpec(0.0, 1.0, n)
         col, row, a2, generator = scheme_operator(scheme, alpha, grid)
         assert generator == beta_table(2, 1, alpha)
-        weights = grunwald_weights(generator, n + 1)
-        expected_col, expected_row = toeplitz_generators(weights, grid)
+        expected_col, expected_row = toeplitz_generators(generator, grid)
         assert np.array_equal(col, expected_col)
         assert np.array_equal(row, expected_row)
         if scheme == "order2":

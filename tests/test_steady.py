@@ -15,7 +15,6 @@ from grunwald import (
     SteadyProblem,
     a2_coefficient,
     beta_table,
-    grunwald_weights,
     polynomial_steady_problem,
     solve_steady,
     stability_scan,
@@ -40,17 +39,12 @@ def max_error(problem, n, scheme):
     return float(np.max(np.abs(solution - problem.exact(grid.points()))))
 
 
-def _order2_weights(alpha, grid):
-    return grunwald_weights(beta_table(2, 1, alpha), grid.n + 1)
-
-
 def dense_dirichlet_solve(problem, grid, scheme):
     """The dense oracle: build the (N+1)^2 operator from its column and
     row, move the boundary columns to the right-hand side, factor the
     interior with a dense LU and solve."""
     alpha = float(problem.alpha)
-    dense = toeplitz(*toeplitz_generators(_order2_weights(alpha, grid),
-                                          grid))
+    dense = toeplitz(*toeplitz_generators(beta_table(2, 1, alpha), grid))
     rhs = np.asarray(problem.source(grid.points()), dtype=float)
     if scheme == "order3":
         rhs = precondition_rows(np.pad(rhs, 1),
@@ -317,8 +311,7 @@ class TestStabilityScan:
         generator = beta_table(order, shift, alpha)
         if not float(generator.beta[0]) > 0:
             return  # no weights, so no operator to compare with
-        matrix = toeplitz(*toeplitz_generators(grunwald_weights(
-            generator, n + shift), grid))
+        matrix = toeplitz(*toeplitz_generators(generator, grid))
         top = eigvalsh(0.5 * (matrix + matrix.T))[-1]
         # round-off is relative to the operator's norm: at order 2 and
         # alpha = 1 the symmetric part is exactly zero
@@ -388,6 +381,18 @@ class TestStabilityScan:
         entry = report.entries[0]
         assert not entry.stable
         assert "overflow" in entry.reason
+        assert np.isnan(entry.max_rayleigh)
+
+    @pytest.mark.parametrize("alpha", [300.0, 2000.0, 1e6])
+    def test_extreme_alpha_recorded_as_data(self, alpha):
+        # on n = 16, h^alpha underflows to 0 at alpha = 300, and
+        # beta_0^alpha overflows at 2000 and 1e6: the scan records each,
+        # with no warning (an error under pytest) and no OverflowError
+        report = stability_scan(2, 1, [alpha], GridSpec(0.0, 1.0, 16))
+        entry = report.entries[0]
+        assert not entry.stable
+        assert entry.reason == ("operator entries are not finite: the "
+                                "weights overflow")
         assert np.isnan(entry.max_rayleigh)
 
     @pytest.mark.parametrize("order", range(2, 7))
