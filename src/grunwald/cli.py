@@ -17,6 +17,7 @@ absolute --output is given.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -74,6 +75,15 @@ def _exact(text):
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+
+
+def _finite(text):
+    """Argument type for a finite float: float() also reads inf, nan and
+    literals that overflow, such as 1e309."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _list_of(kind):
@@ -315,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(p)
     p.add_argument("--order", type=int, default=2)
     p.add_argument("--shift", type=int, default=1)
-    p.add_argument("--alpha-min", dest="alpha_min", type=float, default=1.0)
-    p.add_argument("--alpha-max", dest="alpha_max", type=float, default=2.0)
+    p.add_argument("--alpha-min", dest="alpha_min", type=_finite, default=1.0)
+    p.add_argument("--alpha-max", dest="alpha_max", type=_finite, default=2.0)
     p.add_argument("--points", type=int, default=50)
     p.add_argument("--n", type=int, default=64,
                    help="scan grid size (default %(default)s)")

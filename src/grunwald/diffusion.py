@@ -4,21 +4,21 @@ equation u_t = K1 * D_left^alpha u + K2 * D_right^alpha u + f.
 The scheme rule (operators.scheme_operator) gives the shifted order-2
 operator A on both sides and, for order3, the quasi-compact tridiagonal
 preconditioner P that premultiplies the equation (P = I for order2). The
-two-sided operator B = (tau/2)(K1 A + K2 A^T) is Toeplitz: CNSystem keeps
-its first column and row. The step acts on all n + 1 grid values, with
-B's rows 0 and n zeroed and P's those of the identity, so the Dirichlet
-rows of P - B are e_0 and e_n and the forcing carries the boundary values;
-dense P and B are formed only to factor P - B and build E. The CN
-matrices are constant in time, so a step (P - B) u_next = (P - B + D) u +
-r_m, D = 2B but for -1 at (0, 0) and (n, n), is linear with constant
-coefficients. It is marched in one form only: in the coordinates
-y = (P - B) u, as y_next = y + E y + r_m with the increment matrix
-E = D (P - B)^-1, so the forcing r_m needs no solve and one solve maps
-the states back to u.
+two-sided operator is B = (tau/2)(K1 A + K2 A^T). The step acts on all
+n + 1 grid values, with B's rows 0 and n zeroed and P's those of the
+identity, so the Dirichlet rows of P - B are e_0 and e_n and the forcing
+carries the boundary values. The CN matrices are constant in time, so a
+step (P - B) u_next = (P - B + D) u + r_m, D = 2B but for -1 at (0, 0)
+and (n, n), is linear with constant coefficients. It is marched in one
+form only: in the coordinates y = (P - B) u, as y_next = y + E y + r_m
+with the increment matrix E = D (P - B)^-1, so the forcing r_m needs no
+solve and one solve maps the states back to u. Dense P - B and D exist
+only in the set-up, which factors P - B, maps the initial data to the
+march's start y_0 and builds E.
 cn_solve marches s ~ sqrt(M) interleaved step sequences at once, one
-matrix product of width s per s steps; the energy check marches single
-steps and keeps every state. Problem data is evaluated on arrays of
-times, once per run or block, never per step.
+matrix product of width s per group of s steps; the energy check marches
+single steps and keeps every state. Problem data is evaluated on arrays
+of times, once per run or march group, never per step.
 """
 
 from __future__ import annotations
@@ -47,11 +47,6 @@ __all__ = [
     "fractional_poly_source",
     "stability_estimate_check",
 ]
-
-# Rows of cn_solve's step sequence whose forcing is assembled together:
-# few source calls, a few MB at the paper's N <= 512. A block is at least
-# two strides of the march, which exceed 128 only from M = 65536.
-STEP_BLOCK = 256
 
 # Norm-equivalence constant of the preconditioned energy norm: the
 # discrete L2 norm is controlled by sqrt(5) times the P-norm.
@@ -119,34 +114,23 @@ class CNSystem:
     """Assembled Crank-Nicolson step on all n + 1 grid values.
 
     P is the preconditioner of coefficient a2 (identity for order 2) on
-    rows 1 .. n-1, and B = (tau/2)(K1 A + K2 A^T) the Toeplitz matrix of
-    first column b_col and row b_row with rows 0 and n zeroed. factors is
-    the LU factorisation of P - B, whose rows 0 and n are e_0 and e_n, and
-    increment is E = D (P - B)^-1, D = 2B but for -1 at (0, 0) and (n, n):
-    the step y_next = y + E y + r in the coordinates y = (P - B) u.
+    rows 1 .. n-1, and B = (tau/2)(K1 A + K2 A^T) with rows 0 and n zeroed.
+    factors is the LU factorisation of P - B, whose rows 0 and n are e_0
+    and e_n, and increment is E = D (P - B)^-1, D = 2B but for -1 at (0, 0)
+    and (n, n): the step y_next = y + E y + r in the coordinates
+    y = (P - B) u.
     """
 
     tau: float
     a2: float
-    b_col: np.ndarray
-    b_row: np.ndarray
     factors: tuple
     increment: np.ndarray
 
-    def march_coordinates(self, u: np.ndarray) -> np.ndarray:
-        """y = (P - B) u for the n + 1 grid values u: u's boundary values,
-        and on rows 1 .. n-1 the stencil of P minus the Toeplitz product
-        B u, a direct convolution."""
-        diagonals = np.concatenate((self.b_row[-2:0:-1], self.b_col[:-1]))
-        u = np.asarray(u, dtype=float)
-        y = u.copy()
-        y[1:-1] = (precondition_rows(u, self.a2)
-                   - np.convolve(diagonals, u, mode="valid"))
-        return y
 
-
-def _cn_system(problem: DiffusionProblem, grid: GridSpec,
-               m_steps: int, scheme: str) -> CNSystem:
+def _cn_system(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
+               scheme: str, u: np.ndarray) -> tuple[CNSystem, np.ndarray]:
+    """The CN system of M = m_steps steps and the march's start
+    y = (P - B) u for the n + 1 grid values u."""
     if m_steps < 1:
         raise ValueError("need at least one time step")
     alpha = float(problem.alpha)
@@ -154,21 +138,21 @@ def _cn_system(problem: DiffusionProblem, grid: GridSpec,
     tau = problem.t_final / m_steps
     # B = (tau/2)(K1 A + K2 A^T) is Toeplitz with these column and row
     half, k1, k2 = 0.5 * tau, problem.k_left, problem.k_right
-    b_col, b_row = half * (k1 * col + k2 * row), half * (k1 * row + k2 * col)
-    b_hat = toeplitz(b_col, b_row)
+    b_hat = toeplitz(half * (k1 * col + k2 * row),
+                     half * (k1 * row + k2 * col))
     b_hat[[0, -1]] = 0.0
-    p_hat = np.eye(grid.n + 1)
-    p_hat[1:-1] = precondition_rows(p_hat, a2)
-    factors = checked_lu(
-        p_hat - b_hat,
-        context=f"CN step matrix ({scheme}, alpha={alpha}, n={grid.n})",
-    )
-    d_hat = 2.0 * b_hat
+    p_minus_b = np.eye(grid.n + 1)
+    p_minus_b[1:-1] = precondition_rows(p_minus_b, a2)
+    p_minus_b -= b_hat
+    y = p_minus_b @ u
+    context = f"CN step matrix ({scheme}, alpha={alpha}, n={grid.n})"
+    factors = checked_lu(p_minus_b, context=context)
+    del p_minus_b
+    d_hat = np.multiply(b_hat, 2.0, out=b_hat)  # D = 2B, in B's place
     d_hat[0, 0] = d_hat[-1, -1] = -1.0
     # E^T solves (P - B)^T E^T = D^T on the factors of P - B
     increment = solve_factored(factors, d_hat.T, trans=1).T
-    return CNSystem(tau=tau, a2=a2, b_col=b_col, b_row=b_row,
-                    factors=factors, increment=increment)
+    return CNSystem(tau=tau, a2=a2, factors=factors, increment=increment), y
 
 
 def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
@@ -187,16 +171,16 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
     I + E_s = (I + E)^s; then y_M = sum_i (I + E)^(s-1-i) W_i, and one
     solve maps it back to u, whose end values are set to the boundary
     data. Each boundary is evaluated once on t_0 .. t_M, the source once
-    per block of STEP_BLOCK rows of v, on its midpoint times. Raises
-    ValueError when a side with a nonzero coefficient has a nonzero
-    boundary value at a step time after t_0 or nonzero initial data at
-    that end, and when the data or the state become non-finite.
+    per group that holds a step, on its midpoint times. Raises ValueError
+    when a side with a nonzero coefficient has a nonzero boundary value at
+    a step time after t_0 or nonzero initial data at that end, and when
+    the data or the state become non-finite.
     """
     check_domain(problem, grid)
-    system = _cn_system(problem, grid, m_steps, scheme)
-    tau, a2, factors = system.tau, system.a2, system.factors
     x = grid.points()
     initial = np.asarray(problem.init(x), dtype=float)
+    system, y = _cn_system(problem, grid, m_steps, scheme, initial)
+    tau, a2, factors = system.tau, system.a2, system.factors
     if not np.all(np.isfinite(initial)):
         raise ValueError("initial state is not finite")
     # boundary values at t_0 .. t_M; t_0 takes the sampled initial data
@@ -205,13 +189,10 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
     right = np.broadcast_to(problem.bc_right(times), times.shape).astype(float)
     left[0], right[0] = initial[0], initial[-1]
     problem._check_boundary_values(left, right)
-    y = system.march_coordinates(initial)
     e_one = system.increment
     doublings = math.isqrt(m_steps).bit_length() - 1
     s = 2 ** doublings
     pad = -(m_steps + 1) % s
-    # at least one step in the first block, after its padding and y_0
-    block = max(STEP_BLOCK, 2 * s)
     e_group = e_one.T
     for _ in range(doublings):
         # (I + E_j)^2 = I + E_2j with E_2j = 2 E_j + E_j E_j, transposed
@@ -219,23 +200,20 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
         squared += 2.0 * e_group
         e_group = squared
     w = np.zeros((s, len(y)))
-    length = pad + 1 + m_steps
-    for start in range(0, length, block):
-        # rows start .. stop - 1 of v hold the forcing of steps lo .. hi - 1
-        stop = min(start + block, length)
-        lo, hi = max(start - pad - 1, 0), stop - pad - 1
-        mid = tau * (np.arange(lo, hi)[:, None] + 0.5)
-        f_mid = np.asarray(np.broadcast_to(problem.source(x, mid),
-                                           (len(mid), len(x))), dtype=float)
+    mid = tau * (np.arange(m_steps)[:, None] + 0.5)
+    for start in range(0, pad + 1 + m_steps, s):
+        # rows start .. start + s - 1 of v: the forcing of steps lo .. hi - 1
+        lo, hi = max(start - pad - 1, 0), start + s - pad - 1
         rows = np.empty((hi - lo, len(x)))
+        if hi > lo:
+            rows[:] = problem.source(x, mid[lo:hi])
+            rows[:, 1:-1] = tau * precondition_rows(rows.T, a2).T
         rows[:, 0], rows[:, -1] = left[lo + 1:hi + 1], right[lo + 1:hi + 1]
-        rows[:, 1:-1] = tau * precondition_rows(f_mid.T, a2).T
         if start == 0:
             rows = np.concatenate((np.zeros((pad, len(y))), [y], rows))
-        for g in range(0, len(rows), s):
-            w += w @ e_group
-            w += rows[g:g + s]
-        if not np.all(np.isfinite(w)):
+        w += w @ e_group
+        w += rows
+        if not np.isfinite(w).all():
             raise ValueError(f"state is not finite after step {hi}")
     y = w[0]
     for row in w[1:]:
@@ -307,19 +285,19 @@ def stability_estimate_check(problem: DiffusionProblem, grid: GridSpec,
     special cases.
     """
     check_domain(problem, grid)
-    system = _cn_system(problem, grid, m_steps, scheme)
+    rng = np.random.default_rng(seed)
+    interior = grid.n - 1
+    v = np.pad(init_amplitude * rng.standard_normal(interior), 1)
+    system, y = _cn_system(problem, grid, m_steps, scheme, v)
     tau = system.tau
     times = tau * np.arange(m_steps + 1)
     if np.any(problem.bc_left(times) != 0) or np.any(
             problem.bc_right(times) != 0):
         raise ValueError("stability check requires homogeneous boundaries")
-    rng = np.random.default_rng(seed)
-    interior = grid.n - 1
-    v = np.pad(init_amplitude * rng.standard_normal(interior), 1)
     draws = source_amplitude * rng.standard_normal((m_steps, interior))
     sources = np.pad(draws, ((0, 0), (1, 1)))
     states = np.empty((grid.n + 1, m_steps + 1))
-    states[:, 0] = system.march_coordinates(v)
+    states[:, 0] = y
     for m, s in enumerate(sources):
         y = states[:, m]
         states[:, m + 1] = y + system.increment @ y + tau * s

@@ -20,12 +20,7 @@ from scipy.linalg import toeplitz
 
 from . import generators as gen
 from . import operators as ops
-from .diffusion import (
-    DiffusionProblem,
-    _cn_system,
-    cn_solve,
-    stability_estimate_check,
-)
+from .diffusion import DiffusionProblem, cn_solve, stability_estimate_check
 from .operators import GridSpec, SolverFailure
 from .problems import polynomial_diffusion_problem, polynomial_steady_problem
 from .reference_tables import REFERENCE_TABLES
@@ -630,19 +625,26 @@ def _prop_precond_symmetric(rng):
     return True, ""
 
 
+def _cn_interior_sym_b(alpha, scheme, grid):
+    """a2 and sym(B) on the interior unknowns of the CN step of the
+    benchmark problem at M = 16: B = (tau/2)(K1 A + K2 A^T), so sym(B) is
+    (tau/2)(K1 + K2) sym(A), Toeplitz on its generators' first n - 1."""
+    problem = polynomial_diffusion_problem(alpha)
+    col, row, a2, _ = ops.scheme_operator(scheme, alpha, grid)
+    scale = 0.5 * problem.t_final / 16 * (problem.k_left + problem.k_right)
+    return a2, scale * (0.5 * col[:-2] + 0.5 * row[:-2])
+
+
 @_prop("cn-left-matrix-coercive")
 def _prop_cn_coercive(rng):
     """Weyl: lambda_min(sym(P - B)) >= lambda_min(P) - lambda_max(sym B),
     which is at least lambda_min(P) by (a)."""
     worst = {"order2": np.inf, "order3": np.inf}
+    grid = GridSpec(0.0, 1.0, 32)
     for alpha in (1.1, 1.5, 1.9):
-        problem = polynomial_diffusion_problem(alpha)
-        grid = GridSpec(0.0, 1.0, 32)
         for scheme, floor in (("order2", 1.0), ("order3", 0.2)):
-            system = _cn_system(problem, grid, 16, scheme)
-            # B's interior block is Toeplitz on its generators' first n - 1
-            sym_b = 0.5 * system.b_col[:-2] + 0.5 * system.b_row[:-2]
-            low = (ops.preconditioner_eigenvalues(system.a2, grid.n - 1).min()
+            a2, sym_b = _cn_interior_sym_b(alpha, scheme, grid)
+            low = (ops.preconditioner_eigenvalues(a2, grid.n - 1).min()
                    - ops.toeplitz_top_eigenvalue(sym_b))
             worst[scheme] = min(worst[scheme], low)
             if low < floor - 1e-10:
@@ -658,10 +660,7 @@ def _prop_cn_energy(rng):
     ||v1||_P^2 - ||v0||_P^2 = s' sym(B) s <= lambda_max(sym B) |s|^2 <= 0."""
     worst = -np.inf
     for alpha in (1.1, 1.9):
-        problem = polynomial_diffusion_problem(alpha)
-        system = _cn_system(problem, GridSpec(0.0, 1.0, 32), 16, "order3")
-        # sym(B) on the interior unknowns, as in cn-left-matrix-coercive
-        sym_b = 0.5 * system.b_col[:-2] + 0.5 * system.b_row[:-2]
+        _, sym_b = _cn_interior_sym_b(alpha, "order3", GridSpec(0.0, 1.0, 32))
         worst = max(worst, ops.toeplitz_top_eigenvalue(sym_b))
         if worst > 1e-12:
             return False, f"sym(B) has eigenvalue {worst:.2e} at alpha={alpha}"

@@ -94,13 +94,13 @@ def toeplitz_generators(generator: GeneratorSpec, grid: GridSpec):
     """First column and first row of the generator's left operator matrix
     on the grid: with the generator's integer shift r and the weights w of
     grunwald_weights, entry (i, j) is w_{i-j+r} / h^alpha, so the column
-    holds w_r ... w_{r+n} and the row w_r ... w_0 followed by zeros."""
+    holds w_r ... w_{r+n} and the row the first n + 1 of w_r ... w_0
+    followed by zeros."""
     shift = _integer_shift(generator.shift)
     w = (grunwald_weights(generator, grid.n + shift).values
          / grid.h ** float(generator.alpha))
-    row = np.zeros(grid.n + 1)
-    row[: shift + 1] = w[shift::-1]
-    return w[shift:], row
+    row = np.concatenate((w[shift::-1], np.zeros(grid.n)))
+    return w[shift:], row[: grid.n + 1]
 
 
 def precondition_rows(values: np.ndarray, a2: float) -> np.ndarray:

@@ -67,7 +67,7 @@ def polynomial_diffusion_problem(alpha: float) -> DiffusionProblem:
     term contributes a fractional_poly_source(x, 5+j, alpha) pair. The
     source is that profile times -exp(-t), one row per time in a column t.
     The profile of the last grid is kept and reused while the grid is
-    equal, so a run evaluates it once, not once per block of steps.
+    equal, so a run evaluates it once, not once per march group.
     """
 
     def pulse(x):

@@ -202,6 +202,16 @@ class TestScan:
         assert "--points" in capsys.readouterr().err
         assert not list(outdir.iterdir())
 
+    @pytest.mark.parametrize("flag", ["--alpha-min", "--alpha-max"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e309"])
+    def test_non_finite_alpha_bound_is_usage_error(self, outdir, flag, value,
+                                                   capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["scan", f"{flag}={value}", "--points", "2", "--n", "16"])
+        assert info.value.code == 2
+        assert f"{flag}: not a finite number" in capsys.readouterr().err
+        assert not list(outdir.iterdir())
+
 
 class TestReproduceTable:
     def test_table3_passes(self, outdir, capsys):

@@ -21,8 +21,7 @@ from grunwald import (
     polynomial_diffusion_problem,
     stability_estimate_check,
 )
-from grunwald import diffusion
-from grunwald.diffusion import STEP_BLOCK, _cn_system
+from grunwald.diffusion import _cn_system
 from grunwald.operators import toeplitz_generators
 
 
@@ -219,28 +218,28 @@ class TestCNSolve:
 
     @pytest.mark.parametrize("bad_after", [0.0, 0.9, 0.97])
     def test_non_finite_source_rejected(self, bad_after):
-        # 2 STEP_BLOCK + 1 = 513 steps march at stride 16 after 14 padding
-        # rows and y_0, so the blocks end after steps 241, 497 and 513; the
-        # NaN first shows in the first, the middle or the last block, and
-        # is reported at the end of that block
+        # 513 steps march at stride 16 after 14 padding rows and y_0, so
+        # the groups end after steps 1, 17, .., 497 and 513; the NaN first
+        # shows in step 0, 462 or 498, and is reported at the end of its
+        # group
         problem = DiffusionProblem(
             a=0.0, b=1.0, t_final=1.0, alpha=1.5, k_left=1.0, k_right=1.0,
             source=lambda x, t: (np.where(t > bad_after, np.nan, 0.0)
                                  + zero_x(x)),
             init=zero_x, bc_left=lambda t: 0.0, bc_right=lambda t: 0.0,
         )
-        reported = {0.0: 241, 0.9: 497, 0.97: 513}[bad_after]
+        reported = {0.0: 1, 0.9: 465, 0.97: 513}[bad_after]
         with pytest.raises(ValueError,
                            match=f"not finite after step {reported}$"):
-            cn_solve(problem, GridSpec(0.0, 1.0, 16), 2 * STEP_BLOCK + 1)
+            cn_solve(problem, GridSpec(0.0, 1.0, 16), 513)
 
-    def test_data_evaluated_once_per_block(self):
-        # one source call per block on a column of consecutive midpoint
-        # times, which together cover every t_{m+1/2} once; one call per
-        # boundary function on all step times, none per step. 513 steps
-        # march at stride 16: the first block of STEP_BLOCK rows also
-        # holds 14 padding rows and y_0.
-        m_steps = 2 * STEP_BLOCK + 1
+    def test_data_evaluated_once_per_group(self):
+        # one source call per march group on a column of consecutive
+        # midpoint times, which together cover every t_{m+1/2} once; one
+        # call per boundary function on all step times, none per step. 513
+        # steps march at stride 16: the first group of 16 rows holds 14
+        # padding rows, y_0 and one step.
+        m_steps = 513
         base = moving_right_boundary_problem()
         counted = {name: CountedCalls(getattr(base, name))
                    for name in ("source", "bc_left", "bc_right")}
@@ -249,8 +248,7 @@ class TestCNSolve:
             counter.calls.clear()
         cn_solve(problem, GridSpec(0.0, 1.0, 16), m_steps)
         source_times = [t for _, t in counted["source"].calls]
-        assert [t.shape for t in source_times] == [(241, 1), (256, 1),
-                                                   (16, 1)]
+        assert [t.shape for t in source_times] == [(1, 1)] + [(16, 1)] * 32
         tau = problem.t_final / m_steps
         np.testing.assert_array_equal(
             np.concatenate(source_times)[:, 0],
@@ -259,19 +257,17 @@ class TestCNSolve:
             (times,), = counted[name].calls
             np.testing.assert_array_equal(times, tau * np.arange(m_steps + 1))
 
-    def test_first_block_holds_a_step(self, monkeypatch):
-        # 256 steps march at stride 16 after 15 padding rows and y_0, so a
-        # block of 16 rows would hold no step: a block is at least two
-        # strides long, and the source is never called without times
-        monkeypatch.setattr(diffusion, "STEP_BLOCK", 16)
+    def test_first_group_without_a_step(self):
+        # 16 steps march at stride 4 after 3 padding rows and y_0, so the
+        # first group holds no step: the source is never called without
+        # times
         base = polynomial_diffusion_problem(1.5)
         counted = CountedCalls(base.source)
         problem = replace(base, source=counted)
         grid = GridSpec(0.0, 1.0, 16)
-        final = cn_solve(problem, grid, 256, "order3")
-        assert [t.shape for _, t in counted.calls] == (
-            [(16, 1)] + [(32, 1)] * 7 + [(16, 1)])
-        reference = per_step_march(base, grid, 256, "order3")
+        final = cn_solve(problem, grid, 16, "order3")
+        assert [t.shape for _, t in counted.calls] == [(4, 1)] * 4
+        reference = per_step_march(base, grid, 16, "order3")
         assert np.max(np.abs(final - reference)) <= (
             1e-12 * np.max(np.abs(reference)))
 
@@ -288,9 +284,10 @@ class TestCNSolve:
 
 # step counts: one step; s^2 - 1, s^2 and s^2 + 1, where the stride
 # doubles to s = 4, 8 and 16; 79, where M + 1 is a multiple of the stride 8
-# and no padding row is added; 300; and three blocks of STEP_BLOCK rows
+# and no padding row is added; 300; and 513, whose first group of 16
+# rows holds a single step
 ORACLE_STEPS = (1, *(s * s + d for s in (4, 8, 16) for d in (-1, 0, 1)),
-                79, 300, 2 * STEP_BLOCK + 1)
+                79, 300, 513)
 
 
 class TestStepMatrixOracle:
@@ -323,13 +320,13 @@ class TestStepMatrixOracle:
     @pytest.mark.parametrize("scheme", ["order2", "order3"])
     def test_moving_boundary_inside_forcing_rows(self, scheme):
         # the second right boundary is 10 at t_0 (from the initial data),
-        # then 0 up to t_496 of 513 steps: the middle block (steps 241 to
-        # 496) sees a nonzero value only as the new value of its last step
+        # then 0 up to t_496 of 513 steps: the group of steps 481 to 496
+        # sees a nonzero value only as the new value of its last step
         moving = moving_right_boundary_problem()
         late = replace(moving, bc_right=lambda t: np.where(
             t < 0.968, 0.0, 10.0 * np.exp(-t)))
         for problem in (moving, late):
-            for m_steps in (17, 300, 2 * STEP_BLOCK + 1):
+            for m_steps in (17, 300, 513):
                 self.assert_agrees(problem, 48, m_steps, scheme)
 
 
@@ -376,7 +373,6 @@ def dense_cn_system(problem, grid, m_steps, scheme):
     d_full[0, 0] = d_full[-1, -1] = -1.0
     factors = lu_factor(p_full - b_full)
     return dict(tau=tau, a2=a2, p_full=p_full, b_full=b_full,
-                b_col=b_toeplitz[:, 0], b_row=b_toeplitz[0],
                 p_hat=p_full[1:-1, 1:-1], b_hat=b_full[1:-1, 1:-1],
                 increment=lu_solve(factors, d_full.T, trans=1).T,
                 factors=factors)
@@ -384,8 +380,8 @@ def dense_cn_system(problem, grid, m_steps, scheme):
 
 class TestCNSystemOracle:
     """_cn_system builds B from the operator's column and row; every
-    matrix and factor it hands the march is bit-equal to the full-grid
-    construction."""
+    matrix, factor and start it hands the march is bit-equal to the
+    full-grid construction."""
 
     @pytest.mark.parametrize("n", [16, 64, 512])
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
@@ -395,25 +391,23 @@ class TestCNSystemOracle:
         problem = replace(polynomial_diffusion_problem(alpha),
                           k_left=k_left, k_right=k_right)
         grid = GridSpec(0.0, 1.0, n)
-        system = _cn_system(problem, grid, 64, scheme)
+        system, _ = _cn_system(problem, grid, 64, scheme, grid.points())
         dense = dense_cn_system(problem, grid, 64, scheme)
-        for name in ("b_col", "b_row", "increment"):
-            assert np.array_equal(getattr(system, name), dense[name]), name
+        assert np.array_equal(system.increment, dense["increment"])
         assert np.array_equal(system.factors[0], dense["factors"][0])
         assert np.array_equal(system.factors[1], dense["factors"][1])
 
     @pytest.mark.parametrize("n", [2, 3, 16, 512])
     @pytest.mark.parametrize("scheme", ["order2", "order3"])
     def test_march_coordinates_match_dense(self, scheme, n):
-        # y = (P - B) u by the stencil and a convolution with B's diagonals
+        # the march's start y = (P - B) u, one product with P - B
         problem = replace(polynomial_diffusion_problem(1.5),
                           k_left=0.7, k_right=1.3)
         grid = GridSpec(0.0, 1.0, n)
         dense = dense_cn_system(problem, grid, 64, scheme)
         u = np.random.default_rng(n).standard_normal(n + 1)
-        expected = (dense["p_full"] - dense["b_full"]) @ u
-        y = _cn_system(problem, grid, 64, scheme).march_coordinates(u)
-        assert np.max(np.abs(y - expected)) <= 1e-14 * np.max(np.abs(expected))
+        _, y = _cn_system(problem, grid, 64, scheme, u)
+        assert np.array_equal(y, (dense["p_full"] - dense["b_full"]) @ u)
 
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
     @pytest.mark.parametrize("scheme", ["order2", "order3"])
@@ -423,7 +417,8 @@ class TestCNSystemOracle:
         problem = replace(polynomial_diffusion_problem(alpha),
                           k_left=0.7, k_right=1.3)
         grid = GridSpec(0.0, 1.0, 64)
-        increment = _cn_system(problem, grid, 64, scheme).increment
+        system, _ = _cn_system(problem, grid, 64, scheme, grid.points())
+        increment = system.increment
         identity = np.eye(grid.n + 1)
         for row in (0, -1):
             assert np.max(np.abs(increment[row] + identity[row])) <= 1e-13
@@ -628,6 +623,11 @@ class TestStabilityEstimate:
         )
         with pytest.raises(ValueError, match="homogeneous"):
             stability_estimate_check(problem, GridSpec(0.0, 1.0, 16), 4)
+
+    def test_bad_step_count(self):
+        problem = polynomial_diffusion_problem(1.5)
+        with pytest.raises(ValueError, match="need at least one time step"):
+            stability_estimate_check(problem, GridSpec(0.0, 1.0, 16), -1)
 
     def test_grid_must_span_domain(self):
         problem = polynomial_diffusion_problem(1.5)

@@ -91,14 +91,16 @@ class TestAssemble:
             np.array([w[2], w[1], w[0], 0.0]) / scale
         )
 
-    @pytest.mark.parametrize("order, shift, alpha", [
-        (2, 0, 1.5), (2, 1, 1.5), (3, 2, 1.9), (3, 3, 1.1),
-    ], ids=["r0", "r1", "r2", "r3"])
-    def test_weight_count_follows_shift(self, order, shift, alpha):
+    @pytest.mark.parametrize("order, shift, alpha, n", [
+        (2, 0, 1.5, 9), (2, 1, 1.5, 9), (3, 2, 1.9, 9), (3, 3, 1.1, 9),
+        (3, 2, 1.9, 2), (3, 3, 1.1, 2),
+    ], ids=["r0", "r1", "r2", "r3", "r2-n2", "r3-n2"])
+    def test_weight_count_follows_shift(self, order, shift, alpha, n):
         # the column holds n + 1 weights from w_shift on: entry (i, j) is
         # w_{i-j+shift} / h^alpha, and zero where i - j + shift < 0 (each
-        # case has beta_0 > 0, so its weights exist)
-        grid = GridSpec(0.0, 1.0, 9)
+        # case has beta_0 > 0, so its weights exist); from shift = n the
+        # row holds only the first n + 1 of w_shift ... w_0
+        grid = GridSpec(0.0, 1.0, n)
         generator = beta_table(order, shift, alpha)
         col, row = toeplitz_generators(generator, grid)
         assert len(col) == len(row) == grid.n + 1
