@@ -353,7 +353,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -300,7 +300,6 @@ class OrderReport:
 
     observed_order: int
     leading_coeff: object
-    expected_order: int
     passed: bool
     coefficients: tuple
 
@@ -337,7 +336,6 @@ def _order_report(coeffs: tuple, betas, expected_order: int) -> OrderReport:
     return OrderReport(
         observed_order=observed,
         leading_coeff=leading,
-        expected_order=expected_order,
         passed=observed >= expected_order,
         coefficients=coeffs,
     )

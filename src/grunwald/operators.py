@@ -68,7 +68,10 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
+        n = self.n
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+            raise ValueError(f"grid size must be an integer, got {n!r}")
+        if n < 2:
             raise ValueError("grid needs at least 2 subintervals")
         if not self.b > self.a:
             raise ValueError("grid endpoints must satisfy a < b")
@@ -110,10 +113,10 @@ def precondition_rows(values: np.ndarray, a2: float) -> np.ndarray:
 
     Zero-pad the input by one entry at each end to get all rows of the
     zero-extended matrix; applied to the zero-padded identity
-    np.eye(k + 2, k, k=-1) it gives the symmetric k x k matrix.
+    np.eye(k + 2, k, k=-1) it gives the symmetric k x k matrix. With a2 = 0
+    (order2) it returns the interior values, up to the sign of a zero,
+    wherever the sums of their neighbours do not overflow.
     """
-    if a2 == 0.0:
-        return values[1:-1]
     return a2 * (values[:-2] + values[2:]) + (1.0 - 2.0 * a2) * values[1:-1]
 
 

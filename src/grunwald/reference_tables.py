@@ -24,7 +24,6 @@ __all__ = ["ReferenceTable", "REFERENCE_TABLES"]
 
 @dataclass(frozen=True)
 class ReferenceTable:
-    table_id: int
     problem: str
     scheme: str
     n_values: tuple
@@ -36,7 +35,6 @@ class ReferenceTable:
 
 REFERENCE_TABLES = {
     3: ReferenceTable(
-        table_id=3,
         problem="steady-poly",
         scheme="order2",
         n_values=(16, 32, 64, 128, 256, 512, 1024),
@@ -52,7 +50,6 @@ REFERENCE_TABLES = {
         },
     ),
     4: ReferenceTable(
-        table_id=4,
         problem="steady-poly",
         scheme="order3",
         n_values=(16, 32, 64, 128, 256, 512, 1024),
@@ -77,7 +74,6 @@ REFERENCE_TABLES = {
         ),
     ),
     5: ReferenceTable(
-        table_id=5,
         problem="diffusion-poly",
         scheme="order2",
         n_values=(16, 32, 64, 128, 256, 512),
@@ -93,7 +89,6 @@ REFERENCE_TABLES = {
         },
     ),
     6: ReferenceTable(
-        table_id=6,
         problem="diffusion-poly",
         scheme="order3",
         n_values=(16, 32, 64, 128, 256, 512),

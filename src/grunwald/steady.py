@@ -163,32 +163,29 @@ def stability_scan(order: int, shift: int, alphas: Sequence[float],
     for alpha in map(float, alphas):
         generator = beta_table(order, shift, alpha)
         beta0 = float(generator.beta[0])
-        max_rayleigh = float("nan")
-        reasons = []
+        max_rayleigh, reason = float("nan"), ""
         if not beta0 > 0:
-            reasons.append(f"beta_0 = {beta0:.3e} is not positive: the "
-                           "weight recurrence is undefined")
+            reason = (f"beta_0 = {beta0:.3e} is not positive: the weight "
+                      "recurrence is undefined")
         else:
             # weights that outgrow the float range, or a scale h^alpha
             # that underflows to 0, give non-finite entries
             with np.errstate(all="ignore"):
                 col, row = toeplitz_generators(generator, grid)
             if not (np.isfinite(col).all() and np.isfinite(row).all()):
-                reasons.append(
-                    "operator entries are not finite: the weights overflow")
-        if not reasons:
+                reason = ("operator entries are not finite: the weights "
+                          "overflow")
+        if not reason:
             # A is Toeplitz, so its symmetric part is the symmetric
             # Toeplitz matrix of (col + row) / 2; halving first keeps the
             # sum finite
             max_rayleigh = toeplitz_top_eigenvalue(0.5 * col + 0.5 * row)
             if not np.isfinite(max_rayleigh):
-                reasons.append(
-                    f"top eigenvalue is not finite ({max_rayleigh})")
+                reason = f"top eigenvalue is not finite ({max_rayleigh})"
             elif max_rayleigh > RAYLEIGH_TOL:
-                reasons.append("symmetric part has a positive eigenvalue "
-                               f"{max_rayleigh:.3e}")
+                reason = ("symmetric part has a positive eigenvalue "
+                          f"{max_rayleigh:.3e}")
         entries.append(ScanEntry(alpha=alpha, max_rayleigh=max_rayleigh,
-                                 stable=not reasons,
-                                 reason="; ".join(reasons)))
+                                 stable=not reason, reason=reason))
     return StabilityReport(order=order, shift=shift, grid_n=grid.n,
                            entries=tuple(entries))

@@ -92,6 +92,16 @@ class TestExitCodes:
             main(["steady", "--seed", "3"])
         assert info.value.code == 2
 
+    def test_internal_key_error_propagates(self, monkeypatch):
+        # no command-line input raises KeyError, so one is a bug and not a
+        # usage error
+        def broken(args):
+            raise KeyError("key")
+
+        monkeypatch.setattr(cli, "_cmd_verify_order", broken)
+        with pytest.raises(KeyError):
+            main(["verify-order", "--order", "2", "--alpha", "3/2"])
+
     def test_missing_subcommand_is_two(self):
         with pytest.raises(SystemExit) as info:
             main([])

@@ -153,6 +153,30 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=f"{side} boundary values"):
             cn_solve(problem, GridSpec(0.0, 1.0, 16), 20)
 
+    def test_refused_before_set_up(self, monkeypatch):
+        # every data check runs before _cn_system factors P - B
+        def factor(*args, **kwargs):
+            pytest.fail("P - B was factored for input that is refused")
+
+        monkeypatch.setattr("grunwald.diffusion.checked_lu", factor)
+        grid = GridSpec(0.0, 1.0, 16)
+        problem = DiffusionProblem(**self.kwargs(
+            init=lambda x: zero_x(x) + np.nan))
+        with pytest.raises(ValueError, match="^initial state is not finite$"):
+            cn_solve(problem, grid, 20)
+        problem = DiffusionProblem(**self.kwargs(
+            bc_right=lambda t: np.where((t > 0.1) & (t < 0.2), 1.0, 0.0)))
+        with pytest.raises(ValueError, match="right boundary values"):
+            cn_solve(problem, grid, 20)
+        with pytest.raises(ValueError, match="homogeneous boundaries"):
+            stability_estimate_check(problem, grid, 20)
+
+    @pytest.mark.parametrize("run", [cn_solve, stability_estimate_check])
+    def test_domain_reported_before_step_count(self, run):
+        problem = DiffusionProblem(**self.kwargs())
+        with pytest.raises(ValueError, match="does not match problem domain"):
+            run(problem, GridSpec(0.0, 2.0, 16), 0)
+
     def test_nonzero_boundary_allowed_when_coefficient_vanishes(self):
         problem = DiffusionProblem(
             **self.kwargs(k_right=0.0, bc_right=lambda t: np.exp(-t))
@@ -604,15 +628,6 @@ class TestStabilityEstimate:
         if scheme == "order2":
             # step 0 alone reads exactly 1; the march stays clear of it
             assert report.max_ratio < 1.0, report.max_ratio
-
-    def test_zero_start_zero_source_stays_zero(self):
-        problem = polynomial_diffusion_problem(1.5)
-        report = stability_estimate_check(
-            problem, GridSpec(0.0, 1.0, 16), 10, "order3",
-            seed=1, source_amplitude=0.0, init_amplitude=0.0,
-        )
-        assert report.ok
-        assert np.max(report.norms) == 0.0
 
     def test_requires_homogeneous_boundary(self):
         alpha = 1.5

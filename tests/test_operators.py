@@ -48,6 +48,16 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="a < b"):
             GridSpec(1.0, 0.0, 4)
 
+    @pytest.mark.parametrize("n", [16.0, np.float64(16), "16", True, None])
+    def test_non_integer_size(self, n):
+        with pytest.raises(ValueError, match="grid size must be an integer"):
+            GridSpec(0.0, 1.0, n)
+
+    def test_numpy_integer_size(self):
+        grid = GridSpec(0.0, 1.0, np.int64(16))
+        assert grid.h == 1 / 16
+        assert grid.points().shape == (17,)
+
 
 def dense_operator(generator, grid, side="left"):
     """The operator matrix built from its first column and row; the
@@ -212,6 +222,16 @@ class TestPreconditioner:
     def test_zero_coefficient_is_identity(self):
         dense = preconditioner_matrix(0.0, 5)
         assert np.array_equal(dense, np.eye(6))
+
+    # each entry at most 2^1022 in size, so no sum of two neighbours
+    # overflows (0 * inf would be NaN)
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64,
+                  st.lists(st.integers(2, 9), min_size=1, max_size=2).map(
+                      tuple),
+                  elements=st.floats(-2.0**1022, 2.0**1022)))
+    def test_zero_coefficient_keeps_interior_values(self, values):
+        assert np.array_equal(precondition_rows(values, 0.0), values[1:-1])
 
     def test_interior_row_sums_are_one(self):
         dense = preconditioner_matrix(1.0 / 12.0, 9)
