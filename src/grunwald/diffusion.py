@@ -17,8 +17,8 @@ only in the set-up, which factors P - B, maps the initial data to the
 march's start y_0 and builds E.
 cn_solve marches s ~ sqrt(M) interleaved step sequences at once, one
 matrix product of width s per group of s steps; the energy check marches
-single steps and keeps every state. Problem data is evaluated on arrays
-of times, once per run or march group, never per step.
+single steps and keeps every state. cn_solve calls each data function
+once, before the set-up, and its march calls none.
 """
 
 from __future__ import annotations
@@ -30,9 +30,11 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import toeplitz
 
+from .generators import check_integer
 from .operators import (
     GridSpec,
     check_domain,
+    check_finite,
     checked_lu,
     precondition_rows,
     scheme_operator,
@@ -65,10 +67,10 @@ class DiffusionProblem:
     nonzero the matching boundary value must be identically zero, because
     the one-sided derivative reaches across that boundary.
 
-    The data take arrays of times: source(x, t) gets a column t of shape
-    (k, 1) and returns values that broadcast to (k, len(x)), and
-    bc_left(t), bc_right(t) get a 1-D t and return values that broadcast
-    to t.shape, so lambda t: 0.0 is a valid boundary.
+    The source is source_factor(t) * source_profile(x). init(x) and
+    source_profile(x) return len(x) values; source_factor(t), bc_left(t)
+    and bc_right(t) get a 1-D t and return values that broadcast to
+    t.shape, so lambda t: 0.0 is a valid boundary.
     """
 
     a: float
@@ -77,7 +79,8 @@ class DiffusionProblem:
     alpha: float
     k_left: float
     k_right: float
-    source: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    source_profile: Callable[[np.ndarray], np.ndarray]
+    source_factor: Callable[[np.ndarray], np.ndarray]
     init: Callable[[np.ndarray], np.ndarray]
     bc_left: Callable[[np.ndarray], np.ndarray]
     bc_right: Callable[[np.ndarray], np.ndarray]
@@ -88,6 +91,7 @@ class DiffusionProblem:
             raise ValueError(
                 f"diffusion solver needs alpha in (1, 2], got {self.alpha}"
             )
+        check_finite(self, "a", "b", "t_final", "k_left", "k_right")
         if not self.b > self.a:
             raise ValueError("domain endpoints must satisfy a < b")
         if self.t_final <= 0:
@@ -130,7 +134,7 @@ class CNSystem:
 def _step_times(problem: DiffusionProblem, grid: GridSpec, m_steps: int):
     """t_0 .. t_M of M = m_steps steps, on a grid that spans the domain."""
     check_domain(problem, grid)
-    if m_steps < 1:
+    if check_integer(m_steps, "step count") < 1:
         raise ValueError("need at least one time step")
     return problem.t_final / m_steps * np.arange(m_steps + 1)
 
@@ -168,7 +172,8 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
 
     Each step solves (P - B) u_next = (P - B + D) u + r_m on all grid
     values (see CNSystem), with the forcing r_m = (bc_left(t_{m+1}),
-    tau * (P f)(midpoint), bc_right(t_{m+1})). In y = (P - B) u the step
+    source_factor(t_{m+1/2}) f_hat, bc_right(t_{m+1})); f_hat, formed once,
+    is tau * P source_profile with zero ends. In y = (P - B) u the step
     is y_next = y + E y + r_m, so
     y_M = sum_j (I + E)^(M-j) v_j over v = [y_0, r_0, .., r_{M-1}]. With v
     zero padded at the front (exact: the sum starts from 0) to groups of
@@ -176,25 +181,36 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
     group V_g as W <- W (I + E_s)^T + V_g, one product of width s, with
     I + E_s = (I + E)^s; then y_M = sum_i (I + E)^(s-1-i) W_i, and one
     solve maps it back to u, whose end values are set to the boundary
-    data. Each boundary is evaluated once on t_0 .. t_M, the source once
-    per group that holds a step, on its midpoint times. Raises ValueError,
-    before the set-up, on non-finite initial data or a nonzero value at a
-    step time after t_0 or at that end of the initial data on a side with a
-    nonzero coefficient; in the march, on a non-finite source or state.
+    data. Each data function is called once, before the set-up, on the
+    grid, on t_0 .. t_M or on the midpoint times. Raises ValueError then on
+    a step count that is not a positive integer, on data that is not
+    finite (the factor names its first such step) or on a nonzero value at
+    a step time or end of the initial data on a side with a nonzero
+    coefficient; in the march, on a state that overflows.
     """
     times = _step_times(problem, grid, m_steps)
+    mid = problem.t_final / m_steps * (np.arange(m_steps) + 0.5)
     x = grid.points()
     initial = np.asarray(problem.init(x), dtype=float)
-    if not np.all(np.isfinite(initial)):
-        raise ValueError("initial state is not finite")
+    profile = np.asarray(problem.source_profile(x), dtype=float)
     # boundary values at t_0 .. t_M; t_0 takes the sampled initial data
     left = np.broadcast_to(problem.bc_left(times), times.shape).astype(float)
     right = np.broadcast_to(problem.bc_right(times), times.shape).astype(float)
+    factor = np.broadcast_to(problem.source_factor(mid), m_steps)
+    named = {"initial state": initial, "source profile": profile,
+             "left boundary": left, "right boundary": right}
+    for name, values in named.items():
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} is not finite")
+    bad = np.flatnonzero(~np.isfinite(factor))
+    if bad.size:
+        raise ValueError(f"source factor is not finite at step {bad[0] + 1}")
     left[0], right[0] = initial[0], initial[-1]
     problem._check_boundary_values(left, right)
     system, y = _cn_system(problem, grid, m_steps, scheme, initial)
-    tau, a2, factors = system.tau, system.a2, system.factors
-    e_one = system.increment
+    factors, e_one = system.factors, system.increment
+    f_hat = np.zeros(len(x))
+    f_hat[1:-1] = system.tau * precondition_rows(profile, system.a2)
     doublings = math.isqrt(m_steps).bit_length() - 1
     s = 2 ** doublings
     pad = -(m_steps + 1) % s
@@ -205,14 +221,10 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
         squared += 2.0 * e_group
         e_group = squared
     w = np.zeros((s, len(y)))
-    mid = tau * (np.arange(m_steps)[:, None] + 0.5)
     for start in range(0, pad + 1 + m_steps, s):
         # rows start .. start + s - 1 of v: the forcing of steps lo .. hi - 1
         lo, hi = max(start - pad - 1, 0), start + s - pad - 1
-        rows = np.empty((hi - lo, len(x)))
-        if hi > lo:
-            rows[:] = problem.source(x, mid[lo:hi])
-            rows[:, 1:-1] = tau * precondition_rows(rows.T, a2).T
+        rows = factor[lo:hi, None] * f_hat
         rows[:, 0], rows[:, -1] = left[lo + 1:hi + 1], right[lo + 1:hi + 1]
         if start == 0:
             rows = np.concatenate((np.zeros((pad, len(y))), [y], rows))
@@ -237,10 +249,8 @@ def fractional_poly_source(x, exponent: int, alpha: float) -> np.ndarray:
     which is the sum of the left derivative of x^m and the right
     derivative of (1-x)^m.
     """
-    if not isinstance(exponent, (int, np.integer)) or exponent < 2:
-        raise ValueError(
-            f"exponent must be an integer >= 2, got {exponent!r}"
-        )
+    if check_integer(exponent, "exponent") < 2:
+        raise ValueError(f"exponent must be at least 2, got {exponent!r}")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise ValueError("arguments must lie in [0, 1]")

@@ -174,9 +174,16 @@ class WeightSequence:
         return len(self.values)
 
 
+def check_integer(value, what: str) -> int:
+    """value as an int; ValueError naming `what` unless it is a Python or
+    numpy integer (a bool is not one)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _validate_order(order: int) -> None:
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-        raise ValueError(f"design order must be an integer, got {order!r}")
+    check_integer(order, "design order")
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(
             f"unsupported design order {order}; supported range is "

@@ -79,7 +79,11 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        object.__setattr__(self, "n_values", tuple(
+            gen.check_integer(n, "N value") for n in self.n_values))
+        if self.m_fixed is not None:
+            object.__setattr__(self, "m_fixed",
+                               gen.check_integer(self.m_fixed, "m_fixed"))
         if self.problem not in PROBLEMS:
             raise ValueError(
                 f"unknown problem {self.problem!r}; expected one of {PROBLEMS}"
@@ -108,7 +112,7 @@ class RunConfig:
             return n
         if self.m_rule == "floor-n-3-2":
             return math.isqrt(n**3)
-        return int(self.m_fixed)
+        return self.m_fixed
 
 
 @dataclass(frozen=True)
@@ -716,7 +720,8 @@ def _prop_steady_linear(rng):
 def _prop_cn_zero(rng):
     problem = DiffusionProblem(
         a=0.0, b=1.0, t_final=1.0, alpha=1.5, k_left=1.0, k_right=1.0,
-        source=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
+        source_profile=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        source_factor=lambda t: 0.0,
         init=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         bc_left=lambda t: 0.0, bc_right=lambda t: 0.0,
     )

@@ -20,6 +20,7 @@ grid simply contribute nothing.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 import numpy as np
@@ -27,13 +28,14 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon, dsyevr
 
 from .generators import (GeneratorSpec, a2_coefficient, beta_table,
-                         grunwald_weights)
+                         check_integer, grunwald_weights)
 
 __all__ = [
     "GridSpec",
     "SCHEMES",
     "SolverFailure",
     "check_domain",
+    "check_finite",
     "check_scheme",
     "scheme_operator",
     "toeplitz_top_eigenvalue",
@@ -68,11 +70,9 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
-        n = self.n
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-            raise ValueError(f"grid size must be an integer, got {n!r}")
-        if n < 2:
+        if check_integer(self.n, "grid size") < 2:
             raise ValueError("grid needs at least 2 subintervals")
+        check_finite(self, "a", "b")
         if not self.b > self.a:
             raise ValueError("grid endpoints must satisfy a < b")
 
@@ -191,6 +191,15 @@ def check_domain(problem, grid: GridSpec) -> None:
             f"grid [{grid.a}, {grid.b}] does not match problem domain "
             f"[{problem.a}, {problem.b}]"
         )
+
+
+def check_finite(owner, *fields: str) -> None:
+    """Refuse, by its name, a field of owner that is not a finite number."""
+    for field in fields:
+        value = getattr(owner, field)
+        if not math.isfinite(value):
+            raise ValueError(f"{type(owner).__name__}.{field} must be "
+                             f"finite, got {value!r}")
 
 
 def hessenberg_rcond(l: np.ndarray, g: np.ndarray) -> float:

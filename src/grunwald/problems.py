@@ -65,9 +65,7 @@ def polynomial_diffusion_problem(alpha: float) -> DiffusionProblem:
     of the monomials in the pulse: expanding x^5 (1-x)^5 =
     sum_j C(5,j) (-1)^j x^(5+j) and using the symmetry of the pulse, each
     term contributes a fractional_poly_source(x, 5+j, alpha) pair. The
-    source is that profile times -exp(-t), one row per time in a column t.
-    The profile of the last grid is kept and reused while the grid is
-    equal, so a run evaluates it once, not once per march group.
+    source is that profile times -exp(-t).
     """
 
     def pulse(x):
@@ -80,16 +78,6 @@ def polynomial_diffusion_problem(alpha: float) -> DiffusionProblem:
             acc = acc + c * fractional_poly_source(x, 5 + j, alpha)
         return acc
 
-    kept = (None, None)  # (grid, profile), read and replaced as one pair
-
-    def source(x, t):
-        nonlocal kept
-        x = np.asarray(x, dtype=float)
-        grid, values = kept
-        if not np.array_equal(grid, x):
-            grid, values = kept = x.copy(), profile(x)
-        return -np.exp(-t) * values
-
     def exact(x, t):
         return pulse(x) * np.exp(-t)
 
@@ -100,7 +88,8 @@ def polynomial_diffusion_problem(alpha: float) -> DiffusionProblem:
         alpha=alpha,
         k_left=1.0,
         k_right=1.0,
-        source=source,
+        source_profile=profile,
+        source_factor=lambda t: -np.exp(-t),
         init=pulse,
         bc_left=lambda t: 0.0,
         bc_right=lambda t: 0.0,

@@ -27,6 +27,7 @@ from .series import power_recurrence
 from .operators import (
     GridSpec,
     check_domain,
+    check_finite,
     checked_hessenberg_solve,
     precondition_rows,
     scheme_operator,
@@ -65,6 +66,7 @@ class SteadyProblem:
             raise ValueError(
                 f"steady solver needs alpha in (1, 2], got {self.alpha}"
             )
+        check_finite(self, "a", "b", "phi0", "phi1")
         if not self.b > self.a:
             raise ValueError("domain endpoints must satisfy a < b")
 

@@ -39,7 +39,8 @@ def final_error(problem, n, m, scheme):
 def step_forcing(problem, tau, a2, x, m):
     """r_m of step m on all grid values: the boundary values at t_{m+1} in
     rows 0 and n, and tau (P f)(midpoint) between them."""
-    f = np.asarray(problem.source(x, (m + 0.5) * tau), dtype=float)
+    f = (problem.source_factor(np.array([(m + 0.5) * tau]))
+         * problem.source_profile(x))
     r = np.empty(len(x))
     r[0] = problem.bc_left((m + 1) * tau)
     r[1:-1] = tau * (a2 * (f[:-2] + f[2:]) + (1.0 - 2.0 * a2) * f[1:-1])
@@ -86,9 +87,10 @@ def moving_right_boundary_problem(alpha=1.5):
     c8 = 10.0 * gamma(9) / gamma(9 - alpha)
     return DiffusionProblem(
         a=0.0, b=1.0, t_final=1.0, alpha=alpha, k_left=1.0, k_right=0.0,
-        source=lambda x, t: -np.exp(-t) * (
+        source_profile=lambda x: (
             10.0 * np.asarray(x) ** 8 + c8 * np.asarray(x) ** (8 - alpha)
         ),
+        source_factor=lambda t: -np.exp(-t),
         init=lambda x: 10.0 * np.asarray(x) ** 8,
         bc_left=lambda t: 0.0,
         bc_right=lambda t: 10.0 * np.exp(-t),
@@ -111,7 +113,7 @@ class TestProblemValidation:
     def kwargs(self, **overrides):
         base = dict(
             a=0.0, b=1.0, t_final=1.0, alpha=1.5, k_left=1.0, k_right=1.0,
-            source=lambda x, t: zero_x(x), init=zero_x,
+            source_profile=zero_x, source_factor=lambda t: 0.0, init=zero_x,
             bc_left=lambda t: 0.0, bc_right=lambda t: 0.0,
         )
         base.update(overrides)
@@ -120,6 +122,14 @@ class TestProblemValidation:
     def test_negative_coefficient_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             DiffusionProblem(**self.kwargs(k_left=-1.0))
+
+    @pytest.mark.parametrize("field, value", [
+        ("t_final", np.nan), ("t_final", np.inf), ("k_left", np.nan),
+        ("k_right", np.inf), ("a", -np.inf), ("b", np.nan)])
+    def test_non_finite_scalar_rejected(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"^DiffusionProblem.{field} must be finite"):
+            DiffusionProblem(**self.kwargs(**{field: value}))
 
     def test_both_zero_rejected(self):
         with pytest.raises(ValueError, match="both"):
@@ -170,6 +180,29 @@ class TestProblemValidation:
             cn_solve(problem, grid, 20)
         with pytest.raises(ValueError, match="homogeneous boundaries"):
             stability_estimate_check(problem, grid, 20)
+        problem = DiffusionProblem(**self.kwargs(
+            source_profile=lambda x: zero_x(x) + np.nan))
+        with pytest.raises(ValueError, match="^source profile is not finite$"):
+            cn_solve(problem, grid, 20)
+        problem = DiffusionProblem(**self.kwargs(
+            source_factor=lambda t: np.where(t > 0.9, np.nan, 0.0)))
+        with pytest.raises(ValueError, match="not finite at step 19$"):
+            cn_solve(problem, grid, 20)
+        problem = DiffusionProblem(**self.kwargs())
+        for run in (cn_solve, stability_estimate_check):
+            with pytest.raises(ValueError, match="step count must be an "
+                                                 "integer, got 16.0$"):
+                run(problem, grid, 16.0)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_non_finite_boundary_rejected(self, side):
+        # on a side with a zero coefficient, which may take nonzero values
+        problem = DiffusionProblem(**self.kwargs(**{
+            f"k_{side}": 0.0,
+            f"bc_{side}": lambda t: np.where(t > 0.5, np.nan, 0.0)}))
+        with pytest.raises(ValueError,
+                           match=f"^{side} boundary is not finite$"):
+            cn_solve(problem, GridSpec(0.0, 1.0, 16), 20)
 
     @pytest.mark.parametrize("run", [cn_solve, stability_estimate_check])
     def test_domain_reported_before_step_count(self, run):
@@ -192,7 +225,7 @@ class TestCNSolve:
     def test_zero_data_stays_zero(self):
         problem = DiffusionProblem(
             a=0.0, b=1.0, t_final=1.0, alpha=1.5, k_left=1.0, k_right=1.0,
-            source=lambda x, t: zero_x(x), init=zero_x,
+            source_profile=zero_x, source_factor=lambda t: 0.0, init=zero_x,
             bc_left=lambda t: 0.0, bc_right=lambda t: 0.0,
         )
         final = cn_solve(problem, GridSpec(0.0, 1.0, 16), 8)
@@ -240,57 +273,91 @@ class TestCNSolve:
         with pytest.raises(ValueError, match="time step"):
             cn_solve(problem, GridSpec(0.0, 1.0, 16), 0)
 
+    @pytest.mark.parametrize("m_steps", [True, "16", None])
+    def test_non_integer_step_count(self, m_steps):
+        problem = polynomial_diffusion_problem(1.5)
+        grid = GridSpec(0.0, 1.0, 16)
+        for run in (cn_solve, stability_estimate_check):
+            with pytest.raises(ValueError,
+                               match="step count must be an integer"):
+                run(problem, grid, m_steps)
+
+    def test_numpy_integer_step_count(self):
+        problem = polynomial_diffusion_problem(1.5)
+        grid = GridSpec(0.0, 1.0, 16)
+        assert np.array_equal(cn_solve(problem, grid, np.int64(16), "order3"),
+                              cn_solve(problem, grid, 16, "order3"))
+        report = stability_estimate_check(problem, grid, np.int64(16))
+        assert np.array_equal(
+            report.norms, stability_estimate_check(problem, grid, 16).norms)
+
     @pytest.mark.parametrize("bad_after", [0.0, 0.9, 0.97])
-    def test_non_finite_source_rejected(self, bad_after):
-        # 513 steps march at stride 16 after 14 padding rows and y_0, so
-        # the groups end after steps 1, 17, .., 497 and 513; the NaN first
-        # shows in step 0, 462 or 498, and is reported at the end of its
-        # group
+    def test_non_finite_source_rejected(self, bad_after, monkeypatch):
+        # refused before the set-up, naming the first step whose midpoint
+        # t_{m+1/2} = (m + 1/2) / 513 lies past bad_after
+        def factor(*args, **kwargs):
+            pytest.fail("P - B was factored for input that is refused")
+
+        monkeypatch.setattr("grunwald.diffusion.checked_lu", factor)
         problem = DiffusionProblem(
             a=0.0, b=1.0, t_final=1.0, alpha=1.5, k_left=1.0, k_right=1.0,
-            source=lambda x, t: (np.where(t > bad_after, np.nan, 0.0)
-                                 + zero_x(x)),
+            source_profile=zero_x,
+            source_factor=lambda t: np.where(t > bad_after, np.nan, 0.0),
             init=zero_x, bc_left=lambda t: 0.0, bc_right=lambda t: 0.0,
         )
-        reported = {0.0: 1, 0.9: 465, 0.97: 513}[bad_after]
+        step = {0.0: 1, 0.9: 463, 0.97: 499}[bad_after]
         with pytest.raises(ValueError,
-                           match=f"not finite after step {reported}$"):
+                           match=f"^source factor is not finite at step "
+                                 f"{step}$"):
             cn_solve(problem, GridSpec(0.0, 1.0, 16), 513)
 
-    def test_data_evaluated_once_per_group(self):
-        # one source call per march group on a column of consecutive
-        # midpoint times, which together cover every t_{m+1/2} once; one
-        # call per boundary function on all step times, none per step. 513
-        # steps march at stride 16: the first group of 16 rows holds 14
-        # padding rows, y_0 and one step.
+    def test_overflow_in_the_march_rejected(self):
+        # finite data whose forcing overflows from step 258, the first
+        # midpoint past 0.5 of 513 steps; the march at stride 16 after 14
+        # padding rows and y_0 reports it at the end of its group, after
+        # step 273
+        problem = DiffusionProblem(
+            a=0.0, b=1.0, t_final=1.0, alpha=1.5, k_left=1.0, k_right=1.0,
+            source_profile=lambda x: zero_x(x) + 1e300,
+            source_factor=lambda t: np.where(t > 0.5, 1e300, 0.0),
+            init=zero_x, bc_left=lambda t: 0.0, bc_right=lambda t: 0.0,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError,
+                               match="^state is not finite after step 273$"):
+                cn_solve(problem, GridSpec(0.0, 1.0, 16), 513)
+
+    def test_data_evaluated_once_per_run(self):
+        # each data function is called once, before the set-up: init and
+        # the profile on the grid, each boundary on all step times and the
+        # factor on all midpoint times; the march calls none of them
         m_steps = 513
         base = moving_right_boundary_problem()
-        counted = {name: CountedCalls(getattr(base, name))
-                   for name in ("source", "bc_left", "bc_right")}
+        names = ("init", "source_profile", "source_factor", "bc_left",
+                 "bc_right")
+        counted = {name: CountedCalls(getattr(base, name)) for name in names}
         problem = replace(base, **counted)
         for counter in counted.values():
             counter.calls.clear()
-        cn_solve(problem, GridSpec(0.0, 1.0, 16), m_steps)
-        source_times = [t for _, t in counted["source"].calls]
-        assert [t.shape for t in source_times] == [(1, 1)] + [(16, 1)] * 32
+        grid = GridSpec(0.0, 1.0, 16)
+        cn_solve(problem, grid, m_steps)
         tau = problem.t_final / m_steps
-        np.testing.assert_array_equal(
-            np.concatenate(source_times)[:, 0],
-            tau * (np.arange(m_steps) + 0.5))
-        for name in ("bc_left", "bc_right"):
-            (times,), = counted[name].calls
-            np.testing.assert_array_equal(times, tau * np.arange(m_steps + 1))
+        expected = {
+            "init": grid.points(), "source_profile": grid.points(),
+            "source_factor": tau * (np.arange(m_steps) + 0.5),
+            "bc_left": tau * np.arange(m_steps + 1),
+            "bc_right": tau * np.arange(m_steps + 1),
+        }
+        for name in names:
+            (points,), = counted[name].calls
+            np.testing.assert_array_equal(points, expected[name])
 
     def test_first_group_without_a_step(self):
         # 16 steps march at stride 4 after 3 padding rows and y_0, so the
-        # first group holds no step: the source is never called without
-        # times
+        # first group holds no step
         base = polynomial_diffusion_problem(1.5)
-        counted = CountedCalls(base.source)
-        problem = replace(base, source=counted)
         grid = GridSpec(0.0, 1.0, 16)
-        final = cn_solve(problem, grid, 16, "order3")
-        assert [t.shape for _, t in counted.calls] == [(4, 1)] * 4
+        final = cn_solve(base, grid, 16, "order3")
         reference = per_step_march(base, grid, 16, "order3")
         assert np.max(np.abs(final - reference)) <= (
             1e-12 * np.max(np.abs(reference)))
@@ -298,7 +365,7 @@ class TestCNSolve:
     def test_non_finite_initial_data_rejected(self):
         problem = DiffusionProblem(
             a=0.0, b=1.0, t_final=1.0, alpha=1.5, k_left=1.0, k_right=1.0,
-            source=lambda x, t: zero_x(x),
+            source_profile=zero_x, source_factor=lambda t: 0.0,
             init=lambda x: zero_x(x) + np.nan,
             bc_left=lambda t: 0.0, bc_right=lambda t: 0.0,
         )
@@ -493,26 +560,20 @@ class TestPolynomialDiffusionSource:
 
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
     def test_time_column_rows_match_scalar_calls(self, alpha):
-        source = polynomial_diffusion_problem(alpha).source
+        # the rows factor(t) * profile(x) of a column of times, as cn_solve
+        # forms them, equal the factor at each single time times the
+        # profile, and the source written out term by term
+        problem = polynomial_diffusion_problem(alpha)
         times = np.array([0.0, 0.25, 1.0])
         grid_a = np.linspace(0.0, 1.0, 33)
         for x in (grid_a, grid_a**2):
-            rows = source(x, times[:, None])
+            profile = problem.source_profile(x)
+            rows = problem.source_factor(times)[:, None] * profile
             assert rows.shape == (len(times), len(x))
             for row, t in zip(rows, times):
-                assert np.array_equal(row, source(x, t))
+                assert np.array_equal(
+                    row, problem.source_factor(np.array([t])) * profile)
                 assert np.array_equal(row, self.formula(x, t, alpha))
-
-    def test_profile_reused_only_on_an_equal_grid(self):
-        # the kept profile follows a change of grid, also one made in place
-        # to the array of an earlier call
-        source = polynomial_diffusion_problem(1.5).source
-        grid_a, grid_b = np.linspace(0.0, 1.0, 17), np.linspace(0.0, 1.0, 33)
-        for x in (grid_a, grid_a.copy(), grid_b, grid_a):
-            assert np.array_equal(source(x, 0.5), self.formula(x, 0.5, 1.5))
-        grid_a **= 2
-        assert np.array_equal(source(grid_a, 0.5),
-                              self.formula(grid_a, 0.5, 1.5))
 
 
 class TestFractionalPolySource:
@@ -548,7 +609,8 @@ class TestFractionalPolySource:
             col, row = toeplitz_generators(beta_table(2, 1, alpha), grid)
             left = toeplitz(col, row) @ u
             right = toeplitz(row, col) @ u
-            residual = (-u) - left - right - problem.source(x, 0.0)
+            f = problem.source_factor(np.zeros(1)) * problem.source_profile(x)
+            residual = (-u) - left - right - f
             maxima.append(np.max(np.abs(residual[1:-1])))
         ratio = maxima[0] / maxima[1]
         assert ratio == pytest.approx(4.0, abs=0.7)
@@ -633,7 +695,7 @@ class TestStabilityEstimate:
         alpha = 1.5
         problem = DiffusionProblem(
             a=0.0, b=1.0, t_final=1.0, alpha=alpha, k_left=1.0, k_right=0.0,
-            source=lambda x, t: zero_x(x), init=zero_x,
+            source_profile=zero_x, source_factor=lambda t: 0.0, init=zero_x,
             bc_left=lambda t: 0.0, bc_right=lambda t: 1.0,
         )
         with pytest.raises(ValueError, match="homogeneous"):

@@ -4,6 +4,7 @@ reproduction, and the property suite."""
 import json
 import math
 
+import numpy as np
 import pytest
 
 from grunwald import (
@@ -52,7 +53,28 @@ class TestRunConfig:
 
     def test_rejects_repeated_n(self):
         with pytest.raises(ValueError, match="N values must be distinct"):
-            RunConfig("steady-poly", "order2", (1.5,), (16, 32, 16.0))
+            RunConfig("steady-poly", "order2", (1.5,), (16, 32, 16))
+
+    @pytest.mark.parametrize("n", [16.7, 16.0, True, "16"])
+    def test_rejects_non_integer_n(self, n):
+        # 16.7 used to build with N = 16
+        with pytest.raises(ValueError, match="N value must be an integer"):
+            RunConfig("diffusion-poly", "order2", (1.5,), (n, 32))
+
+    @pytest.mark.parametrize("m_fixed", [2.5, 2.0, True])
+    def test_rejects_non_integer_step_count(self, m_fixed):
+        # 2.5 used to build and run 2 steps
+        with pytest.raises(ValueError, match="m_fixed must be an integer"):
+            RunConfig("diffusion-poly", "order2", (1.5,), (16, 32),
+                      m_rule="fixed", m_fixed=m_fixed)
+
+    def test_numpy_integers_become_ints(self):
+        config = RunConfig("diffusion-poly", "order2", (1.5,),
+                           (np.int64(16), 32), m_rule="fixed",
+                           m_fixed=np.int64(3))
+        assert config.n_values == (16, 32)
+        assert type(config.n_values[0]) is int
+        assert type(config.steps_for(16)) is int and config.steps_for(16) == 3
 
     def test_fixed_rule_needs_count(self):
         with pytest.raises(ValueError, match="m_fixed"):

@@ -48,6 +48,13 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="a < b"):
             GridSpec(1.0, 0.0, 4)
 
+    @pytest.mark.parametrize("a, b, field", [
+        (0.0, np.inf, "b"), (np.nan, 1.0, "a"), (-np.inf, 0.0, "a")])
+    def test_non_finite_ends(self, a, b, field):
+        with pytest.raises(ValueError,
+                           match=f"^GridSpec.{field} must be finite"):
+            GridSpec(a, b, 16)
+
     @pytest.mark.parametrize("n", [16.0, np.float64(16), "16", True, None])
     def test_non_integer_size(self, n):
         with pytest.raises(ValueError, match="grid size must be an integer"):

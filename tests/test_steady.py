@@ -139,6 +139,16 @@ class TestSolveSteady:
         with pytest.raises(ValueError, match="domain"):
             solve_steady(problem, GridSpec(0.0, 2.0, 16))
 
+    @pytest.mark.parametrize("field, value", [
+        ("phi0", np.nan), ("phi1", np.nan), ("phi1", -np.inf),
+        ("a", np.nan), ("b", np.inf)])
+    def test_non_finite_scalar_rejected(self, field, value):
+        # phi1 = nan used to solve to a vector of NaNs without a word
+        with pytest.raises(ValueError,
+                           match=f"^SteadyProblem.{field} must be finite"):
+            dataclasses.replace(polynomial_steady_problem(1.5),
+                                **{field: value})
+
 
 class TestEmbeddingSolve:
     """The steady solve, through the triangular Toeplitz embedding,
