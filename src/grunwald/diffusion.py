@@ -7,18 +7,19 @@ preconditioner P that premultiplies the equation (P = I for order2). The
 two-sided operator is B = (tau/2)(K1 A + K2 A^T). The step acts on all
 n + 1 grid values, with B's rows 0 and n zeroed and P's those of the
 identity, so the Dirichlet rows of P - B are e_0 and e_n and the forcing
-carries the boundary values. The CN matrices are constant in time, so a
-step (P - B) u_next = (P - B + D) u + r_m, D = 2B but for -1 at (0, 0)
-and (n, n), is linear with constant coefficients. It is marched in one
-form only: in the coordinates y = (P - B) u, as y_next = y + E y + r_m
-with the increment matrix E = D (P - B)^-1, so the forcing r_m needs no
-solve and one solve maps the states back to u. Dense P - B and D exist
-only in the set-up, which factors P - B, maps the initial data to the
-march's start y_0 and builds E.
-cn_solve marches s ~ sqrt(M) interleaved step sequences at once, one
-matrix product of width s per group of s steps; the energy check marches
-single steps and keeps every state. cn_solve calls each data function
-once, before the set-up, and its march calls none.
+carries the boundary values. A step is (P - B) u_next = (P - B + D) u
++ r_m, D = 2B but for -1 at (0, 0) and (n, n). It is marched in the
+coordinates y = (P - B) u, as y_next = y + E y + r_m with the increment
+matrix E = D (P - B)^-1, so the forcing r_m needs no solve and one solve
+maps the states back to u. Dense P - B and D exist only in the set-up,
+which factors P - B, maps the initial data to the march's start y_0 and
+builds E. cn_solve's forcing, a source profile times a time factor plus
+two boundary values, has rank 3 or less, so with T = I + E and T_s = T^s,
+s ~ sqrt(M), it sums y_M = sum_i T^i sum_g c_{g,i} T_s^g v over at most
+four vectors v, as Paterson and Stockmeyer evaluate a polynomial of a
+matrix (SIAM J. Comput. 2, 1973), in about 8 N^2 M / s + 2 N^2 s + 8 M N
+flops where single steps take 2 M N^2. The energy check's random sources
+have full rank: it marches single steps and keeps every state.
 """
 
 from __future__ import annotations
@@ -171,22 +172,23 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
     the final time.
 
     Each step solves (P - B) u_next = (P - B + D) u + r_m on all grid
-    values (see CNSystem), with the forcing r_m = (bc_left(t_{m+1}),
-    source_factor(t_{m+1/2}) f_hat, bc_right(t_{m+1})); f_hat, formed once,
-    is tau * P source_profile with zero ends. In y = (P - B) u the step
-    is y_next = y + E y + r_m, so
-    y_M = sum_j (I + E)^(M-j) v_j over v = [y_0, r_0, .., r_{M-1}]. With v
-    zero padded at the front (exact: the sum starts from 0) to groups of
-    s = 2^floor(log2 sqrt(M)) rows, an accumulator W of s rows takes each
-    group V_g as W <- W (I + E_s)^T + V_g, one product of width s, with
-    I + E_s = (I + E)^s; then y_M = sum_i (I + E)^(s-1-i) W_i, and one
-    solve maps it back to u, whose end values are set to the boundary
-    data. Each data function is called once, before the set-up, on the
-    grid, on t_0 .. t_M or on the midpoint times. Raises ValueError then on
-    a step count that is not a positive integer, on data that is not
-    finite (the factor names its first such step) or on a nonzero value at
-    a step time or end of the initial data on a side with a nonzero
-    coefficient; in the march, on a state that overflows.
+    values (see CNSystem), with r_m = phi_m f_hat + l_m e_0 + rho_m e_n: the
+    factor phi_m at t_{m+1/2}, f_hat = tau P source_profile with zero ends
+    and the boundary values l_m, rho_m at t_{m+1}. In y = (P - B) u,
+    y_next = T y + r_m with T = I + E, so y_M = sum_j T^(M-j) v_j over
+    v = [y_0, r_0, .., r_{M-1}], zero padded at the front to G groups of
+    s = 2^floor(log2 sqrt(M)) rows: y_M = sum_i T^(s-1-i) W_i with
+    W_i = sum_g T_s^(G-1-g) v_{gs+i}, T_s = T^s. Each v_j has coefficients
+    over the basis y_0, f_hat, e_0, e_n (less those that vanish or have
+    zero coefficients), so W sums each group's coefficients times the
+    Krylov block T_s^(G-1-g) basis, one product of width <= 4 per group.
+    One solve maps y_M back to u, whose end values are set to the
+    boundary data. Each data function is called once, before the set-up,
+    on the grid, on t_0 .. t_M or on the midpoint times. Raises ValueError
+    then on a step count that is not a positive integer, on data that is
+    not finite (the factor names its first such step) or on a nonzero
+    value at a step time or end of the initial data on a side with a
+    nonzero coefficient; after the march, on a state that overflows.
     """
     times = _step_times(problem, grid, m_steps)
     mid = problem.t_final / m_steps * (np.arange(m_steps) + 0.5)
@@ -208,35 +210,33 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
     left[0], right[0] = initial[0], initial[-1]
     problem._check_boundary_values(left, right)
     system, y = _cn_system(problem, grid, m_steps, scheme, initial)
-    factors, e_one = system.factors, system.increment
-    f_hat = np.zeros(len(x))
-    f_hat[1:-1] = system.tau * precondition_rows(profile, system.a2)
     doublings = math.isqrt(m_steps).bit_length() - 1
     s = 2 ** doublings
-    pad = -(m_steps + 1) % s
-    e_group = e_one.T
+    e_group = system.increment.T
     for _ in range(doublings):
         # (I + E_j)^2 = I + E_2j with E_2j = 2 E_j + E_j E_j, transposed
-        squared = e_group @ e_group
-        squared += 2.0 * e_group
-        e_group = squared
-    w = np.zeros((s, len(y)))
-    for start in range(0, pad + 1 + m_steps, s):
-        # rows start .. start + s - 1 of v: the forcing of steps lo .. hi - 1
-        lo, hi = max(start - pad - 1, 0), start + s - pad - 1
-        rows = factor[lo:hi, None] * f_hat
-        rows[:, 0], rows[:, -1] = left[lo + 1:hi + 1], right[lo + 1:hi + 1]
-        if start == 0:
-            rows = np.concatenate((np.zeros((pad, len(y))), [y], rows))
-        w += w @ e_group
-        w += rows
-        if not np.isfinite(w).all():
-            raise ValueError(f"state is not finite after step {hi}")
+        e_group = e_group @ e_group + 2.0 * e_group
+    # v's rows over the basis y_0, f_hat, e_0 and e_n, after the zero pad
+    coeffs = np.zeros((s * math.ceil((m_steps + 1) / s), 4))
+    coeffs[-m_steps - 1, 0] = 1.0
+    coeffs[-m_steps:, 1:] = np.column_stack((factor, left[1:], right[1:]))
+    basis = np.zeros((4, len(y)))
+    basis[0], basis[2, 0], basis[3, -1] = y, 1.0, 1.0
+    basis[1, 1:-1] = system.tau * precondition_rows(profile, system.a2)
+    keep = coeffs.any(axis=0) & basis.any(axis=1)
+    coeffs, krylov = coeffs[:, keep], basis[keep]
+    # the groups from the last: group G-1-k meets T_s^k basis
+    w = coeffs[-s:] @ krylov
+    for start in range(len(coeffs) - 2 * s, -1, -s):
+        krylov += krylov @ e_group
+        w += coeffs[start:start + s] @ krylov
     y = w[0]
     for row in w[1:]:
-        y += e_one @ y
+        y += system.increment @ y
         y += row
-    u = solve_factored(factors, y)
+    if not np.isfinite(y).all():
+        raise ValueError("state is not finite")
+    u = solve_factored(system.factors, y)
     u[0], u[-1] = left[-1], right[-1]
     return u
 

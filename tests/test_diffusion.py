@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.linalg import (cholesky, eigvalsh, lu_factor, lu_solve, solve,
-                          toeplitz)
+from scipy.linalg import (cholesky, eigvalsh, expm, lu_factor, lu_solve,
+                          solve, toeplitz)
 from scipy.special import gamma
 
 from grunwald import (
@@ -22,7 +22,8 @@ from grunwald import (
     stability_estimate_check,
 )
 from grunwald.diffusion import _cn_system
-from grunwald.operators import toeplitz_generators
+from grunwald.operators import (precondition_rows, scheme_operator,
+                                toeplitz_generators)
 
 
 def zero_x(x):
@@ -95,6 +96,25 @@ def moving_right_boundary_problem(alpha=1.5):
         bc_left=lambda t: 0.0,
         bc_right=lambda t: 10.0 * np.exp(-t),
         exact=lambda x, t: 10.0 * np.asarray(x) ** 8 * np.exp(-t),
+    )
+
+
+def moving_left_boundary_problem(alpha=1.5):
+    """The mirror of moving_right_boundary_problem: a right-only equation
+    with exact solution 10 (1-x)^8 exp(-t), so the left boundary value
+    moves in time."""
+    c8 = 10.0 * gamma(9) / gamma(9 - alpha)
+    return DiffusionProblem(
+        a=0.0, b=1.0, t_final=1.0, alpha=alpha, k_left=0.0, k_right=1.0,
+        source_profile=lambda x: (
+            10.0 * (1.0 - np.asarray(x)) ** 8
+            + c8 * (1.0 - np.asarray(x)) ** (8 - alpha)
+        ),
+        source_factor=lambda t: -np.exp(-t),
+        init=lambda x: 10.0 * (1.0 - np.asarray(x)) ** 8,
+        bc_left=lambda t: 10.0 * np.exp(-t),
+        bc_right=lambda t: 0.0,
+        exact=lambda x, t: 10.0 * (1.0 - np.asarray(x)) ** 8 * np.exp(-t),
     )
 
 
@@ -253,7 +273,14 @@ class TestCNSolve:
     def test_nonzero_time_varying_boundary(self):
         # left-only equation so the right boundary may move; exercises
         # the boundary columns of both B and the preconditioner
-        problem = moving_right_boundary_problem()
+        self.assert_moving_boundary_orders(moving_right_boundary_problem())
+
+    def test_nonzero_time_varying_left_boundary(self):
+        # the mirror: a right-only equation whose left boundary moves
+        self.assert_moving_boundary_orders(moving_left_boundary_problem())
+
+    @staticmethod
+    def assert_moving_boundary_orders(problem):
         errors2 = [final_error(problem, n, n, "order2") for n in (32, 64, 128)]
         for coarse, fine in zip(errors2, errors2[1:]):
             assert np.log2(coarse / fine) == pytest.approx(2.0, abs=0.15)
@@ -311,21 +338,30 @@ class TestCNSolve:
                                  f"{step}$"):
             cn_solve(problem, GridSpec(0.0, 1.0, 16), 513)
 
-    def test_overflow_in_the_march_rejected(self):
-        # finite data whose forcing overflows from step 258, the first
-        # midpoint past 0.5 of 513 steps; the march at stride 16 after 14
-        # padding rows and y_0 reports it at the end of its group, after
-        # step 273
+    @staticmethod
+    def assert_overflow_rejected(profile):
+        # finite data with a factor of 1e300 from step 258, the first
+        # midpoint past 0.5 of 513 steps. The march sums its groups from
+        # the last, so it names no step; it refuses the state before the
+        # solve and never returns it
         problem = DiffusionProblem(
             a=0.0, b=1.0, t_final=1.0, alpha=1.5, k_left=1.0, k_right=1.0,
-            source_profile=lambda x: zero_x(x) + 1e300,
+            source_profile=lambda x: zero_x(x) + profile,
             source_factor=lambda t: np.where(t > 0.5, 1e300, 0.0),
             init=zero_x, bc_left=lambda t: 0.0, bc_right=lambda t: 0.0,
         )
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError,
-                               match="^state is not finite after step 273$"):
+            with pytest.raises(ValueError, match="^state is not finite$"):
                 cn_solve(problem, GridSpec(0.0, 1.0, 16), 513)
+
+    def test_overflow_in_the_march_rejected(self):
+        # a profile of 1e300: the forcing rows overflow
+        self.assert_overflow_rejected(1e300)
+
+    def test_overflow_of_finite_forcing_rows_rejected(self):
+        # a profile of 5e10: each forcing row is finite (about 1e308),
+        # but their sum overflows
+        self.assert_overflow_rejected(5e10)
 
     def test_data_evaluated_once_per_run(self):
         # each data function is called once, before the set-up: init and
@@ -353,8 +389,9 @@ class TestCNSolve:
             np.testing.assert_array_equal(points, expected[name])
 
     def test_first_group_without_a_step(self):
-        # 16 steps march at stride 4 after 3 padding rows and y_0, so the
-        # first group holds no step
+        # 16 steps at stride 4: the first group of rows of v holds 3
+        # padding rows and y_0 but no step, and only its y_0 coefficient
+        # meets the top power (I + E_4)^4 of the Krylov block
         base = polynomial_diffusion_problem(1.5)
         grid = GridSpec(0.0, 1.0, 16)
         final = cn_solve(base, grid, 16, "order3")
@@ -373,16 +410,17 @@ class TestCNSolve:
             cn_solve(problem, GridSpec(0.0, 1.0, 16), 3)
 
 
-# step counts: one step; s^2 - 1, s^2 and s^2 + 1, where the stride
-# doubles to s = 4, 8 and 16; 79, where M + 1 is a multiple of the stride 8
-# and no padding row is added; 300; and 513, whose first group of 16
-# rows holds a single step
+# step counts: one step, whose block of stride 1 takes only the basis and
+# one product; s^2 - 1, s^2 and s^2 + 1, where the stride doubles to s = 4,
+# 8 and 16 and the block loses about half its products; 79, where M + 1 is
+# a multiple of the stride 8 and no padding row is added; 300; and 513,
+# whose first group of 16 coefficient rows holds y_0 and a single step
 ORACLE_STEPS = (1, *(s * s + d for s in (4, 8, 16) for d in (-1, 0, 1)),
                 79, 300, 513)
 
 
 class TestStepMatrixOracle:
-    """cn_solve's grouped march against the per-step LU march."""
+    """cn_solve's low-rank march against the per-step LU march."""
 
     @staticmethod
     def assert_agrees(problem, n, m_steps, scheme):
@@ -420,13 +458,26 @@ class TestStepMatrixOracle:
             for m_steps in (17, 300, 513):
                 self.assert_agrees(problem, 48, m_steps, scheme)
 
+    @pytest.mark.parametrize("scheme", ["order2", "order3"])
+    def test_moving_left_boundary(self, scheme):
+        # the e_0 column of the Krylov block; with a zero profile only the
+        # y_0 column and one boundary column stay in the block
+        moving_left = moving_left_boundary_problem()
+        problems = (moving_left, replace(moving_left, source_profile=zero_x),
+                    replace(moving_right_boundary_problem(),
+                            source_profile=zero_x))
+        for problem in problems:
+            for m_steps in (17, 300, 513):
+                self.assert_agrees(problem, 48, m_steps, scheme)
+
 
 class TestExtendedPrecisionMarch:
-    """The grouped march adds no more than a few ulps of round-off to the
-    recurrence it marches: at N=128, M=1449 (a table 6 cell) it stays
-    within 2e-14 of the same recurrence marched step by step in
-    np.longdouble. Streaming the step matrix S once per step drifted by
-    up to 2.2e-13 here."""
+    """The low-rank march (a Krylov block in (I + E)^s, its coefficient
+    sums and the outer Horner sum) adds no more than a few ulps of
+    round-off to the recurrence it evaluates: at N=128, M=1449 (a table 6
+    cell) it stays within 2e-14 of the same recurrence marched step by
+    step in np.longdouble. Streaming the step matrix S once per step
+    drifted by up to 2.2e-13 here."""
 
     @pytest.mark.parametrize("alpha", [1.1, 1.9])
     @pytest.mark.parametrize("scheme", ["order2", "order3"])
@@ -437,6 +488,86 @@ class TestExtendedPrecisionMarch:
         reference = longdouble_march(problem, grid, 1449, scheme)
         scale = np.max(np.abs(reference))
         assert np.max(np.abs(final - reference)) <= 2e-14 * scale
+
+
+def semi_discrete(problem, grid, scheme):
+    """The CN scheme's space discretisation on the interior, with
+    homogeneous boundaries: P u' = L u + phi(t) P q with L = K1 A + K2 A^T.
+    Returns P, L and P q."""
+    col, row, a2, _ = scheme_operator(scheme, float(problem.alpha), grid)
+    a = toeplitz(col, row)[1:-1, 1:-1]
+    size = grid.n - 1
+    p = precondition_rows(np.eye(size + 2, size, k=-1), a2)
+    pq = precondition_rows(problem.source_profile(grid.points()), a2)
+    return p, problem.k_left * a + problem.k_right * a.T, pq
+
+
+def time_exact_final(problem, grid, scheme):
+    """Interior values at t = T of the semi-discrete system, exact in time
+    for the factor phi = -exp(-t): with G = P^-1 L and c = P^-1 P q,
+    u(T) = e^(GT) u_0 - (G + I)^-1 (e^(GT) - e^-T I) c."""
+    p, l, pq = semi_discrete(problem, grid, scheme)
+    g, c = solve(p, l), solve(p, pq)
+    t = problem.t_final
+    e_gt = expm(t * g)
+    identity = np.eye(len(c))
+    u_0 = problem.init(grid.points())[1:-1]
+    return e_gt @ u_0 - solve(g + identity, (e_gt - np.exp(-t) * identity) @ c)
+
+
+def backward_euler_march(problem, grid, m_steps, scheme):
+    """A first-order step on the same operator:
+    (P - tau L) u_next = P u + tau phi(t_next) P q. Returns all grid
+    values, with zero ends."""
+    p, l, pq = semi_discrete(problem, grid, scheme)
+    tau = problem.t_final / m_steps
+    factors = lu_factor(p - tau * l)
+    u = problem.init(grid.points())[1:-1]
+    for phi in problem.source_factor(tau * np.arange(1, m_steps + 1)):
+        u = lu_solve(factors, p @ u + tau * phi * pq)
+    return np.pad(u, 1)
+
+
+# from 16 to 32 steps the order reads up to 2.35 (alpha=1.9, K1 != K2)
+TIME_STEPS = (32, 64, 128, 256)
+
+
+def time_orders(march, problem, grid, scheme):
+    """Observed orders in M of a march's distance from time_exact_final."""
+    reference = time_exact_final(problem, grid, scheme)
+    errors = [np.max(np.abs(march(problem, grid, m, scheme)[1:-1]
+                            - reference)) for m in TIME_STEPS]
+    return np.log2(np.divide(errors[:-1], errors[1:]))
+
+
+def second_order_in_time(orders):
+    return bool(np.all(np.abs(orders - 2.0) <= 0.01))
+
+
+class TestTimeOrder:
+    """CN's error in time alone: against the solution of its own space
+    discretisation, exact in time, the order in M is 2 (measured 1.9993 to
+    2.0037 at N=64). The tables move N and M together and cannot see it."""
+
+    @pytest.mark.parametrize("k_left, k_right", [(1.0, 1.0), (0.7, 1.3)])
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    @pytest.mark.parametrize("scheme", ["order2", "order3"])
+    def test_cn_is_second_order_in_time(self, scheme, alpha, k_left,
+                                        k_right):
+        # K1 != K2 makes G nonsymmetric
+        problem = replace(polynomial_diffusion_problem(alpha),
+                          k_left=k_left, k_right=k_right)
+        orders = time_orders(cn_solve, problem, GridSpec(0.0, 1.0, 64),
+                             scheme)
+        assert second_order_in_time(orders), orders
+
+    @pytest.mark.parametrize("scheme", ["order2", "order3"])
+    def test_gate_rejects_backward_euler(self, scheme):
+        orders = time_orders(backward_euler_march,
+                             polynomial_diffusion_problem(1.5),
+                             GridSpec(0.0, 1.0, 64), scheme)
+        assert not second_order_in_time(orders)
+        assert np.all(np.abs(orders - 1.0) <= 0.01), orders
 
 
 def dense_cn_system(problem, grid, m_steps, scheme):
