@@ -86,6 +86,15 @@ def _finite(text):
     return value
 
 
+def _seed(text):
+    """Argument type for a seed: numpy refuses a negative one, in a message
+    that names no option."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"not a non-negative integer: {text!r}")
+    return int(text)
+
+
 def _list_of(kind):
     """Argument type for a comma-separated list of `kind` values."""
     def parse(text):
@@ -339,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subcommand("properties", _cmd_properties,
                    "run the randomized property suite")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                    help="seed for randomized checks")
 
     return parser

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
@@ -20,7 +21,8 @@ from scipy.linalg import toeplitz
 
 from . import generators as gen
 from . import operators as ops
-from .diffusion import DiffusionProblem, cn_solve, stability_estimate_check
+from .diffusion import (BOUND_SLACK, DiffusionProblem, cn_solve,
+                        stability_estimate_check)
 from .operators import GridSpec, SolverFailure
 from .problems import polynomial_diffusion_problem, polynomial_steady_problem
 from .reference_tables import REFERENCE_TABLES
@@ -473,7 +475,7 @@ class PropertySuiteReport:
         good, bad = self.counts
         lines = [
             f"{'PASS' if r.passed else 'FAIL'} {r.name}"
-            + (f": {r.detail}" if r.detail and not r.passed else "")
+            + (f": {r.detail}" if r.detail else "")
             for r in self.results
         ]
         lines.append(f"{good} passed, {bad} failed (seed {self.seed})")
@@ -483,14 +485,51 @@ class PropertySuiteReport:
 # in definition order, which fixes each property's seed [seed, index]
 _PROPERTIES = []
 
+# the comparisons a bound is made of, at most one lower and one upper; each
+# is false for NaN, so a NaN value is outside every bound
+_ENDS = {"gt": (">", operator.gt), "ge": (">=", operator.ge),
+         "lt": ("<", operator.lt), "le": ("<=", operator.le)}
 
-def _prop(name):
+
+def _prop(name, measure=None, **bound):
+    """Register a property: a generator of (case, value) pairs, each value
+    a `measure` that must hold every comparison in `bound` (gt, ge, lt, le),
+    or of (case, bool) pairs when it has no measure."""
     def wrap(fn):
-        fn.property_name = name
+        fn.property_name, fn.measure, fn.bound = name, measure, bound
         _PROPERTIES.append(fn)
         return fn
 
     return wrap
+
+
+def _measured(prop, case, value) -> str:
+    ends = ", ".join(f"{_ENDS[end][0]} {limit!r}"
+                     for end, limit in prop.bound.items())
+    return f"{prop.measure} {value:.4e} at {case} ({ends})"
+
+
+def _decide(prop, rng) -> PropertyResult:
+    """Evaluate the cases in order: the first value outside the bound (or
+    false) fails the property; otherwise report the case nearest the bound
+    (or how many cases hold)."""
+    nearest = None
+    for count, (case, value) in enumerate(prop(rng), 1):
+        if prop.measure is None:
+            if not value:
+                return PropertyResult(prop.property_name, False,
+                                      f"false at {case}")
+        elif not all(_ENDS[end][1](value, limit)
+                     for end, limit in prop.bound.items()):
+            return PropertyResult(prop.property_name, False,
+                                  _measured(prop, case, value))
+        else:
+            margin = min(abs(value - limit) for limit in prop.bound.values())
+            if nearest is None or margin < nearest[0]:
+                nearest = margin, case, value
+    return PropertyResult(prop.property_name, True,
+                          f"true in all {count} cases" if prop.measure is None
+                          else _measured(prop, *nearest[1:]))
 
 
 _EXACT_ALPHAS = (Fraction(11, 10), Fraction(3, 2), Fraction(19, 10), Fraction(2))
@@ -498,34 +537,22 @@ _EXACT_ALPHAS = (Fraction(11, 10), Fraction(3, 2), Fraction(19, 10), Fraction(2)
 
 @_prop("generator-table-matches-construction")
 def _prop_table_vs_construction(rng):
-    worst = None
+    """The table's beta is the constructed one and has order p."""
     for order in range(1, 7):
         for shift in (0, 1):
             for alpha in _EXACT_ALPHAS:
                 table = gen.beta_table(order, shift, alpha)
                 built = gen.construct_beta(order, shift, alpha)
-                if table.beta != built.beta:
-                    return False, f"mismatch at p={order}, r={shift}, alpha={alpha}"
-                report = gen.verify_order(table, order)
-                if not report.passed:
-                    return False, (
-                        f"order {report.observed_order} < {order} at "
-                        f"p={order}, r={shift}, alpha={alpha}"
-                    )
-                worst = (order, shift, alpha)
-    return True, f"checked through {worst}"
+                yield (f"p={order}, r={shift}, alpha={alpha}",
+                       table.beta == built.beta
+                       and gen.verify_order(table, order).passed)
 
 
-@_prop("weight-tail-sums-decay")
+@_prop("weight-tail-sums-decay", "|sum w|", lt=1e-3)
 def _prop_tail_decay(rng):
-    worst = 0.0
     for alpha in (1.1, 1.3, 1.5, 1.7, 1.9):
         weights = gen.grunwald_weights(gen.beta_table(2, 1, alpha), 2000)
-        total = abs(float(weights.values.sum()))
-        worst = max(worst, total)
-        if total >= 1e-3:
-            return False, f"|sum w| = {total:.2e} at alpha={alpha}"
-    return True, f"worst |sum w| = {worst:.2e}"
+        yield f"alpha={alpha}", abs(float(weights.values.sum()))
 
 
 @_prop("weight-sign-pattern")
@@ -537,15 +564,13 @@ def _prop_sign_pattern(rng):
     cases += [(alpha, 2001) for alpha in (1.1, 1.5, 1.9)]
     for alpha, terms in cases:
         weights = gen.grunwald_weights(gen.beta_table(2, 1, alpha), terms)
-        violations = gen.weight_sign_report(weights.values)
-        if violations:
-            return False, f"alpha={alpha}, K={terms}: {violations[0]}"
-    return True, "50 alphas at K=2000, 3 at K=2001"
+        yield (f"alpha={alpha}, K={terms}",
+               not gen.weight_sign_report(weights.values))
 
 
-@_prop("first-order-weights-match-binomial-recursion")
+@_prop("first-order-weights-match-binomial-recursion",
+       "relative deviation", le=1e-12)
 def _prop_binomial(rng):
-    worst = 0.0
     for alpha in (1.1, 1.5, 1.9):
         spec = gen.GeneratorSpec(alpha=alpha, shift=0, beta=(1, -1))
         weights = gen.grunwald_weights(spec, 1000).values
@@ -553,18 +578,12 @@ def _prop_binomial(rng):
         direct[0] = 1.0
         for k in range(1, 1001):
             direct[k] = (1.0 - (alpha + 1.0) / k) * direct[k - 1]
-        rel = np.max(
-            np.abs(weights - direct) / np.maximum(np.abs(direct), 1e-300)
-        )
-        worst = max(worst, float(rel))
-        if rel > 1e-12:
-            return False, f"relative deviation {rel:.2e} at alpha={alpha}"
-    return True, f"worst relative deviation {worst:.2e}"
+        yield f"alpha={alpha}", float(np.max(
+            np.abs(weights - direct) / np.maximum(np.abs(direct), 1e-300)))
 
 
-@_prop("matrix-matches-convolution-apply")
+@_prop("matrix-matches-convolution-apply", "relative gap", le=1e-13)
 def _prop_matrix_apply(rng):
-    worst = 0.0
     for n in (16, 64, 128):
         grid = GridSpec(0.0, 1.0, n)
         generator = gen.beta_table(2, 1, 1.5)
@@ -577,56 +596,41 @@ def _prop_matrix_apply(rng):
             # v_i = sum_k w_k u_(i-k+1) / h^alpha; the right side mirrors it
             step = 1 if side == "left" else -1
             conv = np.convolve(w, u[::step])[1: n + 2][::step] / grid.h ** 1.5
-            rel = np.max(np.abs(direct - conv)) / max(
-                np.max(np.abs(direct)), 1e-300
-            )
-            worst = max(worst, float(rel))
-            if rel > 1e-13:
-                return False, f"relative gap {rel:.2e} at n={n}, {side}"
-    return True, f"worst relative gap {worst:.2e}"
+            yield f"n={n}, {side}", float(np.max(np.abs(direct - conv)) / max(
+                np.max(np.abs(direct)), 1e-300))
 
 
-@_prop("operator-negative-definite")
+@_prop("operator-negative-definite", "top eigenvalue of sym(A)", le=1e-12)
 def _prop_negative_definite(rng):
     """(a): lambda_max(sym A) <= 0; sym(K1 A + K2 A^T) = (K1 + K2) sym A,
     so A alone decides definiteness for every pair of coefficients."""
-    worst = -np.inf
     for alpha in (1.1, 1.5, 1.9):
         for n in (16, 64):
             col, row, _, _ = ops.scheme_operator("order2", alpha,
                                                  GridSpec(0.0, 1.0, n))
-            top = ops.toeplitz_top_eigenvalue(0.5 * col + 0.5 * row)
-            worst = max(worst, top)
-            if top > 1e-12:
-                return False, (f"positive eigenvalue {top:.2e} at "
-                               f"alpha={alpha}, n={n}")
-    return True, f"largest eigenvalue of the symmetric part {worst:.2e}"
+            yield (f"alpha={alpha}, n={n}",
+                   ops.toeplitz_top_eigenvalue(0.5 * col + 0.5 * row))
 
 
-@_prop("preconditioner-norm-equivalence")
+@_prop("preconditioner-norm-equivalence", "eigenvalue of P",
+       gt=0.2, le=1.0 + 1e-12)
 def _prop_norm_equivalence(rng):
     """(b): 1/5 < lambda(P) <= 1 in closed form, so
     |v|^2 / 5 < ||v||_P^2 <= |v|^2."""
-    lo, hi, grid = np.inf, -np.inf, GridSpec(0.0, 1.0, 64)
+    grid = GridSpec(0.0, 1.0, 64)
     for alpha in (1.0, 1.5, 2.0):
         _, _, a2, _ = ops.scheme_operator("order3", alpha, grid)
         eigs = ops.preconditioner_eigenvalues(a2, grid.n - 1)
-        lo, hi = min(lo, eigs.min()), max(hi, eigs.max())
-        if eigs.min() <= 0.2 or eigs.max() > 1.0 + 1e-12:
-            return False, (f"eigenvalues ({eigs.min():.4f}, {eigs.max():.4f})"
-                           f" escape (1/5, 1] at alpha={alpha}")
-    return True, f"eigenvalues within ({lo:.4f}, {hi:.4f})"
+        yield f"alpha={alpha}, lowest", eigs.min()
+        yield f"alpha={alpha}, highest", eigs.max()
 
 
 @_prop("preconditioner-symmetric")
 def _prop_precond_symmetric(rng):
     dense = ops.precondition_rows(np.eye(36, 34, k=-1), 1.0 / 12.0)
-    if not np.array_equal(dense, dense.T):
-        return False, "stencil matrix is not symmetric"
-    interior_sums = dense[1:-1].sum(axis=1)
-    if not np.allclose(interior_sums, 1.0, rtol=0, atol=1e-15):
-        return False, "interior row sums differ from 1"
-    return True, ""
+    yield "stencil matrix symmetric", np.array_equal(dense, dense.T)
+    yield "interior row sums 1", np.allclose(dense[1:-1].sum(axis=1), 1.0,
+                                             rtol=0, atol=1e-15)
 
 
 def _cn_interior_sym_b(alpha, scheme, grid):
@@ -639,64 +643,50 @@ def _cn_interior_sym_b(alpha, scheme, grid):
     return a2, scale * (0.5 * col[:-2] + 0.5 * row[:-2])
 
 
-@_prop("cn-left-matrix-coercive")
+@_prop("cn-left-matrix-coercive", "coercivity bound minus its floor",
+       ge=-1e-10)
 def _prop_cn_coercive(rng):
     """Weyl: lambda_min(sym(P - B)) >= lambda_min(P) - lambda_max(sym B),
-    which is at least lambda_min(P) by (a)."""
-    worst = {"order2": np.inf, "order3": np.inf}
+    which is at least lambda_min(P) by (a): at least 1 for order 2 (P = I)
+    and 1/5 for order 3 by (b)."""
     grid = GridSpec(0.0, 1.0, 32)
     for alpha in (1.1, 1.5, 1.9):
         for scheme, floor in (("order2", 1.0), ("order3", 0.2)):
             a2, sym_b = _cn_interior_sym_b(alpha, scheme, grid)
             low = (ops.preconditioner_eigenvalues(a2, grid.n - 1).min()
                    - ops.toeplitz_top_eigenvalue(sym_b))
-            worst[scheme] = min(worst[scheme], low)
-            if low < floor - 1e-10:
-                return False, (f"{scheme} at alpha={alpha}: coercivity "
-                               f"bound {low:.4f} below {floor}")
-    return True, ", ".join(f"{scheme} coercivity bound {low:.4f}"
-                           for scheme, low in worst.items())
+            yield f"{scheme} (floor {floor}), alpha={alpha}", low - floor
 
 
-@_prop("cn-single-step-energy-decay")
+@_prop("cn-single-step-energy-decay", "top eigenvalue of sym(B)", le=1e-12)
 def _prop_cn_energy(rng):
     """(P - B) v1 = (P + B) v0 gives P (v1 - v0) = B s, s = v1 + v0, so
     ||v1||_P^2 - ||v0||_P^2 = s' sym(B) s <= lambda_max(sym B) |s|^2 <= 0."""
-    worst = -np.inf
     for alpha in (1.1, 1.9):
         _, sym_b = _cn_interior_sym_b(alpha, "order3", GridSpec(0.0, 1.0, 32))
-        worst = max(worst, ops.toeplitz_top_eigenvalue(sym_b))
-        if worst > 1e-12:
-            return False, f"sym(B) has eigenvalue {worst:.2e} at alpha={alpha}"
-    return True, f"largest eigenvalue of sym(B) {worst:.2e}"
+        yield f"alpha={alpha}", ops.toeplitz_top_eigenvalue(sym_b)
 
 
-@_prop("cn-energy-bound-order3")
+@_prop("cn-energy-bound-order3", "norm/bound ratio", le=1.0 + BOUND_SLACK)
 def _prop_bound_order3(rng):
     return _bound_runs(rng, "order3")
 
 
-@_prop("cn-energy-bound-order2")
+@_prop("cn-energy-bound-order2", "norm/bound ratio", le=1.0 + BOUND_SLACK)
 def _prop_bound_order2(rng):
     return _bound_runs(rng, "order2")
 
 
 def _bound_runs(rng, scheme):
-    worst = 0.0
     for run in range(10):
         alpha = float(rng.uniform(1.05, 2.0))
-        problem = polynomial_diffusion_problem(alpha)
         report = stability_estimate_check(
-            problem, GridSpec(0.0, 1.0, 32), m_steps=32, scheme=scheme,
-            seed=int(rng.integers(0, 2**31)))
-        worst = max(worst, report.max_ratio)
-        if not report.ok:
-            return False, (f"run {run} (alpha={alpha:.3f}) ratio "
-                           f"{report.max_ratio:.4f}")
-    return True, f"worst norm/bound ratio {worst:.4f} over 10 runs"
+            polynomial_diffusion_problem(alpha), GridSpec(0.0, 1.0, 32),
+            m_steps=32, scheme=scheme, seed=int(rng.integers(0, 2**31)))
+        yield f"run {run} (alpha={alpha:.3f})", report.max_ratio
 
 
-@_prop("steady-solver-linear")
+@_prop("steady-solver-linear", "relative scaling gap", le=1e-12)
 def _prop_steady_linear(rng):
     base = polynomial_steady_problem(1.5)
     grid = GridSpec(0.0, 1.0, 32)
@@ -710,13 +700,11 @@ def _prop_steady_linear(rng):
     )
     u = solve_steady(base, grid)
     v = solve_steady(scaled, grid)
-    rel = np.max(np.abs(v - factor * u)) / np.max(np.abs(v))
-    if rel > 1e-12:
-        return False, f"scaling mismatch {rel:.2e}"
-    return True, ""
+    yield (f"factor={factor:.3f}",
+           np.max(np.abs(v - factor * u)) / np.max(np.abs(v)))
 
 
-@_prop("cn-zero-data-stays-zero")
+@_prop("cn-zero-data-stays-zero", "max |u|", le=0.0)
 def _prop_cn_zero(rng):
     problem = DiffusionProblem(
         a=0.0, b=1.0, t_final=1.0, alpha=1.5, k_left=1.0, k_right=1.0,
@@ -726,9 +714,7 @@ def _prop_cn_zero(rng):
         bc_left=lambda t: 0.0, bc_right=lambda t: 0.0,
     )
     final = cn_solve(problem, GridSpec(0.0, 1.0, 16), 16, "order2")
-    if np.max(np.abs(final)) != 0.0:
-        return False, f"max |u| = {np.max(np.abs(final)):.2e}"
-    return True, ""
+    yield "N=16, M=16", np.max(np.abs(final))
 
 
 def run_property_suite(seed: int = DEFAULT_SEED) -> PropertySuiteReport:
@@ -736,12 +722,10 @@ def run_property_suite(seed: int = DEFAULT_SEED) -> PropertySuiteReport:
     property (so verdicts do not depend on property order)."""
     results = []
     for index, prop in enumerate(_PROPERTIES):
-        rng = np.random.default_rng([seed, index])
         try:
-            passed, detail = prop(rng)
+            result = _decide(prop, np.random.default_rng([seed, index]))
         except Exception as exc:  # a crash is a failure, not an abort
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(
-            PropertyResult(name=prop.property_name, passed=passed, detail=detail)
-        )
+            result = PropertyResult(prop.property_name, False,
+                                    f"raised {type(exc).__name__}: {exc}")
+        results.append(result)
     return PropertySuiteReport(seed=seed, results=tuple(results))

@@ -264,6 +264,14 @@ class TestProperties:
         assert code == 0
         assert "0 failed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["-1", "x"])
+    def test_seed_must_be_non_negative_integer(self, value, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["properties", "--seed", value])
+        assert info.value.code == 2
+        assert (f"--seed: not a non-negative integer: {value!r}"
+                in capsys.readouterr().err)
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, outdir, tmp_path, capsys):

@@ -429,6 +429,36 @@ class TestPropertySuite:
             "cn-zero-data-stays-zero",
         ]
 
+    def test_declared_bounds(self):
+        # each measured property's bound, strict (gt, lt) or not (ge, le);
+        # a yes/no property has neither measure nor bound
+        declared = {prop.property_name: (prop.measure, prop.bound)
+                    for prop in harness._PROPERTIES}
+        assert declared == {
+            "generator-table-matches-construction": (None, {}),
+            "weight-tail-sums-decay": ("|sum w|", {"lt": 1e-3}),
+            "weight-sign-pattern": (None, {}),
+            "first-order-weights-match-binomial-recursion": (
+                "relative deviation", {"le": 1e-12}),
+            "matrix-matches-convolution-apply": (
+                "relative gap", {"le": 1e-13}),
+            "operator-negative-definite": (
+                "top eigenvalue of sym(A)", {"le": 1e-12}),
+            "preconditioner-norm-equivalence": (
+                "eigenvalue of P", {"gt": 0.2, "le": 1.0 + 1e-12}),
+            "preconditioner-symmetric": (None, {}),
+            "cn-left-matrix-coercive": (
+                "coercivity bound minus its floor", {"ge": -1e-10}),
+            "cn-single-step-energy-decay": (
+                "top eigenvalue of sym(B)", {"le": 1e-12}),
+            "cn-energy-bound-order3": (
+                "norm/bound ratio", {"le": 1.0 + 1e-12}),
+            "cn-energy-bound-order2": (
+                "norm/bound ratio", {"le": 1.0 + 1e-12}),
+            "steady-solver-linear": ("relative scaling gap", {"le": 1e-12}),
+            "cn-zero-data-stays-zero": ("max |u|", {"le": 0.0}),
+        }
+
     def test_stability_conditions_fail_when_broken(self, monkeypatch):
         # a positive top eigenvalue breaks (a) and so the three properties
         # built on it; an eigenvalue of P at 0.1 breaks (b) and coercivity
@@ -436,12 +466,14 @@ class TestPropertySuite:
                             lambda t: 0.5)
         failed = {r.name: r.detail for r in run_property_suite().results
                   if not r.passed}
-        assert failed["operator-negative-definite"].startswith(
-            "positive eigenvalue 5.00e-01")
-        assert "coercivity bound 0.5000 below 1.0" in failed[
-            "cn-left-matrix-coercive"]
-        assert failed["cn-single-step-energy-decay"].startswith(
-            "sym(B) has eigenvalue 5.00e-01")
+        assert failed == {
+            "operator-negative-definite": "top eigenvalue of sym(A) "
+            "5.0000e-01 at alpha=1.1, n=16 (<= 1e-12)",
+            "cn-left-matrix-coercive": "coercivity bound minus its floor "
+            "-5.0000e-01 at order2 (floor 1.0), alpha=1.1 (>= -1e-10)",
+            "cn-single-step-energy-decay": "top eigenvalue of sym(B) "
+            "5.0000e-01 at alpha=1.1 (<= 1e-12)",
+        }
         monkeypatch.undo()
         monkeypatch.setattr(harness.ops, "preconditioner_eigenvalues",
                             lambda a2, size: np.full(size, 0.1))
@@ -450,8 +482,37 @@ class TestPropertySuite:
         assert failed == {"preconditioner-norm-equivalence",
                           "cn-left-matrix-coercive"}
 
+    def test_nan_measurement_fails(self, monkeypatch):
+        # every comparison with NaN is false, so a NaN value is outside
+        # its bound, where a running max() would have skipped it
+        monkeypatch.setattr(harness.ops, "toeplitz_top_eigenvalue",
+                            lambda t: np.nan)
+        failed = {r.name for r in run_property_suite().results
+                  if not r.passed}
+        assert failed == {"operator-negative-definite",
+                          "cn-left-matrix-coercive",
+                          "cn-single-step-energy-decay"}
+        monkeypatch.undo()
+        weights = harness.gen.grunwald_weights
+
+        def nan_last(generator, count):
+            values = weights(generator, count).values.copy()
+            values[-1] = np.nan
+            return harness.gen.WeightSequence(values=values)
+
+        monkeypatch.setattr(harness.gen, "grunwald_weights", nan_last)
+        failed = {r.name: r.detail for r in run_property_suite().results
+                  if not r.passed}
+        assert set(failed) == {"weight-tail-sums-decay",
+                               "weight-sign-pattern",
+                               "first-order-weights-match-binomial-recursion",
+                               "matrix-matches-convolution-apply"}
+        assert failed["weight-tail-sums-decay"].startswith("|sum w| nan ")
+
     def test_summary_mentions_every_property(self):
         report = run_property_suite()
-        summary = report.summary()
-        for result in report.results:
-            assert result.name in summary
+        lines = report.summary().splitlines()
+        # a pass prints its nearest-bound case too, not only a failure
+        assert lines[:-1] == [f"PASS {r.name}: {r.detail}"
+                              for r in report.results]
+        assert all(r.detail for r in report.results)
