@@ -4,7 +4,6 @@ solvers and a convergence/stability harness."""
 
 from .series import InconsistentGeneratorError, normalized_symbol
 from .generators import (
-    ConstructionError,
     GeneratorSpec,
     OrderReport,
     WeightSequence,
@@ -60,7 +59,6 @@ __all__ = [
     "GeneratorSpec",
     "WeightSequence",
     "OrderReport",
-    "ConstructionError",
     "beta_table",
     "construct_beta",
     "lubich_generator",

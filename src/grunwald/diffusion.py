@@ -34,6 +34,7 @@ from scipy.linalg import toeplitz
 from .generators import check_integer
 from .operators import (
     GridSpec,
+    check_alpha,
     check_domain,
     check_finite,
     checked_lu,
@@ -88,10 +89,7 @@ class DiffusionProblem:
     exact: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
     def __post_init__(self):
-        if not 1.0 < float(self.alpha) <= 2.0:
-            raise ValueError(
-                f"diffusion solver needs alpha in (1, 2], got {self.alpha}"
-            )
+        check_alpha(self.alpha, "diffusion solver")
         check_finite(self, "a", "b", "t_final", "k_left", "k_right")
         if not self.b > self.a:
             raise ValueError("domain endpoints must satisfy a < b")

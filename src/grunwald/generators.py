@@ -25,7 +25,6 @@ __all__ = [
     "GeneratorSpec",
     "WeightSequence",
     "OrderReport",
-    "ConstructionError",
     "InconsistentGeneratorError",
     "beta_table",
     "construct_beta",
@@ -44,18 +43,8 @@ MAX_ORDER = 6
 # the leading error coefficient and one successor are visible.
 ORDER_MARGIN = 3
 
-# Float zero threshold of the order check: a symbol coefficient past the
-# constant term counts as zero, and the constant term as 1, within
-# FLOAT_ZERO_TOL times the size of the generator terms that cancel in it.
-FLOAT_ZERO_TOL = 1e-10
-
 # Round-off allowance of each inequality in weight_sign_report.
 SIGN_TOL = 1e-14
-
-
-class ConstructionError(RuntimeError):
-    """construct_beta gave a non-finite float coefficient, as when
-    shift/alpha overflows."""
 
 
 def _frac(num, den=1) -> Fraction:
@@ -130,8 +119,11 @@ class GeneratorSpec:
         solvers additionally restrict it).
     shift: index offset of the difference stencil. Integer shifts land on
         grid points; real shifts are accepted for analysis only.
-    beta: the p+1 polynomial coefficients; they must sum to zero, which is
-        the consistency requirement for the resulting approximation.
+    beta: the p+1 polynomial coefficients; they must be finite and sum to
+        zero (series.check_sum_zero), the first consistency condition of
+        the resulting approximation. The second, q_0 = -sum_k k beta_k = 1,
+        is decided by series.normalized_symbol before it expands, so the
+        weights of a generator with q_0 != 1 stay available.
     """
 
     alpha: object
@@ -265,11 +257,6 @@ def construct_beta(order: int, shift, alpha) -> GeneratorSpec:
         betas.append(kind(total) / ((-1) ** k * math.factorial(k)
                                     * math.factorial(order - k)
                                     * v ** (order - 1)))
-    if kind is float and not all(map(math.isfinite, betas)):
-        raise ConstructionError(
-            f"beta construction failed for order={order}, shift={shift}, "
-            f"alpha={alpha}: non-finite coefficients"
-        )
     return GeneratorSpec(alpha=alpha, shift=shift, beta=tuple(betas))
 
 
@@ -313,31 +300,23 @@ class OrderReport:
 
 def _order_report(coeffs: tuple, betas, expected_order: int) -> OrderReport:
     """Order report of the scaled symbol with coefficients coeffs of a
-    generator with coefficients betas.
+    generator with coefficients betas; the symbol starts at 1, which
+    normalized_symbol has checked.
 
     Fraction coefficients are decided exactly. A float coefficient counts
-    as zero, and the constant term as 1, within FLOAT_ZERO_TOL times the
-    size of the generator terms that cancel in it: coefficient l of
-    P(exp(-z))/z sums beta_k (-k)^(l+1) / (l+1)!, and coefficient l of the
-    symbol is built from those of index <= l, so its size is the largest
-    of 1, sum_k |beta_k| k^(j+1) / (j+1)! for j <= l.
+    as zero within series.FLOAT_ZERO_TOL times the size of the generator
+    terms that cancel in it: coefficient l of the symbol is built from
+    those of P(exp(-z))/z of index <= l, so its size is the largest of 1
+    and series.term_size(betas, j) for j <= l.
     """
     rational = isinstance(coeffs[0], Fraction)
     observed, leading = len(coeffs), Fraction(0) if rational else 0.0
     tol, size = 0, 1.0
     for l, c in enumerate(coeffs):
         if not rational:
-            fact = math.factorial(l + 1)
-            size = max(size, sum(abs(float(b)) * k ** (l + 1) / fact
-                                 for k, b in enumerate(betas)))
-            tol = FLOAT_ZERO_TOL * size
-        if l == 0:
-            if not abs(c - 1) <= tol:
-                raise InconsistentGeneratorError(
-                    f"scaled symbol starts at {c}, not 1; the generator is "
-                    "not a consistent approximation"
-                )
-        elif not abs(c) <= tol:  # NaN counts as nonzero
+            size = max(size, series.term_size(betas, l))
+            tol = series.FLOAT_ZERO_TOL * size
+        if l and not abs(c) <= tol:  # NaN counts as nonzero
             observed, leading = l, c
             break
     return OrderReport(
@@ -352,21 +331,13 @@ def verify_order(generator: GeneratorSpec, expected_order: int) -> OrderReport:
     """Expand the scaled symbol and locate the first error coefficient.
 
     The expansion window is expected_order + 3 so the leading error term
-    and a successor are both visible. The symbol starts at q_0^alpha, with
-    q_0 = -sum_k k beta_k, so rational beta must have q_0 == 1 exactly.
+    and a successor are both visible. A generator with q_0 != 1 is refused
+    by normalized_symbol (InconsistentGeneratorError).
     """
     if expected_order < 1:
         raise ValueError("expected order must be at least 1")
-    if series.scalar_kind(*generator.beta) is Fraction:
-        nums, den = series._over_lcm(generator.beta)
-        q0 = Fraction(-sum(k * n for k, n in enumerate(nums)), den)
-        if q0 != 1:
-            raise InconsistentGeneratorError(
-                f"q_0 = {q0}, not 1: the generator is not consistent")
     window = expected_order + ORDER_MARGIN
-    symbol = series.normalized_symbol(
-        generator.beta, generator.shift, generator.alpha, window
-    )
+    symbol = series.normalized_symbol(generator, window)
     return _order_report(symbol, generator.beta, expected_order)
 
 
@@ -405,8 +376,10 @@ def convex_combination_check(shift_a, shift_b, alpha) -> OrderReport:
     lam_a = (a - 2 * q) / (2 * (p - q))
     lam_b = (2 * p - a) / (2 * (p - q))
     base = (kind(1), kind(-1))
-    sym_a = series.normalized_symbol(base, p, a, window)
-    sym_b = series.normalized_symbol(base, q, a, window)
+    sym_a = series.normalized_symbol(
+        GeneratorSpec(alpha=a, shift=p, beta=base), window)
+    sym_b = series.normalized_symbol(
+        GeneratorSpec(alpha=a, shift=q, beta=base), window)
     combined = tuple(lam_a * x + lam_b * y for x, y in zip(sym_a, sym_b))
     return _order_report(combined, base, expected)
 

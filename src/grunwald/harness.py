@@ -93,6 +93,8 @@ class RunConfig:
         ops.check_scheme(self.scheme)
         if not self.alphas:
             raise ValueError("alpha list must not be empty")
+        for alpha in self.alphas:
+            ops.check_alpha(alpha, f"problem {self.problem}")
         if not self.n_values:
             raise ValueError("N list must not be empty")
         if min(self.n_values) < 16:

@@ -34,6 +34,7 @@ __all__ = [
     "GridSpec",
     "SCHEMES",
     "SolverFailure",
+    "check_alpha",
     "check_domain",
     "check_finite",
     "check_scheme",
@@ -191,6 +192,12 @@ def check_domain(problem, grid: GridSpec) -> None:
             f"grid [{grid.a}, {grid.b}] does not match problem domain "
             f"[{problem.a}, {problem.b}]"
         )
+
+
+def check_alpha(alpha, what: str) -> None:
+    """The solvers' range of alpha, (1, 2]; NaN and infinity lie outside."""
+    if not 1.0 < float(alpha) <= 2.0:
+        raise ValueError(f"{what} needs alpha in (1, 2], got {alpha}")
 
 
 def check_finite(owner, *fields: str) -> None:

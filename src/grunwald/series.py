@@ -1,12 +1,14 @@
 """The scaled symbol W(exp(-z)) exp(shift*z) / z^alpha of a generator as
-its Taylor coefficients c0 + c1*z + ... + cL*z^L.
+its Taylor coefficients c0 + c1*z + ... + cL*z^L, and the two consistency
+conditions of a generator (Lubich, SIAM J. Math. Anal. 17, 1986):
+sum_k beta_k = 0 (check_sum_zero, when a GeneratorSpec is built) and
+q_0 = -sum_k k beta_k = 1 (normalized_symbol, before it expands).
 
 When every input scalar is rational (int or fractions.Fraction) they are
 exact Fractions: the power and the product with exp(shift*z) are one
 recurrence in Python integers over one known denominator. Any float
-input, or an irrational a_0^alpha, demotes the computation to the float
-power recurrence (one BLAS band solve) times exp(shift*z), and every
-coefficient is a float.
+input makes it the float power recurrence (one BLAS band solve) times
+exp(shift*z), and every coefficient is a float.
 """
 
 from __future__ import annotations
@@ -21,10 +23,14 @@ from scipy.linalg.blas import dtbsv
 # Slack for the zero-sum consistency check on float generator coefficients.
 CONSISTENCY_TOL = 1e-12
 
+# Float zero threshold: q_0 counts as 1, and a symbol coefficient past c_0
+# as zero, within FLOAT_ZERO_TOL times the size of the cancelling terms.
+FLOAT_ZERO_TOL = 1e-10
+
 
 class InconsistentGeneratorError(ValueError):
-    """Generator coefficients do not sum to zero, so the scaled symbol
-    W(exp(-z)) exp(r z) / z^alpha has no power-series expansion."""
+    """Generator coefficients that are not finite, do not sum to zero or
+    have q_0 != 1: the generator approximates no D^alpha."""
 
 
 def scalar_kind(*values):
@@ -38,13 +44,18 @@ def scalar_kind(*values):
 
 def check_sum_zero(betas) -> None:
     """Raise InconsistentGeneratorError unless the generator coefficients
-    sum to zero: exactly for rationals, within CONSISTENCY_TOL (relative
-    to the largest coefficient) for floats."""
+    are finite (naming those that are not) and sum to zero: exactly for
+    rationals, within CONSISTENCY_TOL (relative to the largest) for floats."""
     total = sum(betas)
     if isinstance(total, Fraction):
         if total == 0:
             return
     else:
+        bad = [f"beta_{k} = {b}" for k, b in enumerate(betas)
+               if not math.isfinite(b)]
+        if bad:
+            raise InconsistentGeneratorError(
+                "non-finite generator coefficients " + ", ".join(bad))
         scale_b = max(1.0, max(abs(b) for b in betas))
         if abs(total) <= CONSISTENCY_TOL * scale_b:
             return
@@ -53,6 +64,14 @@ def check_sum_zero(betas) -> None:
         "generator coefficients must sum to zero for a consistent "
         f"approximation; got sum {total}"
     )
+
+
+def term_size(betas, l: int) -> float:
+    """sum_k |beta_k| k^(l+1) / (l+1)!: the size of the terms that cancel
+    in coefficient l of P(exp(-z))/z."""
+    fact = math.factorial(l + 1)
+    return sum(abs(float(b)) * k ** (l + 1) / fact
+               for k, b in enumerate(betas))
 
 
 def power_recurrence(poly, alpha, count):
@@ -92,23 +111,20 @@ def _over_lcm(values):
 
 def _rational_power(A, C, alpha, shift):
     """Coefficients of a(z)^alpha * exp(shift*z) through z^L, as one
-    Fraction each, for a_k = A_k / C; None unless a_0 > 0 and a_0^alpha
-    is rational (integer alpha, or a_0 == 1).
+    Fraction each, for a_k = A_k / C with a_0 = A_0 / C = 1.
 
     With alpha = n/d and shift = u/v the power recurrence becomes one in
-    integers: b_m = b_0 B_m / (m! (A_0 d)^m), where B_0 = 1 and
+    integers: b_m = B_m / (m! (A_0 d)^m), where B_0 = 1 and
 
         B_m = sum_{k=1}^{m} (k(n+d) - m d) A_k B_{m-k} (A_0 d)^(k-1)
               (m-1)! / (m-k)!,
 
     and the product with exp(shift*z) is
 
-        c_l = b_0 sum_j C(l,j) B_j v^j (A_0 d u)^(l-j) / (l! (A_0 d v)^l).
+        c_l = sum_j C(l,j) B_j v^j (A_0 d u)^(l-j) / (l! (A_0 d v)^l).
     """
     n, d = alpha.numerator, alpha.denominator
-    if not (A[0] > 0 and (d == 1 or A[0] == C)):
-        return None  # the float path takes over, or rejects a_0 <= 0
-    b0, a0d = Fraction(A[0], C) ** n if d == 1 else Fraction(1), A[0] * d
+    a0d = A[0] * d
     terms = [0] + [A[k] * a0d ** (k - 1) for k in range(1, len(A))]
     B = [1]
     for m in range(1, len(A)):
@@ -120,34 +136,33 @@ def _rational_power(A, C, alpha, shift):
         B.append(acc)
     g, v = a0d * shift.numerator, shift.denominator
     return tuple(
-        Fraction(b0.numerator * sum(math.comb(l, j) * B[j] * v**j * g ** (l - j)
-                                    for j in range(l + 1)),
-                 b0.denominator * math.factorial(l) * (a0d * v) ** l)
+        Fraction(sum(math.comb(l, j) * B[j] * v**j * g ** (l - j)
+                     for j in range(l + 1)),
+                 math.factorial(l) * (a0d * v) ** l)
         for l in range(len(A))
     )
 
 
-def normalized_symbol(beta, shift, alpha, window: int) -> tuple:
+def normalized_symbol(generator, window: int) -> tuple:
     """Coefficients c_0..c_L, L = window, of G(z) = W(exp(-z)) *
-    exp(shift*z) / z^alpha, where W(y) = (sum_k beta_k y^k)^alpha, as a
-    tuple: Fractions when _rational_power applies, floats otherwise.
+    exp(shift*z) / z^alpha for a GeneratorSpec, W(y) = (sum_k beta_k
+    y^k)^alpha, as a tuple: Fractions when beta, shift and alpha are all
+    rational, floats otherwise.
 
-    The z^0 term of sum_k beta_k exp(-k z) equals sum_k beta_k, which must
-    vanish; it is cancelled symbolically (never subtracted numerically),
-    so no fractional power of z ever appears: the quotient by z^alpha is
-    realized as [P(exp(-z))/z]^alpha.
-
-    Rational inputs go through _rational_power; past an irrational
-    a_0^alpha the float recurrence takes over from float(q_l).
+    The z^0 term of sum_k beta_k exp(-k z) is sum_k beta_k, which vanishes
+    (the GeneratorSpec checked it); it is cancelled symbolically, so the
+    quotient by z^alpha is realized as [P(exp(-z))/z]^alpha. Its constant
+    term q_0 = -sum_k k beta_k must be 1, so that G starts at 1: exactly
+    for Fractions, within FLOAT_ZERO_TOL * max(1, term_size(beta, 0)) for
+    floats. Otherwise InconsistentGeneratorError, before any expansion.
 
     Coefficient l of the result is the error-expansion coefficient a_l(shift).
     """
     if window < 1:
         raise ValueError("expansion window must be at least 1")
-    beta = tuple(beta)
-    kind = scalar_kind(*beta, shift, alpha)
-    betas = tuple(map(kind, beta))
-    check_sum_zero(betas)
+    alpha, shift = generator.alpha, generator.shift
+    kind = scalar_kind(*generator.beta, shift, alpha)
+    betas = tuple(map(kind, generator.beta))
     # Coefficient l of P(exp(-z))/z, with the vanishing z^0 term dropped:
     # q_l = sum_k beta_k * (-k)^(l+1) / (l+1)!, or Q_l / (D (L+1)!) for
     # rational beta_k = N_k / D
@@ -157,11 +172,7 @@ def normalized_symbol(beta, shift, alpha, window: int) -> tuple:
         Q = [sum(n * (-k) ** (l + 1) for k, n in enumerate(nums))
              * (top // math.factorial(l + 1))
              for l in range(window + 1)]
-        coeffs = _rational_power(Q, den * top, Fraction(alpha),
-                                 Fraction(shift))
-        if coeffs is not None:
-            return coeffs
-        q = [n / (den * top) for n in Q]  # float(q_l), correctly rounded
+        q0, tol = Fraction(Q[0], den * top), 0
     else:
         q = []
         for l in range(window + 1):
@@ -170,9 +181,13 @@ def normalized_symbol(beta, shift, alpha, window: int) -> tuple:
             for k, b in enumerate(betas):
                 acc += b * (float((-k) ** (l + 1)) / fact)
             q.append(acc)
-    if not q[0] > 0:
-        raise ValueError("P(exp(-z))/z needs a positive constant term, "
-                         f"got q_0 = {q[0]}")
+        q0, tol = q[0], FLOAT_ZERO_TOL * max(1.0, term_size(betas, 0))
+    if not abs(q0 - 1) <= tol:
+        raise InconsistentGeneratorError(
+            f"q_0 = -sum_k k beta_k = {q0}, not 1: the generator is not a "
+            "consistent approximation")
+    if kind is Fraction:
+        return _rational_power(Q, den * top, Fraction(alpha), Fraction(shift))
     b = power_recurrence(q, float(alpha), window).tolist()
     # times exp(shift*z), whose coefficients shift^l / l! are rounded once
     e = [float(kind(shift) ** l / math.factorial(l)) for l in range(len(q))]

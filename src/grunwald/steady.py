@@ -26,6 +26,7 @@ from .generators import beta_table
 from .series import power_recurrence
 from .operators import (
     GridSpec,
+    check_alpha,
     check_domain,
     check_finite,
     checked_hessenberg_solve,
@@ -62,10 +63,7 @@ class SteadyProblem:
     exact: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if not 1.0 < float(self.alpha) <= 2.0:
-            raise ValueError(
-                f"steady solver needs alpha in (1, 2], got {self.alpha}"
-            )
+        check_alpha(self.alpha, "steady solver")
         check_finite(self, "a", "b", "phi0", "phi1")
         if not self.b > self.a:
             raise ValueError("domain endpoints must satisfy a < b")

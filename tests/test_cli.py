@@ -168,6 +168,19 @@ class TestConvergenceCommands:
         assert "fixed M rule" in capsys.readouterr().err
         assert not (outdir / "diffusion.csv").exists()
 
+    @pytest.mark.parametrize("command, name", [("steady", "steady.csv"),
+                                               ("diffusion", "diffusion.csv")])
+    def test_alpha_outside_solver_range_refused_before_computing(
+            self, outdir, monkeypatch, capsys, command, name):
+        # alpha = 1.5 used to be solved and discarded before 2.5 exited 2
+        def unreachable(*args, **kwargs):
+            raise AssertionError("run_convergence ran before the alpha check")
+
+        monkeypatch.setattr(cli, "run_convergence", unreachable)
+        assert main([command, "--alphas", "1.5,2.5", "--n", "16,32"]) == 2
+        assert "needs alpha in (1, 2], got 2.5" in capsys.readouterr().err
+        assert not (outdir / name).exists()
+
 
 class TestSolverFailure:
     @pytest.fixture(autouse=True)

@@ -530,6 +530,7 @@ def backward_euler_march(problem, grid, m_steps, scheme):
 
 # from 16 to 32 steps the order reads up to 2.35 (alpha=1.9, K1 != K2)
 TIME_STEPS = (32, 64, 128, 256)
+SPACE_GRIDS = (64, 128, 256, 512)
 
 
 def time_orders(march, problem, grid, scheme):
@@ -545,9 +546,11 @@ def second_order_in_time(orders):
 
 
 class TestTimeOrder:
-    """CN's error in time alone: against the solution of its own space
-    discretisation, exact in time, the order in M is 2 (measured 1.9993 to
-    2.0037 at N=64). The tables move N and M together and cannot see it."""
+    """CN's error split in two by the solution of its own space
+    discretisation, exact in time: CN's distance from it has order 2 in M
+    (measured 1.9993 to 2.0037 at N=64), and its distance from the exact
+    solution has the scheme's order in N. The tables move N and M
+    together and cannot tell the two apart."""
 
     @pytest.mark.parametrize("k_left, k_right", [(1.0, 1.0), (0.7, 1.3)])
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
@@ -560,6 +563,26 @@ class TestTimeOrder:
         orders = time_orders(cn_solve, problem, GridSpec(0.0, 1.0, 64),
                              scheme)
         assert second_order_in_time(orders), orders
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    @pytest.mark.parametrize("scheme, design", [("order2", 2), ("order3", 3)])
+    def test_semi_discrete_space_order(self, scheme, design, alpha):
+        # the space error alone, no time step involved: each doubling of N
+        # is no further from the design order than the one before it, and
+        # the last lies within 0.06 of it, in whole hundredths as orders
+        # are printed (order2 read 1.973 to 2.000; order3 2.991 to 3.003,
+        # but 2.727, 2.880 and 2.941 at alpha=1.9)
+        problem = polynomial_diffusion_problem(alpha)
+        errors = []
+        for n in SPACE_GRIDS:
+            grid = GridSpec(0.0, 1.0, n)
+            exact = problem.exact(grid.points(), problem.t_final)[1:-1]
+            errors.append(np.max(np.abs(
+                time_exact_final(problem, grid, scheme) - exact)))
+        orders = np.log2(np.divide(errors[:-1], errors[1:]))
+        distance = np.rint(100 * np.abs(orders - design))
+        assert np.all(np.diff(distance) <= 0), orders
+        assert distance[-1] <= 6, orders
 
     @pytest.mark.parametrize("scheme", ["order2", "order3"])
     def test_gate_rejects_backward_euler(self, scheme):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from grunwald import (
-    ConstructionError,
     GeneratorSpec,
     InconsistentGeneratorError,
     a2_coefficient,
@@ -156,8 +155,15 @@ class TestConstructBeta:
         assert worst <= 1e-13
 
     def test_non_finite_float_result_rejected(self):
-        with pytest.raises(ConstructionError, match="non-finite"):
-            construct_beta(3, 1, 1e-320)
+        # shift/alpha overflows in both constructions, and the generator
+        # they build refuses it by naming the coefficients
+        messages = []
+        for build in (construct_beta, beta_table):
+            with pytest.raises(InconsistentGeneratorError, match=(
+                    "non-finite generator coefficients beta_0 = ")) as caught:
+                build(3, 1, 1e-320)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
 
 
 class TestGrunwaldWeights:

@@ -51,6 +51,14 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="alpha values must be distinct"):
             RunConfig("steady-poly", "order2", ("1.5", 1.5), (16, 32))
 
+    @pytest.mark.parametrize("problem", ["steady-poly", "diffusion-poly"])
+    @pytest.mark.parametrize("alpha", [2.5, 1.0, 0.5, float("nan"),
+                                       float("inf")])
+    def test_rejects_alpha_outside_solver_range(self, problem, alpha):
+        # refused when the config is built, not after the other alphas ran
+        with pytest.raises(ValueError, match=r"needs alpha in \(1, 2\]"):
+            RunConfig(problem, "order2", (1.5, alpha), (16, 32))
+
     def test_rejects_repeated_n(self):
         with pytest.raises(ValueError, match="N values must be distinct"):
             RunConfig("steady-poly", "order2", (1.5,), (16, 32, 16))
