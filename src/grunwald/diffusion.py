@@ -31,14 +31,14 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .generators import check_integer
+from .generators import check_finite, check_integer
 from .operators import (
     GridSpec,
     check_alpha,
     check_domain,
-    check_finite,
     checked_lu,
     precondition_rows,
+    sample,
     scheme_operator,
     solve_factored,
 )
@@ -69,10 +69,10 @@ class DiffusionProblem:
     nonzero the matching boundary value must be identically zero, because
     the one-sided derivative reaches across that boundary.
 
-    The source is source_factor(t) * source_profile(x). init(x) and
-    source_profile(x) return len(x) values; source_factor(t), bc_left(t)
-    and bc_right(t) get a 1-D t and return values that broadcast to
-    t.shape, so lambda t: 0.0 is a valid boundary.
+    The source is source_factor(t) * source_profile(x). Each data function
+    maps a 1-D array of x or t to one finite value per point, or a scalar
+    (lambda t: 0.0 is a valid boundary); the solvers check it when they
+    sample it (operators.sample), and building a problem calls none.
     """
 
     a: float
@@ -99,17 +99,6 @@ class DiffusionProblem:
             raise ValueError("diffusion coefficients must be nonnegative")
         if self.k_left == 0 and self.k_right == 0:
             raise ValueError("diffusion coefficients must not both vanish")
-        samples = np.linspace(0.0, self.t_final, 5)
-        self._check_boundary_values(self.bc_left(samples),
-                                    self.bc_right(samples))
-
-    def _check_boundary_values(self, left, right) -> None:
-        """Reject a nonzero value on a side with a nonzero coefficient."""
-        for side, k, values in (("left", self.k_left, left),
-                                ("right", self.k_right, right)):
-            if k != 0 and np.any(np.asarray(values) != 0):
-                raise ValueError(f"{side} boundary values must vanish when "
-                                 f"k_{side} is nonzero")
 
 
 @dataclass(frozen=True)
@@ -181,32 +170,28 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
     zero coefficients), so W sums each group's coefficients times the
     Krylov block T_s^(G-1-g) basis, one product of width <= 4 per group.
     One solve maps y_M back to u, whose end values are set to the
-    boundary data. Each data function is called once, before the set-up,
-    on the grid, on t_0 .. t_M or on the midpoint times. Raises ValueError
-    then on a step count that is not a positive integer, on data that is
-    not finite (the factor names its first such step) or on a nonzero
-    value at a step time or end of the initial data on a side with a
-    nonzero coefficient; after the march, on a state that overflows.
+    boundary data. Each data function is sampled once (operators.sample),
+    before the set-up: init and the profile on the grid, the boundaries on
+    t_0 .. t_M and the factor on the midpoint times. Raises ValueError then
+    on a step count that is not a positive integer, on bad data (see
+    sample) or on a nonzero boundary value at a step time, or end of the
+    initial data, on a side with a nonzero coefficient; after the march,
+    on a state that overflows.
     """
     times = _step_times(problem, grid, m_steps)
     mid = problem.t_final / m_steps * (np.arange(m_steps) + 0.5)
     x = grid.points()
-    initial = np.asarray(problem.init(x), dtype=float)
-    profile = np.asarray(problem.source_profile(x), dtype=float)
-    # boundary values at t_0 .. t_M; t_0 takes the sampled initial data
-    left = np.broadcast_to(problem.bc_left(times), times.shape).astype(float)
-    right = np.broadcast_to(problem.bc_right(times), times.shape).astype(float)
-    factor = np.broadcast_to(problem.source_factor(mid), m_steps)
-    named = {"initial state": initial, "source profile": profile,
-             "left boundary": left, "right boundary": right}
-    for name, values in named.items():
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{name} is not finite")
-    bad = np.flatnonzero(~np.isfinite(factor))
-    if bad.size:
-        raise ValueError(f"source factor is not finite at step {bad[0] + 1}")
-    left[0], right[0] = initial[0], initial[-1]
-    problem._check_boundary_values(left, right)
+    initial = sample(problem.init, x, "initial state")
+    profile = sample(problem.source_profile, x, "source profile")
+    left = sample(problem.bc_left, times, "left boundary")
+    right = sample(problem.bc_right, times, "right boundary")
+    factor = sample(problem.source_factor, mid, "source factor")
+    for side, k, end, values in (("left", problem.k_left, initial[0], left),
+                                 ("right", problem.k_right, initial[-1],
+                                  right)):
+        if k != 0 and (end or values.any()):
+            raise ValueError(f"{side} boundary values must vanish when "
+                             f"k_{side} is nonzero")
     system, y = _cn_system(problem, grid, m_steps, scheme, initial)
     doublings = math.isqrt(m_steps).bit_length() - 1
     s = 2 ** doublings
@@ -291,12 +276,12 @@ def stability_estimate_check(problem: DiffusionProblem, grid: GridSpec,
     y = (P - B) v and E = CNSystem.increment, on the n + 1 grid values
     with zero boundary rows; every state is kept and all are mapped back
     to v in one solve. Requires both boundaries to be zero at every step
-    time t_0 .. t_M, checked before the set-up. A source_amplitude of 0
-    gives the unforced run.
+    time t_0 .. t_M, sampled (operators.sample) and checked before the
+    set-up. A source_amplitude of 0 gives the unforced run.
     """
     times = _step_times(problem, grid, m_steps)
-    if np.any(problem.bc_left(times) != 0) or np.any(
-            problem.bc_right(times) != 0):
+    if (sample(problem.bc_left, times, "left boundary").any()
+            or sample(problem.bc_right, times, "right boundary").any()):
         raise ValueError("stability check requires homogeneous boundaries")
     rng = np.random.default_rng(seed)
     interior = grid.n - 1

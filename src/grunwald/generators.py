@@ -115,10 +115,10 @@ _BETA_FLOAT_ROWS = {order: tuple(tuple(map(float, row)) for row in rows)
 class GeneratorSpec:
     """Polynomial-power generating function (sum_k beta_k z^k)^alpha.
 
-    alpha: fractional derivative order (any positive real for weight math;
-        solvers additionally restrict it).
-    shift: index offset of the difference stencil. Integer shifts land on
-        grid points; real shifts are accepted for analysis only.
+    alpha: fractional derivative order, finite (weight math takes any
+        finite value; the solvers restrict it to (1, 2]).
+    shift: index offset of the difference stencil, finite. Integer shifts
+        land on grid points; real shifts are accepted for analysis only.
     beta: the p+1 polynomial coefficients; they must be finite and sum to
         zero (series.check_sum_zero), the first consistency condition of
         the resulting approximation. The second, q_0 = -sum_k k beta_k = 1,
@@ -131,6 +131,7 @@ class GeneratorSpec:
     beta: tuple
 
     def __post_init__(self):
+        check_finite(self, "alpha", "shift")
         beta = tuple(self.beta)
         betas = tuple(map(series.scalar_kind(*beta), beta))
         object.__setattr__(self, "beta", betas)
@@ -172,6 +173,15 @@ def check_integer(value, what: str) -> int:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_finite(owner, *fields: str) -> None:
+    """Refuse, by its name, a field of owner that is not a finite number."""
+    for field in fields:
+        value = getattr(owner, field)
+        if not (isinstance(value, (int, Fraction)) or math.isfinite(value)):
+            raise ValueError(f"{type(owner).__name__}.{field} must be "
+                             f"finite, got {value!r}")
 
 
 def _validate_order(order: int) -> None:
@@ -261,10 +271,10 @@ def construct_beta(order: int, shift, alpha) -> GeneratorSpec:
 
 
 def grunwald_weights(generator: GeneratorSpec, count: int) -> WeightSequence:
-    """First count+1 Taylor coefficients of the generator, as floats.
-
-    The float power recurrence (series.power_recurrence) with
-    w_0 = beta_0^alpha:
+    """First count+1 Taylor coefficients of the generator, as floats;
+    ValueError, with no floating-point warning, when beta_0 <= 0 or a
+    weight is not finite (naming the first). The float power recurrence
+    (series.power_recurrence) with w_0 = beta_0^alpha:
 
         w_m = (1 / (m beta_0)) sum_{k=1}^{min(m,p)}
               (k (alpha + 1) - m) beta_k w_{m-k}
@@ -276,10 +286,14 @@ def grunwald_weights(generator: GeneratorSpec, count: int) -> WeightSequence:
         raise ValueError("weight count must be nonnegative")
     betas = [float(b) for b in generator.beta]
     if not betas[0] > 0:
-        raise ValueError(
-            f"weight recurrence requires beta_0 > 0, got {betas[0]}"
-        )
-    w = series.power_recurrence(betas, float(generator.alpha), count)
+        raise ValueError("weight recurrence requires beta_0 > 0, got "
+                         f"{betas[0]}")
+    with np.errstate(all="ignore"):
+        w = series.power_recurrence(betas, float(generator.alpha), count)
+    if not np.isfinite(w).all():
+        k = np.flatnonzero(~np.isfinite(w))[0]
+        raise ValueError(f"weight {k} is {w[k]}: the weights overflow the "
+                         "float range")
     return WeightSequence(values=w)
 
 

@@ -142,13 +142,13 @@ class ConvergenceReport:
 
 def _solve_once(problem_id: str, scheme: str, alpha: float, n: int,
                 m: int) -> float:
-    grid = GridSpec(0.0, 1.0, n)
+    problem = (polynomial_steady_problem if problem_id == "steady-poly"
+               else polynomial_diffusion_problem)(alpha)
+    grid = GridSpec(problem.a, problem.b, n)
     if problem_id == "steady-poly":
-        problem = polynomial_steady_problem(alpha)
         solution = solve_steady(problem, grid, scheme)
         exact = problem.exact(grid.points())
     else:
-        problem = polynomial_diffusion_problem(alpha)
         solution = cn_solve(problem, grid, m, scheme)
         exact = problem.exact(grid.points(), problem.t_final)
     return float(np.max(np.abs(solution - exact)))

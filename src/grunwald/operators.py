@@ -13,14 +13,13 @@ problem on a lower triangular Toeplitz L, its boundary values inside the
 system, given g = L^-1 e_0, the discrete fractional-integral weights
 (steady solves, under a closed-form bound on the condition number), and
 a dense LU (the CN step, whose Dirichlet rows are inside its system too).
-Also the scheme list and the set-up checks shared by the solvers.
+Also the scheme list and the checks of the solvers' set-up and data.
 Functions outside the grid are zero-extended, so indices that fall off the
 grid simply contribute nothing.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 import numpy as np
@@ -28,7 +27,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon, dsyevr
 
 from .generators import (GeneratorSpec, a2_coefficient, beta_table,
-                         check_integer, grunwald_weights)
+                         check_finite, check_integer, grunwald_weights)
 
 __all__ = [
     "GridSpec",
@@ -36,8 +35,8 @@ __all__ = [
     "SolverFailure",
     "check_alpha",
     "check_domain",
-    "check_finite",
     "check_scheme",
+    "sample",
     "scheme_operator",
     "toeplitz_top_eigenvalue",
     "precondition_rows",
@@ -99,10 +98,16 @@ def toeplitz_generators(generator: GeneratorSpec, grid: GridSpec):
     on the grid: with the generator's integer shift r and the weights w of
     grunwald_weights, entry (i, j) is w_{i-j+r} / h^alpha, so the column
     holds w_r ... w_{r+n} and the row the first n + 1 of w_r ... w_0
-    followed by zeros."""
+    followed by zeros. ValueError for a real or negative shift, where
+    grunwald_weights refuses, or for an entry that is not finite."""
     shift = _integer_shift(generator.shift)
-    w = (grunwald_weights(generator, grid.n + shift).values
-         / grid.h ** float(generator.alpha))
+    scale = grid.h ** float(generator.alpha)
+    with np.errstate(all="ignore"):
+        w = grunwald_weights(generator, grid.n + shift).values / scale
+    if not np.isfinite(w).all():
+        k = np.flatnonzero(~np.isfinite(w))[0]
+        raise ValueError(f"operator entry w_{k} / h^alpha is {w[k]} "
+                         f"(h^alpha = {scale:.3e}): the entries overflow")
     row = np.concatenate((w[shift::-1], np.zeros(grid.n)))
     return w[shift:], row[: grid.n + 1]
 
@@ -200,13 +205,19 @@ def check_alpha(alpha, what: str) -> None:
         raise ValueError(f"{what} needs alpha in (1, 2], got {alpha}")
 
 
-def check_finite(owner, *fields: str) -> None:
-    """Refuse, by its name, a field of owner that is not a finite number."""
-    for field in fields:
-        value = getattr(owner, field)
-        if not math.isfinite(value):
-            raise ValueError(f"{type(owner).__name__}.{field} must be "
-                             f"finite, got {value!r}")
+def sample(fn, at: np.ndarray, what: str) -> np.ndarray:
+    """Problem data fn(at) as floats of at's shape, a scalar broadcast to
+    it; ValueError naming `what` for another shape, or for a value that is
+    not finite, with the first point of `at` where it is not."""
+    values = np.asarray(fn(at), dtype=float)
+    if values.ndim == 0:
+        values = np.full(at.shape, values)
+    if values.shape != at.shape:
+        raise ValueError(f"{what} has shape {values.shape}, not {at.shape}")
+    if not np.isfinite(values).all():
+        k = np.flatnonzero(~np.isfinite(values))[0]
+        raise ValueError(f"{what} is not finite at {float(at.flat[k])!r}")
+    return values
 
 
 def hessenberg_rcond(l: np.ndarray, g: np.ndarray) -> float:

@@ -22,15 +22,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .generators import beta_table
+from .generators import beta_table, check_finite
 from .series import power_recurrence
 from .operators import (
     GridSpec,
+    _integer_shift,
     check_alpha,
     check_domain,
-    check_finite,
     checked_hessenberg_solve,
     precondition_rows,
+    sample,
     scheme_operator,
     toeplitz_generators,
     toeplitz_top_eigenvalue,
@@ -77,12 +78,13 @@ def solve_steady(problem: SteadyProblem, grid: GridSpec,
     order2 solves A U = F directly; order3 premultiplies the source by
     the quasi-compact preconditioner (full rows, so boundary source
     values participate) before the same solve. With order2's a2 = 0 the
-    preconditioner returns the source unchanged.
+    preconditioner returns the source unchanged. The source is checked
+    when it is sampled (operators.sample).
     """
     check_domain(problem, grid)
     alpha = float(problem.alpha)
     col, row, a2, generator = scheme_operator(scheme, alpha, grid)
-    source = np.asarray(problem.source(grid.points()), dtype=float)
+    source = sample(problem.source, grid.points(), "source")
     # L is h^-alpha times the triangular Toeplitz matrix of beta(z)^alpha,
     # so L^-1 e_0 is h^alpha times the coefficients of beta(z)^-alpha
     l = np.concatenate(([row[1]], col[:-1]))
@@ -95,8 +97,8 @@ def solve_steady(problem: SteadyProblem, grid: GridSpec,
 @dataclass(frozen=True)
 class ScanEntry:
     """Stability verdict for one fractional order. max_rayleigh is the top
-    eigenvalue of the operator's symmetric part (NaN when beta_0 <= 0 or
-    the operator entries overflow); reason is empty exactly when stable.
+    eigenvalue of the operator's symmetric part (NaN when there is no
+    operator); reason is empty exactly when stable.
 
     solve_error, baseline_error and solve_failed are never set: they stay
     only because the benchmark's tests still pass them, and go with the
@@ -150,31 +152,24 @@ def stability_scan(order: int, shift: int, alphas: Sequence[float],
     is the supremum of the Rayleigh quotients v'Av / v'v (a positive value
     means A is not negative semi-definite), from the even and odd halves
     of that symmetric Toeplitz matrix (operators.toeplitz_top_eigenvalue).
-    An alpha is unstable exactly when its generator has beta_0 <= 0 (no
-    weights exist), its operator entries overflow, or the top eigenvalue
-    is not finite or exceeds RAYLEIGH_TOL. Failures are data, not
-    exceptions.
+    An alpha is unstable exactly when toeplitz_generators refuses it
+    (beta_0 <= 0 or entries that overflow; its message is the reason) or
+    the top eigenvalue is not finite or exceeds RAYLEIGH_TOL: data, not
+    exceptions. A shift off the grid is refused before any alpha.
 
     n_samples and seed are ignored: the scan draws no random numbers. They
     stay only because the benchmark workloads still pass them, and go with
     the next change to the benchmark.
     """
+    _integer_shift(shift)
     entries = []
     for alpha in map(float, alphas):
         generator = beta_table(order, shift, alpha)
-        beta0 = float(generator.beta[0])
         max_rayleigh, reason = float("nan"), ""
-        if not beta0 > 0:
-            reason = (f"beta_0 = {beta0:.3e} is not positive: the weight "
-                      "recurrence is undefined")
-        else:
-            # weights that outgrow the float range, or a scale h^alpha
-            # that underflows to 0, give non-finite entries
-            with np.errstate(all="ignore"):
-                col, row = toeplitz_generators(generator, grid)
-            if not (np.isfinite(col).all() and np.isfinite(row).all()):
-                reason = ("operator entries are not finite: the weights "
-                          "overflow")
+        try:
+            col, row = toeplitz_generators(generator, grid)
+        except ValueError as exc:
+            reason = str(exc)
         if not reason:
             # A is Toeplitz, so its symmetric part is the symmetric
             # Toeplitz matrix of (col + row) / 2; halving first keeps the

@@ -225,6 +225,13 @@ class TestScan:
         assert "--points" in capsys.readouterr().err
         assert not list(outdir.iterdir())
 
+    def test_negative_shift_is_usage_error(self, outdir, capsys):
+        # refused once, before any alpha, and not recorded as data
+        assert main(["scan", "--shift", "-1", "--points", "3",
+                     "--n", "16"]) == 2
+        assert "nonnegative integer shift, got -1" in capsys.readouterr().err
+        assert not list(outdir.iterdir())
+
     @pytest.mark.parametrize("flag", ["--alpha-min", "--alpha-max"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e309"])
     def test_non_finite_alpha_bound_is_usage_error(self, outdir, flag, value,

@@ -1,6 +1,7 @@
 """Crank-Nicolson diffusion stepping, the benchmark source, and the
 energy-stability estimate."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,12 @@ from grunwald.operators import (precondition_rows, scheme_operator,
 
 def zero_x(x):
     return np.zeros_like(np.asarray(x, dtype=float))
+
+
+def at_point(value):
+    """The end of a data refusal (operators.sample) that names the point
+    value, as a pattern."""
+    return f" is not finite at {re.escape(repr(float(value)))}$"
 
 
 def final_error(problem, n, m, scheme):
@@ -156,15 +163,22 @@ class TestProblemValidation:
             DiffusionProblem(**self.kwargs(k_left=0.0, k_right=0.0))
 
     def test_boundary_convention_enforced(self):
-        with pytest.raises(ValueError, match="left boundary"):
-            DiffusionProblem(**self.kwargs(bc_left=lambda t: 1.0))
-        with pytest.raises(ValueError, match="right boundary"):
-            DiffusionProblem(**self.kwargs(bc_right=lambda t: t))
+        # building calls no data function; cn_solve refuses each problem
+        grid = GridSpec(0.0, 1.0, 16)
+        problem = DiffusionProblem(**self.kwargs(bc_left=lambda t: 1.0))
+        with pytest.raises(ValueError, match="^left boundary values must "
+                                             "vanish when k_left is nonzero$"):
+            cn_solve(problem, grid, 20)
+        problem = DiffusionProblem(**self.kwargs(bc_right=lambda t: t))
+        with pytest.raises(ValueError, match="^right boundary values must "
+                                             "vanish when k_right is "
+                                             "nonzero$"):
+            cn_solve(problem, grid, 20)
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_boundary_convention_enforced_at_every_step(self, side):
-        # nonzero only on (0.1, 0.2): the five sample times read zero, so
-        # the problem is built, but the value at step time 0.15 is not
+        # nonzero only on (0.1, 0.2): of the 21 step times, only 0.15 lies
+        # there
         pulse = {f"bc_{side}": lambda t: np.where((t > 0.1) & (t < 0.2),
                                                   1.0, 0.0)}
         problem = DiffusionProblem(**self.kwargs(**pulse))
@@ -192,7 +206,7 @@ class TestProblemValidation:
         grid = GridSpec(0.0, 1.0, 16)
         problem = DiffusionProblem(**self.kwargs(
             init=lambda x: zero_x(x) + np.nan))
-        with pytest.raises(ValueError, match="^initial state is not finite$"):
+        with pytest.raises(ValueError, match="^initial state" + at_point(0.0)):
             cn_solve(problem, grid, 20)
         problem = DiffusionProblem(**self.kwargs(
             bc_right=lambda t: np.where((t > 0.1) & (t < 0.2), 1.0, 0.0)))
@@ -202,11 +216,14 @@ class TestProblemValidation:
             stability_estimate_check(problem, grid, 20)
         problem = DiffusionProblem(**self.kwargs(
             source_profile=lambda x: zero_x(x) + np.nan))
-        with pytest.raises(ValueError, match="^source profile is not finite$"):
+        with pytest.raises(ValueError,
+                           match="^source profile" + at_point(0.0)):
             cn_solve(problem, grid, 20)
+        # the first midpoint time past 0.9 is that of step 19, 18.5 / 20
         problem = DiffusionProblem(**self.kwargs(
             source_factor=lambda t: np.where(t > 0.9, np.nan, 0.0)))
-        with pytest.raises(ValueError, match="not finite at step 19$"):
+        with pytest.raises(ValueError,
+                           match="^source factor" + at_point(1.0 / 20 * 18.5)):
             cn_solve(problem, grid, 20)
         problem = DiffusionProblem(**self.kwargs())
         for run in (cn_solve, stability_estimate_check):
@@ -216,12 +233,13 @@ class TestProblemValidation:
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_non_finite_boundary_rejected(self, side):
-        # on a side with a zero coefficient, which may take nonzero values
+        # on a side with a zero coefficient, which may take nonzero values;
+        # the first step time past 0.5 is t_11 = 11 / 20
         problem = DiffusionProblem(**self.kwargs(**{
             f"k_{side}": 0.0,
             f"bc_{side}": lambda t: np.where(t > 0.5, np.nan, 0.0)}))
-        with pytest.raises(ValueError,
-                           match=f"^{side} boundary is not finite$"):
+        with pytest.raises(ValueError, match=f"^{side} boundary"
+                                             + at_point(1.0 / 20 * 11)):
             cn_solve(problem, GridSpec(0.0, 1.0, 16), 20)
 
     @pytest.mark.parametrize("run", [cn_solve, stability_estimate_check])
@@ -239,6 +257,41 @@ class TestProblemValidation:
     def test_alpha_domain(self):
         with pytest.raises(ValueError, match="alpha"):
             DiffusionProblem(**self.kwargs(alpha=0.9))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_non_finite_boundary_reaches_stability_check(self, side):
+        # named by its first step time, t_0 here, and not refused as an
+        # inhomogeneous boundary
+        problem = DiffusionProblem(**self.kwargs(
+            **{f"bc_{side}": lambda t: np.full_like(t, np.nan)}))
+        with pytest.raises(ValueError,
+                           match=f"^{side} boundary" + at_point(0.0)):
+            stability_estimate_check(problem, GridSpec(0.0, 1.0, 16), 20)
+
+    def test_building_calls_no_data_function(self):
+        def refuse(points):
+            pytest.fail("a data function was called while building")
+
+        names = ("source_profile", "source_factor", "init", "bc_left",
+                 "bc_right")
+        DiffusionProblem(**self.kwargs(**dict.fromkeys(names, refuse)))
+
+    def test_data_of_another_shape_rejected(self):
+        problem = DiffusionProblem(**self.kwargs(init=lambda x: x[:-1]))
+        with pytest.raises(ValueError, match=r"^initial state has shape "
+                                             r"\(16,\), not \(17,\)$"):
+            cn_solve(problem, GridSpec(0.0, 1.0, 16), 20)
+
+    @pytest.mark.parametrize("b", [0.0, -1.0])
+    def test_empty_domain_rejected(self, b):
+        with pytest.raises(ValueError, match="^domain endpoints must "
+                                             "satisfy a < b$"):
+            DiffusionProblem(**self.kwargs(b=b))
+
+    @pytest.mark.parametrize("t_final", [0.0, -1.0])
+    def test_nonpositive_final_time_rejected(self, t_final):
+        with pytest.raises(ValueError, match="^final time must be positive$"):
+            DiffusionProblem(**self.kwargs(t_final=t_final))
 
 
 class TestCNSolve:
@@ -320,8 +373,8 @@ class TestCNSolve:
 
     @pytest.mark.parametrize("bad_after", [0.0, 0.9, 0.97])
     def test_non_finite_source_rejected(self, bad_after, monkeypatch):
-        # refused before the set-up, naming the first step whose midpoint
-        # t_{m+1/2} = (m + 1/2) / 513 lies past bad_after
+        # refused before the set-up, naming the first midpoint time
+        # t_{m+1/2} = (m + 1/2) / 513 past bad_after, that of step m + 1
         def factor(*args, **kwargs):
             pytest.fail("P - B was factored for input that is refused")
 
@@ -333,9 +386,8 @@ class TestCNSolve:
             init=zero_x, bc_left=lambda t: 0.0, bc_right=lambda t: 0.0,
         )
         step = {0.0: 1, 0.9: 463, 0.97: 499}[bad_after]
-        with pytest.raises(ValueError,
-                           match=f"^source factor is not finite at step "
-                                 f"{step}$"):
+        with pytest.raises(ValueError, match="^source factor" + at_point(
+                1.0 / 513 * (step - 0.5))):
             cn_solve(problem, GridSpec(0.0, 1.0, 16), 513)
 
     @staticmethod
@@ -364,17 +416,16 @@ class TestCNSolve:
         self.assert_overflow_rejected(5e10)
 
     def test_data_evaluated_once_per_run(self):
-        # each data function is called once, before the set-up: init and
-        # the profile on the grid, each boundary on all step times and the
-        # factor on all midpoint times; the march calls none of them
+        # building the problem calls no data function; cn_solve calls each
+        # once, before the set-up: init and the profile on the grid, each
+        # boundary on all step times and the factor on all midpoint times;
+        # the march calls none of them
         m_steps = 513
         base = moving_right_boundary_problem()
         names = ("init", "source_profile", "source_factor", "bc_left",
                  "bc_right")
         counted = {name: CountedCalls(getattr(base, name)) for name in names}
         problem = replace(base, **counted)
-        for counter in counted.values():
-            counter.calls.clear()
         grid = GridSpec(0.0, 1.0, 16)
         cn_solve(problem, grid, m_steps)
         tau = problem.t_final / m_steps

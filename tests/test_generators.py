@@ -165,6 +165,12 @@ class TestConstructBeta:
             messages.append(str(caught.value))
         assert messages[0] == messages[1]
 
+    @pytest.mark.parametrize("alpha", [0, 0.0])
+    def test_zero_alpha_rejected(self, alpha):
+        # rho = shift / alpha has no value
+        with pytest.raises(ValueError, match="^alpha must be nonzero$"):
+            construct_beta(2, 1, alpha)
+
 
 class TestGrunwaldWeights:
     def test_first_order_alpha_one(self):
@@ -214,6 +220,20 @@ class TestGrunwaldWeights:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             grunwald_weights(beta_table(2, 1, 1.5), -1)
+
+    @pytest.mark.parametrize("order, alpha, message", [
+        # beta_0^2000 overflows at once, the order-6 weights at alpha = 1
+        # from k = 339
+        (2, 2000.0, "^weight 0 is inf: the weights overflow the float "
+                    "range$"),
+        (6, 1.0, "^weight 339 is -inf: the weights overflow the float "
+                 "range$"),
+    ], ids=["order2_alpha2000", "order6_alpha1"])
+    def test_overflowing_weights_rejected(self, order, alpha, message):
+        # a ValueError naming the first non-finite weight, and no
+        # RuntimeWarning (warnings are errors in this suite)
+        with pytest.raises(ValueError, match=message):
+            grunwald_weights(beta_table(order, 1, alpha), 400)
 
     def test_values_are_read_only(self):
         weights = grunwald_weights(beta_table(2, 1, 1.5), 8)
@@ -276,6 +296,11 @@ class TestVerifyOrder:
         with pytest.raises(InconsistentGeneratorError, match="consistent"):
             verify_order(bad, 1)
 
+    def test_expected_order_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^expected order must be at "
+                                             "least 1$"):
+            verify_order(beta_table(2, 1, Fraction(3, 2)), 0)
+
     @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(3, 2)])
     def test_rational_constant_term_decided_exactly(self, alpha):
         # q_0 = 1 + eps with q_0^alpha irrational: the float expansion
@@ -296,6 +321,12 @@ class TestA2Coefficient:
     def test_irrational_alpha(self):
         value = a2_coefficient(1, math.sqrt(1.5))
         assert value == pytest.approx(1 - math.sqrt(6) / 3, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0, 0.0])
+    def test_zero_alpha_rejected(self, alpha):
+        # shift^2 / (2 alpha) has no value
+        with pytest.raises(ValueError, match="^alpha must be nonzero$"):
+            a2_coefficient(1, alpha)
 
 
 class TestConvexCombination:
@@ -360,6 +391,11 @@ class TestWeightProperties:
     def test_violation_messages(self, weights, violations):
         assert weight_sign_report(weights) == violations
 
+    def test_two_weights_rejected(self):
+        # the pattern needs w_0 + w_2
+        with pytest.raises(ValueError, match="need at least w_0..w_2"):
+            weight_sign_report([0.5, -1.0])
+
 
 class TestGeneratorSpec:
     def test_inconsistent_sum_rejected(self):
@@ -372,3 +408,33 @@ class TestGeneratorSpec:
     def test_negative_beta0_allowed_until_weights(self):
         spec = beta_table(6, 2, Fraction(11, 10))
         assert spec.beta[0] < 0  # construction fine, weights refuse
+
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", math.nan), ("alpha", math.inf), ("alpha", -math.inf),
+        ("shift", math.nan), ("shift", math.inf)])
+    def test_non_finite_scalar_rejected(self, field, value):
+        # a NaN alpha once expanded to order 1 with a NaN leading
+        # coefficient, and passed
+        fields = {"alpha": 1.5, "shift": 0, "beta": (1.0, -1.0),
+                  field: value}
+        with pytest.raises(ValueError, match=f"^GeneratorSpec.{field} must "
+                                             f"be finite, got {value}$"):
+            GeneratorSpec(**fields)
+
+    def test_non_finite_alpha_rejected_by_every_constructor(self):
+        for build in (lambda: beta_table(2, 1, math.nan),
+                      lambda: construct_beta(2, 1, math.inf),
+                      lambda: lubich_generator(2, math.nan),
+                      lambda: beta_table(2, 1, 1.5).with_shift(math.nan)):
+            with pytest.raises(ValueError, match="must be finite"):
+                build()
+
+    def test_huge_rational_scalars_are_finite(self):
+        # float(10**400) overflows; the finite check is exact for them
+        spec = GeneratorSpec(alpha=Fraction(10**400), shift=10**400,
+                             beta=(1, -1))
+        assert spec.shift == 10**400
+
+    def test_single_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="at least two coefficients"):
+            GeneratorSpec(alpha=1.5, shift=0, beta=(0.0,))

@@ -194,6 +194,20 @@ class TestReportIO:
         config = RunConfig("steady-poly", "order2", (1.5, 1.9), (16, 32, 64))
         return run_convergence(config)
 
+    def test_failed_rename_leaves_target_and_no_temp_file(self, tmp_path,
+                                                           monkeypatch):
+        path = tmp_path / "report.csv"
+        path.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(harness.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            harness._atomic_write(path, "new\n")
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv"]
+
     def test_csv_round_trip_is_exact(self, tmp_path):
         reports = self.reports()
         path = tmp_path / "report.csv"
@@ -516,6 +530,18 @@ class TestPropertySuite:
                                "first-order-weights-match-binomial-recursion",
                                "matrix-matches-convolution-apply"}
         assert failed["weight-tail-sums-decay"].startswith("|sum w| nan ")
+
+    def test_raising_property_is_a_failure_not_an_abort(self, monkeypatch):
+        def boom(a2, size):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(harness.ops, "preconditioner_eigenvalues", boom)
+        report = run_property_suite()
+        failed = {r.name: r.detail for r in report.results if not r.passed}
+        assert failed == dict.fromkeys(("preconditioner-norm-equivalence",
+                                        "cn-left-matrix-coercive"),
+                                       "raised RuntimeError: boom")
+        assert len(report.results) == len(harness._PROPERTIES)
 
     def test_summary_mentions_every_property(self):
         report = run_property_suite()

@@ -121,6 +121,43 @@ class TestSolveSteady:
         v = solve_steady(scaled, grid)
         assert v == pytest.approx(2.5 * u, rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_source_rejected(self, bad):
+        # named by its first grid point past 0.5, x_9 = 0.5625 on N = 16;
+        # it used to solve to NaN at every interior point without a word
+        problem = SteadyProblem(a=0.0, b=1.0, alpha=1.5,
+                                source=lambda x: np.where(x > 0.5, bad, x),
+                                phi0=0.0, phi1=0.0)
+        with pytest.raises(ValueError,
+                           match=r"^source is not finite at 0\.5625$"):
+            solve_steady(problem, GridSpec(0.0, 1.0, 16))
+
+    @pytest.mark.parametrize("scheme", ["order2", "order3"])
+    def test_scalar_source_broadcasts(self, scheme):
+        # lambda x: 1.0 solves as the constant array does (it used to
+        # raise IndexError)
+        array = SteadyProblem(a=0.0, b=1.0, alpha=1.5,
+                              source=lambda x: np.ones_like(x),
+                              phi0=0.0, phi1=1.0)
+        scalar = dataclasses.replace(array, source=lambda x: 1.0)
+        grid = GridSpec(0.0, 1.0, 32)
+        np.testing.assert_array_equal(solve_steady(scalar, grid, scheme),
+                                      solve_steady(array, grid, scheme))
+
+    def test_source_of_another_shape_rejected(self):
+        problem = SteadyProblem(a=0.0, b=1.0, alpha=1.5,
+                                source=lambda x: x[1:], phi0=0.0, phi1=0.0)
+        with pytest.raises(ValueError, match=r"^source has shape \(16,\), "
+                                             r"not \(17,\)$"):
+            solve_steady(problem, GridSpec(0.0, 1.0, 16))
+
+    @pytest.mark.parametrize("b", [0.0, -1.0])
+    def test_empty_domain_rejected(self, b):
+        with pytest.raises(ValueError, match="^domain endpoints must "
+                                             "satisfy a < b$"):
+            SteadyProblem(a=0.0, b=b, alpha=1.5, source=lambda x: x,
+                          phi0=0.0, phi1=0.0)
+
     def test_unknown_scheme_rejected(self):
         problem = polynomial_steady_problem(1.5)
         with pytest.raises(ValueError, match="scheme"):
@@ -375,13 +412,15 @@ class TestStabilityScan:
         assert [r.stable_onset() for r in reports] == onsets
 
     def test_nonfinite_rayleigh_quotient_is_unstable(self):
-        # the order-6 weights at alpha = 1 overflow from k = 340, so the
-        # operator has non-finite entries and is not sampled
+        # the order-6 weights at alpha = 1 overflow from k = 339:
+        # grunwald_weights refuses them, so no eigenvalue is taken, and its
+        # message is the reason
         report = stability_scan(6, 1, [1.0], GridSpec(0.0, 1.0, 512))
         entry = report.entries[0]
         assert np.isnan(entry.max_rayleigh)
         assert not entry.stable
-        assert "not finite" in entry.reason
+        assert entry.reason == ("weight 339 is -inf: the weights overflow "
+                                "the float range")
 
     def test_overflowing_operator_recorded_as_data(self):
         # the order-4 weights at this alpha overflow from k = 492: the
@@ -395,15 +434,29 @@ class TestStabilityScan:
 
     @pytest.mark.parametrize("alpha", [300.0, 2000.0, 1e6])
     def test_extreme_alpha_recorded_as_data(self, alpha):
-        # on n = 16, h^alpha underflows to 0 at alpha = 300, and
-        # beta_0^alpha overflows at 2000 and 1e6: the scan records each,
-        # with no warning (an error under pytest) and no OverflowError
+        # on n = 16, h^alpha underflows to 0 at alpha = 300, which
+        # toeplitz_generators refuses, and beta_0^alpha overflows at 2000
+        # and 1e6, which grunwald_weights refuses: the scan records each
+        # refusal, with no warning (an error under pytest) and no
+        # OverflowError
+        weights = "weight 0 is inf: the weights overflow the float range"
+        reason = {300.0: "operator entry w_0 / h^alpha is inf (h^alpha = "
+                         "0.000e+00): the entries overflow",
+                  2000.0: weights, 1e6: weights}[alpha]
         report = stability_scan(2, 1, [alpha], GridSpec(0.0, 1.0, 16))
         entry = report.entries[0]
         assert not entry.stable
-        assert entry.reason == ("operator entries are not finite: the "
-                                "weights overflow")
+        assert entry.reason == reason
         assert np.isnan(entry.max_rayleigh)
+
+    @pytest.mark.parametrize("shift", [-1, 0.5])
+    def test_shift_off_the_grid_refused_before_any_alpha(self, shift):
+        # an alpha with beta_0 <= 0 would be recorded as data; the shift is
+        # refused even with no alpha to scan
+        for alphas in ((1.0, 1.5), ()):
+            with pytest.raises(ValueError, match="nonnegative integer "
+                                                 "shift"):
+                stability_scan(2, shift, alphas, GridSpec(0.0, 1.0, 16))
 
     @pytest.mark.parametrize("order", range(2, 7))
     def test_nonpositive_beta0_recorded_as_data(self, order):
