@@ -51,8 +51,8 @@ USAGE_ERROR = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads a line of an @FILE as a long option: `m_rule = fixed` is
-    --m-rule=fixed, `json = true` is --json and `json = false` nothing."""
+    """Reads a line of an @FILE as a long option: `m_rule = 77` is
+    --m-rule=77, `json = true` is --json and `json = false` nothing."""
 
     def convert_arg_line_to_args(self, arg_line):
         line = arg_line.split("#", 1)[0].strip()
@@ -193,7 +193,7 @@ def _cmd_steady(args) -> int:
 
 def _cmd_diffusion(args) -> int:
     return _convergence_command(args, "diffusion-poly", "diffusion.csv",
-                                m_rule=args.m_rule, m_fixed=args.m)
+                                m_rule=args.m_rule)
 
 
 def _cmd_scan(args) -> int:
@@ -298,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def subcommand(name, handler, help):
-        p = sub.add_parser(name, help=help)
+        # options by full name only: a prefix (--m) stands for no option
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(handler=handler)
         return p
 
@@ -320,9 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subcommand("diffusion", _cmd_diffusion,
                    "diffusion benchmark convergence study")
     _add_convergence_options(p, "16,32,64,128,256,512")
-    p.add_argument("--m-rule", dest="m_rule", choices=M_RULES,
-                   default="equal-to-n")
-    p.add_argument("--m", type=int, help="step count for the fixed rule")
+    # digits are a step count; RunConfig refuses a bad count or rule name
+    p.add_argument("--m-rule", default="equal-to-n",
+                   type=lambda text: int(text) if text.isdecimal() else text,
+                   help=f"{', '.join(M_RULES)} or a step count")
 
     p = subcommand("scan", _cmd_scan, "stability scan over fractional orders")
     _add_output_options(p)

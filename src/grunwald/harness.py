@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 PROBLEMS = ("steady-poly", "diffusion-poly")
-M_RULES = ("equal-to-n", "floor-n-3-2", "fixed")
+M_RULES = ("equal-to-n", "floor-n-3-2")
 CSV_HEADER = "N,M,alpha,scheme,max_error,observed_order"
 DEFAULT_SEED = 20240807
 
@@ -68,14 +68,14 @@ def _round_order(value: Optional[float]) -> Optional[float]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """What to run: problem, scheme, fractional orders, grids, time rule."""
+    """What to run: problem, scheme, fractional orders, grids, time rule
+    (one of M_RULES or a step count), and where to write the reports."""
 
     problem: str
     scheme: str
     alphas: tuple
     n_values: tuple
-    m_rule: str = "equal-to-n"
-    m_fixed: Optional[int] = None
+    m_rule: str | int = "equal-to-n"
     output: Optional[str] = None
     json_mirror: bool = False
 
@@ -83,9 +83,6 @@ class RunConfig:
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "n_values", tuple(
             gen.check_integer(n, "N value") for n in self.n_values))
-        if self.m_fixed is not None:
-            object.__setattr__(self, "m_fixed",
-                               gen.check_integer(self.m_fixed, "m_fixed"))
         if self.problem not in PROBLEMS:
             raise ValueError(
                 f"unknown problem {self.problem!r}; expected one of {PROBLEMS}"
@@ -102,21 +99,24 @@ class RunConfig:
         for name, values in (("alpha", self.alphas), ("N", self.n_values)):
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} values must be distinct: {values}")
-        if self.m_rule not in M_RULES:
-            raise ValueError(
-                f"unknown M rule {self.m_rule!r}; expected one of {M_RULES}"
-            )
-        if self.m_rule == "fixed" and (self.m_fixed is None or self.m_fixed < 1):
-            raise ValueError("fixed M rule needs m_fixed >= 1")
-        if self.m_fixed is not None and self.m_rule != "fixed":
-            raise ValueError("m_fixed is used only by the fixed M rule")
+        if not isinstance(self.m_rule, str):
+            object.__setattr__(self, "m_rule",
+                               gen.check_integer(self.m_rule, "M rule"))
+        if self.m_rule not in M_RULES and not (
+                isinstance(self.m_rule, int) and self.m_rule >= 1):
+            raise ValueError(f"unknown M rule {self.m_rule!r}; expected one "
+                             f"of {M_RULES} or a step count of at least 1")
+        # refuse the settings a run would ignore
+        if self.problem == "steady-poly" and self.m_rule != "equal-to-n":
+            raise ValueError(f"M rule {self.m_rule!r} given to a steady run, "
+                             "which takes no time steps")
+        if self.json_mirror and not self.output:
+            raise ValueError("json_mirror needs an output path")
 
     def steps_for(self, n: int) -> int:
-        if self.m_rule == "equal-to-n":
-            return n
         if self.m_rule == "floor-n-3-2":
             return math.isqrt(n**3)
-        return self.m_fixed
+        return n if self.m_rule == "equal-to-n" else self.m_rule
 
 
 @dataclass(frozen=True)
@@ -213,13 +213,9 @@ def run_convergence(config: RunConfig) -> list:
     if config.output:
         write_report_csv(reports, config.output)
         if config.json_mirror:
-            write_report_json(reports, _json_path(config.output))
+            write_report_json(reports,
+                              os.path.splitext(config.output)[0] + ".json")
     return reports
-
-
-def _json_path(csv_path: str) -> str:
-    root, _ = os.path.splitext(csv_path)
-    return root + ".json"
 
 
 def _format_error(value: Optional[float]) -> str:
@@ -409,11 +405,11 @@ def reproduce_table(table_id: int) -> TableDiffReport:
     ref = REFERENCE_TABLES[table_id]
     m_values = ref.m_values or tuple(0 for _ in ref.n_values)
     cells = []
-    for alpha in ref.alphas:
+    for alpha, expected_errors in ref.errors.items():
         rows = _study(ref.problem, ref.scheme, alpha, ref.n_values, m_values)
-        expected_orders = _orders(ref.errors[alpha], ref.n_values)
+        expected_orders = _orders(expected_errors, ref.n_values)
         for row, expected_error, expected_order in zip(
-                rows, ref.errors[alpha], expected_orders, strict=True):
+                rows, expected_errors, expected_orders, strict=True):
             rel = error_margin = None
             if row.max_error is not None:
                 rel = abs(row.max_error - expected_error) / expected_error

@@ -99,10 +99,13 @@ def toeplitz_generators(generator: GeneratorSpec, grid: GridSpec):
     grunwald_weights, entry (i, j) is w_{i-j+r} / h^alpha, so the column
     holds w_r ... w_{r+n} and the row the first n + 1 of w_r ... w_0
     followed by zeros. ValueError for a real or negative shift, where
-    grunwald_weights refuses, or for an entry that is not finite."""
+    grunwald_weights refuses, or for an h^alpha or entry that is not finite."""
     shift = _integer_shift(generator.shift)
-    scale = grid.h ** float(generator.alpha)
     with np.errstate(all="ignore"):
+        # rounds as Python's float power, but gives inf where that raises
+        scale = np.float64(grid.h) ** float(generator.alpha)
+        if np.isinf(scale):
+            raise ValueError(f"h^alpha = {grid.h!r}^{generator.alpha} is inf")
         w = grunwald_weights(generator, grid.n + shift).values / scale
     if not np.isfinite(w).all():
         k = np.flatnonzero(~np.isfinite(w))[0]

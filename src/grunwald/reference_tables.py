@@ -28,7 +28,7 @@ class ReferenceTable:
     scheme: str
     n_values: tuple
     m_values: Optional[tuple]
-    alphas: tuple
+    # alpha -> its errors at n_values, in the order the table runs them
     errors: dict
     note: str = ""
 
@@ -39,7 +39,6 @@ REFERENCE_TABLES = {
         scheme="order2",
         n_values=(16, 32, 64, 128, 256, 512, 1024),
         m_values=None,
-        alphas=(1.1, 1.5, 1.9),
         errors={
             1.1: (4.8893e-01, 1.1592e-01, 2.7227e-02, 6.3685e-03,
                   1.4873e-03, 3.5020e-04, 8.7574e-05),
@@ -54,7 +53,6 @@ REFERENCE_TABLES = {
         scheme="order3",
         n_values=(16, 32, 64, 128, 256, 512, 1024),
         m_values=None,
-        alphas=(1.1, 1.5, 1.9),
         errors={
             1.1: (9.8696e-03, 1.0719e-03, 1.2038e-04, 1.3765e-05,
                   1.5891e-06, 1.8439e-07, 2.2872e-08),
@@ -78,7 +76,6 @@ REFERENCE_TABLES = {
         scheme="order2",
         n_values=(16, 32, 64, 128, 256, 512),
         m_values=(16, 32, 64, 128, 256, 512),
-        alphas=(1.1, 1.5, 1.9),
         errors={
             1.1: (1.0544e-05, 2.8172e-06, 7.3008e-07, 1.8606e-07,
                   4.6984e-08, 1.1806e-08),
@@ -93,7 +90,6 @@ REFERENCE_TABLES = {
         scheme="order3",
         n_values=(16, 32, 64, 128, 256, 512),
         m_values=(65, 182, 513, 1449, 4097, 11586),
-        alphas=(1.1, 1.5, 1.9),
         errors={
             1.1: (1.9461e-06, 2.4807e-07, 3.1332e-08, 3.9404e-09,
                   4.9422e-10, 6.1888e-11),

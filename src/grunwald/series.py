@@ -109,9 +109,9 @@ def _over_lcm(values):
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _rational_power(A, C, alpha, shift):
+def _rational_power(A, alpha, shift):
     """Coefficients of a(z)^alpha * exp(shift*z) through z^L, as one
-    Fraction each, for a_k = A_k / C with a_0 = A_0 / C = 1.
+    Fraction each, for integers A_k = A_0 a_k, where a_0 = 1.
 
     With alpha = n/d and shift = u/v the power recurrence becomes one in
     integers: b_m = B_m / (m! (A_0 d)^m), where B_0 = 1 and
@@ -187,7 +187,7 @@ def normalized_symbol(generator, window: int) -> tuple:
             f"q_0 = -sum_k k beta_k = {q0}, not 1: the generator is not a "
             "consistent approximation")
     if kind is Fraction:
-        return _rational_power(Q, den * top, Fraction(alpha), Fraction(shift))
+        return _rational_power(Q, Fraction(alpha), Fraction(shift))
     b = power_recurrence(q, float(alpha), window).tolist()
     # times exp(shift*z), whose coefficients shift^l / l! are rounded once
     e = [float(kind(shift) ** l / math.factorial(l)) for l in range(len(q))]

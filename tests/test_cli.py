@@ -160,13 +160,34 @@ class TestConvergenceCommands:
         assert code == 0
         assert ",64,1.9,order3," in (outdir / "diffusion.csv").read_text()
 
-    def test_step_count_without_fixed_rule_is_usage_error(self, outdir,
-                                                          capsys):
+    def test_step_count_rule(self, outdir):
+        code = main(["diffusion", "--scheme", "order2", "--alphas", "1.5",
+                     "--n", "16,32", "--m-rule", "77"])
+        assert code == 0
+        rows = (outdir / "diffusion.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[:2] for row in rows] == [["16", "77"],
+                                                       ["32", "77"]]
+
+    @pytest.mark.parametrize("rule", ["0", "fixed", "-3", "2.5"])
+    def test_bad_step_rule_is_usage_error(self, outdir, monkeypatch, capsys,
+                                          rule):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("run_convergence ran before the M check")
+
+        monkeypatch.setattr(cli, "run_convergence", unreachable)
         code = main(["diffusion", "--alphas", "1.5", "--n", "16,32",
-                     "--m", "7"])
+                     f"--m-rule={rule}"])
         assert code == 2
-        assert "fixed M rule" in capsys.readouterr().err
+        assert "unknown M rule" in capsys.readouterr().err
         assert not (outdir / "diffusion.csv").exists()
+
+    def test_step_count_option_is_gone(self, capsys):
+        # the count is the rule (--m-rule 7), and no prefix of an option
+        # stands for the option
+        with pytest.raises(SystemExit) as info:
+            main(["diffusion", "--alphas", "1.5", "--n", "16", "--m", "7"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --m 7" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, name", [("steady", "steady.csv"),
                                                ("diffusion", "diffusion.csv")])
@@ -218,6 +239,21 @@ class TestScan:
         assert len(lines) == 2 + 4
         stable = header.index("stable")
         assert all(line.split(",")[stable] == "yes" for line in lines[2:])
+
+    def test_single_point(self, outdir, capsys):
+        assert main(["scan", "--alpha-min", "1.5", "--points", "1",
+                     "--n", "16"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "1/1 alphas stable; stable onset: 1.5000\n")
+        lines = (outdir / "scan_p2_r1.csv").read_text().splitlines()
+        assert len(lines) == 3 and lines[2].startswith("1.5,")
+
+    def test_no_stable_alpha_has_no_onset(self, capsys):
+        # the order-3 operator at shift 1 is indefinite up to 1.42
+        assert main(["scan", "--order", "3", "--alpha-min", "1.1",
+                     "--alpha-max", "1.3", "--points", "3", "--n", "64"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "0/3 alphas stable; stable onset: none\n")
 
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_no_points_is_usage_error(self, outdir, points, capsys):

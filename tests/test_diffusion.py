@@ -295,6 +295,19 @@ class TestProblemValidation:
 
 
 class TestCNSolve:
+    def test_shifted_domain_gives_the_same_errors(self):
+        # the problem moved to [1, 2]: h = (b - a) / n, and the grid points
+        # less 1 are those of [0, 1] exactly
+        base = polynomial_diffusion_problem(1.5)
+        shifted = replace(
+            base, a=1.0, b=2.0,
+            source_profile=lambda x: base.source_profile(x - 1.0),
+            init=lambda x: base.init(x - 1.0),
+            exact=lambda x, t: base.exact(x - 1.0, t))
+        error = final_error(shifted, 64, 64, "order3")
+        assert error == final_error(base, 64, 64, "order3")
+        assert error == pytest.approx(2.306786766633059e-08, rel=1e-12)
+
     def test_zero_data_stays_zero(self):
         problem = DiffusionProblem(
             a=0.0, b=1.0, t_final=1.0, alpha=1.5, k_left=1.0, k_right=1.0,
@@ -794,6 +807,12 @@ class TestFractionalPolySource:
         x = 0.3
         value = fractional_poly_source(x, 5, 2.0 - 1e-9)
         assert value == pytest.approx(20 * x**3 + 20 * (1 - x) ** 3, rel=1e-6)
+
+    def test_lowest_exponent(self):
+        x = np.array([0.0, 0.25, 1.0])
+        expected = gamma(3) / gamma(1.5) * (x**0.5 + (1 - x) ** 0.5)
+        assert fractional_poly_source(x, 2, 1.5) == pytest.approx(
+            expected, rel=1e-15)
 
     def test_domain_checked(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):

@@ -216,6 +216,16 @@ class TestGrunwaldWeights:
         assert spec.beta[0] < 0
         with pytest.raises(ValueError, match="beta_0 > 0"):
             grunwald_weights(spec, 4)
+        # (0, 1, -1) sums to zero, so the spec builds; 0^alpha leaves the
+        # recurrence nothing to divide by
+        spec = GeneratorSpec(alpha=1.5, shift=0, beta=(0, 1, -1))
+        with pytest.raises(ValueError, match=r"beta_0 > 0, got 0\.0$"):
+            grunwald_weights(spec, 4)
+
+    def test_zero_count_gives_w0(self):
+        generator = beta_table(2, 1, 1.5)
+        weights = grunwald_weights(generator, 0).values
+        assert weights.tolist() == [grunwald_weights(generator, 4).values[0]]
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -390,6 +400,15 @@ class TestWeightProperties:
             "nan_weight", "nan_before_negative_weight"])
     def test_violation_messages(self, weights, violations):
         assert weight_sign_report(weights) == violations
+
+    def test_three_weights_suffice(self):
+        weights = grunwald_weights(beta_table(2, 1, 1.5), 2).values
+        assert len(weights) == 3
+        assert weight_sign_report(weights) == ()
+        assert weight_sign_report(-weights) == (
+            f"w_0 = {-weights[0]:.3e} < 0", f"w_1 = {-weights[1]:.3e} > 0",
+            f"w_0 + w_2 = {-weights[0] - weights[2]:.3e} < 0",
+            f"partial sum through 2 = {-weights.sum():.3e} > 0")
 
     def test_two_weights_rejected(self):
         # the pattern needs w_0 + w_2

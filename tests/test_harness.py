@@ -21,7 +21,7 @@ from grunwald import (
 from grunwald import harness
 from grunwald.harness import _round_error, _round_order
 from grunwald.operators import SolverFailure
-from grunwald.reference_tables import REFERENCE_TABLES
+from grunwald.reference_tables import REFERENCE_TABLES, ReferenceTable
 
 
 class TestRunConfig:
@@ -42,9 +42,11 @@ class TestRunConfig:
             RunConfig("steady-poly", "order7", (1.5,), (16,))
 
     def test_rejects_unknown_m_rule(self):
-        with pytest.raises(ValueError, match="unknown M rule"):
-            RunConfig("diffusion-poly", "order2", (1.5,), (16,),
-                      m_rule="squared")
+        # "fixed" named the old step-count rule; a count is now the rule
+        for rule in ("squared", "fixed", "7"):
+            with pytest.raises(ValueError, match="unknown M rule"):
+                RunConfig("diffusion-poly", "order2", (1.5,), (16,),
+                          m_rule=rule)
 
     def test_rejects_repeated_alphas(self):
         # compared after the float conversion, which "1.5" also meets
@@ -69,31 +71,46 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="N value must be an integer"):
             RunConfig("diffusion-poly", "order2", (1.5,), (n, 32))
 
-    @pytest.mark.parametrize("m_fixed", [2.5, 2.0, True])
-    def test_rejects_non_integer_step_count(self, m_fixed):
+    @pytest.mark.parametrize("m_rule", [2.5, 2.0, True])
+    def test_rejects_non_integer_step_count(self, m_rule):
         # 2.5 used to build and run 2 steps
-        with pytest.raises(ValueError, match="m_fixed must be an integer"):
+        with pytest.raises(ValueError, match="M rule must be an integer"):
             RunConfig("diffusion-poly", "order2", (1.5,), (16, 32),
-                      m_rule="fixed", m_fixed=m_fixed)
+                      m_rule=m_rule)
 
     def test_numpy_integers_become_ints(self):
         config = RunConfig("diffusion-poly", "order2", (1.5,),
-                           (np.int64(16), 32), m_rule="fixed",
-                           m_fixed=np.int64(3))
+                           (np.int64(16), 32), m_rule=np.int64(3))
         assert config.n_values == (16, 32)
         assert type(config.n_values[0]) is int
+        assert type(config.m_rule) is int and config.m_rule == 3
         assert type(config.steps_for(16)) is int and config.steps_for(16) == 3
 
     def test_fixed_rule_needs_count(self):
-        with pytest.raises(ValueError, match="m_fixed"):
-            RunConfig("diffusion-poly", "order2", (1.5,), (16,),
-                      m_rule="fixed")
-
-    def test_count_needs_fixed_rule(self):
-        for rule in ("equal-to-n", "floor-n-3-2"):
-            with pytest.raises(ValueError, match="only by the fixed M rule"):
+        # a step count is at least 1
+        for steps in (0, -3, np.int64(0)):
+            with pytest.raises(ValueError, match="step count of at least 1"):
                 RunConfig("diffusion-poly", "order2", (1.5,), (16,),
-                          m_rule=rule, m_fixed=7)
+                          m_rule=steps)
+        assert RunConfig("diffusion-poly", "order2", (1.5,), (16,),
+                         m_rule=1).steps_for(16) == 1
+
+    @pytest.mark.parametrize("rule", ["floor-n-3-2", 7])
+    def test_steady_run_refuses_an_m_rule(self, rule):
+        # a steady run takes no time steps, so its M column stays 0
+        with pytest.raises(ValueError, match=f"M rule {rule!r} given to a "
+                                             "steady run"):
+            RunConfig("steady-poly", "order2", (1.5,), (16,), m_rule=rule)
+
+    def test_json_mirror_needs_output(self, tmp_path):
+        with pytest.raises(ValueError, match="json_mirror needs an output"):
+            RunConfig("steady-poly", "order2", (1.5,), (16,),
+                      json_mirror=True)
+        config = RunConfig("steady-poly", "order2", (1.5,), (16,),
+                           output=str(tmp_path / "run.csv"), json_mirror=True)
+        run_convergence(config)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv",
+                                                              "run.json"]
 
     def test_step_rules(self):
         equal = RunConfig("diffusion-poly", "order2", (1.5,), (16,))
@@ -108,8 +125,8 @@ class TestRunConfig:
         assert floor.steps_for(512) == 11585
         assert floor.steps_for(10**6) == 10**9
         fixed = RunConfig("diffusion-poly", "order2", (1.5,), (16,),
-                          m_rule="fixed", m_fixed=77)
-        assert fixed.steps_for(512) == 77
+                          m_rule=77)
+        assert fixed.steps_for(16) == fixed.steps_for(512) == 77
 
 
 class TestRunConvergence:
@@ -300,6 +317,17 @@ PRINTED_ORDERS = {
 }
 
 
+def printed_errors(table_id, factor):
+    """A stand-in for harness._solve_once that returns a table's printed
+    error times factor."""
+    table = REFERENCE_TABLES[table_id]
+
+    def solve(problem, scheme, alpha, n, m):
+        return table.errors[alpha][table.n_values.index(n)] * factor
+
+    return solve
+
+
 def expected_orders(table, alpha):
     """The orders reproduce_table gates a table's cells against."""
     return harness._orders(table.errors[alpha], table.n_values)
@@ -312,8 +340,10 @@ class TestReproduceTable:
 
     def test_reference_data_shapes(self):
         for table in REFERENCE_TABLES.values():
-            for alpha in table.alphas:
-                assert len(table.errors[alpha]) == len(table.n_values)
+            # every alpha of a table is a key of its errors, in run order
+            assert list(table.errors) == [1.1, 1.5, 1.9]
+            for errors in table.errors.values():
+                assert len(errors) == len(table.n_values)
             if table.m_values is not None:
                 assert len(table.m_values) == len(table.n_values)
 
@@ -339,7 +369,7 @@ class TestReproduceTable:
         printed minus expected, in hundredths."""
         mismatch = {}
         for table_id, table in REFERENCE_TABLES.items():
-            for alpha in table.alphas:
+            for alpha in table.errors:
                 expected = expected_orders(table, alpha)
                 assert expected[0] is None
                 for n, printed, order in zip(
@@ -373,7 +403,7 @@ class TestReproduceTable:
         studies = {
             alpha: run_convergence(RunConfig(ref.problem, ref.scheme,
                                              (alpha,), ref.n_values))[0]
-            for alpha in ref.alphas
+            for alpha in ref.errors
         }
         for cell in report.cells:
             row = studies[cell.alpha].rows[ref.n_values.index(cell.n)]
@@ -410,6 +440,78 @@ class TestReproduceTable:
         assert summary[0] == "table 4: PASS (21 gated cells)"
         assert summary[1].startswith(
             "worst margin: order 10 hundredths (alpha=1.1, N=32); error ")
+
+    @pytest.mark.parametrize("factor, passed", [(1.019, True),
+                                                (0.981, True),
+                                                (1.03, False),
+                                                (0.97, False)])
+    def test_error_gate_is_relative(self, monkeypatch, tmp_path, factor,
+                                    passed):
+        # every error off by the same factor keeps every order: a cell
+        # passes within ERROR_RTOL relative and fails outside it, whatever
+        # the size of the printed error (table 3 reproduces every printed
+        # error exactly, so a real run cannot tell)
+        monkeypatch.setattr(harness, "_solve_once", printed_errors(3, factor))
+        report = reproduce_table(3)
+        assert report.passed is passed
+        assert all(cell.error_ok is passed for cell in report.cells)
+        assert all(cell.order_ok is not False for cell in report.cells)
+        assert len(report.failed_cells) == (0 if passed else 21)
+        first = report.cells[0]
+        assert first.error_rel_diff == pytest.approx(abs(factor - 1),
+                                                     abs=1e-4)
+        path = tmp_path / "table3.csv"
+        report.to_csv(path)
+        flags = [line.split(",")[6] for line in
+                 path.read_text().splitlines()[2:]]
+        assert flags == ["pass" if passed else "FAIL"] * 21
+
+    @pytest.mark.parametrize("off, ok", [(0.10, True), (-0.10, True),
+                                         (0.11, False), (-0.11, False)])
+    def test_order_gate_counts_hundredths(self, monkeypatch, tmp_path, off,
+                                          ok):
+        # printed errors 2^-4, 2^-6 expect order 2.00; computed errors
+        # 2^-4, 2^-(6 + off) give 2 + off
+        monkeypatch.setitem(harness.REFERENCE_TABLES, 99, ReferenceTable(
+            problem="steady-poly", scheme="order2", n_values=(16, 32),
+            m_values=None, errors={1.5: (2.0**-4, 2.0**-6)}))
+        monkeypatch.setattr(harness, "_solve_once",
+                            lambda problem, scheme, alpha, n, m:
+                            {16: 2.0**-4, 32: 2.0**-(6 + off)}[n])
+        report = reproduce_table(99)
+        first, cell = report.cells
+        assert first.order_ok is None and first.order_margin is None
+        assert (cell.expected_order, cell.actual_order) == (2.0, 2.0 + off)
+        assert cell.order_ok is ok
+        assert cell.order_margin == (0 if ok else -1)
+        # its error is 7 % off, so the cell and the table fail either way
+        assert cell in report.failed_cells and not report.passed
+        report.to_csv(tmp_path / "table.csv")
+        last = (tmp_path / "table.csv").read_text().splitlines()[-1]
+        assert last.split(",")[9] == ("pass" if ok else "FAIL")
+
+    def test_solver_failure_fails_its_cell(self, monkeypatch, tmp_path):
+        exact = printed_errors(3, 1.0)
+
+        def failing(problem, scheme, alpha, n, m):
+            if n == 32:
+                raise SolverFailure("matrix is singular")
+            return exact(problem, scheme, alpha, n, m)
+
+        monkeypatch.setattr(harness, "_solve_once", failing)
+        report = reproduce_table(3)
+        assert not report.passed
+        # N = 32 has no error, and neither it nor N = 64 an order
+        assert {(c.alpha, c.n) for c in report.failed_cells} == {
+            (alpha, n) for alpha in (1.1, 1.5, 1.9) for n in (32, 64)}
+        cell = report.cells[1]
+        assert (cell.n, cell.actual_error, cell.error_rel_diff,
+                cell.error_ok, cell.error_margin) == (32, None, None, False,
+                                                      None)
+        assert cell.order_ok is False and cell.order_margin is None
+        report.to_csv(tmp_path / "table3.csv")
+        line = (tmp_path / "table3.csv").read_text().splitlines()[3]
+        assert line == "1.1,32,0,1.1592e-01,,,FAIL,2.08,,FAIL"
 
     def test_reproduction_is_deterministic(self):
         first = reproduce_table(3)

@@ -45,8 +45,9 @@ class TestGridSpec:
             GridSpec(0.0, 1.0, 1)
 
     def test_inverted_endpoints(self):
-        with pytest.raises(ValueError, match="a < b"):
-            GridSpec(1.0, 0.0, 4)
+        for b in (0.0, 1.0):  # b < a, and the empty interval b = a
+            with pytest.raises(ValueError, match="a < b"):
+                GridSpec(1.0, b, 4)
 
     @pytest.mark.parametrize("a, b, field", [
         (0.0, np.inf, "b"), (np.nan, 1.0, "a"), (-np.inf, 0.0, "a")])
@@ -137,6 +138,14 @@ class TestAssemble:
         weights = grunwald_weights(generator, 7).values
         assert right @ u == pytest.approx(
             convolve_operator(u, weights, grid, "right"), rel=1e-13)
+
+    def test_overflowing_scale_rejected(self):
+        # h = 50: h^300 is inf, which would make every entry 0, an operator
+        # that reads as semi-definite
+        with pytest.raises(ValueError, match=r"^h\^alpha = 50\.0\^300\.0 "
+                                             r"is inf$"):
+            toeplitz_generators(beta_table(2, 1, 300.0),
+                                GridSpec(0.0, 100.0, 2))
 
     def test_real_shift_rejected(self):
         grid = GridSpec(0.0, 1.0, 4)

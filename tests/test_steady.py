@@ -67,6 +67,17 @@ class TestSolveSteady:
         solution = solve_steady(problem, GridSpec(0.0, 1.0, 32))
         assert np.max(np.abs(solution)) < 1e-12
 
+    def test_shifted_domain_gives_the_same_errors(self):
+        # the problem moved to [1, 2]: h = (b - a) / n, and the grid points
+        # less 1 are those of [0, 1] exactly
+        base = polynomial_steady_problem(1.5)
+        shifted = dataclasses.replace(
+            base, a=1.0, b=2.0, source=lambda x: base.source(x - 1.0),
+            exact=lambda x: base.exact(x - 1.0))
+        error = max_error(shifted, 64, "order3")
+        assert error == max_error(base, 64, "order3")
+        assert error == pytest.approx(2.0610546521790396e-04, rel=1e-12)
+
     def test_boundary_values_imposed(self):
         problem = polynomial_steady_problem(1.5)
         solution = solve_steady(problem, GridSpec(0.0, 1.0, 32))
@@ -431,6 +442,16 @@ class TestStabilityScan:
         assert not entry.stable
         assert "overflow" in entry.reason
         assert np.isnan(entry.max_rayleigh)
+
+    def test_overflowing_h_alpha_recorded_as_data(self):
+        # on [0, 100] with n = 2, h^alpha = 50^300 overflows: the scan
+        # records the refusal of toeplitz_generators, not OverflowError
+        report = stability_scan(2, 1, [300.0, 1.5], GridSpec(0.0, 100.0, 2))
+        refused, stable = report.entries
+        assert not refused.stable
+        assert refused.reason == "h^alpha = 50.0^300.0 is inf"
+        assert np.isnan(refused.max_rayleigh)
+        assert stable.stable and stable.max_rayleigh < 0
 
     @pytest.mark.parametrize("alpha", [300.0, 2000.0, 1e6])
     def test_extreme_alpha_recorded_as_data(self, alpha):
