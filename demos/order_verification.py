@@ -5,6 +5,7 @@
 # 1 + O(z^p). The series engine expands that symbol with exact rational
 # arithmetic, so "the coefficient vanishes" is a hard yes/no.
 
+from dataclasses import replace
 from fractions import Fraction
 
 from grunwald import (
@@ -28,7 +29,7 @@ report = verify_order(lubich_generator(4, alpha), 4)
 print(f"  p=4, r=0: observed {report.observed_order}")
 
 print("...but imposing a shift on them collapses the order to 1:")
-report = verify_order(lubich_generator(4, alpha).with_shift(1), 4)
+report = verify_order(replace(lubich_generator(4, alpha), shift=1), 4)
 print(f"  p=4, r=1: observed {report.observed_order}")
 
 print("\nthe first-order generator with the non-integer shift alpha/2")

@@ -7,11 +7,14 @@ after the subcommand: each `key = value` line is the long option
 Explicit flags win over the file. Exit codes: 0 when every check passes,
 1 when a check fails, 2 on usage errors and unwritable output paths.
 
-Generator scalars (--alpha, --shift, --beta) are read exactly: integers,
-fractions ("11/10") and decimals ("1.1" is 11/10) all become rationals,
-so the symbol stays exact. Output files land in
---outdir (or $GRUNWALD_OUTDIR, default the working directory) unless an
-absolute --output is given.
+A generator is named once: --order p (the closed-form table at --shift)
+or --beta b0,b1,... (its coefficients). Generator scalars (--alpha,
+--shift, --beta) are read exactly: integers, fractions ("11/10") and
+decimals ("1.1" is 11/10) all become rationals, so the symbol stays
+exact. Output files land in --outdir (or $GRUNWALD_OUTDIR, default the
+working directory) unless an absolute --output is given; `weights`
+prints to stdout unless given --output or --outdir. A directory is made
+only to write a file in it, so a refused run leaves none behind.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .generators import (
     GeneratorSpec,
     beta_table,
     grunwald_weights,
-    lubich_generator,
     verify_order,
 )
 from .harness import (
@@ -111,7 +113,6 @@ def _resolve_output(args, default_name):
     outdir = args.outdir or os.environ.get(OUTDIR_ENV) or "."
     # an absolute name replaces outdir in the join
     path = os.path.join(outdir, args.output or default_name)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
     # refused here, before any computing, rather than at the final rename
     if os.path.isdir(path):
         raise IsADirectoryError(f"output path {path} is a directory")
@@ -122,10 +123,7 @@ def _make_generator(args):
     if args.beta is not None:
         return GeneratorSpec(alpha=args.alpha, shift=args.shift,
                              beta=args.beta)
-    if args.family == "table":
-        return beta_table(args.order, args.shift, args.alpha)
-    generator = lubich_generator(args.order, args.alpha)
-    return generator.with_shift(args.shift) if args.shift != 0 else generator
+    return beta_table(args.order, args.shift, args.alpha)
 
 
 def _cmd_verify_order(args) -> int:
@@ -142,7 +140,8 @@ def _cmd_verify_order(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    path = _resolve_output(args, args.output) if args.output else None
+    path = (_resolve_output(args, "weights.csv")
+            if args.output or args.outdir else None)
     weights = grunwald_weights(_make_generator(args), args.count).values
     lines = ["k,weight"] + [f"{k},{w:.16e}" for k, w in enumerate(weights)]
     text = "\n".join(lines) + "\n"
@@ -272,17 +271,17 @@ def _add_convergence_options(parser, n_default):
 
 
 def _add_generator_options(parser):
-    parser.add_argument("--order", type=int, default=2,
-                        help="design order p (1..6)")
+    # a string default is parsed only when --order is absent, so the group
+    # sees a given `--order 2`, which an int default 2 would hide from it
+    choice = parser.add_mutually_exclusive_group()
+    choice.add_argument("--order", type=int, default="2",
+                        help="design order p (1..6, default %(default)s)")
+    choice.add_argument("--beta", type=_list_of(_exact),
+                        help="custom comma-separated coefficients")
     parser.add_argument("--shift", type=_exact, default=Fraction(0),
                         help="stencil shift r (default %(default)s)")
     parser.add_argument("--alpha", type=_exact, required=True,
                         help="fractional order (e.g. 1.5 or 3/2)")
-    parser.add_argument("--family", choices=("table", "lubich"),
-                        default="table",
-                        help="coefficient family (default %(default)s)")
-    parser.add_argument("--beta", type=_list_of(_exact),
-                        help="custom comma-separated coefficients")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -119,6 +119,7 @@ class GeneratorSpec:
         finite value; the solvers restrict it to (1, 2]).
     shift: index offset of the difference stencil, finite. Integer shifts
         land on grid points; real shifts are accepted for analysis only.
+        dataclasses.replace(spec, shift=s) moves the same polynomial.
     beta: the p+1 polynomial coefficients; they must be finite and sum to
         zero (series.check_sum_zero), the first consistency condition of
         the resulting approximation. The second, q_0 = -sum_k k beta_k = 1,
@@ -143,10 +144,6 @@ class GeneratorSpec:
     def order(self) -> int:
         """Design order p (= polynomial degree)."""
         return len(self.beta) - 1
-
-    def with_shift(self, shift) -> "GeneratorSpec":
-        """Same polynomial, different stencil offset (analysis helper)."""
-        return GeneratorSpec(alpha=self.alpha, shift=shift, beta=self.beta)
 
 
 @dataclass(frozen=True)

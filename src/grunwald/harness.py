@@ -255,8 +255,10 @@ def write_report_csv(reports: Sequence[ConvergenceReport], path) -> None:
 
 
 def _atomic_write(path, text: str) -> None:
-    """Write through path + ".tmp"; a failed write leaves no temp file."""
+    """Write through path + ".tmp", making its directory first; a failed
+    write leaves no temp file."""
     path = os.fspath(path)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
     handle = open(tmp, "w")
     try:

@@ -11,6 +11,7 @@ line. Tolerances are pinned here, the same for every cell:
 """
 
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -90,7 +91,7 @@ def test_criterion_5_order_verification():
                     f"{shifted.observed_order}"
                 )
             degraded = verify_order(
-                lubich_generator(order, alpha).with_shift(1), order
+                replace(lubich_generator(order, alpha), shift=1), order
             )
             # imposing the shift collapses the order to exactly 1, except
             # p=1 at alpha=2 where the unit shift equals alpha/2 and

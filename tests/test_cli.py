@@ -35,7 +35,9 @@ class TestExitCodes:
         assert "observed order 6" in capsys.readouterr().out
 
     def test_verify_order_fail_is_one(self, capsys):
-        code = main(["verify-order", "--order", "4", "--family", "lubich",
+        # the unshifted order-4 generator, given by its coefficients,
+        # moved to shift 1
+        code = main(["verify-order", "--beta", "25/12,-4,3,-4/3,1/4",
                      "--shift", "1", "--alpha", "3/2", "--expect", "4"])
         assert code == 1
         assert "observed order 1" in capsys.readouterr().out
@@ -108,6 +110,39 @@ class TestExitCodes:
         assert info.value.code == 2
 
 
+class TestGeneratorChoice:
+    """A generator is --order or --beta, named once."""
+
+    @pytest.mark.parametrize("command", [["verify-order"],
+                                         ["weights", "--output", "w.csv"]],
+                             ids=["verify-order", "weights"])
+    @pytest.mark.parametrize("order", ["5", "2"])  # 2 is the default
+    def test_order_and_beta_is_usage_error(self, outdir, capsys, command,
+                                           order):
+        with pytest.raises(SystemExit) as info:
+            main([*command, "--order", order, "--beta", "1,-1",
+                  "--alpha", "3/2"])
+        assert info.value.code == 2
+        assert "not allowed with argument --order" in capsys.readouterr().err
+        assert not list(outdir.iterdir())
+
+    def test_order_in_option_file_and_beta_flag(self, tmp_path, capsys):
+        config = tmp_path / "gen.cfg"
+        config.write_text("order = 4\nalpha = 3/2\n")
+        with pytest.raises(SystemExit) as info:
+            main(["verify-order", "--beta", "1,-1", f"@{config}"])
+        assert info.value.code == 2
+        assert "not allowed with argument --order" in capsys.readouterr().err
+
+    def test_family_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify-order", "--order", "4", "--family", "lubich",
+                  "--alpha", "3/2"])
+        assert info.value.code == 2
+        assert ("unrecognized arguments: --family lubich"
+                in capsys.readouterr().err)
+
+
 class TestWeights:
     def test_stdout_csv(self, capsys):
         code = main(["weights", "--order", "2", "--shift", "1",
@@ -130,6 +165,15 @@ class TestWeights:
         assert result.stdout == ""
         assert result.stderr.startswith("error: weight 0 is inf")
         assert "Traceback" not in result.stderr
+
+    def test_outdir_alone_writes_the_default_file(self, tmp_path, capsys):
+        target = tmp_path / "d"
+        code = main(["weights", "--alpha", "3/2", "--count", "2",
+                     "--outdir", str(target)])
+        assert code == 0
+        assert capsys.readouterr().out == f"wrote {target / 'weights.csv'}\n"
+        lines = (target / "weights.csv").read_text().splitlines()
+        assert lines[0] == "k,weight" and len(lines) == 4
 
     def test_file_output(self, outdir, capsys):
         code = main(["weights", "--order", "1", "--alpha", "1.5",
@@ -501,6 +545,21 @@ class TestOutputResolution:
                             "--output", "x.csv"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: output path ")
+
+    @pytest.mark.parametrize("argv", [
+        ["diffusion", "--alphas", "1.5", "--n", "16", "--m-rule", "0",
+         "--outdir", "{tmp}/X/zero"],
+        ["steady", "--alphas", "1.5,2.5", "--n", "16,32",
+         "--outdir", "{tmp}/Y/range"],
+        ["weights", "--alpha", "2000", "--count", "3",
+         "--output", "{tmp}/Z/w.csv"],
+    ], ids=["m-rule", "alpha-range", "overflow"])
+    def test_refused_run_makes_no_directory(self, tmp_path, capsys, argv):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        assert main([arg.format(tmp=runs) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(runs.iterdir())
 
     def test_outdir_flag_beats_env(self, tmp_path, capsys):
         other = tmp_path / "flagdir"

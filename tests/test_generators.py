@@ -1,6 +1,7 @@
 """Generator families, weight sequences and order verification."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -263,7 +264,7 @@ class TestVerifyOrder:
         assert report.observed_order == 4
 
     def test_shifting_unshifted_family_drops_to_first_order(self):
-        shifted = lubich_generator(4, Fraction(3, 2)).with_shift(1)
+        shifted = replace(lubich_generator(4, Fraction(3, 2)), shift=1)
         report = verify_order(shifted, 4)
         assert report.observed_order == 1
         assert not report.passed
@@ -444,9 +445,13 @@ class TestGeneratorSpec:
         for build in (lambda: beta_table(2, 1, math.nan),
                       lambda: construct_beta(2, 1, math.inf),
                       lambda: lubich_generator(2, math.nan),
-                      lambda: beta_table(2, 1, 1.5).with_shift(math.nan)):
+                      lambda: replace(beta_table(2, 1, 1.5), shift=math.nan)):
             with pytest.raises(ValueError, match="must be finite"):
                 build()
+
+    def test_replace_is_the_one_way_to_move_a_generator(self):
+        # dataclasses.replace runs the same checks as the constructor
+        assert not hasattr(GeneratorSpec, "with_shift")
 
     def test_huge_rational_scalars_are_finite(self):
         # float(10**400) overflows; the finite check is exact for them

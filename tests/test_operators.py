@@ -5,7 +5,9 @@ dense LU (the CN step) and the lower Hessenberg solve through the
 triangular Toeplitz embedding (steady solves), with the lower bound on its
 reciprocal condition number."""
 
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,11 +18,14 @@ from grunwald import (
     GeneratorSpec,
     GridSpec,
     SolverFailure,
+    a2_coefficient,
     beta_table,
     grunwald_weights,
     polynomial_steady_problem,
 )
+from grunwald import operators
 from grunwald.operators import (
+    RCOND_FLOOR,
     checked_hessenberg_solve,
     checked_lu,
     hessenberg_rcond,
@@ -265,8 +270,6 @@ class TestPreconditioner:
     @pytest.mark.parametrize("size", [3, 17, 32, 63, 64])
     @pytest.mark.parametrize("alpha", [1.0, 1.1, 1.5, np.sqrt(1.5), 1.9, 2.0])
     def test_closed_form_spectrum(self, alpha, size):
-        from grunwald import a2_coefficient
-
         a2 = float(a2_coefficient(1, alpha))
         dense = precondition_rows(np.eye(size + 2, size, k=-1), a2)
         closed = np.sort(preconditioner_eigenvalues(a2, size))
@@ -274,8 +277,6 @@ class TestPreconditioner:
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
     def test_energy_ratio_within_band(self, alpha):
-        from grunwald import a2_coefficient
-
         rng = np.random.default_rng(5)
         grid = GridSpec(0.0, 1.0, 64)
         a2 = float(a2_coefficient(1, alpha))
@@ -285,6 +286,27 @@ class TestPreconditioner:
         ratios /= np.einsum("ij,ij->i", samples, samples)
         assert ratios.min() > 0.2
         assert ratios.max() <= 1.0 + 1e-12
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(alpha=st.fractions(1, 2))
+    @example(alpha=Fraction(2))
+    def test_condition_b_holds_exactly_at_every_size(self, alpha):
+        # a2 = 1 - (alpha/3 + 1/(2 alpha)) >= 1/12, and by the AM-GM
+        # inequality (alpha/3 + 1/(2 alpha))^2 >= 2/3, so a2 <= 1 - sqrt(2/3)
+        # and every eigenvalue 1 - 4 a2 sin^2(...) of P, at every size, lies
+        # in (4 sqrt(2/3) - 3, 1) = (0.26599..., 1), inside (1/5, 1]
+        a2 = a2_coefficient(1, alpha)
+        assert a2 >= Fraction(1, 12)
+        assert (1 - a2) ** 2 >= Fraction(2, 3)
+
+    def test_condition_b_bounds_are_reached(self):
+        assert a2_coefficient(1, Fraction(2)) == Fraction(1, 12)
+        top = max(a2_coefficient(1, Fraction(k, 1000))
+                  for k in range(1000, 2001))
+        assert top == Fraction(1079, 5880)  # at alpha = 49/40
+        assert 0 < (1 - math.sqrt(2 / 3)) - top < 2e-8
+        lowest = preconditioner_eigenvalues(float(top), 4095).min()
+        assert 4 * math.sqrt(2 / 3) - 3 < lowest < 0.2661
 
 
 class TestSchemeOperator:
@@ -296,8 +318,6 @@ class TestSchemeOperator:
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9, 2.0])
     @pytest.mark.parametrize("scheme", ["order2", "order3"])
     def test_shifted_order2_operator_and_a2(self, scheme, alpha, n):
-        from grunwald import a2_coefficient
-
         grid = GridSpec(0.0, 1.0, n)
         col, row, a2, generator = scheme_operator(scheme, alpha, grid)
         assert generator == beta_table(2, 1, alpha)
@@ -407,6 +427,25 @@ class TestCheckedHessenbergSolve:
             with pytest.raises(SolverFailure, match=r"singular \(rcond=0"):
                 checked_hessenberg_solve(l, g, np.ones(1022), 0.0, 0.0,
                                          context="test")
+
+    def test_zero_norm_bound_is_zero_without_division(self):
+        # L = 0 gives ||T||_1 = 0: the bound is 0, not 1 / 0 = inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hessenberg_rcond(np.zeros(5), np.ones(5)) == 0.0
+
+    @pytest.mark.parametrize("rcond, solves", [
+        (RCOND_FLOOR, True), (np.nextafter(RCOND_FLOOR, 0), False)])
+    def test_floor_itself_is_accepted(self, monkeypatch, rcond, solves):
+        monkeypatch.setattr(operators, "hessenberg_rcond",
+                            lambda l, g: rcond)
+        l = np.array([-1.0, 4.0, 1.0, 0.5, 0.25])
+        args = (l, inverse_column(l), np.array([1.0, 2.0, 3.0]), 2.0, -3.0)
+        if solves:
+            assert checked_hessenberg_solve(*args)[0] == 2.0
+        else:
+            with pytest.raises(SolverFailure, match=r"singular \(rcond="):
+                checked_hessenberg_solve(*args)
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(l=st.integers(2, 41).flatmap(lambda size: arrays(
