@@ -13,8 +13,9 @@ or --beta b0,b1,... (its coefficients). Generator scalars (--alpha,
 decimals ("1.1" is 11/10) all become rationals, so the symbol stays
 exact. Output files land in --outdir (or $GRUNWALD_OUTDIR, default the
 working directory) unless an absolute --output is given; `weights`
-prints to stdout unless given --output or --outdir. A directory is made
-only to write a file in it, so a refused run leaves none behind.
+prints to stdout unless given --output or --outdir. Every output path,
+the JSON mirror's too, is checked before any computing; a directory is
+made only to write a file in it, so a refused run leaves none behind.
 """
 
 from __future__ import annotations
@@ -113,10 +114,21 @@ def _resolve_output(args, default_name):
     outdir = args.outdir or os.environ.get(OUTDIR_ENV) or "."
     # an absolute name replaces outdir in the join
     path = os.path.join(outdir, args.output or default_name)
-    # refused here, before any computing, rather than at the final rename
+    _check_output_path(path)
+    return path
+
+
+def _check_output_path(path):
+    """Refuse, before any computing and making nothing, a path that is a
+    directory or whose nearest existing ancestor is not one."""
     if os.path.isdir(path):
         raise IsADirectoryError(f"output path {path} is a directory")
-    return path
+    ancestor = os.path.dirname(os.path.abspath(path))
+    while not os.path.lexists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise NotADirectoryError(f"output path {path} lies under {ancestor}, "
+                                 "which is not a directory")
 
 
 def _make_generator(args):
@@ -163,16 +175,13 @@ def _convergence_command(args, problem, default_name, **steps) -> int:
         json_mirror=args.json,
         **steps,
     )
+    if config.json_mirror:
+        _check_output_path(config.json_path)
     reports = run_convergence(config)
-    failures = 0
     for report in reports:
-        for row in report.rows:
-            if row.failure is not None:
-                failures += 1
-                print(
-                    f"FAIL alpha={report.alpha} N={row.n}: {row.failure}",
-                    file=sys.stderr,
-                )
+        for row in report.failed_rows:
+            print(f"FAIL alpha={report.alpha} N={row.n}: {row.failure}",
+                  file=sys.stderr)
         tail = report.rows[-1]
         if tail.max_error is None:
             print(f"alpha={report.alpha}: final solve failed")
@@ -183,7 +192,7 @@ def _convergence_command(args, problem, default_name, **steps) -> int:
                 line += f" order={tail.observed_order:.2f}"
             print(line)
     print(f"wrote {config.output}")
-    return 1 if failures else 0
+    return 1 if any(report.failed_rows for report in reports) else 0
 
 
 def _cmd_steady(args) -> int:

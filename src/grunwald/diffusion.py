@@ -33,6 +33,7 @@ from scipy.linalg import toeplitz
 
 from .generators import check_finite, check_integer
 from .operators import (
+    P_FLOOR,
     GridSpec,
     check_alpha,
     check_domain,
@@ -51,10 +52,6 @@ __all__ = [
     "fractional_poly_source",
     "stability_estimate_check",
 ]
-
-# Norm-equivalence constant of the preconditioned energy norm: the
-# discrete L2 norm is controlled by sqrt(5) times the P-norm.
-NORM_EQUIV = np.sqrt(5.0)
 
 # Round-off allowance of the energy bound in stability_estimate_check.
 BOUND_SLACK = 1e-12
@@ -267,10 +264,12 @@ def stability_estimate_check(problem: DiffusionProblem, grid: GridSpec,
     model problem P dv/dt = K1 D_left^alpha v + K2 D_right^alpha v + S,
     with B the fractional operator of the CN system, random interior
     initial data and random per-step sources, and verify the a-priori
-    discrete-L2 estimate:
+    discrete-L2 estimate
 
-        order3:  ||v^m|| <= sqrt(5) (||v^0|| + sqrt(5) tau sum ||S^l||)
-        order2:  ||v^m|| <=          ||v^0|| +         tau sum ||S^l||
+        ||v^m|| <= c (||v^0|| + c tau sum ||S^l||),
+
+    with c = 1 where P = I (order2, a2 = 0) and otherwise (order3)
+    c = sqrt(1 / P_FLOOR) = sqrt(5), by condition (b) on P's eigenvalues.
 
     The march is cn_solve's, y^{m+1} = y^m + E y^m + tau S^m with
     y = (P - B) v and E = CNSystem.increment, on the n + 1 grid values
@@ -298,7 +297,7 @@ def stability_estimate_check(problem: DiffusionProblem, grid: GridSpec,
     v = solve_factored(system.factors, states)
     norms = np.sqrt(grid.h * np.einsum("ij,ij->j", v, v))
     source_norms = np.sqrt(grid.h * np.einsum("ij,ij->i", sources, sources))
-    amp = NORM_EQUIV if scheme == "order3" else 1.0
+    amp = 1.0 if system.a2 == 0 else np.sqrt(1.0 / P_FLOOR)
     source_totals = np.concatenate(([0.0], np.cumsum(source_norms)))
     bounds = amp * (norms[0] + amp * tau * source_totals)
     max_ratio = float(np.max(norms[1:] / bounds[1:]))

@@ -21,8 +21,7 @@ from scipy.linalg import toeplitz
 
 from . import generators as gen
 from . import operators as ops
-from .diffusion import (BOUND_SLACK, DiffusionProblem, cn_solve,
-                        stability_estimate_check)
+from .diffusion import BOUND_SLACK, cn_solve, stability_estimate_check
 from .operators import GridSpec, SolverFailure
 from .problems import polynomial_diffusion_problem, polynomial_steady_problem
 from .reference_tables import REFERENCE_TABLES
@@ -112,6 +111,17 @@ class RunConfig:
                              "which takes no time steps")
         if self.json_mirror and not self.output:
             raise ValueError("json_mirror needs an output path")
+        if self.json_mirror and self.json_path == self.output:
+            raise ValueError(f"the JSON mirror {self.json_path} would "
+                             "overwrite the output it mirrors")
+
+    @property
+    def json_path(self) -> Optional[str]:
+        """Where the JSON mirror goes, the output path with its extension
+        replaced by .json; None without a mirror."""
+        if not self.json_mirror:
+            return None
+        return os.path.splitext(self.output)[0] + ".json"
 
     def steps_for(self, n: int) -> int:
         if self.m_rule == "floor-n-3-2":
@@ -213,8 +223,7 @@ def run_convergence(config: RunConfig) -> list:
     if config.output:
         write_report_csv(reports, config.output)
         if config.json_mirror:
-            write_report_json(reports,
-                              os.path.splitext(config.output)[0] + ".json")
+            write_report_json(reports, config.json_path)
     return reports
 
 
@@ -613,10 +622,10 @@ def _prop_negative_definite(rng):
 
 
 @_prop("preconditioner-norm-equivalence", "eigenvalue of P",
-       gt=0.2, le=1.0 + 1e-12)
+       gt=ops.P_FLOOR, le=1.0 + 1e-12)
 def _prop_norm_equivalence(rng):
-    """(b): 1/5 < lambda(P) <= 1 in closed form, so
-    |v|^2 / 5 < ||v||_P^2 <= |v|^2."""
+    """(b): P_FLOOR < lambda(P) <= 1 in closed form, so
+    |v|^2 P_FLOOR < ||v||_P^2 <= |v|^2."""
     grid = GridSpec(0.0, 1.0, 64)
     for alpha in (1.0, 1.5, 2.0):
         _, _, a2, _ = ops.scheme_operator("order3", alpha, grid)
@@ -648,11 +657,12 @@ def _cn_interior_sym_b(alpha, scheme, grid):
 def _prop_cn_coercive(rng):
     """Weyl: lambda_min(sym(P - B)) >= lambda_min(P) - lambda_max(sym B),
     which is at least lambda_min(P) by (a): at least 1 for order 2 (P = I)
-    and 1/5 for order 3 by (b)."""
+    and P_FLOOR for order 3 by (b)."""
     grid = GridSpec(0.0, 1.0, 32)
     for alpha in (1.1, 1.5, 1.9):
-        for scheme, floor in (("order2", 1.0), ("order3", 0.2)):
+        for scheme in ops.SCHEMES:
             a2, sym_b = _cn_interior_sym_b(alpha, scheme, grid)
+            floor = 1.0 if a2 == 0 else ops.P_FLOOR
             low = (ops.preconditioner_eigenvalues(a2, grid.n - 1).min()
                    - ops.toeplitz_top_eigenvalue(sym_b))
             yield f"{scheme} (floor {floor}), alpha={alpha}", low - floor
@@ -706,13 +716,8 @@ def _prop_steady_linear(rng):
 
 @_prop("cn-zero-data-stays-zero", "max |u|", le=0.0)
 def _prop_cn_zero(rng):
-    problem = DiffusionProblem(
-        a=0.0, b=1.0, t_final=1.0, alpha=1.5, k_left=1.0, k_right=1.0,
-        source_profile=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        source_factor=lambda t: 0.0,
-        init=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        bc_left=lambda t: 0.0, bc_right=lambda t: 0.0,
-    )
+    problem = replace(polynomial_diffusion_problem(1.5),
+                      source_factor=lambda t: 0.0, init=lambda x: 0.0)
     final = cn_solve(problem, GridSpec(0.0, 1.0, 16), 16, "order2")
     yield "N=16, M=16", np.max(np.abs(final))
 

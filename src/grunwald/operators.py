@@ -129,6 +129,11 @@ def precondition_rows(values: np.ndarray, a2: float) -> np.ndarray:
     return a2 * (values[:-2] + values[2:]) + (1.0 - 2.0 * a2) * values[1:-1]
 
 
+# Condition (b) of the CN stability argument: every eigenvalue of the
+# preconditioner lies in (P_FLOOR, 1], so |v|^2 P_FLOOR < ||v||_P^2 <= |v|^2.
+P_FLOOR = 0.2
+
+
 def preconditioner_eigenvalues(a2: float, size: int) -> np.ndarray:
     """Eigenvalues of the size x size matrix of precondition_rows, the
     tridiagonal Toeplitz (a2, 1 - 2 a2, a2), in closed form:

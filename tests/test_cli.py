@@ -561,6 +561,36 @@ class TestOutputResolution:
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(runs.iterdir())
 
+    @pytest.mark.parametrize("argv, message", [
+        (["steady", "--output", "r.json", "--json"],
+         "the JSON mirror {tmp}/r.json would overwrite the output"),
+        (["steady", "--output", "q.csv", "--json"],
+         "output path {tmp}/q.json is a directory"),
+        (["diffusion", "--outdir", "{tmp}/F"],
+         "output path {tmp}/F/diffusion.csv lies under {tmp}/F, which"),
+        (["reproduce-table", "--table", "3", "--outdir", "{tmp}/F/sub"],
+         "output path {tmp}/F/sub/table3_diff.csv lies under {tmp}/F, "),
+    ], ids=["mirror-is-output", "mirror-is-directory", "outdir-is-file",
+            "outdir-under-file"])
+    def test_output_refused_before_any_solve(self, outdir, monkeypatch,
+                                             capsys, argv, message):
+        # a directory q.json and a regular file F, each in the way of an
+        # output; the disk is left as it was
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solved before the output check")
+
+        monkeypatch.setattr(harness, "_solve_once", unreachable)
+        (outdir / "q.json").mkdir()
+        (outdir / "F").write_text("kept")
+        before = sorted(outdir.rglob("*"))
+        args = argv if argv[0] == "reproduce-table" else argv + [
+            "--alphas", "1.5", "--n", "16,32"]
+        assert main([arg.format(tmp=outdir) for arg in args]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: " + message.format(tmp=outdir))
+        assert sorted(outdir.rglob("*")) == before
+        assert (outdir / "F").read_text() == "kept"
+
     def test_outdir_flag_beats_env(self, tmp_path, capsys):
         other = tmp_path / "flagdir"
         code = main(["steady", "--alphas", "1.5", "--n", "16",

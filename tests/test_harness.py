@@ -108,9 +108,18 @@ class TestRunConfig:
                       json_mirror=True)
         config = RunConfig("steady-poly", "order2", (1.5,), (16,),
                            output=str(tmp_path / "run.csv"), json_mirror=True)
+        assert config.json_path == str(tmp_path / "run.json")
         run_convergence(config)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv",
                                                               "run.json"]
+        assert RunConfig("steady-poly", "order2", (1.5,), (16,),
+                         output="run.csv").json_path is None
+
+    def test_json_mirror_must_not_overwrite_the_output(self):
+        # the mirror's name is the output's with .json for its extension
+        with pytest.raises(ValueError, match="would overwrite the output"):
+            RunConfig("steady-poly", "order2", (1.5,), (16,),
+                      output="runs/r.json", json_mirror=True)
 
     def test_step_rules(self):
         equal = RunConfig("diffusion-poly", "order2", (1.5,), (16,))
@@ -632,6 +641,39 @@ class TestPropertySuite:
                                "first-order-weights-match-binomial-recursion",
                                "matrix-matches-convolution-apply"}
         assert failed["weight-tail-sums-decay"].startswith("|sum w| nan ")
+
+    def test_pass_reports_the_case_nearest_the_bound(self, monkeypatch):
+        # the margin of a value is its distance to the nearer end; of two
+        # equal margins (c to the upper end, e to the lower) the first
+        # case is the one reported
+        monkeypatch.setattr(harness, "_PROPERTIES", [])
+
+        @harness._prop("synthetic", "value", gt=0.0, le=1.0)
+        def _cases(rng):
+            yield from (("a", 0.5), ("b", 0.75), ("c", 0.875), ("d", 0.25),
+                        ("e", 0.125), ("f", 0.375))
+
+        (result,) = run_property_suite().results
+        assert result == harness.PropertyResult(
+            "synthetic", True, "value 8.7500e-01 at c (> 0.0, <= 1.0)")
+
+    def test_table_property_needs_both_conditions(self, monkeypatch):
+        # the table must equal the construction and pass verify_order: a
+        # construction that differs, or a failed order check, each fails it
+        def result():
+            return harness._decide(harness._prop_table_vs_construction, None)
+
+        construct = harness.gen.construct_beta
+        verify = harness.gen.verify_order
+        monkeypatch.setattr(harness.gen, "construct_beta",
+                            lambda p, r, alpha: construct(p, r + 1, alpha))
+        assert result().detail == "false at p=2, r=0, alpha=11/10"
+        monkeypatch.undo()
+        monkeypatch.setattr(harness.gen, "verify_order",
+                            lambda generator, p: verify(generator, p + 1))
+        assert result().detail == "false at p=1, r=0, alpha=11/10"
+        monkeypatch.undo()
+        assert result().passed
 
     def test_raising_property_is_a_failure_not_an_abort(self, monkeypatch):
         def boom(a2, size):
