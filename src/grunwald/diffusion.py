@@ -17,9 +17,14 @@ builds E. cn_solve's forcing, a source profile times a time factor plus
 two boundary values, has rank 3 or less, so with T = I + E and T_s = T^s,
 s ~ sqrt(M), it sums y_M = sum_i T^i sum_g c_{g,i} T_s^g v over at most
 four vectors v, as Paterson and Stockmeyer evaluate a polynomial of a
-matrix (SIAM J. Comput. 2, 1973), in about 8 N^2 M / s + 2 N^2 s + 8 M N
-flops where single steps take 2 M N^2. The energy check's random sources
-have full rank: it marches single steps and keeps every state.
+matrix (SIAM J. Comput. 2, 1973). After a set-up of about 3 N^3 flops
+(the LU factors and E), that takes 2 N^3 log2 s flops for the doublings
+that form T_s and 8 N^2 M / s + 2 N^2 s + 8 M N for the sums, where
+single steps take 2 M N^2. When K1 = K2, E
+is centrosymmetric and the march runs on its even and odd halves, each
+about N / 2 wide: (N^3 / 2) log2 s + 4 N^2 M / s + N^2 s + 8 M N flops.
+The energy check's random sources have full rank: it marches single
+steps and keeps every state.
 """
 
 from __future__ import annotations
@@ -150,6 +155,68 @@ def _cn_system(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
     return CNSystem(tau=tau, a2=a2, factors=factors, increment=increment), y
 
 
+def _stride(m_steps: int) -> tuple[int, int]:
+    """The group length s = 2^floor(log2 sqrt(M)) of M = m_steps steps
+    and the rows of v = [y_0, r_0, .., r_{M-1}] zero padded at the front
+    to whole groups: the least multiple of s that is at least M + 1."""
+    s = 2 ** (math.isqrt(m_steps).bit_length() - 1)
+    return s, s * math.ceil((m_steps + 1) / s)
+
+
+def _march(increment: np.ndarray, coeffs: np.ndarray, basis: np.ndarray,
+           s: int) -> np.ndarray:
+    """y_M = sum_j T^(R-1-j) v_j over the R rows v = coeffs @ basis, with
+    T = I + E, E = increment, and R a multiple of the power of two s:
+    y_M = sum_i T^(s-1-i) W_i, W_i = sum_g T_s^(G-1-g) v_{gs+i}, T_s = T^s
+    by log2 s doublings. W sums each group's coefficients times the
+    Krylov block T_s^(G-1-g) basis, one product per group, over the basis
+    rows that do not vanish and have a nonzero coefficient."""
+    e_group = increment.T
+    for _ in range(s.bit_length() - 1):
+        # (I + E_j)^2 = I + E_2j with E_2j = 2 E_j + E_j E_j, transposed
+        e_group = e_group @ e_group + 2.0 * e_group
+    keep = coeffs.any(axis=0) & basis.any(axis=1)
+    coeffs, krylov = coeffs[:, keep], basis[keep]
+    # the groups from the last: group G-1-k meets T_s^k basis
+    w = coeffs[-s:] @ krylov
+    for start in range(len(coeffs) - 2 * s, -1, -s):
+        krylov += krylov @ e_group
+        w += coeffs[start:start + s] @ krylov
+    y = w[0]
+    for row in w[1:]:
+        y += increment @ y
+        y += row
+    return y
+
+
+def _halves(increment: np.ndarray, basis: np.ndarray):
+    """The even and odd halves of E = increment and of the basis rows,
+    for E centrosymmetric: J E J = E, where J reverses the n + 1 grid
+    values (Cantoni and Butler, Linear Algebra Appl. 13, 1976). With
+    h = (n + 1) // 2 and ns = n + 1 - h, E_bar = (E + J E J) / 2 maps the
+    even vectors v = J v, kept as v[:ns], by E_s = E_bar[:ns, :ns] plus
+    E_bar[:ns, ::-1][:, :h] on the first h columns, and the odd vectors
+    v = -J v, kept as v[:h], by E_a = E_bar[:h, :h] - E_bar[:h, ::-1][:, :h].
+    A basis row v splits into (v + J v) / 2 and (v - J v) / 2. Returns
+    (E_s, even rows) and (E_a, odd rows)."""
+    h = len(increment) // 2
+    ns = len(increment) - h
+    top = 0.5 * (increment[:ns] + increment[h:, ::-1][::-1])
+    mirror = top[:, ::-1][:, :h]
+    even = top[:, :ns].copy()
+    even[:, :h] += mirror
+    odd = top[:h, :h] - mirror[:h]
+    flipped = basis[:, ::-1]
+    return ((even, 0.5 * (basis + flipped)[:, :ns]),
+            (odd, 0.5 * (basis - flipped)[:, :h]))
+
+
+def _unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The grid vector of even half v[:ns] and odd half v[:h] (_halves)."""
+    h = len(odd)
+    return np.concatenate((even[:h] + odd, even[h:], (even[:h] - odd)[::-1]))
+
+
 def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
              scheme: str = "order2") -> np.ndarray:
     """March the Crank-Nicolson scheme; returns the n + 1 grid values at
@@ -165,7 +232,9 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
     W_i = sum_g T_s^(G-1-g) v_{gs+i}, T_s = T^s. Each v_j has coefficients
     over the basis y_0, f_hat, e_0, e_n (less those that vanish or have
     zero coefficients), so W sums each group's coefficients times the
-    Krylov block T_s^(G-1-g) basis, one product of width <= 4 per group.
+    Krylov block T_s^(G-1-g) basis, one product of width <= 4 per group
+    (_march). When K1 = K2 this runs once on each of the even and odd
+    halves of E and of the basis (_halves), and their sums unfold to y_M.
     One solve maps y_M back to u, whose end values are set to the
     boundary data. Each data function is sampled once (operators.sample),
     before the set-up: init and the profile on the grid, the boundaries on
@@ -190,30 +259,19 @@ def cn_solve(problem: DiffusionProblem, grid: GridSpec, m_steps: int,
             raise ValueError(f"{side} boundary values must vanish when "
                              f"k_{side} is nonzero")
     system, y = _cn_system(problem, grid, m_steps, scheme, initial)
-    doublings = math.isqrt(m_steps).bit_length() - 1
-    s = 2 ** doublings
-    e_group = system.increment.T
-    for _ in range(doublings):
-        # (I + E_j)^2 = I + E_2j with E_2j = 2 E_j + E_j E_j, transposed
-        e_group = e_group @ e_group + 2.0 * e_group
+    s, rows = _stride(m_steps)
     # v's rows over the basis y_0, f_hat, e_0 and e_n, after the zero pad
-    coeffs = np.zeros((s * math.ceil((m_steps + 1) / s), 4))
+    coeffs = np.zeros((rows, 4))
     coeffs[-m_steps - 1, 0] = 1.0
     coeffs[-m_steps:, 1:] = np.column_stack((factor, left[1:], right[1:]))
     basis = np.zeros((4, len(y)))
     basis[0], basis[2, 0], basis[3, -1] = y, 1.0, 1.0
     basis[1, 1:-1] = system.tau * precondition_rows(profile, system.a2)
-    keep = coeffs.any(axis=0) & basis.any(axis=1)
-    coeffs, krylov = coeffs[:, keep], basis[keep]
-    # the groups from the last: group G-1-k meets T_s^k basis
-    w = coeffs[-s:] @ krylov
-    for start in range(len(coeffs) - 2 * s, -1, -s):
-        krylov += krylov @ e_group
-        w += coeffs[start:start + s] @ krylov
-    y = w[0]
-    for row in w[1:]:
-        y += system.increment @ y
-        y += row
+    if problem.k_left == problem.k_right:
+        y = _unfold(*(_march(half, coeffs, vectors, s)
+                      for half, vectors in _halves(system.increment, basis)))
+    else:
+        y = _march(system.increment, coeffs, basis, s)
     if not np.isfinite(y).all():
         raise ValueError("state is not finite")
     u = solve_factored(system.factors, y)

@@ -22,7 +22,8 @@ from grunwald import (
     polynomial_diffusion_problem,
     stability_estimate_check,
 )
-from grunwald.diffusion import _cn_system
+from grunwald import diffusion
+from grunwald.diffusion import _cn_system, _stride
 from grunwald.operators import (precondition_rows, scheme_operator,
                                 toeplitz_generators)
 
@@ -552,6 +553,103 @@ class TestExtendedPrecisionMarch:
         reference = longdouble_march(problem, grid, 1449, scheme)
         scale = np.max(np.abs(reference))
         assert np.max(np.abs(final - reference)) <= 2e-14 * scale
+
+
+def lopsided_problem(alpha):
+    """K1 = K2 with initial data and a source profile that are not mirror
+    images of themselves, so the odd half of the march carries data."""
+    return DiffusionProblem(
+        a=0.0, b=1.0, t_final=1.0, alpha=alpha, k_left=1.0, k_right=1.0,
+        source_profile=lambda x: np.exp(2.0 * x) + 3.0 * x,
+        source_factor=np.cos,
+        init=lambda x: 10.0 * x**3 * (1.0 - x),
+        bc_left=lambda t: 0.0, bc_right=lambda t: 0.0,
+    )
+
+
+class TestCentrosymmetricHalves:
+    """At K1 = K2, cn_solve marches the even and odd halves of E apart."""
+
+    @pytest.mark.parametrize("n", [16, 63, 512])
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    @pytest.mark.parametrize("scheme", ["order2", "order3"])
+    def test_increment_is_centrosymmetric(self, scheme, alpha, n):
+        # the premise of the split, up to the round-off of forming E; at
+        # K1 != K2 E is far from it, so the full grid stays one block
+        grid = GridSpec(0.0, 1.0, n)
+        for (k_left, k_right), within in (((1.0, 1.0), True),
+                                          ((0.7, 1.3), False)):
+            problem = replace(polynomial_diffusion_problem(alpha),
+                              k_left=k_left, k_right=k_right)
+            system, _ = _cn_system(problem, grid, n, scheme, grid.points())
+            e = system.increment
+            # ||J E J - E|| / ||E||, J the reversal of the grid values
+            defect = np.linalg.norm(e[::-1, ::-1] - e) / np.linalg.norm(e)
+            assert (defect <= 1e-12) if within else (defect >= 1e-2)
+
+    @pytest.mark.parametrize("n", [3, 4, 63, 64])
+    @pytest.mark.parametrize("alpha", [1.1, 1.9])
+    @pytest.mark.parametrize("scheme", ["order2", "order3"])
+    def test_odd_half_against_per_step_march(self, scheme, alpha, n):
+        problem = lopsided_problem(alpha)
+        grid = GridSpec(0.0, 1.0, n)
+        for m_steps in (1, 17, 300):
+            final = cn_solve(problem, grid, m_steps, scheme)
+            reference = per_step_march(problem, grid, m_steps, scheme)
+            scale = np.max(np.abs(reference))
+            assert np.max(np.abs(final - reference)) <= 1e-12 * scale
+            # the odd half is no round-off: the state is lopsided
+            assert np.max(np.abs(final - final[::-1])) >= 0.1 * scale
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.9])
+    @pytest.mark.parametrize("scheme", ["order2", "order3"])
+    def test_odd_half_close_to_longdouble_recurrence(self, scheme, alpha):
+        # TestExtendedPrecisionMarch's table 6 cell and bound. The oracle
+        # marches the float64 E, whose antisymmetric rounding the halves
+        # drop: that, not the march, is most of the 1.6e-14 read at
+        # order3, alpha=1.9
+        problem = lopsided_problem(alpha)
+        grid = GridSpec(0.0, 1.0, 128)
+        final = cn_solve(problem, grid, 1449, scheme)
+        reference = longdouble_march(problem, grid, 1449, scheme)
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(final - reference)) <= 2e-14 * scale
+
+    @pytest.mark.parametrize("n, sizes", [(2, [2, 1]), (63, [32, 32]),
+                                          (64, [33, 32])])
+    def test_equal_coefficients_choose_the_halves(self, n, sizes,
+                                                  monkeypatch):
+        blocks = []
+
+        def march(increment, *args):
+            blocks.append(increment.shape)
+            return real_march(increment, *args)
+
+        real_march = diffusion._march
+        monkeypatch.setattr(diffusion, "_march", march)
+        grid = GridSpec(0.0, 1.0, n)
+        cn_solve(lopsided_problem(1.5), grid, 20)
+        assert blocks == [(size, size) for size in sizes]
+        blocks.clear()
+        cn_solve(replace(lopsided_problem(1.5), k_left=0.7), grid, 20)
+        assert blocks == [(n + 1, n + 1)]
+
+
+class TestStride:
+    """The group length and padded row count of the march: only the cost
+    depends on them, so they are pinned here."""
+
+    def test_group_length_is_the_power_of_two_below_sqrt_m(self):
+        for m_steps in range(1, 5000):
+            s, rows = _stride(m_steps)
+            assert s & (s - 1) == 0
+            assert s * s <= m_steps < 4 * s * s
+
+    def test_pad_is_less_than_one_group(self):
+        for m_steps in range(1, 5000):
+            s, rows = _stride(m_steps)
+            assert rows % s == 0
+            assert m_steps + 1 <= rows < m_steps + 1 + s
 
 
 def semi_discrete(problem, grid, scheme):
